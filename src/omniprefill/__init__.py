@@ -20,6 +20,7 @@ from .core import (
     InfeasibleScheduleError,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
     audio_intact_rv,
@@ -90,6 +91,7 @@ __all__ = [
     "RetentionSpec",
     "SchedulePlan",
     "SelectionResult",
+    "StreamError",
     "SynthSpec",
     "SyntheticOracle",
     "TEXT",

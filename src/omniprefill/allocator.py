@@ -90,12 +90,14 @@ def allocate(
     num_v = rel.s_v * (r_v * n_v0)
     num_a = rel.s_a * (r_a * n_a0)
     den = num_v + num_a
-    bv_real = np.zeros(T, dtype=np.float64)
-    for t in range(T):
-        if den[t] > 0.0:
-            bv_real[t] = b_real[t] * num_v[t] / den[t]
-        elif cap_v[t] + cap_a[t] > 0:
-            bv_real[t] = b_real[t] * cap_v[t] / (cap_v[t] + cap_a[t])
+    spread = den > 0.0
+    capacity_t = cap_v + cap_a
+    bv_real = np.where(
+        spread,
+        b_real * num_v / np.where(spread, den, 1.0),
+        np.where(capacity_t > 0,
+                 b_real * cap_v / np.maximum(capacity_t, 1), 0.0),
+    )
     ba_real = b_real - bv_real
 
     # integerize: floor, cap, then place the shortfall deterministically
@@ -106,32 +108,22 @@ def allocate(
     assert deficit >= 0, "floor+cap can never overshoot the rounded total"
 
     slot_window = np.concatenate([np.arange(T), np.arange(T)])
-    slot_is_audio = np.concatenate([np.zeros(T, np.int64), np.ones(T, np.int64)])
+    slot_is_audio = np.repeat([0, 1], T)
     frac = reals - np.floor(reals)
-    # first pass by largest remainder, later passes by relevance share
-    first = sorted(
-        range(2 * T),
-        key=lambda i: (-frac[i], -share[slot_window[i]], slot_window[i],
-                       slot_is_audio[i]),
-    )
-    later = sorted(
-        range(2 * T),
-        key=lambda i: (-share[slot_window[i]], slot_window[i], slot_is_audio[i]),
-    )
-    order = first
+    slot_share = share[slot_window]
+    # first pass by largest remainder, later passes by relevance share; each
+    # pass gives one token to every slot below its cap, in order, until the
+    # total lands
+    later = np.lexsort((slot_is_audio, slot_window, -slot_share))
+    order = np.lexsort((slot_is_audio, slot_window, -slot_share, -frac))
     while deficit > 0:
-        placed = 0
-        for i in order:
-            if deficit == 0:
-                break
-            if base[i] < caps[i]:
-                base[i] += 1
-                deficit -= 1
-                placed += 1
-        if deficit > 0 and placed == 0:
+        open_slots = order[base[order] < caps[order]][:deficit]
+        if open_slots.size == 0:
             raise InfeasibleBudgetError(
                 "no spare capacity left while budget remains"
             )
+        base[open_slots] += 1
+        deficit -= open_slots.size
         order = later
 
     b_v = base[:T]

@@ -40,6 +40,13 @@ class InfeasibleBudgetError(EngineError):
     """A token budget exceeds the available capacity."""
 
 
+class StreamError(EngineError, ValueError):
+    """A stream, its layout or a signal for it disagree in shape or value.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 def _frozen(a, dtype):
     arr = np.asarray(a, dtype=dtype)
     arr = np.array(arr, copy=True)
@@ -171,6 +178,23 @@ class WindowLayout:
             stream.window_id[(stream.modality == AUDIO)], minlength=T
         )
         return WindowLayout(n_v=n_v, n_a=n_a)
+
+
+def segments(counts: np.ndarray):
+    """One modality's tokens, laid out window-major, grouped by run length.
+
+    counts[t] tokens of the modality sit in window t, window after window.
+    Yields (n, windows, index) for each distinct non-zero length n,
+    ascending: windows holds, ascending, the windows with exactly n tokens
+    and index (len(windows), n) the token offsets of each such window's run.
+    Every stage that works window by window goes through these runs, so a
+    whole size class is handled by one array operation.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    for n in np.unique(counts[counts > 0]):
+        windows = np.flatnonzero(counts == n)
+        yield int(n), windows, starts[windows][:, None] + np.arange(n)
 
 
 @dataclasses.dataclass(frozen=True)

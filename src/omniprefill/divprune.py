@@ -20,8 +20,10 @@ from .core import (
     TEXT,
     VISUAL,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
+    segments,
     validate_stream,
 )
 
@@ -50,19 +52,71 @@ class SelectionResult:
             object.__setattr__(self, name, arr)
 
 
-def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise 1-cos distances; zero-norm rows sit at distance 1 from
-    everything (cosine undefined there)."""
-    emb = np.asarray(embeddings, dtype=np.float64)
+def _unit_rows(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a float64 (m, d) matrix scaled to unit length, and the mask
+    of zero-norm rows (left as they are)."""
     norms = np.linalg.norm(emb, axis=1)
     zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    unit = emb / safe[:, None]
-    dist = 1.0 - unit @ unit.T
-    np.clip(dist, 0.0, 2.0, out=dist)
-    dist[zero, :] = 1.0
-    dist[:, zero] = 1.0
-    return dist, zero
+    return emb / np.where(zero, 1.0, norms)[:, None], zero
+
+
+def _distances(unit: np.ndarray, out: np.ndarray) -> None:
+    """Fill out (G, n, n) with the pairwise 1-cos distances of G groups of
+    unit rows, clipped to [0, 2]. A zero-norm row (its squares underflow to
+    0) is left unscaled, so its dot products round away and it sits at
+    distance exactly 1 from everything (cosine is undefined there).
+
+    Each Gram comes from its own 2-D product: a stacked matmul rounds the
+    last bits differently, which would move ties. numpy computes A @ A.T
+    with syrk and mirrors one triangle, so every matrix is exactly
+    symmetric and its column j is the contiguous row out[g, j].
+    """
+    for g in range(unit.shape[0]):
+        np.matmul(unit[g], unit[g].T, out=out[g])
+    np.subtract(1.0, out, out=out)
+    np.clip(out, 0.0, 2.0, out=out)
+
+
+def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise 1-cos distances of one group and its zero-norm mask."""
+    unit, zero = _unit_rows(np.asarray(embeddings, dtype=np.float64))
+    n = unit.shape[0]
+    dist = np.empty((1, n, n))
+    _distances(unit[None], dist)
+    return dist[0], zero
+
+
+def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Greedy max-min in G groups at once; returns the (G, n) pick mask.
+
+    dist is a contiguous (G, n, n) block filled by _distances, weights is
+    (G, n). Each step takes one row-wise argmax, so a chunk costs k Python
+    steps whatever G is. The seed's nearest-neighbour distances come from
+    dist itself with its diagonal parked at +inf, so no n*n temporary is
+    made.
+    """
+    G, n, _ = dist.shape
+    diagonal = dist.reshape(G, n * n)[:, :: n + 1]
+    own = diagonal.copy()
+    diagonal[...] = np.inf
+    nearest = dist.min(axis=1)
+    diagonal[...] = own
+
+    columns = dist.reshape(G * n, n)
+    first = np.arange(G) * n
+    taken = np.zeros((G, n), dtype=bool)
+    flat_taken = taken.reshape(-1)
+    value = np.empty((G, n))
+    pick = first + (weights * nearest).argmax(axis=1)
+    mind = columns[pick]
+    for _ in range(k - 1):
+        flat_taken[pick] = True
+        np.multiply(weights, mind, out=value)
+        np.copyto(value, -np.inf, where=taken)
+        pick = first + value.argmax(axis=1)
+        np.minimum(mind, columns[pick], out=mind)
+    flat_taken[pick] = True
+    return taken
 
 
 def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -85,22 +139,8 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k == n:
         return np.arange(n, dtype=np.int64)
-
     dist, _ = _cosine_distances(emb)
-    offdiag = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    nearest = offdiag.min(axis=1)
-    seed = int(np.argmax(w * nearest))
-
-    chosen = [seed]
-    mind = dist[:, seed].copy()
-    value = np.empty(n, dtype=np.float64)
-    for _ in range(k - 1):
-        np.multiply(w, mind, out=value)
-        value[chosen] = -np.inf
-        pick = int(np.argmax(value))
-        chosen.append(pick)
-        np.minimum(mind, dist[:, pick], out=mind)
-    return np.array(sorted(chosen), dtype=np.int64)
+    return np.flatnonzero(_maxmin(dist[None], w[None], k)[0])
 
 
 def keep_count(ratio: float, group_size: int) -> int:
@@ -111,52 +151,101 @@ def keep_count(ratio: float, group_size: int) -> int:
     return max(1, min(group_size, math.floor(ratio * group_size)))
 
 
+def _group_weights(saliency, modality: int, windows: np.ndarray,
+                   n: int) -> np.ndarray:
+    """(len(windows), n) saliency weights; uniform where none is given."""
+    weights = np.ones((windows.shape[0], n))
+    if not saliency:
+        return weights
+    for i, t in enumerate(windows.tolist()):
+        vec = saliency.get((t, modality))
+        if vec is None:
+            continue
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (n,):
+            raise StreamError(
+                f"saliency for window {t} {MODALITY_NAMES[modality]} has "
+                f"shape {vec.shape}, group holds {n} tokens"
+            )
+        weights[i] = vec
+    if np.any(weights < 0):
+        raise StreamError("saliency weights must be non-negative")
+    return weights
+
+
 def win_div_prune(
     stream: TokenStream,
     layout: WindowLayout,
     saliency,
     spec: RetentionSpec,
 ) -> SelectionResult:
-    """Run greedy_maxmin in every (window, modality) group.
+    """Greedy max-min selection in every (window, modality) group.
 
     saliency is a mapping (window, modality) -> weight array, or None for
     uniform weights everywhere (which reduces this to plain diversity
     selection). Pre-LLM ratios are min(1, lambda*r_m) per modality.
+
+    Groups of equal size run through greedy max-min together, in chunks.
+    A chunk's working set (distance block plus float64 embedding copies)
+    stays within 25 n_max^2 bytes, four n*n float64 matrices of the largest
+    group, or within an eighth of the stream's embedding bytes if that is
+    more, so batching adds little to peak memory on short streams.
     """
     problems = validate_stream(stream, layout)
     if problems:
-        raise ValueError(f"invalid stream/layout: {problems[0]}")
+        raise StreamError(f"invalid stream/layout: {problems[0]}")
     r_pre = {
         VISUAL: min(1.0, spec.lambda_ * spec.r_v),
         AUDIO: min(1.0, spec.lambda_ * spec.r_a),
     }
+    n_max = int(max(layout.n_v.max(), layout.n_a.max()))
+    budget = max(25 * n_max**2, stream.embeddings.nbytes // 8)
+    block = np.empty(0)
 
     keep_rows = [stream.rows_of(TEXT)]
     kept_counts = {VISUAL: np.zeros(layout.T, dtype=np.int64),
                    AUDIO: np.zeros(layout.T, dtype=np.int64)}
     notes: list[str] = []
-    for m in (VISUAL, AUDIO):
-        modality_rows = stream.rows_of(m)
-        wins = stream.window_id[modality_rows]
-        for t in range(layout.T):
-            group = modality_rows[wins == t]
-            n_t = group.shape[0]
-            k = keep_count(r_pre[m], n_t)
+    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+        # validate_stream checked that window ids never decrease along the
+        # modality's rows, so its storage order is window-major
+        rows = stream.rows_of(m)
+        zero_counts = {}
+        for n, windows, index in segments(counts):
+            k = keep_count(r_pre[m], n)
             if k == 0:
                 continue
-            weights = None if saliency is None else saliency.get((t, m))
-            if weights is None:
-                weights = np.ones(n_t, dtype=np.float64)
-            emb = stream.embeddings[group]
-            zero = np.linalg.norm(np.asarray(emb, dtype=np.float64), axis=1) == 0.0
-            if zero.any():
-                notes.append(
-                    f"{int(zero.sum())} zero-norm embeddings in window {t} "
-                    f"{MODALITY_NAMES[m]}; treated as distance 1 to everything"
+            kept_counts[m][windows] = k
+            weights = _group_weights(saliency, m, windows, n)
+            # a group's distances, plus its float32 rows, their float64 copy,
+            # its square and the unit rows
+            per_chunk = max(1, budget // (8 * n * n + 28 * n * stream.d))
+            for lo in range(0, windows.shape[0], per_chunk):
+                group_rows = rows[index[lo : lo + per_chunk]]
+                G = group_rows.shape[0]
+                emb = stream.embeddings[group_rows.ravel()].astype(np.float64)
+                unit, zero = _unit_rows(emb)
+                del emb
+                zero = zero.reshape(G, n)
+                for i in np.flatnonzero(zero.any(axis=1)):
+                    zero_counts[int(windows[lo + i])] = int(zero[i].sum())
+                if k == n:
+                    keep_rows.append(group_rows.ravel())
+                    continue
+                if block.size < G * n * n:
+                    block = None  # release before growing
+                    block = np.empty(G * n * n)
+                dist = block[: G * n * n].reshape(G, n, n)
+                _distances(unit.reshape(G, n, -1), dist)
+                del unit
+                keep_rows.append(
+                    group_rows[_maxmin(dist, weights[lo : lo + G], k)]
                 )
-            local = greedy_maxmin(emb, weights, k)
-            keep_rows.append(group[local])
-            kept_counts[m][t] = k
+        notes += [
+            f"{zero_counts[t]} zero-norm embeddings in window {t} "
+            f"{MODALITY_NAMES[m]}; treated as distance 1 to everything"
+            for t in sorted(zero_counts)
+        ]
 
     rows = np.sort(np.concatenate(keep_rows))
     return SelectionResult(

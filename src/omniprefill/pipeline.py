@@ -29,6 +29,7 @@ from .core import (
     VISUAL,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
 )
@@ -185,7 +186,7 @@ class ContainerOracle:
             return None
         vec = np.asarray(vec, dtype=np.float64).reshape(-1)
         if vec.shape[0] != n:
-            raise ValueError(
+            raise StreamError(
                 f"saliency section for window {window} has {vec.shape[0]} "
                 f"entries, group holds {n}"
             )
@@ -202,7 +203,7 @@ class ContainerOracle:
             return np.zeros(0)
         logits = np.asarray(logits, dtype=np.float64).reshape(-1)
         if ordinals.max() >= logits.shape[0]:
-            raise ValueError(
+            raise StreamError(
                 f"query logits for layer {layer} cover {logits.shape[0]} "
                 f"tokens, ordinal {int(ordinals.max())} requested"
             )
@@ -277,10 +278,6 @@ class PrefillTrace:
         return int(self.seq_len[layer - 1])
 
 
-def _uniform_probs(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n) if n else np.zeros(0)
-
-
 def run_pipeline(
     source,
     config: ModelConfig,
@@ -312,13 +309,6 @@ def run_pipeline(
         (set(sched_v.drop_layers) | set(sched_a.drop_layers)) - {ll}
     )
 
-    # position -> index within its modality, in original order; query logits
-    # are drawn over this order so selection cannot shift them
-    ord_map = np.full(int(stream.position.max()) + 1, -1, dtype=np.int64)
-    for m in (VISUAL, AUDIO):
-        rows = stream.rows_of(m)
-        ord_map[stream.position[rows]] = np.arange(rows.size)
-
     saliency = {}
     for m, counts in ((VISUAL, layout0.n_v), (AUDIO, layout0.n_a)):
         for t in range(T):
@@ -329,7 +319,21 @@ def run_pipeline(
             if vec is not None:
                 saliency[(t, m)] = vec
     stage1 = win_div_prune(stream, layout0, saliency, retention)
-    stream = stream.take(stage1.rows)
+    # Query logits are drawn over each modality's original order, so a token
+    # is scored by its rank among that modality's original positions, and
+    # selection cannot shift them.
+    original_positions = {m: stream.position[stream.rows_of(m)]
+                          for m in (VISUAL, AUDIO)}
+    # No later stage reads embeddings: the survivors travel without them, so
+    # a drop layer copies index arrays only. Text is never dropped, so the
+    # final text-only stream is the input's text rows.
+    rows = stage1.rows
+    current = TokenStream(
+        embeddings=np.empty((rows.size, 0), dtype=np.float32),
+        modality=stream.modality[rows],
+        window_id=stream.window_id[rows],
+        position=stream.position[rows],
+    )
 
     L = config.layers
     seq_len = np.zeros(L, dtype=np.int64)
@@ -341,8 +345,8 @@ def run_pipeline(
 
     for layer in range(1, L + 1):
         if layer == ll:
-            layout_now = WindowLayout.from_stream(stream, T)
-            stream = late_removal(stream)
+            layout_now = WindowLayout.from_stream(current, T)
+            current = late_removal(stream)
             selections.append(
                 LayerSelection(
                     layer=layer,
@@ -352,16 +356,19 @@ def run_pipeline(
                 )
             )
         elif layer in alloc_layers:
-            layout_now = WindowLayout.from_stream(stream, T)
-            ords_v = ord_map[stream.position[stream.rows_of(VISUAL)]]
-            ords_a = ord_map[stream.position[stream.rows_of(AUDIO)]]
-            scores_v = oracle.query_probs(layer, VISUAL, ords_v)
-            scores_a = oracle.query_probs(layer, AUDIO, ords_a)
-            if scores_v is None:
-                scores_v = _uniform_probs(ords_v.size)
-            if scores_a is None:
-                scores_a = _uniform_probs(ords_a.size)
-            rel = window_relevance(scores_v, scores_a, layout_now, retention.tau)
+            layout_now = WindowLayout.from_stream(current, T)
+            scores = {}
+            for m in (VISUAL, AUDIO):
+                ordinals = np.searchsorted(
+                    original_positions[m],
+                    current.position[current.rows_of(m)],
+                )
+                probs = oracle.query_probs(layer, m, ordinals)
+                if probs is None:
+                    probs = UniformOracle().query_probs(layer, m, ordinals)
+                scores[m] = probs
+            rel = window_relevance(scores[VISUAL], scores[AUDIO], layout_now,
+                                   retention.tau)
             r_v_l = sched_v.trr_at(layer)
             r_a_l = sched_a.trr_at(layer)
             # Per-window keep floors at earlier stages can leave fewer
@@ -376,14 +383,14 @@ def run_pipeline(
                 shrink = capacity / nominal
                 totals = (n_v0 * shrink, n_a0 * shrink)
             plan = allocate(rel, r_v_l, r_a_l, layout_now, totals=totals)
-            stream, sel = apply_budget(stream, plan, scores_v, scores_a,
-                                       layer=layer)
+            current, sel = apply_budget(current, plan, scores[VISUAL],
+                                        scores[AUDIO], layer=layer)
             selections.append(sel)
             plans.append((layer, plan))
-        seq_len[layer - 1] = stream.n
-        kept_v[layer - 1] = stream.n_visual
-        kept_a[layer - 1] = stream.n_audio
-        kept_text[layer - 1] = stream.n_text
+        seq_len[layer - 1] = current.n
+        kept_v[layer - 1] = current.n_visual
+        kept_a[layer - 1] = current.n_audio
+        kept_text[layer - 1] = current.n_text
 
     trace = PrefillTrace(
         seq_len=seq_len,
@@ -400,7 +407,7 @@ def run_pipeline(
         n_original=(n_v0, n_a0, n_q),
         T=T,
     )
-    return stream, trace
+    return current, trace
 
 
 def mean_retention(trace: PrefillTrace) -> dict[str, float]:

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import WindowLayout
+from .core import WindowLayout, segments
 
 
 def _stable_softmax(x: np.ndarray) -> np.ndarray:
@@ -91,12 +91,9 @@ class RelevanceScores:
 def _window_means(scores: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-window mean of a per-token score vector laid out window-major."""
     means = np.zeros(counts.shape[0], dtype=np.float64)
-    present = counts > 0
-    stop = np.cumsum(counts)
-    start = stop - counts
-    for t in np.flatnonzero(present):
-        means[t] = scores[start[t] : stop[t]].mean()
-    return means, present
+    for _, windows, index in segments(counts):
+        means[windows] = scores[index].mean(axis=1)
+    return means, counts > 0
 
 
 def window_relevance(

@@ -13,7 +13,14 @@ import dataclasses
 import numpy as np
 
 from .allocator import BudgetPlan
-from .core import AUDIO, TEXT, VISUAL, InfeasibleBudgetError, TokenStream
+from .core import (
+    AUDIO,
+    TEXT,
+    VISUAL,
+    InfeasibleBudgetError,
+    StreamError,
+    TokenStream,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,40 +64,44 @@ def apply_budget(
     layer: int = 0,
 ) -> tuple[TokenStream, LayerSelection]:
     """Per-window per-modality top-k according to a plan built for this
-    stream's current layout."""
-    scores = {
-        VISUAL: np.asarray(scores_v, dtype=np.float64),
-        AUDIO: np.asarray(scores_a, dtype=np.float64),
-    }
-    budgets = {VISUAL: plan.b_v, AUDIO: plan.b_a}
-    keep_rows = [stream.rows_of(TEXT)]
-    dropped = {VISUAL: np.zeros(plan.T, dtype=np.int64),
-               AUDIO: np.zeros(plan.T, dtype=np.int64)}
-    for m in (VISUAL, AUDIO):
+    stream's current layout.
+
+    All windows of a modality are ranked at once: a stable sort by window,
+    then by descending score, so ties go to the earlier row exactly as
+    select_topk breaks them window by window.
+    """
+    keep = stream.modality == TEXT
+    dropped = {}
+    for m, scores, budget in ((VISUAL, scores_v, plan.b_v),
+                              (AUDIO, scores_a, plan.b_a)):
         rows = stream.rows_of(m)
-        if scores[m].shape[0] != rows.shape[0]:
-            raise ValueError(
-                f"scores length {scores[m].shape[0]} does not match the "
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != rows.shape:
+            raise StreamError(
+                f"scores length {scores.shape[0]} does not match the "
                 f"{rows.shape[0]} current tokens of that modality"
             )
         wins = stream.window_id[rows]
         if rows.size and int(wins.max()) >= plan.T:
-            raise ValueError("stream window ids exceed the plan's window count")
-        for t in range(plan.T):
-            in_window = wins == t
-            group = rows[in_window]
-            budget = int(budgets[m][t])
-            if budget > group.shape[0]:
-                raise InfeasibleBudgetError(
-                    f"plan asks for {budget} of {group.shape[0]} tokens in "
-                    f"window {t}"
-                )
-            local = select_topk(scores[m][in_window], budget)
-            keep_rows.append(group[local])
-            dropped[m][t] = group.shape[0] - budget
+            raise StreamError("stream window ids exceed the plan's window count")
+        counts = np.bincount(wins, minlength=plan.T)
+        over = np.flatnonzero(budget > counts)
+        if over.size:
+            t = int(over[0])
+            raise InfeasibleBudgetError(
+                f"plan asks for {int(budget[t])} of {int(counts[t])} tokens "
+                f"in window {t}"
+            )
+        if np.any(budget < 0):
+            raise StreamError("budget must be non-negative")
+        order = np.lexsort((-scores, wins))
+        starts = np.cumsum(counts) - counts
+        rank = np.empty(rows.shape[0], dtype=np.int64)
+        rank[order] = np.arange(rows.shape[0]) - starts[wins[order]]
+        keep[rows[rank < budget[wins]]] = True
+        dropped[m] = counts - budget
 
-    rows = np.sort(np.concatenate(keep_rows))
-    new_stream = stream.take(rows)
+    new_stream = stream.take(np.flatnonzero(keep))
     kept_nontext = new_stream.position[new_stream.modality != TEXT]
     return new_stream, LayerSelection(
         layer=layer,

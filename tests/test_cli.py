@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import omniprefill
 from omniprefill.cli import main
-from omniprefill.io import read_ots_file
+from omniprefill.core import VISUAL
+from omniprefill.io import load_synth_spec, read_ots_file, write_ots_file
+from omniprefill.pipeline import synth_generate
 
 MODEL = {"layers": 28, "d_model": 3584, "d_ff": 18944, "n_heads": 28,
          "boundaries": [16, 19, 21, 24]}
@@ -258,6 +264,25 @@ class TestRun:
                    "--trace", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "unknown retention spec keys" in capsys.readouterr().err
+
+    def test_wrong_length_saliency_is_domain_error(self, configs, tmp_path):
+        # run as a real process: a bad section must end in exit code 1 and
+        # a one-line message, never a traceback
+        stream, oracle = synth_generate(load_synth_spec(configs["synth"]))
+        sections = {"saliency/w0/visual": oracle.saliency(0, VISUAL, 72)[:5]}
+        container = tmp_path / "bad.ots"
+        write_ots_file(str(container), stream, sections, T=4)
+        src = os.path.dirname(os.path.dirname(omniprefill.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "omniprefill.cli", "run", "--config",
+             configs["model"], "--spec", configs["retention"], "--input",
+             str(container), "--trace", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: saliency section for window 0")
 
 
 class TestFlops:

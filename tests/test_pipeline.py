@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from omniprefill.core import (
     InfeasibleScheduleError,
     ModelConfig,
     RetentionSpec,
+    TokenStream,
     WindowLayout,
 )
 from omniprefill.pipeline import (
@@ -238,6 +241,30 @@ class TestRunPipeline:
         # floor(0.42*10)=4 visual and floor(0.91*4)=3 audio per window
         assert trace.seq_len[0] == 2 * (4 + 3) + 3
         assert trace.seq_len[-1] == 3
+
+    def test_huge_positions_stay_small(self):
+        # ordinals come from ranks among each modality's positions, so a
+        # position of 2**40 costs nothing extra; a table indexed by position
+        # would ask for 8 TiB
+        spec = SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4, n_q=3)
+        stream, _ = synth_generate(spec)
+        far = stream.position.copy()
+        far[-1] = 2**40
+        far_stream = TokenStream(embeddings=stream.embeddings,
+                                 modality=stream.modality,
+                                 window_id=stream.window_id, position=far)
+        _, near = run_pipeline(stream, QWEN25, DEFAULTS)
+        tracemalloc.start()
+        try:
+            final, trace = run_pipeline(far_stream, QWEN25, DEFAULTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert final.position[-1] == 2**40
+        assert np.array_equal(trace.seq_len, near.seq_len)
+        for a, b in zip(trace.selections, near.selections):
+            assert np.array_equal(a.kept, b.kept)
 
 
 class TestContainerOracle:

@@ -1,0 +1,291 @@
+"""Property tests for the segment-based selection core.
+
+Stage 1 runs greedy max-min on whole chunks of equal-size groups, the drop
+layers rank every window of a modality at once, and the window means and the
+allocator work on arrays. Each is checked here against a plain per-group or
+per-window loop written in this file, over random ragged layouts with empty
+windows, absent modalities, zero-norm rows, duplicate embeddings, k == n
+groups and tied scores. Results must be identical, not merely close.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omniprefill.allocator import BudgetPlan, allocate
+from omniprefill.core import (
+    AUDIO,
+    TEXT,
+    VISUAL,
+    InfeasibleBudgetError,
+    RetentionSpec,
+    TokenStream,
+    WindowLayout,
+)
+from omniprefill.divprune import keep_count, win_div_prune
+from omniprefill.relevance import RelevanceScores, _window_means
+from omniprefill.selector import apply_budget, select_topk
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def ragged_streams(draw, max_d=4):
+    """A valid stream: per window its visual rows then its audio rows, with
+    text rows slotted in anywhere. Counts are ragged and may be zero, and a
+    modality may be absent altogether. Embedding entries come from a tiny
+    alphabet, so zero rows and exact duplicates are common."""
+    T = draw(st.integers(1, 5))
+    counts = st.lists(st.integers(0, 9), min_size=T, max_size=T)
+    n_v, n_a = draw(counts), draw(counts)
+    absent = draw(st.sampled_from([None, VISUAL, AUDIO]))
+    if absent == VISUAL:
+        n_v = [0] * T
+    elif absent == AUDIO:
+        n_a = [0] * T
+    mods, wins = [], []
+    for t in range(T):
+        for m, count in ((VISUAL, n_v[t]), (AUDIO, n_a[t])):
+            for _ in range(count):
+                if draw(st.integers(0, 5)) == 0:
+                    mods.append(TEXT)
+                    wins.append(-1)
+                mods.append(m)
+                wins.append(t)
+    mods += [TEXT] * draw(st.integers(0, 2))
+    wins += [-1] * (len(mods) - len(wins))
+    n, d = len(mods), draw(st.integers(1, max_d))
+    cells = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.0, 0.5]),
+                          min_size=n * d, max_size=n * d))
+    positions = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    stream = TokenStream(
+        embeddings=np.array(cells, dtype=np.float32).reshape(n, d),
+        modality=np.array(mods, dtype=np.int64),
+        window_id=np.array(wins, dtype=np.int64),
+        position=positions,
+    )
+    return stream, WindowLayout(n_v=np.array(n_v), n_a=np.array(n_a))
+
+
+def plain_maxmin(emb, w, k):
+    """Greedy max-min over one group in Python loops: the seed maximizes
+    w * nearest-neighbour distance, each later pick maximizes w * distance
+    to the nearest pick, and ties go to the lowest index. Distances follow
+    the engine's definition: 1 - cosine of the float64 rows, clipped to
+    [0, 2], zero-norm rows at 1 from everything."""
+    n = emb.shape[0]
+    if k == n:
+        return list(range(n))
+    emb = np.asarray(emb, dtype=np.float64)
+    norms = np.linalg.norm(emb, axis=1)
+    zero = norms == 0.0
+    unit = emb / np.where(zero, 1.0, norms)[:, None]
+    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    dist[zero, :] = 1.0
+    dist[:, zero] = 1.0
+    d = dist.tolist()
+    w = [float(x) for x in w]
+
+    def best(values):
+        top = None
+        for i, v in values:
+            if top is None or v > top[1]:
+                top = (i, v)
+        return top[0]
+
+    chosen = [best((i, w[i] * min(d[i][j] for j in range(n) if j != i))
+                   for i in range(n))]
+    while len(chosen) < k:
+        chosen.append(best((c, w[c] * min(d[c][s] for s in chosen))
+                           for c in range(n) if c not in chosen))
+    return sorted(chosen)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_batched_stage1_matches_plain_loop(data):
+    stream, layout = data.draw(ragged_streams())
+    ratios = st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0])
+    spec = RetentionSpec(r_v=data.draw(ratios), r_a=data.draw(ratios),
+                         lambda_=data.draw(st.sampled_from([1.0, 1.4])),
+                         tau=0.1)
+    saliency = {}
+    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+        for t in range(layout.T):
+            if counts[t] and data.draw(st.booleans()):
+                saliency[(t, m)] = np.array(data.draw(st.lists(
+                    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                    min_size=int(counts[t]), max_size=int(counts[t]))))
+
+    got = win_div_prune(stream, layout, saliency, spec)
+
+    want = list(stream.rows_of(TEXT))
+    for m, ratio in ((VISUAL, spec.r_v), (AUDIO, spec.r_a)):
+        kept = got.kept_v if m == VISUAL else got.kept_a
+        for t in range(layout.T):
+            rows = stream.rows_of(m, t)
+            k = keep_count(min(1.0, spec.lambda_ * ratio), rows.size)
+            assert kept[t] == k
+            if k:
+                w = saliency.get((t, m), np.ones(rows.size))
+                want += [rows[i] for i in
+                         plain_maxmin(stream.embeddings[rows], w, k)]
+    assert got.rows.tolist() == sorted(want)
+    assert got.kept.tolist() == stream.position[sorted(want)].tolist()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_zero_norm_notes_name_every_group(data):
+    stream, layout = data.draw(ragged_streams())
+    spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
+    got = win_div_prune(stream, layout, None, spec)
+    want = []
+    for m, name in ((VISUAL, "visual"), (AUDIO, "audio")):
+        for t in range(layout.T):
+            rows = stream.rows_of(m, t)
+            zero = int((~stream.embeddings[rows].any(axis=1)).sum())
+            if keep_count(0.5, rows.size) and zero:
+                want.append(f"{zero} zero-norm embeddings in window {t} "
+                            f"{name}; treated as distance 1 to everything")
+    assert list(got.notes) == want
+
+
+@SETTINGS
+@given(data=st.data())
+def test_vectorised_budget_matches_topk_per_window(data):
+    stream, layout = data.draw(ragged_streams(max_d=1))
+    tied = st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5])
+    scores = {m: np.array(data.draw(st.lists(tied, min_size=int(c.sum()),
+                                             max_size=int(c.sum()))))
+              for m, c in ((VISUAL, layout.n_v), (AUDIO, layout.n_a))}
+    budget = {m: np.array([data.draw(st.integers(0, int(c))) for c in counts],
+                          dtype=np.int64)
+              for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a))}
+    plan = BudgetPlan(b=budget[VISUAL] + budget[AUDIO], b_v=budget[VISUAL],
+                      b_a=budget[AUDIO],
+                      totals=(int(budget[VISUAL].sum()),
+                              int(budget[AUDIO].sum()),
+                              int(budget[VISUAL].sum()
+                                  + budget[AUDIO].sum())))
+
+    out, sel = apply_budget(stream, plan, scores[VISUAL], scores[AUDIO],
+                            layer=3)
+
+    want = list(stream.rows_of(TEXT))
+    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+        start = 0
+        for t in range(layout.T):
+            rows = stream.rows_of(m, t)
+            local = select_topk(scores[m][start:start + rows.size],
+                                int(budget[m][t]))
+            want += rows[local].tolist()
+            start += rows.size
+        dropped = sel.dropped_v if m == VISUAL else sel.dropped_a
+        assert dropped.tolist() == (counts - budget[m]).tolist()
+    want.sort()
+    assert out.position.tolist() == stream.position[want].tolist()
+    nontext = [r for r in want if stream.modality[r] != TEXT]
+    assert sel.kept.tolist() == stream.position[nontext].tolist()
+    assert sel.layer == 3
+
+
+@SETTINGS
+@given(data=st.data())
+def test_budget_beyond_a_window_is_infeasible(data):
+    stream, layout = data.draw(ragged_streams(max_d=1))
+    t = data.draw(st.integers(0, layout.T - 1))
+    b_v = layout.n_v.copy()
+    b_v[t] += 1
+    plan = BudgetPlan(b=b_v + layout.n_a, b_v=b_v, b_a=layout.n_a,
+                      totals=(int(b_v.sum()), int(layout.n_a.sum()),
+                              int(b_v.sum() + layout.n_a.sum())))
+    try:
+        apply_budget(stream, plan, np.ones(layout.total_visual),
+                     np.ones(layout.total_audio))
+    except InfeasibleBudgetError as exc:
+        assert f"in window {t}" in str(exc)
+    else:
+        raise AssertionError("over-budget window was not rejected")
+
+
+@SETTINGS
+@given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_means_match_per_window_mean(counts, seed):
+    # runs of 8 or more tokens take numpy's pairwise summation, so this
+    # also pins the summation order
+    counts = np.array(counts, dtype=np.int64)
+    scores = np.random.default_rng(seed).random(int(counts.sum()))
+    means, present = _window_means(scores, counts)
+    start = 0
+    for t, c in enumerate(counts.tolist()):
+        want = scores[start:start + c].mean() if c else 0.0
+        assert means[t] == want
+        assert present[t] == (c > 0)
+        start += c
+
+
+def plain_allocate(rel, r_v, r_a, layout, totals):
+    """The allocator's slot arithmetic one window and one token at a time."""
+    T = layout.T
+    n_v0, n_a0 = totals
+    total_real = r_v * n_v0 + r_a * n_a0
+    target = int(round(total_real))
+    cap_v, cap_a = layout.n_v, layout.n_a
+    share = rel.s / rel.s.sum() if rel.s.sum() > 0.0 else np.full(T, 1.0 / T)
+    b_real = total_real * share
+    num_v = rel.s_v * (r_v * n_v0)
+    num_a = rel.s_a * (r_a * n_a0)
+    bv_real = np.zeros(T)
+    for t in range(T):
+        if num_v[t] + num_a[t] > 0.0:
+            bv_real[t] = b_real[t] * num_v[t] / (num_v[t] + num_a[t])
+        elif cap_v[t] + cap_a[t] > 0:
+            bv_real[t] = b_real[t] * cap_v[t] / (cap_v[t] + cap_a[t])
+    reals = np.concatenate([bv_real, b_real - bv_real])
+    caps = np.concatenate([cap_v, cap_a])
+    base = np.minimum(np.floor(reals).astype(np.int64), caps)
+    deficit = target - int(base.sum())
+    frac = reals - np.floor(reals)
+    slots = [(i % T, i // T) for i in range(2 * T)]
+    order = sorted(range(2 * T), key=lambda i: (-frac[i], -share[slots[i][0]],
+                                                slots[i]))
+    later = sorted(range(2 * T), key=lambda i: (-share[slots[i][0]], slots[i]))
+    while deficit > 0:
+        placed = 0
+        for i in order:
+            if deficit and base[i] < caps[i]:
+                base[i] += 1
+                deficit -= 1
+                placed += 1
+        if deficit and not placed:
+            return None
+        order = later
+    return base[:T], base[T:]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_vectorised_allocate_matches_plain_loop(data):
+    T = data.draw(st.integers(1, 8))
+    cap = st.lists(st.integers(0, 12), min_size=T, max_size=T)
+    layout = WindowLayout(n_v=np.array(data.draw(cap)),
+                          n_a=np.array(data.draw(cap)))
+    weight = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.2, 0.45]),
+                      min_size=T, max_size=T)
+    s_v, s_a = np.array(data.draw(weight)), np.array(data.draw(weight))
+    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=0.5 * (s_v + s_a), tau=0.1)
+    ratio = st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.65, 1.0])
+    r_v, r_a = data.draw(ratio), data.draw(ratio)
+    totals = (layout.total_visual, layout.total_audio)
+
+    want = plain_allocate(rel, r_v, r_a, layout, totals)
+    try:
+        plan = allocate(rel, r_v, r_a, layout, totals=totals)
+    except InfeasibleBudgetError:
+        assert want is None
+        return
+    assert plan.b_v.tolist() == want[0].tolist()
+    assert plan.b_a.tolist() == want[1].tolist()
