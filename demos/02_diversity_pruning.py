@@ -3,10 +3,9 @@
 import numpy as np
 
 from omniprefill import (
-    AUDIO,
-    VISUAL,
     SynthSpec,
     greedy_maxmin,
+    stage1_saliency,
     synth_generate,
     win_div_prune,
 )
@@ -35,11 +34,8 @@ stream, oracle = synth_generate(spec)
 layout = WindowLayout.from_stream(stream, spec.T)
 retention = RetentionSpec(r_v=0.30, r_a=0.65, lambda_=1.4, tau=0.1)
 
-saliency = {}
-for t in range(spec.T):
-    saliency[(t, VISUAL)] = oracle.saliency(t, VISUAL, spec.n_v)
-    saliency[(t, AUDIO)] = oracle.saliency(t, AUDIO, spec.n_a)
-
+# one saliency weight per stream row, each group's from the oracle
+saliency = stage1_saliency(oracle, stream, layout)
 result = win_div_prune(stream, layout, saliency, retention)
 print(f"stream of {stream.n} tokens "
       f"({stream.n_visual} visual, {stream.n_audio} audio, {stream.n_text} text)")

@@ -49,12 +49,12 @@ from .pipeline import (
     mean_retention,
     retention_slack,
     run_pipeline,
+    stage1_saliency,
     synth_generate,
 )
 from .relevance import (
     RelevanceScores,
     mean_received_attention,
-    query_scores,
     window_relevance,
 )
 from .schedule import (
@@ -116,13 +116,13 @@ __all__ = [
     "mean_received_attention",
     "mean_retention",
     "overall_ratio",
-    "query_scores",
     "read_ots",
     "read_ots_file",
     "retention_slack",
     "run_pipeline",
     "select_topk",
     "solve_delta",
+    "stage1_saliency",
     "synth_generate",
     "trace_flops",
     "validate_stream",

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import InfeasibleBudgetError, WindowLayout
+from .core import InfeasibleBudgetError, WindowLayout, freeze_fields
 from .relevance import RelevanceScores
 
 
@@ -35,10 +35,7 @@ class BudgetPlan:
     totals: tuple[int, int, int]  # (total_v, total_a, total)
 
     def __post_init__(self):
-        for name in ("b", "b_v", "b_a"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, np.int64, "b", "b_v", "b_a")
         if not np.array_equal(self.b, self.b_v + self.b_a):
             raise ValueError("b must equal b_v + b_a per window")
 

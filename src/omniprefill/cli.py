@@ -27,8 +27,13 @@ from .core import (
 )
 from .cost import trace_flops
 from .divprune import win_div_prune
-from .pipeline import ContainerOracle, mean_retention, run_pipeline
-from .relevance import RelevanceScores
+from .pipeline import (
+    ContainerOracle,
+    mean_retention,
+    run_pipeline,
+    stage1_saliency,
+)
+from .relevance import RelevanceScores, window_weights
 from .schedule import build_schedule, solve_delta
 
 
@@ -130,15 +135,7 @@ def _cmd_prune_pre(args) -> int:
     spec = otsio.load_retention_spec(args.spec)
     T = int(header["t"])
     layout = WindowLayout.from_stream(stream, T)
-    oracle = ContainerOracle(sections, T)
-    saliency = {}
-    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
-        for t in range(T):
-            if counts[t] == 0:
-                continue
-            vec = oracle.saliency(t, m, int(counts[t]))
-            if vec is not None:
-                saliency[(t, m)] = vec
+    saliency = stage1_saliency(ContainerOracle(sections, T), stream, layout)
     result = win_div_prune(stream, layout, saliency, spec)
     kept_v = int(result.kept_v.sum())
     kept_a = int(result.kept_a.sum())
@@ -175,11 +172,7 @@ def _cmd_allocate(args) -> int:
             f"relevance length ({s_v.shape[0]}/{s_a.shape[0]}) must match the "
             f"{layout.T} windows"
         )
-    present_v = layout.n_v > 0
-    present_a = layout.n_a > 0
-    s = np.where(present_v & present_a, 0.5 * (s_v + s_a),
-                 np.where(present_v, s_v, np.where(present_a, s_a, 0.0)))
-    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=s,
+    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=window_weights(s_v, s_a, layout),
                           tau=float(rel_doc.get("tau", 0.0)))
     totals = tuple(args.totals) if args.totals else None
     plan = allocate(rel, args.ratio_visual, args.ratio_audio, layout,

@@ -50,10 +50,16 @@ class StreamError(EngineError, ValueError):
 
 
 def _frozen(a, dtype):
-    arr = np.asarray(a, dtype=dtype)
-    arr = np.array(arr, copy=True)
+    arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def freeze_fields(obj, dtype, *names) -> None:
+    """Replace each named field of a frozen dataclass by a read-only copy
+    of the given dtype."""
+    for name in names:
+        object.__setattr__(obj, name, _frozen(getattr(obj, name), dtype))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,19 +78,14 @@ class TokenStream:
     position: np.ndarray
 
     def __post_init__(self):
-        emb = _frozen(self.embeddings, np.float32)
-        mod = _frozen(self.modality, np.int64)
-        win = _frozen(self.window_id, np.int64)
-        pos = _frozen(self.position, np.int64)
-        if emb.ndim != 2:
+        freeze_fields(self, np.float32, "embeddings")
+        freeze_fields(self, np.int64, "modality", "window_id", "position")
+        if self.embeddings.ndim != 2:
             raise ValueError("embeddings must be a 2-d matrix")
-        n = emb.shape[0]
-        if not (mod.shape == win.shape == pos.shape == (n,)):
+        n = self.embeddings.shape[0]
+        if not (self.modality.shape == self.window_id.shape
+                == self.position.shape == (n,)):
             raise ValueError("modality/window_id/position must have one entry per row")
-        object.__setattr__(self, "embeddings", emb)
-        object.__setattr__(self, "modality", mod)
-        object.__setattr__(self, "window_id", win)
-        object.__setattr__(self, "position", pos)
 
     @property
     def n(self) -> int:
@@ -140,16 +141,14 @@ class WindowLayout:
     n_a: np.ndarray
 
     def __post_init__(self):
-        nv = _frozen(self.n_v, np.int64)
-        na = _frozen(self.n_a, np.int64)
+        freeze_fields(self, np.int64, "n_v", "n_a")
+        nv, na = self.n_v, self.n_a
         if nv.ndim != 1 or na.ndim != 1 or nv.shape != na.shape:
             raise ValueError("n_v and n_a must be 1-d and the same length")
         if nv.shape[0] < 1:
             raise ValueError("at least one window is required")
         if np.any(nv < 0) or np.any(na < 0):
             raise ValueError("window counts must be non-negative")
-        object.__setattr__(self, "n_v", nv)
-        object.__setattr__(self, "n_a", na)
 
     @property
     def T(self) -> int:

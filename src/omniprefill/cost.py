@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import ModelConfig
+from .core import ModelConfig, freeze_fields
 from .pipeline import PrefillTrace
 
 FLOPS_FORMULA = "v1: 8*n*d^2 + 4*n^2*d + 6*n*d*d_ff per layer"
@@ -35,12 +35,8 @@ class CostReport:
     formula: str = FLOPS_FORMULA
 
     def __post_init__(self):
-        fl = np.array(self.flops_per_layer, dtype=np.float64)
-        fl.setflags(write=False)
-        kv = np.array(self.kv_tokens_per_layer, dtype=np.int64)
-        kv.setflags(write=False)
-        object.__setattr__(self, "flops_per_layer", fl)
-        object.__setattr__(self, "kv_tokens_per_layer", kv)
+        freeze_fields(self, np.float64, "flops_per_layer")
+        freeze_fields(self, np.int64, "kv_tokens_per_layer")
 
 
 def layer_flops(n: int, config: ModelConfig) -> float:

@@ -23,6 +23,7 @@ from .core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    freeze_fields,
     segments,
     validate_stream,
 )
@@ -46,10 +47,7 @@ class SelectionResult:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("kept", "rows", "kept_v", "kept_a"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, np.int64, "kept", "rows", "kept_v", "kept_a")
 
 
 def _unit_rows(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,28 +149,6 @@ def keep_count(ratio: float, group_size: int) -> int:
     return max(1, min(group_size, math.floor(ratio * group_size)))
 
 
-def _group_weights(saliency, modality: int, windows: np.ndarray,
-                   n: int) -> np.ndarray:
-    """(len(windows), n) saliency weights; uniform where none is given."""
-    weights = np.ones((windows.shape[0], n))
-    if not saliency:
-        return weights
-    for i, t in enumerate(windows.tolist()):
-        vec = saliency.get((t, modality))
-        if vec is None:
-            continue
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (n,):
-            raise StreamError(
-                f"saliency for window {t} {MODALITY_NAMES[modality]} has "
-                f"shape {vec.shape}, group holds {n} tokens"
-            )
-        weights[i] = vec
-    if np.any(weights < 0):
-        raise StreamError("saliency weights must be non-negative")
-    return weights
-
-
 def win_div_prune(
     stream: TokenStream,
     layout: WindowLayout,
@@ -181,7 +157,8 @@ def win_div_prune(
 ) -> SelectionResult:
     """Greedy max-min selection in every (window, modality) group.
 
-    saliency is a mapping (window, modality) -> weight array, or None for
+    saliency holds one finite, non-negative weight per stream row (those
+    of text rows go unused), as stage1_saliency builds it, or is None for
     uniform weights everywhere (which reduces this to plain diversity
     selection). Pre-LLM ratios are min(1, lambda*r_m) per modality.
 
@@ -194,6 +171,16 @@ def win_div_prune(
     problems = validate_stream(stream, layout)
     if problems:
         raise StreamError(f"invalid stream/layout: {problems[0]}")
+    if saliency is not None:
+        saliency = np.asarray(saliency, dtype=np.float64)
+        if saliency.shape != (stream.n,):
+            raise StreamError(f"saliency has shape {saliency.shape}, stream "
+                              f"holds {stream.n} rows")
+        bad = np.flatnonzero(~(np.isfinite(saliency) & (saliency >= 0)))
+        if bad.size:
+            raise StreamError(f"saliency weight of row {bad[0]} is "
+                              f"{saliency[bad[0]]}; weights must be finite "
+                              f"and non-negative")
     r_pre = {
         VISUAL: min(1.0, spec.lambda_ * spec.r_v),
         AUDIO: min(1.0, spec.lambda_ * spec.r_a),
@@ -216,7 +203,6 @@ def win_div_prune(
             if k == 0:
                 continue
             kept_counts[m][windows] = k
-            weights = _group_weights(saliency, m, windows, n)
             # a group's distances, plus its float32 rows, their float64 copy,
             # its square and the unit rows
             per_chunk = max(1, budget // (8 * n * n + 28 * n * stream.d))
@@ -238,9 +224,9 @@ def win_div_prune(
                 dist = block[: G * n * n].reshape(G, n, n)
                 _distances(unit.reshape(G, n, -1), dist)
                 del unit
-                keep_rows.append(
-                    group_rows[_maxmin(dist, weights[lo : lo + G], k)]
-                )
+                weights = (np.ones((G, n)) if saliency is None
+                           else saliency[group_rows])
+                keep_rows.append(group_rows[_maxmin(dist, weights, k)])
         notes += [
             f"{zero_counts[t]} zero-norm embeddings in window {t} "
             f"{MODALITY_NAMES[m]}; treated as distance 1 to everything"

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -198,7 +199,11 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
         name = entry.get("name")
         length = int(entry.get("length", -1))
         shape = tuple(int(x) for x in entry.get("shape", ()))
-        expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 0
+        if any(x < 0 for x in shape):
+            raise ContainerFormatError(
+                f"section {name!r} declares negative dimensions {shape}"
+            )
+        expected = math.prod(shape) * 4 if shape else 0
         if length != expected:
             raise ContainerFormatError(
                 f"section {name!r} declares {length} bytes but shape {shape} "

@@ -32,9 +32,10 @@ from .core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    freeze_fields,
 )
 from .divprune import SelectionResult, win_div_prune
-from .relevance import mean_received_attention, window_relevance
+from .relevance import mean_received_attention, softmax, window_relevance
 from .schedule import SchedulePlan, build_schedule
 from .selector import LayerSelection, apply_budget, late_removal
 
@@ -95,6 +96,24 @@ def _keyed_rng(seed: int, purpose: int, layer: int = 0, window: int = 0,
     )
 
 
+def _survivor_probs(logits: np.ndarray, layer: int,
+                    ordinals: np.ndarray) -> np.ndarray:
+    """Softmax of the surviving tokens' query logits. logits covers a
+    modality's original tokens; ordinals index that original order."""
+    ordinals = np.asarray(ordinals, dtype=np.int64)
+    if ordinals.size == 0:
+        return np.zeros(0)
+    if ordinals.max() >= logits.shape[0]:
+        raise StreamError(
+            f"query logits for layer {layer} cover {logits.shape[0]} "
+            f"tokens, ordinal {int(ordinals.max())} requested"
+        )
+    chosen = logits[ordinals].astype(np.float64, copy=False)
+    if not np.isfinite(chosen).all():
+        raise StreamError(f"query logits for layer {layer} are not finite")
+    return softmax(chosen)
+
+
 class SyntheticOracle:
     """Attention oracle for a generated stream.
 
@@ -118,9 +137,7 @@ class SyntheticOracle:
             return np.zeros((0, 0))
         rng = _keyed_rng(self.spec.seed, _PURPOSE_STAGE1, window=window,
                          modality=modality)
-        logits = rng.standard_normal((n, n))
-        z = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return z / z.sum(axis=1, keepdims=True)
+        return softmax(rng.standard_normal((n, n)))
 
     def _query_logits(self, layer: int, modality: int) -> np.ndarray:
         key = (layer, modality)
@@ -143,14 +160,8 @@ class SyntheticOracle:
 
     def query_probs(self, layer: int, modality: int,
                     ordinals: np.ndarray) -> np.ndarray:
-        """Softmax of the surviving tokens' logits; ordinals index the
-        modality's original order."""
-        ordinals = np.asarray(ordinals, dtype=np.int64)
-        if ordinals.size == 0:
-            return np.zeros(0)
-        logits = self._query_logits(layer, modality)[ordinals]
-        z = np.exp(logits - logits.max())
-        return z / z.sum()
+        return _survivor_probs(self._query_logits(layer, modality), layer,
+                               ordinals)
 
 
 class UniformOracle:
@@ -198,18 +209,7 @@ class ContainerOracle:
         )
         if logits is None:
             return None
-        ordinals = np.asarray(ordinals, dtype=np.int64)
-        if ordinals.size == 0:
-            return np.zeros(0)
-        logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-        if ordinals.max() >= logits.shape[0]:
-            raise StreamError(
-                f"query logits for layer {layer} cover {logits.shape[0]} "
-                f"tokens, ordinal {int(ordinals.max())} requested"
-            )
-        chosen = logits[ordinals]
-        z = np.exp(chosen - chosen.max())
-        return z / z.sum()
+        return _survivor_probs(np.reshape(logits, -1), layer, ordinals)
 
 
 def synth_generate(spec: SynthSpec) -> tuple[TokenStream, SyntheticOracle]:
@@ -265,10 +265,7 @@ class PrefillTrace:
     T: int
 
     def __post_init__(self):
-        for name in ("seq_len", "kept_v", "kept_a", "kept_text"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, np.int64, "seq_len", "kept_v", "kept_a", "kept_text")
 
     @property
     def layers(self) -> int:
@@ -276,6 +273,30 @@ class PrefillTrace:
 
     def seq_at(self, layer: int) -> int:
         return int(self.seq_len[layer - 1])
+
+
+def stage1_saliency(oracle, stream: TokenStream,
+                    layout: WindowLayout) -> np.ndarray:
+    """Per-row saliency weights for win_div_prune, asked of the oracle one
+    (window, modality) group at a time: visual windows in ascending order,
+    then audio. A group's vector lands on its rows, taken window-major as
+    win_div_prune requires; rows of groups the oracle has no vector for,
+    and text rows, weigh 1.
+    """
+    saliency = np.ones(stream.n)
+    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+        rows = stream.rows_of(m)
+        weights = np.ones(rows.size)
+        end = 0
+        for t, n in enumerate(counts.tolist()):
+            end += n
+            if n == 0:
+                continue
+            vec = oracle.saliency(t, m, n)
+            if vec is not None:
+                weights[end - n : end] = vec
+        saliency[rows] = weights
+    return saliency
 
 
 def run_pipeline(
@@ -309,16 +330,8 @@ def run_pipeline(
         (set(sched_v.drop_layers) | set(sched_a.drop_layers)) - {ll}
     )
 
-    saliency = {}
-    for m, counts in ((VISUAL, layout0.n_v), (AUDIO, layout0.n_a)):
-        for t in range(T):
-            n_t = int(counts[t])
-            if n_t == 0:
-                continue
-            vec = oracle.saliency(t, m, n_t)
-            if vec is not None:
-                saliency[(t, m)] = vec
-    stage1 = win_div_prune(stream, layout0, saliency, retention)
+    stage1 = win_div_prune(stream, layout0,
+                           stage1_saliency(oracle, stream, layout0), retention)
     # Query logits are drawn over each modality's original order, so a token
     # is scored by its rank among that modality's original positions, and
     # selection cannot shift them.

@@ -17,12 +17,15 @@ import dataclasses
 
 import numpy as np
 
-from .core import WindowLayout, segments
+from .core import WindowLayout, freeze_fields, segments
 
 
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    z = np.exp(x - x.max())
-    return z / z.sum()
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the maximum so that large
+    logits stay finite. The one softmax of the package: window relevance
+    and every oracle's attention go through it."""
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def mean_received_attention(attn: np.ndarray) -> np.ndarray:
@@ -44,24 +47,6 @@ def mean_received_attention(attn: np.ndarray) -> np.ndarray:
     return a.mean(axis=0)
 
 
-def query_scores(
-    query: np.ndarray, keys: np.ndarray, scale: float | None = None
-) -> np.ndarray:
-    """Scaled dot-product attention of one query over n keys, softmaxed.
-
-    scale defaults to 1/sqrt(d).
-    """
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    k = np.asarray(keys, dtype=np.float64)
-    if k.ndim != 2 or k.shape[1] != q.shape[0]:
-        raise ValueError(f"keys shape {k.shape} does not match query dim {q.shape[0]}")
-    if k.shape[0] == 0:
-        raise ValueError("query_scores needs at least one key")
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[0])
-    return _stable_softmax(k @ q * scale)
-
-
 @dataclasses.dataclass(frozen=True)
 class RelevanceScores:
     """Per-window relevance weights after the temperature softmax.
@@ -78,10 +63,7 @@ class RelevanceScores:
     tau: float
 
     def __post_init__(self):
-        for name in ("s_v", "s_a", "s"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, np.float64, "s_v", "s_a", "s")
 
     @property
     def T(self) -> int:
@@ -123,24 +105,23 @@ def window_relevance(
             f"{layout.total_audio}"
         )
 
-    weights = {}
-    presents = {}
-    for name, scores, counts in (
-        ("v", scores_v, layout.n_v),
-        ("a", scores_a, layout.n_a),
-    ):
+    weights = []
+    for scores, counts in ((scores_v, layout.n_v), (scores_a, layout.n_a)):
         means, present = _window_means(scores, counts)
         w = np.zeros(layout.T, dtype=np.float64)
         if present.any():
-            w[present] = _stable_softmax(means[present] / tau)
-        weights[name] = w
-        presents[name] = present
+            w[present] = softmax(means[present] / tau)
+        weights.append(w)
+    s_v, s_a = weights
+    return RelevanceScores(s_v=s_v, s_a=s_a, s=window_weights(s_v, s_a, layout),
+                           tau=float(tau))
 
-    both = presents["v"] & presents["a"]
-    only_v = presents["v"] & ~presents["a"]
-    only_a = presents["a"] & ~presents["v"]
-    s = np.zeros(layout.T, dtype=np.float64)
-    s[both] = 0.5 * (weights["v"][both] + weights["a"][both])
-    s[only_v] = weights["v"][only_v]
-    s[only_a] = weights["a"][only_a]
-    return RelevanceScores(s_v=weights["v"], s_a=weights["a"], s=s, tau=float(tau))
+
+def window_weights(s_v: np.ndarray, s_a: np.ndarray,
+                   layout: WindowLayout) -> np.ndarray:
+    """Combined weight of each window: the mean of s_v and s_a where both
+    modalities are present, the present one's weight where only one is, and
+    0 in a window with neither."""
+    present_v, present_a = layout.n_v > 0, layout.n_a > 0
+    return np.where(present_v & present_a, 0.5 * (s_v + s_a),
+                    np.where(present_v, s_v, np.where(present_a, s_a, 0.0)))

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import InfeasibleScheduleError, ModelConfig
+from .core import InfeasibleScheduleError, ModelConfig, freeze_fields
 
 _E = math.e
 _DECAY = (1.0, 1.0 + _E, 1.0 + _E + _E * _E)  # cumulative step multipliers
@@ -43,9 +43,7 @@ class SchedulePlan:
     drop_layers: tuple[int, ...]  # 1-based layers where the ratio strictly falls
 
     def __post_init__(self):
-        arr = np.array(self.per_layer_trr, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_layer_trr", arr)
+        freeze_fields(self, np.float64, "per_layer_trr")
 
     def trr_at(self, layer: int) -> float:
         """Retention ratio at a 1-based layer index."""
@@ -227,10 +225,7 @@ class AblationSchedule:
     mode: str
 
     def __post_init__(self):
-        for name in ("trr_v", "trr_a"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, np.float64, "trr_v", "trr_a")
 
 
 def ablation_schedule(

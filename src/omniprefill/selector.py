@@ -20,6 +20,7 @@ from .core import (
     InfeasibleBudgetError,
     StreamError,
     TokenStream,
+    freeze_fields,
 )
 
 
@@ -34,10 +35,7 @@ class LayerSelection:
     dropped_a: np.ndarray
 
     def __post_init__(self):
-        for name in ("kept", "dropped_v", "dropped_a"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, np.int64, "kept", "dropped_v", "dropped_a")
 
 
 def select_topk(scores: np.ndarray, budget: int) -> np.ndarray:

@@ -31,6 +31,18 @@ def configs(tmp_path):
     return paths
 
 
+def run_process(configs, container, tmp_path):
+    """`omniprefill run` on a container, as a real process."""
+    src = os.path.dirname(os.path.dirname(omniprefill.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "omniprefill.cli", "run", "--config",
+         configs["model"], "--spec", configs["retention"], "--input",
+         str(container), "--trace", str(tmp_path / "t.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 SCHED = ["schedule", "--layers", "28", "--boundaries", "16,19,21,24",
          "--lambda", "1.4"]
 
@@ -272,17 +284,32 @@ class TestRun:
         sections = {"saliency/w0/visual": oracle.saliency(0, VISUAL, 72)[:5]}
         container = tmp_path / "bad.ots"
         write_ots_file(str(container), stream, sections, T=4)
-        src = os.path.dirname(os.path.dirname(omniprefill.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "omniprefill.cli", "run", "--config",
-             configs["model"], "--spec", configs["retention"], "--input",
-             str(container), "--trace", str(tmp_path / "t.csv")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_process(configs, container, tmp_path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: saliency section for window 0")
+
+    @pytest.mark.parametrize("section, entries, value", [
+        ("saliency/w1/visual", slice(3, 4), np.nan),
+        # every visual token of window 1, so some survive stage 1
+        ("query_logits/layer17/visual", slice(72, 144), np.inf),
+    ], ids=["nan-saliency", "inf-query-logit"])
+    def test_non_finite_signal_is_domain_error(self, configs, tmp_path,
+                                               section, entries, value):
+        good = tmp_path / "good.ots"
+        main(["gen", "--synth", configs["synth"], "--config",
+              configs["model"], "--out", str(good)])
+        stream, sections, header = read_ots_file(good)
+        sections = dict(sections)
+        sections[section] = sections[section].copy()
+        sections[section][entries] = value
+        container = tmp_path / "bad.ots"
+        write_ots_file(str(container), stream, sections,
+                       generator=header["generator"], T=header["t"])
+        proc = run_process(configs, container, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestFlops:

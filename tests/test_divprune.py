@@ -6,6 +6,7 @@ from omniprefill.core import (
     TEXT,
     VISUAL,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
 )
@@ -164,7 +165,7 @@ class TestWinDivPrune:
         stream = build_stream(T=2, n_v=4, n_a=2, n_q=3)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
-        res = win_div_prune(stream, lay, {}, spec)
+        res = win_div_prune(stream, lay, None, spec)
         assert res.kept_v.tolist() == [2, 2]
         assert res.kept_a.tolist() == [1, 1]
         assert res.kept.size == 6 + 3
@@ -174,7 +175,7 @@ class TestWinDivPrune:
         stream = build_stream(T=2, n_v=288, n_a=50, n_q=16, seed=1)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.30, r_a=0.65, lambda_=1.4, tau=0.1)
-        res = win_div_prune(stream, lay, {}, spec)
+        res = win_div_prune(stream, lay, None, spec)
         assert res.kept_v.tolist() == [120, 120]
         assert res.kept_a.tolist() == [45, 45]
 
@@ -182,7 +183,7 @@ class TestWinDivPrune:
         stream = build_stream(T=2, n_v=5, n_a=3, n_q=2)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.9, r_a=0.8, lambda_=1.4, tau=0.1)
-        res = win_div_prune(stream, lay, {}, spec)
+        res = win_div_prune(stream, lay, None, spec)
         assert res.kept.tolist() == list(range(stream.n))
 
     def test_aggregate_within_rounding_slack(self):
@@ -190,7 +191,7 @@ class TestWinDivPrune:
         stream = build_stream(T=T, n_v=n_v, n_a=n_a, n_q=4, seed=2)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.33, r_a=0.6, lambda_=1.4, tau=0.1)
-        res = win_div_prune(stream, lay, {}, spec)
+        res = win_div_prune(stream, lay, None, spec)
         target = min(1, 1.4 * 0.33) * T * n_v + min(1, 1.4 * 0.6) * T * n_a
         nontext = int(res.kept_v.sum() + res.kept_a.sum())
         assert abs(nontext - target) <= 2 * T
@@ -199,7 +200,7 @@ class TestWinDivPrune:
         stream = build_stream(T=3, n_v=6, n_a=4, n_q=5, seed=3)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.4, r_a=0.5, lambda_=1.2, tau=0.1)
-        res = win_div_prune(stream, lay, {}, spec)
+        res = win_div_prune(stream, lay, None, spec)
         kept = res.kept
         assert np.all(np.diff(kept) > 0)
         text_rows = np.flatnonzero(stream.modality == TEXT)
@@ -217,8 +218,8 @@ class TestWinDivPrune:
                             position=base.position.copy())
         lay = WindowLayout.from_stream(base)
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
-        a = win_div_prune(base, lay, {}, spec)
-        b = win_div_prune(other, lay, {}, spec)
+        a = win_div_prune(base, lay, None, spec)
+        b = win_div_prune(other, lay, None, spec)
         keep_early = lambda r: [i for i in r.kept.tolist()
                                 if base.window_id[i] in (0, 1)]
         assert keep_early(a) == keep_early(b)
@@ -231,15 +232,29 @@ class TestWinDivPrune:
         for fav in (0, 3):
             w = np.full(4, 0.05)
             w[fav] = 10.0
-            res = win_div_prune(stream, lay, {(0, VISUAL): w}, spec)
+            saliency = np.ones(stream.n)
+            saliency[stream.rows_of(VISUAL, 0)] = w
+            res = win_div_prune(stream, lay, saliency, spec)
             picks[fav] = [i for i in res.kept.tolist()
                           if stream.modality[i] == VISUAL]
         assert picks[0] == [0]
         assert picks[3] == [3]
+
+    @pytest.mark.parametrize("saliency", [
+        np.ones(5),  # one weight per group row, not per stream row
+        np.r_[-1.0, np.ones(6)],
+        np.r_[np.ones(2), np.inf, np.ones(4)],
+    ], ids=["short", "negative", "inf"])
+    def test_bad_saliency_rejected(self, saliency):
+        stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
+        with pytest.raises(StreamError, match="saliency"):
+            win_div_prune(stream, lay, saliency, spec)
 
     def test_invalid_stream_rejected(self):
         stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)
         bad_layout = WindowLayout(n_v=np.array([2, 1]), n_a=np.array([1, 1]))
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
         with pytest.raises(ValueError):
-            win_div_prune(stream, bad_layout, {}, spec)
+            win_div_prune(stream, bad_layout, None, spec)

@@ -233,6 +233,15 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match="shape"):
             read_ots(bad)
 
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [-1, 0], [0, -3]])
+    def test_section_shape_overflow_or_negative(self, shape):
+        # each product wraps or comes to 0 in int64, which the zero-length
+        # section below would match
+        data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
+        bad = repack(data, lambda h: h["sections"][0].update(shape=shape))
+        with pytest.raises(ContainerFormatError, match="section 'x'"):
+            read_ots(bad)
+
     def test_trailing_garbage(self):
         data = write_ots(tiny_stream())
         with pytest.raises(ContainerFormatError, match="trailing bytes"):

@@ -4,7 +4,7 @@ import pytest
 from omniprefill.core import WindowLayout
 from omniprefill.relevance import (
     mean_received_attention,
-    query_scores,
+    softmax,
     window_relevance,
 )
 
@@ -45,44 +45,31 @@ class TestMeanReceivedAttention:
             mean_received_attention(np.ones((3, 3)))
 
 
-class TestQueryScores:
-    def test_identical_keys_uniform(self):
-        q = np.array([1.0, 2.0, 3.0])
-        keys = np.tile(np.array([0.5, 0.5, 0.5]), (4, 1))
-        assert np.allclose(query_scores(q, keys), 0.25)
-
-    def test_matching_key_wins(self):
-        q = np.array([1.0, 0.0, 0.0, 0.0])
-        keys = np.eye(4)
-        s = query_scores(q, keys)
-        assert np.argmax(s) == 0
-        assert s[0] > s[1] == pytest.approx(s[2], abs=1e-12)
-
-    def test_matches_naive_softmax(self):
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=8)
-        keys = rng.normal(size=(5, 8))
-        logits = keys @ q / np.sqrt(8)
+class TestSoftmax:
+    def test_matches_naive_formula(self):
+        logits = np.random.default_rng(2).normal(size=5)
         naive = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(query_scores(q, keys), naive, atol=1e-12)
+        assert np.allclose(softmax(logits), naive, atol=1e-12)
 
-    def test_explicit_scale(self):
-        rng = np.random.default_rng(3)
-        q = rng.normal(size=4)
-        keys = rng.normal(size=(3, 4))
-        logits = keys @ q * 0.25
-        naive = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(query_scores(q, keys, scale=0.25), naive, atol=1e-12)
-
-    def test_rejects_empty_keys(self):
-        with pytest.raises(ValueError):
-            query_scores(np.ones(4), np.zeros((0, 4)))
+    def test_equal_logits_uniform(self):
+        assert np.allclose(softmax(np.full(4, 3.0)), 0.25)
 
     def test_sums_to_one(self):
-        rng = np.random.default_rng(4)
-        s = query_scores(rng.normal(size=6), rng.normal(size=(9, 6)))
+        s = softmax(np.random.default_rng(4).normal(size=9))
         assert s.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(s >= 0)
+
+    def test_rows_match_one_dimensional_calls(self):
+        rows = np.random.default_rng(3).normal(size=(4, 6))
+        got = softmax(rows)
+        for i in range(4):
+            assert np.array_equal(got[i], softmax(rows[i]))
+
+    def test_large_logits_stay_finite(self):
+        s = softmax(np.array([1000.0, 999.0, -1000.0]))
+        assert np.all(np.isfinite(s))
+        assert s[0] / s[1] == pytest.approx(np.e, rel=1e-12)
+        assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def layout(n_v, n_a):

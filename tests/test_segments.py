@@ -23,6 +23,7 @@ from omniprefill.core import (
     WindowLayout,
 )
 from omniprefill.divprune import keep_count, win_div_prune
+from omniprefill.pipeline import stage1_saliency
 from omniprefill.relevance import RelevanceScores, _window_means
 from omniprefill.selector import apply_budget, select_topk
 
@@ -110,13 +111,13 @@ def test_batched_stage1_matches_plain_loop(data):
     spec = RetentionSpec(r_v=data.draw(ratios), r_a=data.draw(ratios),
                          lambda_=data.draw(st.sampled_from([1.0, 1.4])),
                          tau=0.1)
-    saliency = {}
+    saliency = np.ones(stream.n)
     for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
         for t in range(layout.T):
             if counts[t] and data.draw(st.booleans()):
-                saliency[(t, m)] = np.array(data.draw(st.lists(
+                saliency[stream.rows_of(m, t)] = data.draw(st.lists(
                     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-                    min_size=int(counts[t]), max_size=int(counts[t]))))
+                    min_size=int(counts[t]), max_size=int(counts[t])))
 
     got = win_div_prune(stream, layout, saliency, spec)
 
@@ -128,9 +129,8 @@ def test_batched_stage1_matches_plain_loop(data):
             k = keep_count(min(1.0, spec.lambda_ * ratio), rows.size)
             assert kept[t] == k
             if k:
-                w = saliency.get((t, m), np.ones(rows.size))
-                want += [rows[i] for i in
-                         plain_maxmin(stream.embeddings[rows], w, k)]
+                want += [rows[i] for i in plain_maxmin(
+                    stream.embeddings[rows], saliency[rows], k)]
     assert got.rows.tolist() == sorted(want)
     assert got.kept.tolist() == stream.position[sorted(want)].tolist()
 
@@ -150,6 +150,46 @@ def test_zero_norm_notes_name_every_group(data):
                 want.append(f"{zero} zero-norm embeddings in window {t} "
                             f"{name}; treated as distance 1 to everything")
     assert list(got.notes) == want
+
+
+class PartialOracle:
+    """Answers stage-1 saliency for the listed (window, modality) groups
+    with distinct values and None for every other group."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.asked = []
+
+    def saliency(self, window, modality, n):
+        self.asked.append((window, modality, n))
+        if (window, modality) not in self.groups:
+            return None
+        return 10.0 * window + 5.0 * modality + np.arange(n) / (n + 1.0)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stage1_saliency_places_each_group_on_its_rows(data):
+    stream, layout = data.draw(ragged_streams())
+    groups = {(t, m) for m in (VISUAL, AUDIO) for t in range(layout.T)
+              if data.draw(st.booleans())}
+    oracle = PartialOracle(groups)
+    got = stage1_saliency(oracle, stream, layout)
+    order = list(oracle.asked)
+
+    want = np.ones(stream.n)
+    asked = []
+    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+        for t in range(layout.T):
+            rows = stream.rows_of(m, t)
+            if rows.size:
+                asked.append((t, m, rows.size))
+            if rows.size and (t, m) in groups:
+                want[rows] = oracle.saliency(t, m, rows.size)
+    # visual windows ascending, then audio, and never an empty group
+    assert order == asked
+    assert got.dtype == np.float64
+    assert got.tolist() == want.tolist()
 
 
 @SETTINGS
