@@ -167,17 +167,20 @@ class WindowLayout:
         """Current per-window counts of a stream.
 
         T defaults to max(window_id)+1; pass it explicitly when trailing
-        windows may have been emptied by selection.
+        windows may have been emptied by selection. A visual or audio row
+        outside every window is a StreamError.
         """
+        visual, audio = stream.modality == VISUAL, stream.modality == AUDIO
+        bad = np.flatnonzero((visual | audio) & (stream.window_id < 0))
+        if bad.size:
+            raise StreamError(f"{MODALITY_NAMES[int(stream.modality[bad[0]])]} "
+                              f"row {bad[0]} has window id "
+                              f"{stream.window_id[bad[0]]}; it must be >= 0")
         nontext = stream.window_id >= 0
         if T is None:
             T = int(stream.window_id[nontext].max()) + 1 if nontext.any() else 1
-        n_v = np.bincount(
-            stream.window_id[(stream.modality == VISUAL)], minlength=T
-        )
-        n_a = np.bincount(
-            stream.window_id[(stream.modality == AUDIO)], minlength=T
-        )
+        n_v = np.bincount(stream.window_id[visual], minlength=T)
+        n_a = np.bincount(stream.window_id[audio], minlength=T)
         return WindowLayout(n_v=n_v, n_a=n_a)
 
 

@@ -50,10 +50,16 @@ class SelectionResult:
         freeze_fields(self, np.int64, "kept", "rows", "kept_v", "kept_a")
 
 
-def _unit_rows(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(emb: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a float64 (m, d) matrix scaled to unit length, and the mask
-    of zero-norm rows (left as they are)."""
+    of zero-norm rows (left as they are). A non-finite norm (a NaN or inf
+    entry: float32 entries cannot overflow squared in float64) is a
+    StreamError naming row i as rows[i]."""
     norms = np.linalg.norm(emb, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise StreamError(f"embedding of row {rows[bad[0]]} has norm "
+                          f"{norms[bad[0]]}; embeddings must be finite")
     zero = norms == 0.0
     return emb / np.where(zero, 1.0, norms)[:, None], zero
 
@@ -77,9 +83,9 @@ def _distances(unit: np.ndarray, out: np.ndarray) -> None:
 
 def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise 1-cos distances of one group and its zero-norm mask."""
-    unit, zero = _unit_rows(np.asarray(embeddings, dtype=np.float64))
-    n = unit.shape[0]
-    dist = np.empty((1, n, n))
+    emb = np.asarray(embeddings, dtype=np.float64)
+    unit, zero = _unit_rows(emb, range(emb.shape[0]))
+    dist = np.empty((1, emb.shape[0], emb.shape[0]))
     _distances(unit[None], dist)
     return dist[0], zero
 
@@ -87,34 +93,28 @@ def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """Greedy max-min in G groups at once; returns the (G, n) pick mask.
 
-    dist is a contiguous (G, n, n) block filled by _distances, weights is
-    (G, n). Each step takes one row-wise argmax, so a chunk costs k Python
-    steps whatever G is. The seed's nearest-neighbour distances come from
-    dist itself with its diagonal parked at +inf, so no n*n temporary is
-    made.
+    dist is a contiguous (G, n, n) block filled by _distances, which this
+    overwrites; weights is (G, n). Scaling column j by weights[j] is exact
+    under min (rounding a product by a finite non-negative weight is
+    monotone), so row i then holds every candidate's value against pick i.
+    With the diagonal parked at +inf the column minima are the seed values
+    w*nearest; parked at -inf it marks the picks, as a pick's own row drives
+    its value to -inf. A step is one row gather, one minimum and one
+    row-wise argmax, so a chunk costs k Python steps whatever G is.
     """
     G, n, _ = dist.shape
+    dist *= weights[:, None, :]
     diagonal = dist.reshape(G, n * n)[:, :: n + 1]
-    own = diagonal.copy()
     diagonal[...] = np.inf
-    nearest = dist.min(axis=1)
-    diagonal[...] = own
-
-    columns = dist.reshape(G * n, n)
+    seed = dist.min(axis=1)
+    diagonal[...] = -np.inf
+    rows = dist.reshape(G * n, n)
     first = np.arange(G) * n
-    taken = np.zeros((G, n), dtype=bool)
-    flat_taken = taken.reshape(-1)
-    value = np.empty((G, n))
-    pick = first + (weights * nearest).argmax(axis=1)
-    mind = columns[pick]
+    value = rows[first + seed.argmax(axis=1)]
     for _ in range(k - 1):
-        flat_taken[pick] = True
-        np.multiply(weights, mind, out=value)
-        np.copyto(value, -np.inf, where=taken)
-        pick = first + value.argmax(axis=1)
-        np.minimum(mind, columns[pick], out=mind)
-    flat_taken[pick] = True
-    return taken
+        np.minimum(value, rows.take(first + value.argmax(axis=1), axis=0),
+                   out=value)
+    return value == -np.inf
 
 
 def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -130,14 +130,14 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     n = emb.shape[0]
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
-        raise ValueError(f"weights must have length {n}, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("saliency weights must be non-negative")
+        raise StreamError(f"weights must have length {n}, got shape {w.shape}")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise StreamError("saliency weights must be finite and non-negative")
     if not (1 <= k <= n):
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+        raise StreamError(f"k must lie in [1, {n}], got {k}")
+    dist, _ = _cosine_distances(emb)  # rejects non-finite rows first
     if k == n:
         return np.arange(n, dtype=np.int64)
-    dist, _ = _cosine_distances(emb)
     return np.flatnonzero(_maxmin(dist[None], w[None], k)[0])
 
 
@@ -210,7 +210,7 @@ def win_div_prune(
                 group_rows = rows[index[lo : lo + per_chunk]]
                 G = group_rows.shape[0]
                 emb = stream.embeddings[group_rows.ravel()].astype(np.float64)
-                unit, zero = _unit_rows(emb)
+                unit, zero = _unit_rows(emb, group_rows.ravel())
                 del emb
                 zero = zero.reshape(G, n)
                 for i in np.flatnonzero(zero.any(axis=1)):

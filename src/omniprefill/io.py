@@ -121,6 +121,24 @@ def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
         raise ContainerFormatError(f"cannot write {path}: {exc}") from exc
 
 
+def _field(what: str, convert, value):
+    """convert(value), with any type or value fault a ContainerFormatError
+    naming what was being read."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ContainerFormatError(f"{what} is malformed: {value!r:.60} "
+                                   f"({exc})") from exc
+
+
+def _int_list(values) -> np.ndarray:
+    """A JSON list of integers as a 1-d int64 array."""
+    array = np.asarray(values, dtype=np.int64)
+    if array.ndim != 1:
+        raise TypeError("expected a flat list of integers")
+    return array
+
+
 def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     """Parse OTS bytes back into (stream, sections, header).
 
@@ -164,18 +182,23 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
                 "sections"):
         if key not in header:
             raise ContainerFormatError(f"header lacks required key {key!r}")
-    n, d = int(header["n"]), int(header["d"])
+    n, d, _ = (_field(f"header {key!r}", int, header[key])
+               for key in ("n", "d", "t"))
     if n < 0 or d < 1:
         raise ContainerFormatError(f"invalid dimensions n={n}, d={d}")
+    columns = {}
     for key in ("modality", "window_id", "position"):
-        if len(header[key]) != n:
+        columns[key] = _field(f"header {key!r}", _int_list, header[key])
+        if columns[key].shape[0] != n:
             raise ContainerFormatError(
-                f"header {key!r} lists {len(header[key])} entries, n={n}"
+                f"header {key!r} lists {columns[key].shape[0]} entries, n={n}"
             )
-    modality = np.asarray(header["modality"], dtype=np.int64)
     declared = header["counts"]
+    if not isinstance(declared, dict):
+        raise ContainerFormatError(
+            f"header 'counts' must be an object, got {declared!r:.60}")
     for label, code in (("visual", VISUAL), ("audio", AUDIO), ("text", TEXT)):
-        actual = int(np.count_nonzero(modality == code))
+        actual = int(np.count_nonzero(columns["modality"] == code))
         if declared.get(label) != actual:
             raise ContainerFormatError(
                 f"count mismatch: header says {declared.get(label)} {label} "
@@ -195,10 +218,15 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     offset += payload_len
 
     sections: dict[str, np.ndarray] = {}
-    for entry in header["sections"]:
-        name = entry.get("name")
-        length = int(entry.get("length", -1))
-        shape = tuple(int(x) for x in entry.get("shape", ()))
+    for entry in _field("header 'sections'", list, header["sections"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise ContainerFormatError(
+                f"section entry {entry!r:.60} must be an object with a name")
+        name = entry["name"]
+        length = _field(f"section {name!r} length", int, entry.get("length", -1))
+        shape = _field(f"section {name!r} shape",
+                       lambda dims: tuple(int(x) for x in dims),
+                       entry.get("shape", ()))
         if any(x < 0 for x in shape):
             raise ContainerFormatError(
                 f"section {name!r} declares negative dimensions {shape}"
@@ -234,12 +262,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             f"{len(data) - offset} unexpected trailing bytes at byte {offset}"
         )
 
-    stream = TokenStream(
-        embeddings=embeddings,
-        modality=modality,
-        window_id=np.asarray(header["window_id"], dtype=np.int64),
-        position=np.asarray(header["position"], dtype=np.int64),
-    )
+    stream = TokenStream(embeddings=embeddings, **columns)
     return stream, sections, header
 
 

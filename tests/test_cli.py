@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -289,22 +290,30 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: saliency section for window 0")
 
-    @pytest.mark.parametrize("section, entries, value", [
+    @pytest.mark.parametrize("field, entries, value", [
         ("saliency/w1/visual", slice(3, 4), np.nan),
         # every visual token of window 1, so some survive stage 1
         ("query_logits/layer17/visual", slice(72, 144), np.inf),
-    ], ids=["nan-saliency", "inf-query-logit"])
+        # rows 84..155 are window 1's visual tokens, row 0 is window 0's first
+        ("embeddings", (90, 2), np.nan),
+        ("window_id", 0, -1),
+    ], ids=["nan-saliency", "inf-query-logit", "nan-visual-embedding",
+            "negative-window-id"])
     def test_non_finite_signal_is_domain_error(self, configs, tmp_path,
-                                               section, entries, value):
+                                               field, entries, value):
         good = tmp_path / "good.ots"
         main(["gen", "--synth", configs["synth"], "--config",
               configs["model"], "--out", str(good)])
         stream, sections, header = read_ots_file(good)
-        sections = dict(sections)
-        sections[section] = sections[section].copy()
-        sections[section][entries] = value
+        arrays = dict(sections, embeddings=stream.embeddings,
+                      window_id=stream.window_id)
+        arrays[field] = arrays[field].copy()
+        arrays[field][entries] = value
+        stream = dataclasses.replace(stream,
+                                     embeddings=arrays.pop("embeddings"),
+                                     window_id=arrays.pop("window_id"))
         container = tmp_path / "bad.ots"
-        write_ots_file(str(container), stream, sections,
+        write_ots_file(str(container), stream, arrays,
                        generator=header["generator"], T=header["t"])
         proc = run_process(configs, container, tmp_path)
         assert proc.returncode == 1

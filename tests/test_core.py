@@ -9,6 +9,7 @@ from omniprefill.core import (
     InfeasibleRetentionError,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
     audio_intact_rv,
@@ -98,6 +99,12 @@ class TestWindowLayout:
         lay = WindowLayout.from_stream(s, T=4)
         assert lay.T == 4
         assert lay.n_v.tolist() == [2, 1, 0, 0]
+
+    @pytest.mark.parametrize("m, name", [(VISUAL, "visual"), (AUDIO, "audio")])
+    def test_from_stream_rejects_negative_window(self, m, name):
+        s = make_stream([(VISUAL, 0), (m, -1), (TEXT, -1)])
+        with pytest.raises(StreamError, match=f"{name} row 1 has window id -1"):
+            WindowLayout.from_stream(s)
 
     def test_text_only_stream(self):
         # a layout always carries at least one (possibly empty) window

@@ -12,6 +12,9 @@ from omniprefill.core import (
 )
 from omniprefill.divprune import (
     _cosine_distances,
+    _distances,
+    _maxmin,
+    _unit_rows,
     greedy_maxmin,
     keep_count,
     win_div_prune,
@@ -122,6 +125,40 @@ class TestGreedyMaxmin:
             greedy_maxmin(emb, np.ones(2), 2)
         with pytest.raises(ValueError):
             greedy_maxmin(emb, -np.ones(3), 2)
+
+    @pytest.mark.parametrize("w", [[1.0, np.nan, 1.0], [1.0, 1.0, np.inf]],
+                             ids=["nan-weight", "inf-weight"])
+    def test_non_finite_weights_rejected(self, w):
+        with pytest.raises(StreamError, match="finite"):
+            greedy_maxmin(np.eye(3), np.array(w), 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_finite_embeddings_rejected(self, value, k):
+        emb = np.eye(3)
+        emb[1, 2] = value
+        with pytest.raises(StreamError, match="row 1"):
+            greedy_maxmin(emb, np.ones(3), k)
+
+
+def test_batched_kernel_with_zero_weights_matches_single_groups():
+    # the kernel scales each distance column by its weight; zero weights
+    # make whole value rows tie at 0, which must still pick exactly k per
+    # group and agree with greedy_maxmin group by group
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        G, n, d = (int(x) for x in rng.integers((2, 2, 1), (6, 12, 5)))
+        k = int(rng.integers(1, n))
+        emb = rng.integers(-1, 2, size=(G * n, d)).astype(np.float64)
+        w = rng.choice([0.0, 0.0, 0.5, 1.0], size=(G, n))
+        unit, _ = _unit_rows(emb, range(G * n))
+        dist = np.empty((G, n, n))
+        _distances(unit.reshape(G, n, d), dist)
+        mask = _maxmin(dist, w, k)
+        assert mask.sum(axis=1).tolist() == [k] * G
+        for g in range(G):
+            want = greedy_maxmin(emb[g * n : (g + 1) * n], w[g], k)
+            assert np.flatnonzero(mask[g]).tolist() == want.tolist()
 
 
 class TestKeepCount:
@@ -251,6 +288,19 @@ class TestWinDivPrune:
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
         with pytest.raises(StreamError, match="saliency"):
             win_div_prune(stream, lay, saliency, spec)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embedding_rejected(self, value):
+        stream = build_stream(T=2, n_v=4, n_a=2, n_q=1)
+        emb = stream.embeddings.copy()
+        emb[7, 3] = value  # window 1's second visual token
+        stream = TokenStream(embeddings=emb, modality=stream.modality,
+                             window_id=stream.window_id,
+                             position=stream.position)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
+        with pytest.raises(StreamError, match="embedding of row 7"):
+            win_div_prune(stream, lay, None, spec)
 
     def test_invalid_stream_rejected(self):
         stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)

@@ -242,6 +242,22 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match="section 'x'"):
             read_ots(bad)
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda h: h.update(n="abc"), "header 'n'"),
+        (lambda h: h.update(modality=5), "header 'modality'"),
+        (lambda h: h.update(counts=5), "header 'counts'"),
+        (lambda h: h.update(window_id=["a"] * 7), "header 'window_id'"),
+        (lambda h: h["sections"].__setitem__(0, 5), "section entry 5"),
+        (lambda h: h["sections"][0].update(shape=["x"]), "section 'x' shape"),
+        (lambda h: h["sections"][0].update(length="x"), "section 'x' length"),
+    ], ids=["n-string", "modality-number", "counts-number",
+            "window-id-strings", "section-entry-number", "shape-strings",
+            "length-string"])
+    def test_mistyped_header_field(self, mutate, field):
+        data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
+        with pytest.raises(ContainerFormatError, match=field):
+            read_ots(repack(data, mutate))
+
     def test_trailing_garbage(self):
         data = write_ots(tiny_stream())
         with pytest.raises(ContainerFormatError, match="trailing bytes"):

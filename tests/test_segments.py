@@ -116,7 +116,8 @@ def test_batched_stage1_matches_plain_loop(data):
         for t in range(layout.T):
             if counts[t] and data.draw(st.booleans()):
                 saliency[stream.rows_of(m, t)] = data.draw(st.lists(
-                    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                    st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324,
+                                     1.7976931348623157e308]),
                     min_size=int(counts[t]), max_size=int(counts[t])))
 
     got = win_div_prune(stream, layout, saliency, spec)
