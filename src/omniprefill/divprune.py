@@ -54,12 +54,11 @@ def _unit_rows(emb: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a float64 (m, d) matrix scaled to unit length, and the mask
     of zero-norm rows (left as they are). A non-finite norm (a NaN or inf
     entry: float32 entries cannot overflow squared in float64) is a
-    StreamError naming row i as rows[i]."""
+    StreamError naming row i as the flattened rows[i]."""
     norms = np.linalg.norm(emb, axis=1)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise StreamError(f"embedding of row {rows[bad[0]]} has norm "
-                          f"{norms[bad[0]]}; embeddings must be finite")
+    if not np.isfinite(norms).all():
+        i = np.flatnonzero(~np.isfinite(norms))[0]
+        raise StreamError(f"embedding of row {np.ravel(rows)[i]} is not finite")
     zero = norms == 0.0
     return emb / np.where(zero, 1.0, norms)[:, None], zero
 
@@ -210,7 +209,7 @@ def win_div_prune(
                 group_rows = rows[index[lo : lo + per_chunk]]
                 G = group_rows.shape[0]
                 emb = stream.embeddings[group_rows.ravel()].astype(np.float64)
-                unit, zero = _unit_rows(emb, group_rows.ravel())
+                unit, zero = _unit_rows(emb, group_rows)
                 del emb
                 zero = zero.reshape(G, n)
                 for i in np.flatnonzero(zero.any(axis=1)):

@@ -218,15 +218,23 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     offset += payload_len
 
     sections: dict[str, np.ndarray] = {}
-    for entry in _field("header 'sections'", list, header["sections"]):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
-            raise ContainerFormatError(
-                f"section entry {entry!r:.60} must be an object with a name")
-        name = entry["name"]
-        length = _field(f"section {name!r} length", int, entry.get("length", -1))
-        shape = _field(f"section {name!r} shape",
-                       lambda dims: tuple(int(x) for x in dims),
-                       entry.get("shape", ()))
+    if not isinstance(header["sections"], list):
+        raise ContainerFormatError(
+            f"header 'sections' must be a list, got {header['sections']!r:.60}")
+    for entry in header["sections"]:
+        name = part = None
+        try:
+            name = entry.get("name")
+            if not isinstance(name, str):
+                raise TypeError("a section needs a string name")
+            part = "length"
+            length = int(entry.get("length", -1))
+            part = "shape"
+            shape = tuple(map(int, entry.get("shape", ())))
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            what = (f"section {name!r} {part}" if part
+                    else f"section entry {entry!r:.60}")
+            raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
         if any(x < 0 for x in shape):
             raise ContainerFormatError(
                 f"section {name!r} declares negative dimensions {shape}"

@@ -250,9 +250,11 @@ class TestMalformedBytes:
         (lambda h: h["sections"].__setitem__(0, 5), "section entry 5"),
         (lambda h: h["sections"][0].update(shape=["x"]), "section 'x' shape"),
         (lambda h: h["sections"][0].update(length="x"), "section 'x' length"),
+        (lambda h: h.update(sections=5), "header 'sections'"),
+        (lambda h: h["sections"][0].update(name=["x"]), "section entry"),
     ], ids=["n-string", "modality-number", "counts-number",
             "window-id-strings", "section-entry-number", "shape-strings",
-            "length-string"])
+            "length-string", "sections-number", "section-name-list"])
     def test_mistyped_header_field(self, mutate, field):
         data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
         with pytest.raises(ContainerFormatError, match=field):
