@@ -186,19 +186,21 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
                for key in ("n", "d", "t"))
     if n < 0 or d < 1:
         raise ContainerFormatError(f"invalid dimensions n={n}, d={d}")
-    columns = {}
-    for key in ("modality", "window_id", "position"):
-        columns[key] = _field(f"header {key!r}", _int_list, header[key])
-        if columns[key].shape[0] != n:
+    modality, window_id, position = (
+        _field(f"header {key!r}", _int_list, header[key])
+        for key in ("modality", "window_id", "position"))
+    for key, values in (("modality", modality), ("window_id", window_id),
+                        ("position", position)):
+        if values.shape[0] != n:
             raise ContainerFormatError(
-                f"header {key!r} lists {columns[key].shape[0]} entries, n={n}"
+                f"header {key!r} lists {values.shape[0]} entries, n={n}"
             )
     declared = header["counts"]
     if not isinstance(declared, dict):
         raise ContainerFormatError(
             f"header 'counts' must be an object, got {declared!r:.60}")
     for label, code in (("visual", VISUAL), ("audio", AUDIO), ("text", TEXT)):
-        actual = int(np.count_nonzero(columns["modality"] == code))
+        actual = int(np.count_nonzero(modality == code))
         if declared.get(label) != actual:
             raise ContainerFormatError(
                 f"count mismatch: header says {declared.get(label)} {label} "
@@ -270,7 +272,8 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             f"{len(data) - offset} unexpected trailing bytes at byte {offset}"
         )
 
-    stream = TokenStream(embeddings=embeddings, **columns)
+    stream = TokenStream(embeddings=embeddings, modality=modality,
+                         window_id=window_id, position=position)
     return stream, sections, header
 
 
