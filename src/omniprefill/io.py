@@ -224,7 +224,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
         raise ContainerFormatError(
             f"header 'sections' must be a list, got {header['sections']!r:.60}")
     for entry in header["sections"]:
-        name = part = None
+        part = None
         try:
             name = entry.get("name")
             if not isinstance(name, str):
