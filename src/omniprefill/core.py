@@ -50,14 +50,25 @@ class StreamError(EngineError, ValueError):
 
 
 def _frozen(a, dtype):
+    """a as a read-only array of dtype. An aligned, read-only array of that
+    dtype whose memory belongs to a bytes object (a container read by
+    read_ots) cannot change and comes back as it is; anything else is
+    copied."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.aligned
+            and not a.flags.writeable):
+        base = a.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, bytes):
+            return a
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
 def freeze_fields(obj, dtype, *names) -> None:
-    """Replace each named field of a frozen dataclass by a read-only copy
-    of the given dtype."""
+    """Replace each named field of a frozen dataclass by a read-only array
+    of the given dtype, as _frozen makes it."""
     for name in names:
         object.__setattr__(obj, name, _frozen(getattr(obj, name), dtype))
 

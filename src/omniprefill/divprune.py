@@ -102,7 +102,10 @@ def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     row-wise argmax, so a chunk costs k Python steps whatever G is.
     """
     G, n, _ = dist.shape
-    dist *= weights[:, None, :]
+    # a weight near the float64 maximum times a distance overflows to inf,
+    # which orders the candidates exactly as intended
+    with np.errstate(over="ignore"):
+        dist *= weights[:, None, :]
     diagonal = dist.reshape(G, n * n)[:, :: n + 1]
     diagonal[...] = np.inf
     seed = dist.min(axis=1)

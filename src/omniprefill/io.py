@@ -1,23 +1,27 @@
 """Bit-exact serialization.
 
-OTS container ("omni token stream"), version 1:
+OTS container ("omni token stream"), version 2:
 
-    bytes 0..3    magic b"OTS1"
+    bytes 0..3    magic b"OTS2"
     bytes 4..11   header length H, unsigned 64-bit little-endian
     bytes 12..    UTF-8 JSON header, exactly H bytes, canonical form
-                  (lexicographically sorted keys, no whitespace)
-    next          payload: row-major float32 little-endian embeddings,
-                  exactly n*d*4 bytes
+                  (lexicographically sorted keys, no whitespace) padded
+                  with spaces so that 12 + H is a multiple of 8
+    next          three little-endian int64 columns of n entries each:
+                  modality codes, window ids, positions (24n bytes)
+    next          row-major float32 little-endian embeddings, n*d*4 bytes
     then          one block per header-declared section, in header order:
                   unsigned 64-bit LE byte length, then that many bytes of
                   float32 little-endian data
 
-The header declares n, d, t, per-modality counts, per-token modality codes /
-window ids / positions, generator provenance, and the section table (name,
-shape, length). Sections carry saliency vectors, attention matrices, or
-query logits keyed by name. Canonical form means identical inputs produce
-identical bytes. Readers validate every declared size before touching the
-data, so truncation is caught without materializing anything.
+The header declares n, d, t, per-modality counts, generator provenance and
+the section table (name, shape, length); it holds no per-token data.
+Sections carry saliency vectors, attention matrices, or query logits keyed
+by name. Canonical form means identical inputs produce identical bytes.
+Readers validate every declared size before touching the data, so truncation
+is caught without materializing anything, and return read-only views of
+input bytes rather than copies. OTS1 containers (per-token lists in the JSON
+header) are no longer read; `omniprefill gen` writes an OTS2 one.
 
 Configuration documents are plain JSON with fixed schemas; unknown keys are
 rejected outright because a typo in a boundary would silently corrupt every
@@ -37,6 +41,7 @@ import numpy as np
 from .allocator import BudgetPlan
 from .core import (
     AUDIO,
+    MODALITY_NAMES,
     TEXT,
     VISUAL,
     EngineError,
@@ -48,8 +53,9 @@ from .cost import CostReport
 from .pipeline import PrefillTrace, SynthSpec
 from .schedule import SchedulePlan, block_of
 
-MAGIC = b"OTS1"
-OTS_VERSION = 1
+MAGIC = b"OTS2"
+OTS_VERSION = 2
+COLUMNS = ("modality", "window_id", "position")
 
 
 class ContainerFormatError(EngineError):
@@ -78,12 +84,11 @@ def write_ots(
     section_table = []
     blobs = []
     for name in sorted(sections):
-        arr = np.ascontiguousarray(np.asarray(sections[name], dtype="<f4"))
-        raw = arr.tobytes()
+        arr = np.ascontiguousarray(sections[name], dtype="<f4")
         section_table.append(
-            {"length": len(raw), "name": name, "shape": list(arr.shape)}
+            {"length": arr.nbytes, "name": name, "shape": list(arr.shape)}
         )
-        blobs.append(raw)
+        blobs += [struct.pack("<Q", arr.nbytes), arr]
     header = {
         "counts": {
             "audio": stream.n_audio,
@@ -92,25 +97,18 @@ def write_ots(
         },
         "d": stream.d,
         "generator": generator,
-        "modality": stream.modality.tolist(),
         "n": stream.n,
-        "position": stream.position.tolist(),
         "sections": section_table,
         "t": int(T),
         "version": OTS_VERSION,
-        "window_id": stream.window_id.tolist(),
     }
     header_bytes = _canonical_json(header)
-    payload = np.ascontiguousarray(stream.embeddings.astype("<f4")).tobytes()
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<Q", len(header_bytes))
-    out += header_bytes
-    out += payload
-    for raw in blobs:
-        out += struct.pack("<Q", len(raw))
-        out += raw
-    return bytes(out)
+    header_bytes += b" " * (-(12 + len(header_bytes)) % 8)
+    columns = [np.ascontiguousarray(getattr(stream, key), dtype="<i8")
+               for key in COLUMNS]
+    embeddings = np.ascontiguousarray(stream.embeddings, dtype="<f4")
+    return b"".join([MAGIC, struct.pack("<Q", len(header_bytes)),
+                     header_bytes, *columns, embeddings, *blobs])
 
 
 def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
@@ -131,19 +129,24 @@ def _field(what: str, convert, value):
                                    f"({exc})") from exc
 
 
-def _int_list(values) -> np.ndarray:
-    """A JSON list of integers as a 1-d int64 array."""
-    array = np.asarray(values, dtype=np.int64)
-    if array.ndim != 1:
-        raise TypeError("expected a flat list of integers")
-    return array
+def _float_view(data: bytes, offset: int, shape: tuple, what: str):
+    """Read-only float32 view of data at offset, already checked to fit.
+    An empty view can still declare a dimension numpy cannot represent."""
+    try:
+        return np.frombuffer(data, dtype="<f4", count=math.prod(shape),
+                             offset=offset).reshape(shape)
+    except ValueError as exc:
+        raise ContainerFormatError(f"{what} shape {shape} is not "
+                                   f"representable ({exc})") from exc
 
 
 def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     """Parse OTS bytes back into (stream, sections, header).
 
     Strict inverse of write_ots on valid input; every size is checked against
-    what the header declares before any array is built.
+    what the header declares before any array is built. When data is a
+    bytes object, the stream's arrays and the sections are read-only views
+    of it, not copies.
     """
     if len(data) < 12:
         raise ContainerFormatError(
@@ -168,7 +171,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
         )
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an oversized number
         raise ContainerFormatError(f"unreadable header at byte 12: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerFormatError("header must be a JSON object")
@@ -178,27 +181,32 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             f"unsupported version {version!r}, this reader handles {OTS_VERSION}"
         )
 
-    for key in ("n", "d", "t", "counts", "modality", "window_id", "position",
-                "sections"):
+    for key in ("n", "d", "t", "counts", "sections"):
         if key not in header:
             raise ContainerFormatError(f"header lacks required key {key!r}")
-    n, d, _ = (_field(f"header {key!r}", int, header[key])
+    n, d, t = (_field(f"header {key!r}", int, header[key])
                for key in ("n", "d", "t"))
-    if n < 0 or d < 1:
-        raise ContainerFormatError(f"invalid dimensions n={n}, d={d}")
-    modality, window_id, position = (
-        _field(f"header {key!r}", _int_list, header[key])
-        for key in ("modality", "window_id", "position"))
-    for key, values in (("modality", modality), ("window_id", window_id),
-                        ("position", position)):
-        if values.shape[0] != n:
-            raise ContainerFormatError(
-                f"header {key!r} lists {values.shape[0]} entries, n={n}"
-            )
+    if n < 0 or d < 1 or t < 1:
+        raise ContainerFormatError(f"invalid dimensions n={n}, d={d}, t={t}")
     declared = header["counts"]
     if not isinstance(declared, dict):
         raise ContainerFormatError(
             f"header 'counts' must be an object, got {declared!r:.60}")
+
+    offset = 12 + header_len
+    payload_len = 24 * n + 4 * n * d
+    if offset + payload_len > len(data):
+        raise ContainerFormatError(
+            f"truncated payload at byte {offset}: the columns and embeddings "
+            f"need {payload_len} bytes (24n+4nd), found {len(data) - offset}"
+        )
+    modality, window_id, position = (
+        np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n * i)
+        for i in range(3))
+    embeddings = _float_view(data, offset + 24 * n, (n, d), "embeddings")
+    offset += payload_len
+
+    tallied = 0
     for label, code in (("visual", VISUAL), ("audio", AUDIO), ("text", TEXT)):
         actual = int(np.count_nonzero(modality == code))
         if declared.get(label) != actual:
@@ -206,18 +214,27 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
                 f"count mismatch: header says {declared.get(label)} {label} "
                 f"tokens, codes tally {actual}"
             )
-
-    offset = 12 + header_len
-    payload_len = n * d * 4
-    if offset + payload_len > len(data):
+        tallied += actual
+    if tallied != n:
         raise ContainerFormatError(
-            f"truncated payload at byte {offset}: need {payload_len} bytes "
-            f"(n*d*4), found {len(data) - offset}"
-        )
-    embeddings = np.frombuffer(
-        data, dtype="<f4", count=n * d, offset=offset
-    ).reshape(n, d)
-    offset += payload_len
+            f"{n - tallied} of {n} modality codes are not 0, 1 or 2")
+    is_text = modality == TEXT
+    # a negative id turns into a huge one as uint64, so one compare covers
+    # both ends of [0, t)
+    outside = np.flatnonzero(~is_text & (window_id.view("<u8") >= t))
+    if outside.size:
+        row = int(outside[0])
+        raise ContainerFormatError(
+            f"{MODALITY_NAMES[int(modality[row])]} row {row} has window id "
+            f"{int(window_id[row])}, outside [0, {t})")
+    # stage 1 rejects non-finite visual and audio rows from the norms it
+    # computes anyway; text rows no stage reads, so they are checked here
+    text_rows = np.flatnonzero(is_text)
+    finite = np.isfinite(embeddings[text_rows]).all(axis=1)
+    if not finite.all():
+        raise ContainerFormatError(
+            f"text row {int(text_rows[np.argmin(finite)])} has a non-finite "
+            f"embedding")
 
     sections: dict[str, np.ndarray] = {}
     if not isinstance(header["sections"], list):
@@ -241,7 +258,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             raise ContainerFormatError(
                 f"section {name!r} declares negative dimensions {shape}"
             )
-        expected = math.prod(shape) * 4 if shape else 0
+        expected = math.prod(shape) * 4
         if length != expected:
             raise ContainerFormatError(
                 f"section {name!r} declares {length} bytes but shape {shape} "
@@ -263,9 +280,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
                 f"truncated section {name!r} at byte {offset}: need {length} "
                 f"bytes, found {len(data) - offset}"
             )
-        sections[name] = np.frombuffer(
-            data, dtype="<f4", count=length // 4, offset=offset
-        ).reshape(shape)
+        sections[name] = _float_view(data, offset, shape, f"section {name!r}")
         offset += length
     if offset != len(data):
         raise ContainerFormatError(

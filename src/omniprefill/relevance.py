@@ -23,9 +23,13 @@ from .core import WindowLayout, freeze_fields, segments
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the maximum so that large
     logits stay finite. The one softmax of the package: window relevance
-    and every oracle's attention go through it."""
-    z = np.exp(x - x.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    and every oracle's attention go through it. Works in place on one
+    temporary, so a large attention matrix costs a single allocation."""
+    z = np.subtract(x, x.max(axis=-1, keepdims=True),
+                    dtype=np.result_type(x, 1.0))
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def mean_received_attention(attn: np.ndarray) -> np.ndarray:

@@ -297,8 +297,10 @@ class TestRun:
         # rows 84..155 are window 1's visual tokens, row 0 is window 0's first
         ("embeddings", (90, 2), np.nan),
         ("window_id", 0, -1),
+        # window 3's rows (visual and audio) moved past the header's t = 4
+        ("window_id", slice(252, 336), 9),
     ], ids=["nan-saliency", "inf-query-logit", "nan-visual-embedding",
-            "negative-window-id"])
+            "negative-window-id", "window-id-past-t"])
     def test_non_finite_signal_is_domain_error(self, configs, tmp_path,
                                                field, entries, value):
         good = tmp_path / "good.ots"

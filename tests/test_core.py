@@ -55,6 +55,35 @@ class TestTokenStream:
         with pytest.raises(ValueError):
             s.modality[0] = TEXT
 
+    def test_bytes_backed_arrays_are_not_copied(self):
+        data = np.arange(8, dtype="<i8").tobytes() + bytes(32)
+        ints = np.frombuffer(data, dtype="<i8", count=8)
+        emb = np.frombuffer(data, dtype="<f4", offset=64).reshape(8, 1)
+        s = TokenStream(embeddings=emb, modality=np.full(8, TEXT),
+                        window_id=np.full(8, -1), position=ints)
+        assert s.position is ints and s.embeddings is emb
+
+    @pytest.mark.parametrize("source", ["writable", "read-only-view",
+                                        "bytearray"])
+    def test_mutable_sources_are_copied(self, source):
+        if source == "bytearray":
+            buf = bytearray(np.arange(8, dtype="<i8").tobytes())
+            array = np.frombuffer(buf, dtype="<i8")
+            array.setflags(write=False)
+        else:
+            buf = np.arange(8, dtype=np.int64)
+            array = buf
+            if source == "read-only-view":
+                array = buf.view()
+                array.setflags(write=False)
+        s = TokenStream(embeddings=np.zeros((8, 1), dtype=np.float32),
+                        modality=np.full(8, TEXT), window_id=np.full(8, -1),
+                        position=array)
+        np.frombuffer(buf, dtype=np.uint8)[0] = 0xFF
+        assert array[0] != 0  # the source did change
+        assert np.array_equal(s.position, np.arange(8))
+        assert not s.position.flags.writeable
+
     def test_take_preserves_rows(self):
         s = make_stream(MIXED_ROWS)
         sub = s.take(np.array([0, 3, 6]))

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omniprefill.allocator import allocate
 from omniprefill.core import (
@@ -16,6 +19,7 @@ from omniprefill.core import (
 )
 from omniprefill.cost import trace_flops
 from omniprefill.io import (
+    COLUMNS,
     MAGIC,
     ConfigError,
     ContainerFormatError,
@@ -55,12 +59,31 @@ def tiny_stream():
 
 
 def repack(data: bytes, mutate) -> bytes:
-    """Re-emit container bytes with the JSON header altered by mutate(dict)."""
+    """Re-emit container bytes with the JSON header altered by mutate(dict),
+    padded as write_ots pads it."""
     (header_len,) = struct.unpack("<Q", data[4:12])
     header = json.loads(data[12 : 12 + header_len])
     mutate(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    raw += b" " * (-(12 + len(raw)) % 8)
     return data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + header_len :]
+
+
+def column_offset(data: bytes, key: str, row: int = 0) -> int:
+    """Byte offset of one entry of an int64 column."""
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    n = json.loads(data[12 : 12 + header_len])["n"]
+    return 12 + header_len + 8 * (n * COLUMNS.index(key) + row)
+
+
+def poke_column(data: bytes, key: str, row: int, value: int) -> bytes:
+    """Container bytes with one entry of an int64 column replaced."""
+    at = column_offset(data, key, row)
+    return data[:at] + struct.pack("<q", value) + data[at + 8 :]
+
+
+def header_edit(mutate):
+    return lambda data: repack(data, mutate)
 
 
 class TestRoundTrip:
@@ -119,6 +142,48 @@ class TestRoundTrip:
         with pytest.raises(ContainerFormatError, match="cannot read"):
             read_ots_file(tmp_path / "absent.ots")
 
+    def test_layout(self):
+        stream = tiny_stream()
+        data = write_ots(stream, {"x": np.ones(3, dtype=np.float32)}, T=2)
+        assert data[:4] == b"OTS2"
+        (header_len,) = struct.unpack("<Q", data[4:12])
+        assert (12 + header_len) % 8 == 0
+        raw = data[12 : 12 + header_len]
+        header = json.loads(raw)
+        assert raw.rstrip(b" ") == json.dumps(
+            header, sort_keys=True, separators=(",", ":")).encode()
+        assert sorted(header) == ["counts", "d", "generator", "n", "sections",
+                                  "t", "version"]
+        assert header["version"] == 2
+        offset = 12 + header_len
+        for key in COLUMNS:
+            column = np.frombuffer(data, "<i8", count=7, offset=offset)
+            assert np.array_equal(column, getattr(stream, key))
+            offset += 7 * 8
+        assert data[offset : offset + 112] == stream.embeddings.tobytes()
+        assert data[offset + 112 :] == (struct.pack("<Q", 12)
+                                        + np.ones(3, "<f4").tobytes())
+
+
+class TestZeroCopy:
+    def test_arrays_are_views_of_the_bytes(self):
+        sections = {"x": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        data = write_ots(tiny_stream(), sections, T=2)
+        stream, back, _ = read_ots(data)
+        anchor = np.frombuffer(data, dtype=np.uint8)
+        for array in (stream.embeddings, stream.modality, stream.window_id,
+                      stream.position, back["x"]):
+            assert np.shares_memory(array, anchor)
+            assert not array.flags.writeable
+            assert array.flags.aligned
+
+    def test_file_read_is_a_view(self, tmp_path):
+        path = tmp_path / "s.ots"
+        write_ots_file(path, tiny_stream(), T=2)
+        stream, _, _ = read_ots_file(path)
+        assert not stream.embeddings.flags.owndata
+        assert not stream.position.flags.writeable
+
 
 class TestCanonicalBytes:
     def test_writes_are_deterministic(self):
@@ -156,6 +221,12 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match="unsupported container"):
             read_ots(b"OTS9" + data[4:])
 
+    def test_ots1_magic(self):
+        data = write_ots(tiny_stream())
+        with pytest.raises(ContainerFormatError,
+                           match="unsupported container version b'OTS1'"):
+            read_ots(b"OTS1" + data[4:])
+
     def test_too_short_for_prologue(self):
         with pytest.raises(ContainerFormatError, match="truncated at byte"):
             read_ots(MAGIC + b"\x01")
@@ -172,6 +243,12 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match="unreadable header"):
             read_ots(bad)
 
+    def test_header_number_too_long(self):
+        raw = b'{"n":' + b"9" * 5000 + b"}"
+        bad = MAGIC + struct.pack("<Q", len(raw)) + raw
+        with pytest.raises(ContainerFormatError, match="unreadable header"):
+            read_ots(bad)
+
     def test_header_not_object(self):
         raw = b"[1,2]"
         bad = MAGIC + struct.pack("<Q", len(raw)) + raw
@@ -180,21 +257,60 @@ class TestMalformedBytes:
 
     def test_header_version_field(self):
         data = write_ots(tiny_stream())
-        bad = repack(data, lambda h: h.update(version=2))
+        bad = repack(data, lambda h: h.update(version=1))
         with pytest.raises(ContainerFormatError, match="unsupported version"):
             read_ots(bad)
 
     def test_missing_required_key(self):
         data = write_ots(tiny_stream())
-        bad = repack(data, lambda h: h.pop("position"))
-        with pytest.raises(ContainerFormatError, match="required key 'position'"):
+        bad = repack(data, lambda h: h.pop("counts"))
+        with pytest.raises(ContainerFormatError, match="required key 'counts'"):
             read_ots(bad)
 
     def test_per_token_list_length(self):
+        # n one larger than the columns hold: the columns run past the end
         data = write_ots(tiny_stream())
-        bad = repack(data, lambda h: h["window_id"].append(0))
-        with pytest.raises(ContainerFormatError, match="window_id"):
+        bad = repack(data, lambda h: h.update(n=8))
+        with pytest.raises(ContainerFormatError, match="truncated payload"):
             read_ots(bad)
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_window_count_must_be_positive(self, t):
+        data = write_ots(tiny_stream())
+        with pytest.raises(ContainerFormatError, match="invalid dimensions"):
+            read_ots(repack(data, lambda h: h.update(t=t)))
+
+    def test_unknown_modality_code_with_matching_counts(self):
+        data = poke_column(write_ots(tiny_stream()), "modality", 6, 7)
+        bad = repack(data, lambda h: h["counts"].update(text=1))
+        with pytest.raises(ContainerFormatError, match="1 of 7 modality codes"):
+            read_ots(bad)
+
+    @pytest.mark.parametrize("row, window", [(0, 2), (2, 9), (3, -1)])
+    def test_window_id_outside_header_t(self, row, window):
+        data = poke_column(write_ots(tiny_stream(), T=2), "window_id", row,
+                           window)
+        with pytest.raises(ContainerFormatError,
+                           match=f"row {row} has window id {window}, "
+                                 r"outside \[0, 2\)"):
+            read_ots(data)
+
+    def test_non_finite_text_embedding(self):
+        stream = tiny_stream()
+        emb = stream.embeddings.copy()
+        emb[6, 1] = np.inf
+        data = write_ots(dataclasses.replace(stream, embeddings=emb))
+        with pytest.raises(ContainerFormatError,
+                           match="text row 6 has a non-finite embedding"):
+            read_ots(data)
+
+    def test_non_finite_visual_embedding_is_left_to_stage1(self):
+        stream = tiny_stream()
+        emb = stream.embeddings.copy()
+        emb[3, 0] = np.nan
+        back, _, _ = read_ots(write_ots(dataclasses.replace(stream,
+                                                            embeddings=emb)))
+        assert np.isnan(back.embeddings[3, 0])
 
     def test_count_mismatch(self):
         data = write_ots(tiny_stream())
@@ -233,37 +349,88 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match="shape"):
             read_ots(bad)
 
-    @pytest.mark.parametrize("shape", [[2**32, 2**32], [-1, 0], [0, -3]])
+    def test_unrepresentable_empty_shapes(self):
+        data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
+        bad = repack(data, lambda h: h["sections"][0].update(shape=[0, 2**62]))
+        with pytest.raises(ContainerFormatError, match="not representable"):
+            read_ots(bad)
+        empty = TokenStream(embeddings=np.zeros((0, 1), dtype=np.float32),
+                            modality=[], window_id=[], position=[])
+        bad = repack(write_ots(empty), lambda h: h.update(d=2**62))
+        with pytest.raises(ContainerFormatError, match="not representable"):
+            read_ots(bad)
+
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [-1, 0], [0, -3], []])
     def test_section_shape_overflow_or_negative(self, shape):
         # each product wraps or comes to 0 in int64, which the zero-length
-        # section below would match
+        # section below would match; an empty shape is a scalar of 4 bytes
         data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
         bad = repack(data, lambda h: h["sections"][0].update(shape=shape))
         with pytest.raises(ContainerFormatError, match="section 'x'"):
             read_ots(bad)
 
-    @pytest.mark.parametrize("mutate, field", [
-        (lambda h: h.update(n="abc"), "header 'n'"),
-        (lambda h: h.update(modality=5), "header 'modality'"),
-        (lambda h: h.update(counts=5), "header 'counts'"),
-        (lambda h: h.update(window_id=["a"] * 7), "header 'window_id'"),
-        (lambda h: h["sections"].__setitem__(0, 5), "section entry 5"),
-        (lambda h: h["sections"][0].update(shape=["x"]), "section 'x' shape"),
-        (lambda h: h["sections"][0].update(length="x"), "section 'x' length"),
-        (lambda h: h.update(sections=5), "header 'sections'"),
-        (lambda h: h["sections"][0].update(name=["x"]), "section entry"),
+    @pytest.mark.parametrize("edit, field", [
+        (header_edit(lambda h: h.update(n="abc")), "header 'n'"),
+        # an unknown modality code in the column fails the counts tally
+        (lambda data: poke_column(data, "modality", 0, 5), "count mismatch"),
+        (header_edit(lambda h: h.update(counts=5)), "header 'counts'"),
+        # the file ends inside the window-id column
+        (lambda data: data[: column_offset(data, "window_id", 3) + 3],
+         "truncated payload"),
+        (header_edit(lambda h: h["sections"].__setitem__(0, 5)),
+         "section entry 5"),
+        (header_edit(lambda h: h["sections"][0].update(shape=["x"])),
+         "section 'x' shape"),
+        (header_edit(lambda h: h["sections"][0].update(length="x")),
+         "section 'x' length"),
+        (header_edit(lambda h: h.update(sections=5)), "header 'sections'"),
+        (header_edit(lambda h: h["sections"][0].update(name=["x"])),
+         "section entry"),
     ], ids=["n-string", "modality-number", "counts-number",
             "window-id-strings", "section-entry-number", "shape-strings",
             "length-string", "sections-number", "section-name-list"])
-    def test_mistyped_header_field(self, mutate, field):
+    def test_mistyped_header_field(self, edit, field):
         data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
         with pytest.raises(ContainerFormatError, match=field):
-            read_ots(repack(data, mutate))
+            read_ots(edit(data))
 
     def test_trailing_garbage(self):
         data = write_ots(tiny_stream())
         with pytest.raises(ContainerFormatError, match="trailing bytes"):
             read_ots(data + b"\x00\x00")
+
+
+FUZZ_SEED = write_ots(tiny_stream(), {"x": np.ones((2, 2), dtype=np.float32),
+                                      "y": np.zeros(0, dtype=np.float32)},
+                      generator={"kind": "fuzz"}, T=2)
+
+
+@st.composite
+def damaged(draw):
+    """FUZZ_SEED after a few random byte flips, deletions, insertions and
+    truncations."""
+    data = bytearray(FUZZ_SEED)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "delete":
+            del data[at : at + draw(st.integers(1, 16))]
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=16))
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=damaged())
+def test_damaged_container_reads_or_is_a_format_error(data):
+    try:
+        read_ots(data)
+    except ContainerFormatError:
+        pass
 
 
 class TestConfigLoading:
