@@ -28,7 +28,7 @@ from .core import (
     validate_stream,
 )
 from .cost import FLOPS_FORMULA, CostReport, layer_flops, trace_flops
-from .divprune import SelectionResult, greedy_maxmin, keep_count, win_div_prune
+from .divprune import SelectionResult, greedy_maxmin, win_div_prune
 from .io import (
     ConfigError,
     ContainerFormatError,
@@ -58,10 +58,7 @@ from .relevance import (
     window_relevance,
 )
 from .schedule import (
-    AblationSchedule,
     SchedulePlan,
-    ablation_schedule,
-    block_constant,
     build_schedule,
     delta_oracle,
     solve_delta,
@@ -72,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AUDIO",
-    "AblationSchedule",
     "BudgetPlan",
     "ConfigError",
     "ContainerFormatError",
@@ -99,15 +95,12 @@ __all__ = [
     "UniformOracle",
     "VISUAL",
     "WindowLayout",
-    "ablation_schedule",
     "allocate",
     "apply_budget",
     "audio_intact_rv",
-    "block_constant",
     "build_schedule",
     "delta_oracle",
     "greedy_maxmin",
-    "keep_count",
     "late_removal",
     "layer_flops",
     "load_model_config",

@@ -161,19 +161,23 @@ def _cmd_allocate(args) -> int:
     layout_doc = otsio._load_document(
         args.layout, {"n_v": True, "n_a": True}, "layout"
     )
-    layout = WindowLayout(
-        n_v=np.asarray(layout_doc["n_v"], dtype=np.int64),
-        n_a=np.asarray(layout_doc["n_a"], dtype=np.int64),
-    )
-    s_v = np.asarray(rel_doc["s_v"], dtype=np.float64)
-    s_a = np.asarray(rel_doc["s_a"], dtype=np.float64)
-    if s_v.shape[0] != layout.T or s_a.shape[0] != layout.T:
+    try:
+        layout = WindowLayout(
+            n_v=np.asarray(layout_doc["n_v"], dtype=np.int64),
+            n_a=np.asarray(layout_doc["n_a"], dtype=np.int64),
+        )
+        s_v = np.asarray(rel_doc["s_v"], dtype=np.float64)
+        s_a = np.asarray(rel_doc["s_a"], dtype=np.float64)
+        tau = float(rel_doc.get("tau", 0.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise otsio.ConfigError(f"malformed relevance or layout: {exc}") from exc
+    if s_v.shape != (layout.T,) or s_a.shape != (layout.T,):
         raise otsio.ConfigError(
-            f"relevance length ({s_v.shape[0]}/{s_a.shape[0]}) must match the "
-            f"{layout.T} windows"
+            f"relevance shapes {s_v.shape} and {s_a.shape} must match the "
+            f"{layout.T} windows, one weight each"
         )
     rel = RelevanceScores(s_v=s_v, s_a=s_a, s=window_weights(s_v, s_a, layout),
-                          tau=float(rel_doc.get("tau", 0.0)))
+                          tau=tau)
     totals = tuple(args.totals) if args.totals else None
     plan = allocate(rel, args.ratio_visual, args.ratio_audio, layout,
                     totals=totals)

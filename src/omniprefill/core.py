@@ -244,8 +244,9 @@ class RetentionSpec:
     """Retention targets: per-modality ratios, the pre-LLM scale factor, and
     the window-relevance softmax temperature.
 
-    r is the overall non-text retention ratio; when omitted it is derived from
-    (r_v, r_a) and a layout via overall_ratio.
+    r is the overall non-text retention ratio, kept for bookkeeping (the
+    config key "ratio"); overall_ratio derives it from (r_v, r_a) and a
+    layout.
     """
 
     r_v: float
@@ -264,11 +265,6 @@ class RetentionSpec:
             raise ValueError(f"lambda_ must be >= 1, got {self.lambda_}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-
-    def overall(self, layout: WindowLayout) -> float:
-        if self.r is not None:
-            return self.r
-        return overall_ratio(self.r_v, self.r_a, layout)
 
 
 def validate_stream(stream: TokenStream, layout: WindowLayout) -> list[str]:

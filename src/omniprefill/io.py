@@ -186,8 +186,10 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             raise ContainerFormatError(f"header lacks required key {key!r}")
     n, d, t = (_field(f"header {key!r}", int, header[key])
                for key in ("n", "d", "t"))
-    if n < 0 or d < 1 or t < 1:
-        raise ContainerFormatError(f"invalid dimensions n={n}, d={d}, t={t}")
+    # every window array is sized by t, so t may not outgrow the tokens
+    if n < 0 or d < 1 or not 1 <= t <= max(1, n):
+        raise ContainerFormatError(f"invalid dimensions n={n}, d={d}, t={t} "
+                                   f"(t must lie in [1, max(1, n)])")
     declared = header["counts"]
     if not isinstance(declared, dict):
         raise ContainerFormatError(

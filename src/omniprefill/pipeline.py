@@ -278,24 +278,20 @@ class PrefillTrace:
 def stage1_saliency(oracle, stream: TokenStream,
                     layout: WindowLayout) -> np.ndarray:
     """Per-row saliency weights for win_div_prune, asked of the oracle one
-    (window, modality) group at a time: visual windows in ascending order,
-    then audio. A group's vector lands on its rows, taken window-major as
-    win_div_prune requires; rows of groups the oracle has no vector for,
-    and text rows, weigh 1.
+    non-empty (window, modality) group at a time: visual windows in
+    ascending order, then audio. A group's vector lands on its rows, taken
+    window-major as win_div_prune requires; rows of groups the oracle has
+    no vector for, and text rows, weigh 1.
     """
     saliency = np.ones(stream.n)
     for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
         rows = stream.rows_of(m)
-        weights = np.ones(rows.size)
-        end = 0
-        for t, n in enumerate(counts.tolist()):
-            end += n
-            if n == 0:
-                continue
+        ends = np.cumsum(counts)
+        for t in np.flatnonzero(counts).tolist():
+            n, end = int(counts[t]), int(ends[t])
             vec = oracle.saliency(t, m, n)
             if vec is not None:
-                weights[end - n : end] = vec
-        saliency[rows] = weights
+                saliency[rows[end - n : end]] = vec
     return saliency
 
 
@@ -311,18 +307,18 @@ def run_pipeline(
     None for uniform signals (a SynthSpec brings its own). Returns the final
     text-only stream and the full trace.
     """
+    T = None
     if isinstance(source, SynthSpec):
         stream, oracle = synth_generate(source)
         T = source.T
     else:
         stream = source
-        nontext = stream.window_id >= 0
-        T = int(stream.window_id[nontext].max()) + 1 if nontext.any() else 1
     if oracle is None:
         oracle = UniformOracle()
 
-    layout0 = WindowLayout.from_stream(stream, T)
-    n_v0, n_a0, n_q = layout0.total_visual, layout0.total_audio, stream.n_text
+    layout = WindowLayout.from_stream(stream, T)
+    T = layout.T
+    n_v0, n_a0, n_q = layout.total_visual, layout.total_audio, stream.n_text
     sched_v = build_schedule(config, retention.r_v, retention.lambda_)
     sched_a = build_schedule(config, retention.r_a, retention.lambda_)
     ls, lm1, lm2, ll = config.boundaries
@@ -330,8 +326,12 @@ def run_pipeline(
         (set(sched_v.drop_layers) | set(sched_a.drop_layers)) - {ll}
     )
 
-    stage1 = win_div_prune(stream, layout0,
-                           stage1_saliency(oracle, stream, layout0), retention)
+    stage1 = win_div_prune(stream, layout,
+                           stage1_saliency(oracle, stream, layout), retention)
+    # From here on the layout is carried, not recounted: stage 1 keeps
+    # exactly kept_v[t] / kept_a[t] tokens per window and a drop layer
+    # exactly plan.b_v[t] / plan.b_a[t].
+    layout = WindowLayout(stage1.kept_v, stage1.kept_a)
     # Query logits are drawn over each modality's original order, so a token
     # is scored by its rank among that modality's original positions, and
     # selection cannot shift them.
@@ -349,27 +349,24 @@ def run_pipeline(
     )
 
     L = config.layers
-    seq_len = np.zeros(L, dtype=np.int64)
     kept_v = np.zeros(L, dtype=np.int64)
     kept_a = np.zeros(L, dtype=np.int64)
-    kept_text = np.zeros(L, dtype=np.int64)
     selections: list[LayerSelection] = []
     plans: list[tuple[int, BudgetPlan]] = []
 
     for layer in range(1, L + 1):
         if layer == ll:
-            layout_now = WindowLayout.from_stream(current, T)
             current = late_removal(stream)
             selections.append(
                 LayerSelection(
                     layer=layer,
                     kept=np.zeros(0, dtype=np.int64),
-                    dropped_v=layout_now.n_v,
-                    dropped_a=layout_now.n_a,
+                    dropped_v=layout.n_v,
+                    dropped_a=layout.n_a,
                 )
             )
+            layout = WindowLayout(np.zeros(T), np.zeros(T))
         elif layer in alloc_layers:
-            layout_now = WindowLayout.from_stream(current, T)
             scores = {}
             for m in (VISUAL, AUDIO):
                 ordinals = np.searchsorted(
@@ -380,7 +377,7 @@ def run_pipeline(
                 if probs is None:
                     probs = UniformOracle().query_probs(layer, m, ordinals)
                 scores[m] = probs
-            rel = window_relevance(scores[VISUAL], scores[AUDIO], layout_now,
+            rel = window_relevance(scores[VISUAL], scores[AUDIO], layout,
                                    retention.tau)
             r_v_l = sched_v.trr_at(layer)
             r_a_l = sched_a.trr_at(layer)
@@ -390,26 +387,25 @@ def run_pipeline(
             # so the target fits; the common factor keeps every intra-window
             # split ratio unchanged.
             totals = (n_v0, n_a0)
-            capacity = layout_now.total_visual + layout_now.total_audio
+            capacity = layout.total_visual + layout.total_audio
             nominal = r_v_l * n_v0 + r_a_l * n_a0
             if round(nominal) > capacity:
                 shrink = capacity / nominal
                 totals = (n_v0 * shrink, n_a0 * shrink)
-            plan = allocate(rel, r_v_l, r_a_l, layout_now, totals=totals)
+            plan = allocate(rel, r_v_l, r_a_l, layout, totals=totals)
             current, sel = apply_budget(current, plan, scores[VISUAL],
                                         scores[AUDIO], layer=layer)
             selections.append(sel)
             plans.append((layer, plan))
-        seq_len[layer - 1] = current.n
-        kept_v[layer - 1] = current.n_visual
-        kept_a[layer - 1] = current.n_audio
-        kept_text[layer - 1] = current.n_text
+            layout = WindowLayout(plan.b_v, plan.b_a)
+        kept_v[layer - 1] = layout.total_visual
+        kept_a[layer - 1] = layout.total_audio
 
     trace = PrefillTrace(
-        seq_len=seq_len,
+        seq_len=kept_v + kept_a + n_q,
         kept_v=kept_v,
         kept_a=kept_a,
-        kept_text=kept_text,
+        kept_text=np.full(L, n_q),
         stage1=stage1,
         selections=tuple(selections),
         plans=tuple(plans),

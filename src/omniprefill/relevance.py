@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import WindowLayout, freeze_fields, segments
+from .core import StreamError, WindowLayout, freeze_fields, segments
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -68,6 +68,14 @@ class RelevanceScores:
 
     def __post_init__(self):
         freeze_fields(self, np.float64, "s_v", "s_a", "s")
+        if not (self.s_v.ndim == 1 and self.s_v.shape == self.s_a.shape
+                == self.s.shape):
+            raise StreamError("s_v, s_a and s must be 1-d and the same length")
+        for name in ("s_v", "s_a", "s"):
+            w = getattr(self, name)
+            if not np.all(np.isfinite(w) & (w >= 0)):
+                raise StreamError(
+                    f"{name} weights must be finite and non-negative")
 
     @property
     def T(self) -> int:

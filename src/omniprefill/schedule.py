@@ -67,16 +67,7 @@ def block_of(layer: int, config: ModelConfig) -> str:
     """Block label of a 1-based layer index."""
     if not 1 <= layer <= config.layers:
         raise ValueError(f"layer {layer} outside [1, {config.layers}]")
-    ls, lm1, lm2, ll = config.boundaries
-    if layer <= ls:
-        return "shallow"
-    if layer < lm1:
-        return "middle1"
-    if layer < lm2:
-        return "middle2"
-    if layer < ll:
-        return "middle3"
-    return "late"
+    return BLOCK_LABELS[_block_index(config)[layer - 1]]
 
 
 def _sub_block_trrs(r_s: float, delta: float) -> tuple[float, float, float]:
@@ -212,34 +203,3 @@ def build_schedule(config: ModelConfig, r: float, lambda_: float) -> SchedulePla
         boundaries=config.boundaries,
         drop_layers=drops,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class AblationSchedule:
-    """Step schedule used to probe layer importance: one modality (or both)
-    is fully kept before remove_at and fully dropped from it onward."""
-
-    trr_v: np.ndarray
-    trr_a: np.ndarray
-    remove_at: int
-    mode: str
-
-    def __post_init__(self):
-        freeze_fields(self, np.float64, "trr_v", "trr_a")
-
-
-def ablation_schedule(
-    config: ModelConfig, remove_at: int, mode: str
-) -> AblationSchedule:
-    if mode not in ("visual", "audio", "both"):
-        raise ValueError(f"mode must be visual, audio, or both, got {mode!r}")
-    if not (1 <= remove_at <= config.layers):
-        raise ValueError(
-            f"remove_at must lie in [1, {config.layers}], got {remove_at}"
-        )
-    keep = np.ones(config.layers, dtype=np.float64)
-    cut = keep.copy()
-    cut[remove_at - 1 :] = 0.0
-    trr_v = cut if mode in ("visual", "both") else keep
-    trr_a = cut if mode in ("audio", "both") else keep
-    return AblationSchedule(trr_v=trr_v, trr_a=trr_a, remove_at=remove_at, mode=mode)

@@ -21,6 +21,7 @@ from .core import (
     StreamError,
     TokenStream,
     freeze_fields,
+    segments,
 )
 
 
@@ -64,9 +65,11 @@ def apply_budget(
     """Per-window per-modality top-k according to a plan built for this
     stream's current layout.
 
-    All windows of a modality are ranked at once: a stable sort by window,
-    then by descending score, so ties go to the earlier row exactly as
-    select_topk breaks them window by window.
+    Each modality's rows must be window-major, as every stage lays them
+    out. Windows are ranked through core.segments: one stable row-wise sort
+    of descending scores per window size, so ties go to the earlier row
+    exactly as select_topk breaks them window by window, and the work stays
+    proportional to the rows, however ragged the windows.
     """
     keep = stream.modality == TEXT
     dropped = {}
@@ -82,6 +85,8 @@ def apply_budget(
         wins = stream.window_id[rows]
         if rows.size and int(wins.max()) >= plan.T:
             raise StreamError("stream window ids exceed the plan's window count")
+        if np.any(wins[1:] < wins[:-1]):
+            raise StreamError("window ids decrease along the modality's rows")
         counts = np.bincount(wins, minlength=plan.T)
         over = np.flatnonzero(budget > counts)
         if over.size:
@@ -92,11 +97,11 @@ def apply_budget(
             )
         if np.any(budget < 0):
             raise StreamError("budget must be non-negative")
-        order = np.lexsort((-scores, wins))
-        starts = np.cumsum(counts) - counts
-        rank = np.empty(rows.shape[0], dtype=np.int64)
-        rank[order] = np.arange(rows.shape[0]) - starts[wins[order]]
-        keep[rows[rank < budget[wins]]] = True
+        for n, windows, index in segments(counts):
+            # offsets of each window's tokens, best first
+            ranked = np.argsort(-scores[index], axis=1, kind="stable")
+            ranked += index[:, :1]
+            keep[rows[ranked[np.arange(n) < budget[windows][:, None]]]] = True
         dropped[m] = counts - budget
 
     new_stream = stream.take(np.flatnonzero(keep))

@@ -32,16 +32,20 @@ def configs(tmp_path):
     return paths
 
 
-def run_process(configs, container, tmp_path):
-    """`omniprefill run` on a container, as a real process."""
+def cli_process(*args):
+    """`omniprefill` with these arguments, as a real process."""
     src = os.path.dirname(os.path.dirname(omniprefill.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "omniprefill.cli", "run", "--config",
-         configs["model"], "--spec", configs["retention"], "--input",
-         str(container), "--trace", str(tmp_path / "t.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "omniprefill.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_process(configs, container, tmp_path):
+    """`omniprefill run` on a container, as a real process."""
+    return cli_process("run", "--config", configs["model"], "--spec",
+                       configs["retention"], "--input", str(container),
+                       "--trace", str(tmp_path / "t.csv"))
 
 
 SCHED = ["schedule", "--layers", "28", "--boundaries", "16,19,21,24",
@@ -214,6 +218,31 @@ class TestAllocate:
         assert rc == 1
         assert "must match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("relevance, layout", [
+        ({"s_v": [-1, 0.5], "s_a": [0.5, 0.5]}, None),
+        ('{"s_v": [Infinity, 0.5], "s_a": [0.5, 0.5]}', None),
+        ('{"s_v": [NaN, 0.5], "s_a": [0.5, 0.5]}', None),
+        ({"s_v": ["a", 0.5], "s_a": [0.5, 0.5]}, None),
+        ({"s_v": [[1, 2], [3]], "s_a": [0.5, 0.5]}, None),
+        (None, {"n_v": [-1, 4], "n_a": [2, 2]}),
+        (None, {"n_v": [], "n_a": []}),
+    ], ids=["negative-weight", "inf-weight", "nan-weight", "string-weight",
+            "nested-weights", "negative-count", "empty-layout"])
+    def test_bad_document_is_domain_error(self, tmp_path, relevance, layout):
+        # as a real process: exit 1 and one line, never a plan or a traceback
+        docs = {"rel": relevance or {"s_v": [0.5, 0.5], "s_a": [0.5, 0.5]},
+                "lay": layout or {"n_v": [4, 4], "n_a": [2, 2]}}
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(
+                doc if isinstance(doc, str) else json.dumps(doc))
+        proc = cli_process("allocate", "--relevance", str(tmp_path / "rel.json"),
+                           "--layout", str(tmp_path / "lay.json"),
+                           "--ratio-visual", "0.5", "--ratio-audio", "0.5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestRun:
     def test_synth_run(self, configs, tmp_path, capsys):
@@ -299,8 +328,11 @@ class TestRun:
         ("window_id", 0, -1),
         # window 3's rows (visual and audio) moved past the header's t = 4
         ("window_id", slice(252, 336), 9),
+        # a header t far past the token count would size every per-window
+        # array by t, not by the data
+        ("t", None, 10**7),
     ], ids=["nan-saliency", "inf-query-logit", "nan-visual-embedding",
-            "negative-window-id", "window-id-past-t"])
+            "negative-window-id", "window-id-past-t", "t-past-token-count"])
     def test_non_finite_signal_is_domain_error(self, configs, tmp_path,
                                                field, entries, value):
         good = tmp_path / "good.ots"
@@ -309,14 +341,18 @@ class TestRun:
         stream, sections, header = read_ots_file(good)
         arrays = dict(sections, embeddings=stream.embeddings,
                       window_id=stream.window_id)
-        arrays[field] = arrays[field].copy()
-        arrays[field][entries] = value
+        T = header["t"]
+        if field == "t":
+            T = value
+        else:
+            arrays[field] = arrays[field].copy()
+            arrays[field][entries] = value
         stream = dataclasses.replace(stream,
                                      embeddings=arrays.pop("embeddings"),
                                      window_id=arrays.pop("window_id"))
         container = tmp_path / "bad.ots"
         write_ots_file(str(container), stream, arrays,
-                       generator=header["generator"], T=header["t"])
+                       generator=header["generator"], T=T)
         proc = run_process(configs, container, tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")

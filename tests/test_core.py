@@ -177,12 +177,6 @@ class TestRetentionSpec:
         with pytest.raises(ValueError):
             RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.0)
 
-    def test_overall(self):
-        spec = RetentionSpec(r_v=0.30, r_a=0.65, lambda_=1.4, tau=0.1)
-        lay = WindowLayout(n_v=np.full(4, 288), n_a=np.full(4, 50))
-        want = (0.30 * 1152 + 0.65 * 200) / 1352
-        assert spec.overall(lay) == pytest.approx(want, abs=1e-12)
-
 
 class TestValidateStream:
     def test_clean_stream(self):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from omniprefill.core import WindowLayout
+from omniprefill.core import StreamError, WindowLayout
 from omniprefill.relevance import (
+    RelevanceScores,
     mean_received_attention,
     softmax,
     window_relevance,
@@ -156,3 +157,16 @@ class TestWindowRelevance:
         lay = layout([2], [1])
         with pytest.raises(ValueError):
             window_relevance(np.array([1.0]), np.array([1.0]), lay, 0.1)
+
+
+class TestRelevanceScores:
+    @pytest.mark.parametrize("s_v, s_a, s", [
+        ([0.5, 0.5], [1.0], [0.5, 0.5]),
+        ([[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]]),
+        ([0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]),
+    ], ids=["unequal", "two-d", "nan-combined"])
+    def test_rejects_bad_weights(self, s_v, s_a, s):
+        # the allocate CLI tests cover negative and non-finite s_v
+        with pytest.raises(StreamError):
+            RelevanceScores(s_v=np.array(s_v), s_a=np.array(s_a),
+                            s=np.array(s), tau=0.1)

@@ -5,7 +5,6 @@ import pytest
 
 from omniprefill.core import InfeasibleScheduleError, ModelConfig
 from omniprefill.schedule import (
-    ablation_schedule,
     block_constant,
     block_of,
     build_schedule,
@@ -184,6 +183,11 @@ class TestBuildSchedule:
         # identity L*R = r_s*(L_l - 1) + delta*C still pins delta
         want_delta = (1.0 * 23 - 28 * 0.75) / -C_28
         assert plan.delta == pytest.approx(want_delta, abs=1e-9)
+        # at the largest reachable mean, (L_l-1)/L, with the scale factor at
+        # its feasibility edge L/(L_l-1), the plan is a step at L_l
+        edge = build_schedule(QWEN25, 23 / 28, 28 / 23)
+        assert np.allclose(edge.per_layer_trr, np.arange(1, 29) < 24,
+                           atol=1e-9)
 
     def test_clipped_but_unreachable_mean(self):
         # even at full shallow retention the late block forces the mean
@@ -224,33 +228,3 @@ class TestBlockOf:
             block_of(0, QWEN25)
         with pytest.raises(ValueError):
             block_of(29, QWEN25)
-
-
-class TestAblationSchedule:
-    def test_full_until_removal(self):
-        ab = ablation_schedule(QWEN25, remove_at=10, mode="visual")
-        assert np.all(ab.trr_v[:9] == 1.0)
-        assert np.all(ab.trr_v[9:] == 0.0)
-        assert np.all(ab.trr_a == 1.0)
-
-    def test_both_at_late_boundary_matches_main_schedule(self):
-        # removing everything at L_l is the same plan as running the decay
-        # schedule at the largest reachable mean, (L_l-1)/L, with the scale
-        # factor at its feasibility edge L/(L_l-1)
-        ab = ablation_schedule(QWEN25, remove_at=24, mode="both")
-        plan = build_schedule(QWEN25, 23 / 28, 28 / 23)
-        assert np.allclose(ab.trr_v, plan.per_layer_trr, atol=1e-9)
-        assert np.allclose(ab.trr_a, plan.per_layer_trr, atol=1e-9)
-
-    def test_remove_at_first_layer(self):
-        ab = ablation_schedule(QWEN25, remove_at=1, mode="both")
-        assert np.all(ab.trr_v == 0.0)
-        assert np.all(ab.trr_a == 0.0)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            ablation_schedule(QWEN25, remove_at=0, mode="both")
-        with pytest.raises(ValueError):
-            ablation_schedule(QWEN25, remove_at=29, mode="both")
-        with pytest.raises(ValueError):
-            ablation_schedule(QWEN25, remove_at=5, mode="everything")

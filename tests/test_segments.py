@@ -5,7 +5,9 @@ layers rank every window of a modality at once, and the window means and the
 allocator work on arrays. Each is checked here against a plain per-group or
 per-window loop written in this file, over random ragged layouts with empty
 windows, absent modalities, zero-norm rows, duplicate embeddings, k == n
-groups and tied scores. Results must be identical, not merely close.
+groups and tied scores. Results must be identical, not merely close. The
+whole pipeline, which carries its per-window counts from layer to layer, is
+checked against a recount of every layer's survivors.
 """
 
 import numpy as np
@@ -18,13 +20,14 @@ from omniprefill.core import (
     TEXT,
     VISUAL,
     InfeasibleBudgetError,
+    ModelConfig,
     RetentionSpec,
     TokenStream,
     WindowLayout,
 )
 from omniprefill.divprune import keep_count, win_div_prune
-from omniprefill.pipeline import stage1_saliency
-from omniprefill.relevance import RelevanceScores, _window_means
+from omniprefill.pipeline import run_pipeline, stage1_saliency
+from omniprefill.relevance import RelevanceScores, _window_means, softmax
 from omniprefill.selector import apply_budget, select_topk
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -330,3 +333,88 @@ def test_vectorised_allocate_matches_plain_loop(data):
         return
     assert plan.b_v.tolist() == want[0].tolist()
     assert plan.b_a.tolist() == want[1].tolist()
+
+
+class RandomLogitOracle:
+    """Stage-1 saliency and per-layer query logits drawn from small
+    alphabets, so zero weights and tied scores are common. Logits cover a
+    modality's original tokens and are indexed by the survivors' ordinals,
+    as every oracle of the package does."""
+
+    def __init__(self, seed, stream):
+        self.seed = seed
+        self.total = {m: stream.count(m) for m in (VISUAL, AUDIO)}
+
+    def saliency(self, window, modality, n):
+        rng = np.random.default_rng((self.seed, 0, window, modality))
+        return rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+
+    def query_probs(self, layer, modality, ordinals):
+        if len(ordinals) == 0:
+            return np.zeros(0)
+        rng = np.random.default_rng((self.seed, 1, layer, modality))
+        logits = rng.choice([-1.0, 0.0, 0.0, 1.0, 3.0],
+                            size=self.total[modality])
+        return softmax(logits[ordinals])
+
+
+# schedules feasible at lambda 1.4 for every drawn ratio; one merges two
+# middle boundaries, one puts the late boundary on the last layer
+CONFIGS = [ModelConfig(layers=8, d_model=64, d_ff=256, n_heads=4,
+                       boundaries=b)
+           for b in ((2, 4, 5, 7), (3, 4, 4, 7), (2, 3, 5, 8))]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_pipeline_invariants_on_ragged_streams(data):
+    stream, _ = data.draw(ragged_streams())
+    config = data.draw(st.sampled_from(CONFIGS))
+    ratio = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.65])
+    retention = RetentionSpec(r_v=data.draw(ratio), r_a=data.draw(ratio),
+                              lambda_=1.4, tau=data.draw(st.sampled_from(
+                                  [0.05, 0.1, 1.0])))
+    oracle = data.draw(st.sampled_from([None, RandomLogitOracle]))
+    if oracle is not None:
+        oracle = oracle(data.draw(st.integers(0, 2**32 - 1)), stream)
+    final, trace = run_pipeline(stream, config, retention, oracle=oracle)
+
+    # recount the survivors of every layer from positions alone
+    modality = dict(zip(stream.position.tolist(), stream.modality.tolist()))
+    window = dict(zip(stream.position.tolist(), stream.window_id.tolist()))
+
+    def per_window(kept, m):
+        return np.bincount([window[p] for p in kept if modality[p] == m],
+                           minlength=trace.T)
+
+    survivors = trace.stage1.kept[stream.modality[trace.stage1.rows] != TEXT]
+    plans = dict(trace.plans)
+    selections = {sel.layer: sel for sel in trace.selections}
+    for layer in range(1, trace.layers + 1):
+        sel = selections.get(layer)
+        if sel is not None:
+            kept = sel.kept.tolist()
+            assert kept == sorted(set(kept))
+            assert set(kept) <= set(survivors.tolist())
+            if layer in plans:
+                assert per_window(kept, VISUAL).tolist() == \
+                    plans[layer].b_v.tolist()
+                assert per_window(kept, AUDIO).tolist() == \
+                    plans[layer].b_a.tolist()
+            else:
+                assert kept == []
+                assert sel.dropped_v.tolist() == \
+                    per_window(survivors.tolist(), VISUAL).tolist()
+                assert sel.dropped_a.tolist() == \
+                    per_window(survivors.tolist(), AUDIO).tolist()
+            survivors = sel.kept
+        assert trace.kept_v[layer - 1] == per_window(survivors, VISUAL).sum()
+        assert trace.kept_a[layer - 1] == per_window(survivors, AUDIO).sum()
+        assert trace.kept_text[layer - 1] == stream.n_text
+    assert trace.seq_len[0] <= stream.n
+    assert np.all(np.diff(trace.seq_len) <= 0)
+    assert np.array_equal(trace.seq_len,
+                          trace.kept_v + trace.kept_a + trace.kept_text)
+    text = stream.rows_of(TEXT)
+    assert final.position.tolist() == stream.position[text].tolist()
+    assert np.all(final.modality == TEXT)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from omniprefill.core import (
     TEXT,
     VISUAL,
     InfeasibleBudgetError,
+    StreamError,
     TokenStream,
     WindowLayout,
 )
@@ -131,6 +133,17 @@ class TestApplyBudget:
         plan = allocate(uniform_rel(2), 0.5, 0.5, lay)
         with pytest.raises(ValueError):
             apply_budget(stream, plan, np.ones(5), np.full(4, 0.25))
+
+    def test_windows_out_of_order_rejected(self):
+        # ranking runs on window-major segments; a stream whose window ids
+        # step back would be ranked against the wrong windows
+        stream = make_stream(T=2, n_v=2, n_a=1, n_q=1)
+        stream = dataclasses.replace(
+            stream, window_id=np.array([1, 1, 1, 0, 0, 0, -1]))
+        plan = allocate(uniform_rel(2), 0.5, 1.0,
+                        WindowLayout.from_stream(stream))
+        with pytest.raises(StreamError, match="window ids decrease"):
+            apply_budget(stream, plan, np.full(4, 0.25), np.full(2, 0.5))
 
     def test_plan_stream_mismatch(self):
         stream = make_stream(T=2, n_v=2, n_a=1, n_q=1)
