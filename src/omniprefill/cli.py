@@ -154,6 +154,18 @@ def _cmd_prune_pre(args) -> int:
     return 0
 
 
+def _counts(doc: dict, key: str) -> np.ndarray:
+    """A layout's window counts: a list of whole numbers (4.0 counts as 4),
+    never a fraction or a boolean, which numpy would silently turn into one."""
+    values = doc[key]
+    if not isinstance(values, list) or not all(
+            type(x) is int or (type(x) is float and x.is_integer())
+            for x in values):
+        raise otsio.ConfigError(f"layout {key} must be a list of whole "
+                                f"numbers, got {values!r:.60}")
+    return np.asarray(values, dtype=np.int64)
+
+
 def _cmd_allocate(args) -> int:
     rel_doc = otsio._load_document(
         args.relevance, {"s_v": True, "s_a": True, "tau": False}, "relevance"
@@ -162,10 +174,8 @@ def _cmd_allocate(args) -> int:
         args.layout, {"n_v": True, "n_a": True}, "layout"
     )
     try:
-        layout = WindowLayout(
-            n_v=np.asarray(layout_doc["n_v"], dtype=np.int64),
-            n_a=np.asarray(layout_doc["n_a"], dtype=np.int64),
-        )
+        layout = WindowLayout(n_v=_counts(layout_doc, "n_v"),
+                              n_a=_counts(layout_doc, "n_a"))
         s_v = np.asarray(rel_doc["s_v"], dtype=np.float64)
         s_a = np.asarray(rel_doc["s_a"], dtype=np.float64)
         tau = float(rel_doc.get("tau", 0.0))

@@ -69,13 +69,16 @@ def _distances(unit: np.ndarray, out: np.ndarray) -> None:
     0) is left unscaled, so its dot products round away and it sits at
     distance exactly 1 from everything (cosine is undefined there).
 
-    Each Gram comes from its own 2-D product: a stacked matmul rounds the
-    last bits differently, which would move ties. numpy computes A @ A.T
-    with syrk and mirrors one triangle, so every matrix is exactly
-    symmetric and its column j is the contiguous row out[g, j].
+    One stacked matmul makes every Gram. numpy runs its 2-D routine once
+    per group, and takes the syrk branch whenever both operands share
+    memory, as unit and its transposed view do. syrk computes one triangle
+    and mirrors it, so every matrix is exactly symmetric, its column j is
+    the contiguous row out[g, j], and each block equals the 2-D
+    unit[g] @ unit[g].T bit for bit. A transposed copy would take the gemm
+    branch instead, which rounds differently, moves ties and is not
+    symmetric.
     """
-    for g in range(unit.shape[0]):
-        np.matmul(unit[g], unit[g].T, out=out[g])
+    np.matmul(unit, unit.transpose(0, 2, 1), out=out)
     np.subtract(1.0, out, out=out)
     np.clip(out, 0.0, 2.0, out=out)
 

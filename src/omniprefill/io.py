@@ -76,11 +76,30 @@ def write_ots(
     generator: dict | None = None,
     T: int | None = None,
 ) -> bytes:
-    """Serialize a stream (and optional named float sections) canonically."""
+    """Serialize a stream (and optional named float sections) canonically.
+
+    T defaults to one past the largest visual or audio window id (read_ots
+    ignores the window ids of text rows). Bytes read_ots would refuse are a
+    ContainerFormatError instead: a T outside [1, max(1, n)] or a visual
+    or audio window id outside [0, T).
+    """
     sections = sections or {}
-    nontext = stream.window_id >= 0
+    nontext = stream.modality != TEXT
     if T is None:
-        T = int(stream.window_id[nontext].max()) + 1 if nontext.any() else 1
+        ids = stream.window_id[nontext]
+        T = max(1, int(ids.max()) + 1) if ids.size else 1
+    T = int(T)
+    if not 1 <= T <= max(1, stream.n):
+        raise ContainerFormatError(f"cannot write t={T} for n={stream.n} "
+                                   f"tokens (t must lie in [1, max(1, n)])")
+    outside = np.flatnonzero(nontext & ((stream.window_id < 0)
+                                        | (stream.window_id >= T)))
+    if outside.size:
+        row = int(outside[0])
+        raise ContainerFormatError(
+            f"cannot write {MODALITY_NAMES[int(stream.modality[row])]} row "
+            f"{row} with window id {int(stream.window_id[row])}, outside "
+            f"[0, {T})")
     section_table = []
     blobs = []
     for name in sorted(sections):
@@ -99,7 +118,7 @@ def write_ots(
         "generator": generator,
         "n": stream.n,
         "sections": section_table,
-        "t": int(T),
+        "t": T,
         "version": OTS_VERSION,
     }
     header_bytes = _canonical_json(header)
@@ -129,12 +148,12 @@ def _field(what: str, convert, value):
                                    f"({exc})") from exc
 
 
-def _float_view(data: bytes, offset: int, shape: tuple, what: str):
-    """Read-only float32 view of data at offset, already checked to fit.
-    An empty view can still declare a dimension numpy cannot represent."""
+def _shaped(flat: np.ndarray, shape: tuple, what: str):
+    """flat, a float32 view already checked to hold math.prod(shape)
+    entries, in that shape. An empty view can still declare a dimension
+    numpy cannot represent."""
     try:
-        return np.frombuffer(data, dtype="<f4", count=math.prod(shape),
-                             offset=offset).reshape(shape)
+        return flat.reshape(shape)
     except ValueError as exc:
         raise ContainerFormatError(f"{what} shape {shape} is not "
                                    f"representable ({exc})") from exc
@@ -205,7 +224,9 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     modality, window_id, position = (
         np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n * i)
         for i in range(3))
-    embeddings = _float_view(data, offset + 24 * n, (n, d), "embeddings")
+    embeddings = _shaped(
+        np.frombuffer(data, dtype="<f4", count=n * d, offset=offset + 24 * n),
+        (n, d), "embeddings")
     offset += payload_len
 
     tallied = 0
@@ -242,6 +263,11 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     if not isinstance(header["sections"], list):
         raise ContainerFormatError(
             f"header 'sections' must be a list, got {header['sections']!r:.60}")
+    # every section starts a multiple of 4 bytes past here, so each one is
+    # a slice of this single view
+    region_start = offset
+    region = np.frombuffer(data, dtype="<f4",
+                           count=(len(data) - offset) // 4, offset=offset)
     for entry in header["sections"]:
         part = None
         try:
@@ -282,7 +308,9 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
                 f"truncated section {name!r} at byte {offset}: need {length} "
                 f"bytes, found {len(data) - offset}"
             )
-        sections[name] = _float_view(data, offset, shape, f"section {name!r}")
+        lo = (offset - region_start) // 4
+        sections[name] = _shaped(region[lo : lo + length // 4], shape,
+                                 f"section {name!r}")
         offset += length
     if offset != len(data):
         raise ContainerFormatError(

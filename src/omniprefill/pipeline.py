@@ -158,6 +158,16 @@ class SyntheticOracle:
         """Mean received attention inside one original group."""
         return mean_received_attention(self.stage1_attention(window, modality, n))
 
+    def modality_saliency(self, modality: int,
+                          counts: np.ndarray) -> np.ndarray:
+        """The saliency of every non-empty window, concatenated
+        window-major."""
+        windows = np.flatnonzero(counts)
+        return np.concatenate([
+            self.saliency(t, modality, n)
+            for t, n in zip(windows.tolist(), counts[windows].tolist())
+        ])
+
     def query_probs(self, layer: int, modality: int,
                     ordinals: np.ndarray) -> np.ndarray:
         return _survivor_probs(self._query_logits(layer, modality), layer,
@@ -167,7 +177,7 @@ class SyntheticOracle:
 class UniformOracle:
     """Fallback when no attention source exists: every signal is flat."""
 
-    def saliency(self, window, modality, n):
+    def modality_saliency(self, modality, counts):
         return None
 
     def query_probs(self, layer, modality, ordinals):
@@ -191,17 +201,31 @@ class ContainerOracle:
     def _name(modality: int) -> str:
         return "visual" if modality == VISUAL else "audio"
 
-    def saliency(self, window, modality, n):
-        vec = self.sections.get(f"saliency/w{window}/{self._name(modality)}")
-        if vec is None:
+    def modality_saliency(self, modality, counts):
+        """One vector over the modality's rows, window-major, from the
+        sections of its non-empty windows; rows of a window without a
+        section weigh 1, and None means no window has one. The first
+        window, in ascending order, whose section length differs from its
+        count is a StreamError."""
+        windows = np.flatnonzero(counts)
+        name = self._name(modality)
+        vecs = [self.sections.get(f"saliency/w{t}/{name}")
+                for t in windows.tolist()]
+        sizes = np.array([-1 if v is None else v.size for v in vecs],
+                         dtype=np.int64)
+        present = sizes >= 0
+        if not present.any():
             return None
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if vec.shape[0] != n:
+        n = counts[windows]
+        bad = np.flatnonzero(present & (sizes != n))
+        if bad.size:
+            i = bad[0]
             raise StreamError(
-                f"saliency section for window {window} has {vec.shape[0]} "
-                f"entries, group holds {n}"
+                f"saliency section for window {windows[i]} has {sizes[i]} "
+                f"entries, group holds {n[i]}"
             )
-        return vec
+        return np.concatenate([np.ones(k) if v is None else v
+                               for v, k in zip(vecs, n.tolist())], axis=None)
 
     def query_probs(self, layer, modality, ordinals):
         logits = self.sections.get(
@@ -277,21 +301,17 @@ class PrefillTrace:
 
 def stage1_saliency(oracle, stream: TokenStream,
                     layout: WindowLayout) -> np.ndarray:
-    """Per-row saliency weights for win_div_prune, asked of the oracle one
-    non-empty (window, modality) group at a time: visual windows in
-    ascending order, then audio. A group's vector lands on its rows, taken
-    window-major as win_div_prune requires; rows of groups the oracle has
-    no vector for, and text rows, weigh 1.
+    """Per-row saliency weights for win_div_prune. The oracle is asked
+    once per modality that has rows, visual then audio, for one vector over
+    that modality's rows, window-major as win_div_prune requires, or None.
+    Rows it gives no vector for, and text rows, weigh 1.
     """
     saliency = np.ones(stream.n)
     for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
-        rows = stream.rows_of(m)
-        ends = np.cumsum(counts)
-        for t in np.flatnonzero(counts).tolist():
-            n, end = int(counts[t]), int(ends[t])
-            vec = oracle.saliency(t, m, n)
+        if counts.any():
+            vec = oracle.modality_saliency(m, counts)
             if vec is not None:
-                saliency[rows[end - n : end]] = vec
+                saliency[stream.rows_of(m)] = vec
     return saliency
 
 

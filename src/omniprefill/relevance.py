@@ -107,12 +107,12 @@ def window_relevance(
     scores_v = np.asarray(scores_v, dtype=np.float64)
     scores_a = np.asarray(scores_a, dtype=np.float64)
     if scores_v.shape[0] != layout.total_visual:
-        raise ValueError(
+        raise StreamError(
             f"visual scores length {scores_v.shape[0]} != layout total "
             f"{layout.total_visual}"
         )
     if scores_a.shape[0] != layout.total_audio:
-        raise ValueError(
+        raise StreamError(
             f"audio scores length {scores_a.shape[0]} != layout total "
             f"{layout.total_audio}"
         )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -226,8 +227,12 @@ class TestAllocate:
         ({"s_v": [[1, 2], [3]], "s_a": [0.5, 0.5]}, None),
         (None, {"n_v": [-1, 4], "n_a": [2, 2]}),
         (None, {"n_v": [], "n_a": []}),
+        (None, {"n_v": [4.9, 4], "n_a": [2, 2]}),
+        (None, {"n_v": [4, 4], "n_a": [2, 2.5]}),
+        (None, {"n_v": [True, 4], "n_a": [2, 2]}),
     ], ids=["negative-weight", "inf-weight", "nan-weight", "string-weight",
-            "nested-weights", "negative-count", "empty-layout"])
+            "nested-weights", "negative-count", "empty-layout",
+            "fractional-count", "fractional-audio-count", "boolean-count"])
     def test_bad_document_is_domain_error(self, tmp_path, relevance, layout):
         # as a real process: exit 1 and one line, never a plan or a traceback
         docs = {"rel": relevance or {"s_v": [0.5, 0.5], "s_a": [0.5, 0.5]},
@@ -338,25 +343,42 @@ class TestRun:
         good = tmp_path / "good.ots"
         main(["gen", "--synth", configs["synth"], "--config",
               configs["model"], "--out", str(good)])
-        stream, sections, header = read_ots_file(good)
-        arrays = dict(sections, embeddings=stream.embeddings,
-                      window_id=stream.window_id)
-        T = header["t"]
-        if field == "t":
-            T = value
+        container = tmp_path / "bad.ots"
+        if field in ("window_id", "t"):
+            # write_ots refuses these, so patch the bytes of a valid one
+            container.write_bytes(patched(good.read_bytes(), field, entries,
+                                          value))
         else:
+            stream, sections, header = read_ots_file(good)
+            arrays = dict(sections, embeddings=stream.embeddings)
             arrays[field] = arrays[field].copy()
             arrays[field][entries] = value
-        stream = dataclasses.replace(stream,
-                                     embeddings=arrays.pop("embeddings"),
-                                     window_id=arrays.pop("window_id"))
-        container = tmp_path / "bad.ots"
-        write_ots_file(str(container), stream, arrays,
-                       generator=header["generator"], T=T)
+            stream = dataclasses.replace(stream,
+                                         embeddings=arrays.pop("embeddings"))
+            write_ots_file(str(container), stream, arrays,
+                           generator=header["generator"], T=header["t"])
         proc = run_process(configs, container, tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+def patched(data: bytes, field: str, entries, value) -> bytes:
+    """Container bytes with window_id[entries] or the header t set to
+    value; the header is re-padded as write_ots pads it."""
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    if field == "t":
+        raw = json.dumps(dict(header, t=value), sort_keys=True,
+                         separators=(",", ":")).encode()
+        raw += b" " * (-(12 + len(raw)) % 8)
+        return (data[:4] + struct.pack("<Q", len(raw)) + raw
+                + data[12 + header_len :])
+    n = header["n"]
+    at = 12 + header_len + 8 * n  # the window-id column
+    column = np.frombuffer(data, "<i8", count=n, offset=at).copy()
+    column[entries] = value
+    return data[:at] + column.tobytes() + data[at + 8 * n :]
 
 
 class TestFlops:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omniprefill.core import (
     AUDIO,
@@ -159,6 +161,36 @@ def test_batched_kernel_with_zero_weights_matches_single_groups():
         for g in range(G):
             want = greedy_maxmin(emb[g * n : (g + 1) * n], w[g], k)
             assert np.flatnonzero(mask[g]).tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=st.integers(1, 8),
+       n=st.one_of(st.integers(1, 64), st.sampled_from([50, 288])),
+       d=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+       zero=st.integers(0, 3), duplicate=st.integers(0, 3))
+def test_stacked_gram_equals_per_group_products(G, n, d, seed, zero,
+                                                duplicate):
+    # _distances makes every Gram in one stacked matmul. It must equal the
+    # 2-D product of each group bit for bit and be exactly symmetric: both
+    # rest on numpy running syrk per group, which a numpy release could
+    # change, and any difference in the last bit moves ties in _maxmin
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal((G, n, d)).astype(np.float32).astype(np.float64)
+    for _ in range(zero):
+        emb[rng.integers(G), rng.integers(n)] = 0.0
+    for _ in range(duplicate):
+        g = rng.integers(G)
+        emb[g, rng.integers(n)] = emb[g, rng.integers(n)]
+    unit, _ = _unit_rows(emb.reshape(G * n, d), range(G * n))
+    unit = unit.reshape(G, n, d)
+    got = np.empty((G, n, n))
+    _distances(unit, got)
+    for g in range(G):
+        want = np.matmul(unit[g], unit[g].T)
+        np.subtract(1.0, want, out=want)
+        np.clip(want, 0.0, 2.0, out=want)
+        assert got[g].tobytes() == want.tobytes()
+        assert got[g].tobytes() == got[g].T.copy().tobytes()
 
 
 class TestKeepCount:

@@ -177,12 +177,73 @@ class TestZeroCopy:
             assert not array.flags.writeable
             assert array.flags.aligned
 
+    def test_sections_are_views_of_the_bytes(self):
+        # many small sections, each a slice of one view of the section bytes
+        sections = {f"saliency/w{t}/visual": np.full(t + 1, t, np.float32)
+                    for t in range(5)}
+        sections["m"] = np.arange(6, dtype=np.float32).reshape(3, 2)
+        data = write_ots(tiny_stream(), sections, T=2)
+        _, back, _ = read_ots(data)
+        anchor = np.frombuffer(data, dtype=np.uint8)
+        assert back.keys() == sections.keys()
+        for name, array in back.items():
+            assert np.array_equal(array, sections[name])
+            assert array.shape == sections[name].shape
+            assert np.shares_memory(array, anchor)
+            assert not array.flags.writeable
+
     def test_file_read_is_a_view(self, tmp_path):
         path = tmp_path / "s.ots"
         write_ots_file(path, tiny_stream(), T=2)
         stream, _, _ = read_ots_file(path)
         assert not stream.embeddings.flags.owndata
         assert not stream.position.flags.writeable
+
+
+class TestWriterRefuses:
+    """write_ots raises where read_ots would refuse the bytes."""
+
+    @pytest.mark.parametrize("T", [0, -1, 8])
+    def test_window_count_outside_token_range(self, T):
+        # tiny_stream holds 7 tokens, so t may lie in [1, 7]
+        with pytest.raises(ContainerFormatError,
+                           match=rf"t={T} for n=7 .*\[1, max\(1, n\)\]"):
+            write_ots(tiny_stream(), T=T)
+
+    def test_window_count_at_token_count(self):
+        data = write_ots(tiny_stream(), T=7)
+        assert read_ots(data)[2]["t"] == 7
+
+    @pytest.mark.parametrize("row, window, T", [(3, 1, 1), (2, -1, 2),
+                                                (0, 7, None)])
+    def test_window_id_outside_t(self, row, window, T):
+        stream = tiny_stream()
+        ids = stream.window_id.copy()
+        ids[row] = window
+        bad = dataclasses.replace(stream, window_id=ids)
+        # T=None infers 8 from the id 7, which lies past n=7
+        match = (rf"row {row} with window id {window}, outside \[0, {T}\)"
+                 if T else r"t=8 for n=7")
+        with pytest.raises(ContainerFormatError, match=match):
+            write_ots(bad, T=T)
+
+    def test_text_window_ids_do_not_count_toward_t(self):
+        # read_ots ignores them, so the inferred t comes from the other rows
+        stream = tiny_stream()
+        ids = stream.window_id.copy()
+        ids[5] = 40
+        back, _, header = read_ots(write_ots(
+            dataclasses.replace(stream, window_id=ids)))
+        assert header["t"] == 2
+        assert back.window_id[5] == 40
+
+    def test_negative_window_id_with_inferred_t(self):
+        stream = tiny_stream()
+        ids = stream.window_id.copy()
+        ids[:5] = -3
+        with pytest.raises(ContainerFormatError,
+                           match=r"row 0 with window id -3, outside \[0, 1\)"):
+            write_ots(dataclasses.replace(stream, window_id=ids))
 
 
 class TestCanonicalBytes:

@@ -10,6 +10,7 @@ from omniprefill.core import (
     InfeasibleScheduleError,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
 )
@@ -21,6 +22,7 @@ from omniprefill.pipeline import (
     mean_retention,
     retention_slack,
     run_pipeline,
+    stage1_saliency,
     synth_generate,
 )
 from omniprefill.relevance import window_relevance
@@ -296,8 +298,49 @@ class TestContainerOracle:
 
     def test_wrong_length_section_rejected(self):
         oracle = ContainerOracle({"saliency/w0/visual": np.ones(3)}, T=1)
-        with pytest.raises(ValueError):
-            oracle.saliency(0, VISUAL, 5)
+        with pytest.raises(ValueError, match="window 0 has 3 entries, "
+                                             "group holds 5"):
+            oracle.modality_saliency(VISUAL, np.array([5]))
+
+
+    def test_first_wrong_length_is_the_lowest_visual_window(self):
+        # visual windows in ascending order come before every audio window
+        spec = SynthSpec(seed=6, T=6, d=8, n_v=5, n_a=2, n_q=3)
+        stream, synth = synth_generate(spec)
+        sections = {}
+        for t in range(6):
+            sections[f"saliency/w{t}/visual"] = synth.saliency(t, VISUAL, 5)
+            sections[f"saliency/w{t}/audio"] = synth.saliency(t, AUDIO, 2)
+        sections["saliency/w0/audio"] = np.ones(1)
+        sections["saliency/w5/visual"] = np.ones(3)
+        layout = WindowLayout.from_stream(stream, 6)
+        with pytest.raises(StreamError, match="saliency section for window 5 "
+                                              "has 3 entries, group holds 5"):
+            stage1_saliency(ContainerOracle(sections, T=6), stream, layout)
+
+    def test_one_vector_per_modality(self):
+        counts = np.array([2, 0, 3, 1])
+        sections = {"saliency/w0/audio": np.float32([0.5, 2.0]),
+                    "saliency/w1/audio": np.float32([7.0]),  # empty window
+                    "saliency/w3/audio": np.float32([3.0])}
+        oracle = ContainerOracle(sections, T=4)
+        # window 2 has no section and weighs 1; window 1 holds no rows
+        assert oracle.modality_saliency(AUDIO, counts).tolist() == \
+            [0.5, 2.0, 1.0, 1.0, 1.0, 3.0]
+        assert oracle.modality_saliency(VISUAL, counts) is None
+        assert UniformOracle().modality_saliency(VISUAL, counts) is None
+        # of two wrong lengths, the lower window is reported
+        sections["saliency/w0/audio"] = np.ones(3)
+        sections["saliency/w3/audio"] = np.ones(2)
+        with pytest.raises(StreamError, match="window 0 has 3 entries"):
+            oracle.modality_saliency(AUDIO, counts)
+
+    def test_synthetic_vector_is_its_windows_in_order(self):
+        spec = SynthSpec(seed=6, T=3, d=8, n_v=4, n_a=2, n_q=3)
+        _, synth = synth_generate(spec)
+        got = synth.modality_saliency(AUDIO, np.array([2, 2, 2]))
+        want = np.concatenate([synth.saliency(t, AUDIO, 2) for t in range(3)])
+        assert got.tolist() == want.tolist()
 
 
 class TestSyntheticOracleKeying:

@@ -158,6 +158,14 @@ class TestWindowRelevance:
         with pytest.raises(ValueError):
             window_relevance(np.array([1.0]), np.array([1.0]), lay, 0.1)
 
+    @pytest.mark.parametrize("n_v, n_a, name", [([2], [1], "visual"),
+                                                ([1], [3], "audio")])
+    def test_length_mismatch_is_stream_error(self, n_v, n_a, name):
+        with pytest.raises(StreamError, match=f"{name} scores length 1 != "
+                                              f"layout total"):
+            window_relevance(np.array([1.0]), np.array([1.0]),
+                             layout(n_v, n_a), 0.1)
+
 
 class TestRelevanceScores:
     @pytest.mark.parametrize("s_v, s_a, s", [

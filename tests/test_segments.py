@@ -26,7 +26,7 @@ from omniprefill.core import (
     WindowLayout,
 )
 from omniprefill.divprune import keep_count, win_div_prune
-from omniprefill.pipeline import run_pipeline, stage1_saliency
+from omniprefill.pipeline import ContainerOracle, run_pipeline, stage1_saliency
 from omniprefill.relevance import RelevanceScores, _window_means, softmax
 from omniprefill.selector import apply_budget, select_topk
 
@@ -156,42 +156,45 @@ def test_zero_norm_notes_name_every_group(data):
     assert list(got.notes) == want
 
 
-class PartialOracle:
-    """Answers stage-1 saliency for the listed (window, modality) groups
-    with distinct values and None for every other group."""
+class AskedOracle(ContainerOracle):
+    """A ContainerOracle that records what stage 1 asks of it."""
 
-    def __init__(self, groups):
-        self.groups = groups
+    def __init__(self, sections):
+        super().__init__(sections, T=0)
         self.asked = []
 
-    def saliency(self, window, modality, n):
-        self.asked.append((window, modality, n))
-        if (window, modality) not in self.groups:
-            return None
-        return 10.0 * window + 5.0 * modality + np.arange(n) / (n + 1.0)
+    def modality_saliency(self, modality, counts):
+        self.asked.append((modality, counts.tolist()))
+        return super().modality_saliency(modality, counts)
 
 
 @SETTINGS
 @given(data=st.data())
 def test_stage1_saliency_places_each_group_on_its_rows(data):
+    # saliency sections for a random subset of the groups, with distinct
+    # values; the rest of the windows have none and weigh 1
     stream, layout = data.draw(ragged_streams())
-    groups = {(t, m) for m in (VISUAL, AUDIO) for t in range(layout.T)
-              if data.draw(st.booleans())}
-    oracle = PartialOracle(groups)
+    sections = {}
+    for m, name, counts in ((VISUAL, "visual", layout.n_v),
+                            (AUDIO, "audio", layout.n_a)):
+        for t, n in enumerate(counts.tolist()):
+            if data.draw(st.booleans()):
+                sections[f"saliency/w{t}/{name}"] = np.float32(
+                    10.0 * t + 5.0 * m + np.arange(n) / (n + 1.0))
+    oracle = AskedOracle(sections)
     got = stage1_saliency(oracle, stream, layout)
-    order = list(oracle.asked)
 
     want = np.ones(stream.n)
-    asked = []
-    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+    for m, name in ((VISUAL, "visual"), (AUDIO, "audio")):
         for t in range(layout.T):
             rows = stream.rows_of(m, t)
-            if rows.size:
-                asked.append((t, m, rows.size))
-            if rows.size and (t, m) in groups:
-                want[rows] = oracle.saliency(t, m, rows.size)
-    # visual windows ascending, then audio, and never an empty group
-    assert order == asked
+            vec = sections.get(f"saliency/w{t}/{name}")
+            if rows.size and vec is not None:
+                want[rows] = vec
+    # once per modality with rows, visual then audio
+    assert oracle.asked == [(m, counts.tolist()) for m, counts in
+                            ((VISUAL, layout.n_v), (AUDIO, layout.n_a))
+                            if counts.any()]
     assert got.dtype == np.float64
     assert got.tolist() == want.tolist()
 
@@ -345,9 +348,9 @@ class RandomLogitOracle:
         self.seed = seed
         self.total = {m: stream.count(m) for m in (VISUAL, AUDIO)}
 
-    def saliency(self, window, modality, n):
-        rng = np.random.default_rng((self.seed, 0, window, modality))
-        return rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+    def modality_saliency(self, modality, counts):
+        rng = np.random.default_rng((self.seed, 0, modality))
+        return rng.choice([0.0, 0.5, 1.0, 2.0], size=int(counts.sum()))
 
     def query_probs(self, layer, modality, ordinals):
         if len(ordinals) == 0:
