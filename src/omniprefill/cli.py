@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,6 +43,8 @@ def _ratio(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"ratio is not a number: {text}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"ratio cannot be negative: {text}")
     if value > 100:
@@ -83,13 +86,16 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_schedule(args) -> int:
-    config = ModelConfig(
-        layers=args.layers, d_model=1, d_ff=1, n_heads=1,
-        boundaries=args.boundaries,
-    )
     r_v, r_a = (args.modality_ratios if args.modality_ratios
                 else (args.ratio, args.ratio))
-    _, c_value = solve_delta(config, args.ratio, args.lambda_)
+    try:
+        config = ModelConfig(
+            layers=args.layers, d_model=1, d_ff=1, n_heads=1,
+            boundaries=args.boundaries,
+        )
+        _, c_value = solve_delta(config, args.ratio, args.lambda_)
+    except ValueError as exc:  # unordered boundaries, a bad --lambda
+        raise otsio.ConfigError(str(exc)) from exc
     plan_v = build_schedule(config, r_v, args.lambda_)
     plan_a = build_schedule(config, r_a, args.lambda_)
     if args.json:

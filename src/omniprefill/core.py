@@ -9,6 +9,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -261,9 +262,11 @@ class RetentionSpec:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.r is not None and not (0.0 <= self.r <= 1.0):
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
-        if self.lambda_ < 1.0:
-            raise ValueError(f"lambda_ must be >= 1, got {self.lambda_}")
-        if self.tau <= 0.0:
+        # each test is written so that a NaN fails it
+        if not 1.0 <= self.lambda_ < math.inf:
+            raise ValueError(f"lambda_ must be finite and >= 1, got "
+                             f"{self.lambda_}")
+        if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 

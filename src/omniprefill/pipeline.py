@@ -352,21 +352,16 @@ def run_pipeline(
     # exactly kept_v[t] / kept_a[t] tokens per window and a drop layer
     # exactly plan.b_v[t] / plan.b_a[t].
     layout = WindowLayout(stage1.kept_v, stage1.kept_a)
-    # Query logits are drawn over each modality's original order, so a token
-    # is scored by its rank among that modality's original positions, and
-    # selection cannot shift them.
-    original_positions = {m: stream.position[stream.rows_of(m)]
-                          for m in (VISUAL, AUDIO)}
-    # No later stage reads embeddings: the survivors travel without them, so
-    # a drop layer copies index arrays only. Text is never dropped, so the
-    # final text-only stream is the input's text rows.
-    rows = stage1.rows
-    current = TokenStream(
-        embeddings=np.empty((rows.size, 0), dtype=np.float32),
-        modality=stream.modality[rows],
-        window_id=stream.window_id[rows],
-        position=stream.position[rows],
-    )
+    # No later stage reads embeddings: each modality's survivors travel as
+    # ascending indices into its original rows, window-major because those
+    # rows are. Query logits are drawn over that original order, so the
+    # indices are what the oracle scores, and selection cannot shift them.
+    # Text is never dropped, so the final text-only stream is the input's
+    # text rows.
+    modality_rows = [stream.rows_of(m) for m in (VISUAL, AUDIO)]
+    survived = np.zeros(stream.n, dtype=bool)
+    survived[stage1.rows] = True
+    survivors = [np.flatnonzero(survived[rows]) for rows in modality_rows]
 
     L = config.layers
     kept_v = np.zeros(L, dtype=np.int64)
@@ -376,7 +371,7 @@ def run_pipeline(
 
     for layer in range(1, L + 1):
         if layer == ll:
-            current = late_removal(stream)
+            final = late_removal(stream)
             selections.append(
                 LayerSelection(
                     layer=layer,
@@ -387,18 +382,13 @@ def run_pipeline(
             )
             layout = WindowLayout(np.zeros(T), np.zeros(T))
         elif layer in alloc_layers:
-            scores = {}
-            for m in (VISUAL, AUDIO):
-                ordinals = np.searchsorted(
-                    original_positions[m],
-                    current.position[current.rows_of(m)],
-                )
+            scores = []
+            for m, ordinals in zip((VISUAL, AUDIO), survivors):
                 probs = oracle.query_probs(layer, m, ordinals)
                 if probs is None:
                     probs = UniformOracle().query_probs(layer, m, ordinals)
-                scores[m] = probs
-            rel = window_relevance(scores[VISUAL], scores[AUDIO], layout,
-                                   retention.tau)
+                scores.append(probs)
+            rel = window_relevance(*scores, layout, retention.tau)
             r_v_l = sched_v.trr_at(layer)
             r_a_l = sched_a.trr_at(layer)
             # Per-window keep floors at earlier stages can leave fewer
@@ -413,9 +403,18 @@ def run_pipeline(
                 shrink = capacity / nominal
                 totals = (n_v0 * shrink, n_a0 * shrink)
             plan = allocate(rel, r_v_l, r_a_l, layout, totals=totals)
-            current, sel = apply_budget(current, plan, scores[VISUAL],
-                                        scores[AUDIO], layer=layer)
-            selections.append(sel)
+            keep = apply_budget(plan, *scores, layout)
+            survivors = [s[k] for s, k in zip(survivors, keep)]
+            kept = np.concatenate([stream.position[rows[s]] for rows, s
+                                   in zip(modality_rows, survivors)])
+            selections.append(
+                LayerSelection(
+                    layer=layer,
+                    kept=np.sort(kept),
+                    dropped_v=layout.n_v - plan.b_v,
+                    dropped_a=layout.n_a - plan.b_a,
+                )
+            )
             plans.append((layer, plan))
             layout = WindowLayout(plan.b_v, plan.b_a)
         kept_v[layer - 1] = layout.total_visual
@@ -436,7 +435,7 @@ def run_pipeline(
         n_original=(n_v0, n_a0, n_q),
         T=T,
     )
-    return current, trace
+    return final, trace
 
 
 def mean_retention(trace: PrefillTrace) -> dict[str, float]:

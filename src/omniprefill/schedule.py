@@ -9,9 +9,9 @@ block keeps nothing. delta is fixed so the layer-mean retention equals R:
     L*R = r_s*(L_l - 1) + delta*C,
     C   = L_s + 1 + e*L_m1 + e^2*L_m2 - (1 + e + e^2)*L_l   (always < 0).
 
-With r_s = lambda*R (no clipping) this gives the closed form
-delta = (L - L_l*lambda + lambda)*R / C. When lambda*R > 1 the shallow ratio
-clips at 1 and delta is re-solved numerically against the same identity.
+The identity is linear in delta for any r_s, so delta has a closed form:
+delta = (L*R - r_s*(L_l - 1)) / C, which with r_s = lambda*R (no clipping)
+reads delta = (L - L_l*lambda + lambda)*R / C.
 """
 
 from __future__ import annotations
@@ -31,15 +31,10 @@ BLOCK_LABELS = ("shallow", "middle1", "middle2", "middle3", "late")
 
 @dataclasses.dataclass(frozen=True)
 class SchedulePlan:
-    """Per-layer retention ratios plus the constants that produced them."""
+    """Per-layer retention ratios and the decay scale that produced them."""
 
     per_layer_trr: np.ndarray  # length L, index 0 is layer 1
     delta: float
-    r_s: float
-    r_m1: float
-    r_m2: float
-    r_m3: float
-    boundaries: tuple[int, int, int, int]
     drop_layers: tuple[int, ...]  # 1-based layers where the ratio strictly falls
 
     def __post_init__(self):
@@ -68,10 +63,6 @@ def block_of(layer: int, config: ModelConfig) -> str:
     if not 1 <= layer <= config.layers:
         raise ValueError(f"layer {layer} outside [1, {config.layers}]")
     return BLOCK_LABELS[_block_index(config)[layer - 1]]
-
-
-def _sub_block_trrs(r_s: float, delta: float) -> tuple[float, float, float]:
-    return (r_s - delta * _DECAY[0], r_s - delta * _DECAY[1], r_s - delta * _DECAY[2])
 
 
 def _validate(r_s: float, delta: float, label: str) -> None:
@@ -103,7 +94,16 @@ def _block_index(config: ModelConfig) -> np.ndarray:
 
 def _layer_vector(block: np.ndarray, r_s: float, delta: float) -> np.ndarray:
     """Per-layer ratios for given (r_s, delta) over a _block_index array."""
-    return np.array((r_s, *_sub_block_trrs(r_s, delta), 0.0))[block]
+    steps = [r_s - delta * k for k in _DECAY]
+    return np.array((r_s, *steps, 0.0))[block]
+
+
+def _check_inputs(r: float, lambda_: float) -> None:
+    # written so that a NaN fails every comparison and is refused
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r}")
+    if not 1.0 <= lambda_ < math.inf:
+        raise ValueError(f"lambda must be finite and >= 1, got {lambda_}")
 
 
 def solve_delta(
@@ -111,25 +111,28 @@ def solve_delta(
 ) -> tuple[float, float]:
     """Closed-form decay scale for the budget identity; returns (delta, C).
 
-    Falls back to the numeric root when lambda*r clips the shallow ratio
-    at 1, since the closed form assumes r_s = lambda*r. Raises
-    InfeasibleScheduleError when delta < 0 or the deepest middle ratio
-    would go negative.
+    Raises InfeasibleScheduleError when delta < 0 or the deepest middle
+    ratio would go negative.
     """
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    if lambda_ < 1.0:
-        raise ValueError(f"lambda must be >= 1, got {lambda_}")
+    _check_inputs(r, lambda_)
     c = block_constant(config)
     if r == 0.0:
         return 0.0, c
+    ll = config.boundaries[3]
     r_s = lambda_ * r
     if r_s > 1.0:
-        delta = delta_oracle(config, r, lambda_)
+        # the shallow ratio clips at 1; the identity stays linear in delta
+        r_s = 1.0
+        delta = (config.layers * r - (ll - 1)) / c
+        if delta < 0.0:
+            raise InfeasibleScheduleError(
+                f"closed form: keeping every token until the late boundary "
+                f"gives a mean ratio of {(ll - 1) / config.layers:.6g}, "
+                f"already below target {r:.6g}"
+            )
     else:
-        ll = config.boundaries[3]
         delta = (config.layers - ll * lambda_ + lambda_) * r / c
-        _validate(r_s, delta, "closed form")
+    _validate(r_s, delta, "closed form")
     return delta, c
 
 
@@ -138,12 +141,9 @@ def delta_oracle(config: ModelConfig, r: float, lambda_: float) -> float:
 
     Searches delta in [0, r_s] until the layer-mean of the explicitly built
     per-layer vector matches r to 1e-12. Exists so the algebra above can be
-    cross-checked; also the solver of record when the shallow ratio clips.
+    cross-checked.
     """
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    if lambda_ < 1.0:
-        raise ValueError(f"lambda must be >= 1, got {lambda_}")
+    _check_inputs(r, lambda_)
     if r == 0.0:
         return 0.0
     r_s = min(1.0, lambda_ * r)
@@ -185,7 +185,6 @@ def build_schedule(config: ModelConfig, r: float, lambda_: float) -> SchedulePla
     """Full per-layer plan for one retention target."""
     delta, _ = solve_delta(config, r, lambda_)
     r_s = min(1.0, lambda_ * r)
-    r_m1, r_m2, r_m3 = _sub_block_trrs(r_s, delta)
     per_layer = _layer_vector(_block_index(config), r_s, delta)
     ls, lm1, lm2, ll = config.boundaries
     # boundaries may coincide when a sub-block is empty, hence the set
@@ -196,10 +195,5 @@ def build_schedule(config: ModelConfig, r: float, lambda_: float) -> SchedulePla
     return SchedulePlan(
         per_layer_trr=per_layer,
         delta=delta,
-        r_s=r_s,
-        r_m1=r_m1,
-        r_m2=r_m2,
-        r_m3=r_m3,
-        boundaries=config.boundaries,
         drop_layers=drops,
     )

@@ -2,7 +2,7 @@
 
 Within each (window, modality) group the budgeted number of tokens survives,
 chosen by descending query-relevance score with ties to the earlier position.
-Selection never reorders anything; text rows pass through untouched. Once
+Selection never reorders anything and never touches text rows. Once
 cross-modal fusion is done, late_removal drops every remaining non-text row.
 """
 
@@ -14,12 +14,11 @@ import numpy as np
 
 from .allocator import BudgetPlan
 from .core import (
-    AUDIO,
     TEXT,
-    VISUAL,
     InfeasibleBudgetError,
     StreamError,
     TokenStream,
+    WindowLayout,
     freeze_fields,
     segments,
 )
@@ -56,38 +55,34 @@ def select_topk(scores: np.ndarray, budget: int) -> np.ndarray:
 
 
 def apply_budget(
-    stream: TokenStream,
     plan: BudgetPlan,
     scores_v: np.ndarray,
     scores_a: np.ndarray,
-    layer: int = 0,
-) -> tuple[TokenStream, LayerSelection]:
-    """Per-window per-modality top-k according to a plan built for this
-    stream's current layout.
+    layout: WindowLayout,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window per-modality top-k according to a plan built for layout.
 
-    Each modality's rows must be window-major, as every stage lays them
-    out. Windows are ranked through core.segments: one stable row-wise sort
-    of descending scores per window size, so ties go to the earlier row
-    exactly as select_topk breaks them window by window, and the work stays
-    proportional to the rows, however ragged the windows.
+    scores_v / scores_a score each modality's current tokens, window-major
+    as layout counts them. Returns, per modality, the kept tokens as
+    ascending indices into those scores. Windows are ranked through
+    core.segments: one stable row-wise sort of descending scores per window
+    size, so ties go to the earlier token exactly as select_topk breaks them
+    window by window, and the work stays proportional to the tokens, however
+    ragged the windows.
     """
-    keep = stream.modality == TEXT
-    dropped = {}
-    for m, scores, budget in ((VISUAL, scores_v, plan.b_v),
-                              (AUDIO, scores_a, plan.b_a)):
-        rows = stream.rows_of(m)
+    if plan.T != layout.T:
+        raise StreamError(f"plan covers {plan.T} windows, the layout "
+                          f"{layout.T}")
+    kept = []
+    for scores, budget, counts in ((scores_v, plan.b_v, layout.n_v),
+                                   (scores_a, plan.b_a, layout.n_a)):
         scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != rows.shape:
+        total = int(counts.sum())
+        if scores.shape != (total,):
             raise StreamError(
                 f"scores length {scores.shape[0]} does not match the "
-                f"{rows.shape[0]} current tokens of that modality"
+                f"{total} current tokens of that modality"
             )
-        wins = stream.window_id[rows]
-        if rows.size and int(wins.max()) >= plan.T:
-            raise StreamError("stream window ids exceed the plan's window count")
-        if np.any(wins[1:] < wins[:-1]):
-            raise StreamError("window ids decrease along the modality's rows")
-        counts = np.bincount(wins, minlength=plan.T)
         over = np.flatnonzero(budget > counts)
         if over.size:
             t = int(over[0])
@@ -97,21 +92,14 @@ def apply_budget(
             )
         if np.any(budget < 0):
             raise StreamError("budget must be non-negative")
+        keep = np.zeros(total, dtype=bool)
         for n, windows, index in segments(counts):
             # offsets of each window's tokens, best first
             ranked = np.argsort(-scores[index], axis=1, kind="stable")
             ranked += index[:, :1]
-            keep[rows[ranked[np.arange(n) < budget[windows][:, None]]]] = True
-        dropped[m] = counts - budget
-
-    new_stream = stream.take(np.flatnonzero(keep))
-    kept_nontext = new_stream.position[new_stream.modality != TEXT]
-    return new_stream, LayerSelection(
-        layer=layer,
-        kept=kept_nontext,
-        dropped_v=dropped[VISUAL],
-        dropped_a=dropped[AUDIO],
-    )
+            keep[ranked[np.arange(n) < budget[windows][:, None]]] = True
+        kept.append(np.flatnonzero(keep))
+    return tuple(kept)
 
 
 def late_removal(stream: TokenStream) -> TokenStream:

@@ -107,6 +107,26 @@ class TestSchedule:
                   "--lambda", "1.4", "--ratio", "0.3"])
         assert exc.value.code == 2
 
+    def test_nan_ratio_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(SCHED + ["--ratio", "nan"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--boundaries", "16,19,21,24", "--lambda", "nan"],
+        ["--boundaries", "16,19,21,24", "--lambda", "inf"],
+        ["--boundaries", "16,19,21,24", "--lambda", "0.5"],
+        ["--boundaries", "19,16,21,24", "--lambda", "1.4"],
+    ])
+    def test_bad_lambda_or_boundaries_is_domain_error(self, flags):
+        # as a real process: a one-line message and exit 1, no traceback
+        proc = cli_process("schedule", "--layers", "28", "--ratio", "0.3",
+                           *flags)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestGen:
     def test_writes_container(self, configs, tmp_path, capsys):
@@ -302,6 +322,24 @@ class TestRun:
                    "--trace", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("lambda", "NaN"),
+                                            ("lambda", "Infinity"),
+                                            ("tau", "NaN")])
+    def test_non_finite_spec_value(self, configs, tmp_path, capsys, key,
+                                   value):
+        # json reads NaN and Infinity as floats; the spec must refuse them
+        spec = tmp_path / "nan.json"
+        spec.write_text(json.dumps(RETENTION).replace(
+            f'"{key}": {RETENTION[key]}', f'"{key}": {value}'))
+        assert value in spec.read_text()
+        rc = main(["run", "--config", configs["model"], "--spec", str(spec),
+                   "--synth", configs["synth"],
+                   "--trace", str(tmp_path / "t.csv")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_unknown_spec_key(self, configs, tmp_path, capsys):
         spec = tmp_path / "typo.json"

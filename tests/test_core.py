@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,15 @@ class TestRetentionSpec:
             RetentionSpec(r_v=0.3, r_a=0.5, lambda_=0.9, tau=0.1)
         with pytest.raises(ValueError):
             RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_", math.nan), ("lambda_", math.inf), ("tau", math.nan),
+        ("r_v", math.nan), ("r", math.nan),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        good = dict(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
+        with pytest.raises(ValueError, match=field.rstrip("_")):
+            RetentionSpec(**dict(good, **{field: value}))
 
 
 class TestValidateStream:

@@ -245,7 +245,7 @@ class TestRunPipeline:
         assert trace.seq_len[-1] == 3
 
     def test_huge_positions_stay_small(self):
-        # ordinals come from ranks among each modality's positions, so a
+        # survivors travel as indices into each modality's rows, so a
         # position of 2**40 costs nothing extra; a table indexed by position
         # would ask for 8 TiB
         spec = SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4, n_q=3)
@@ -267,6 +267,18 @@ class TestRunPipeline:
         assert np.array_equal(trace.seq_len, near.seq_len)
         for a, b in zip(trace.selections, near.selections):
             assert np.array_equal(a.kept, b.kept)
+
+    def test_windows_out_of_order_rejected(self):
+        # drop layers rank window-major runs of each modality's rows; a
+        # stream whose window ids step back is refused before any of them
+        spec = SynthSpec(seed=5, T=2, d=8, n_v=2, n_a=1, n_q=1)
+        stream, _ = synth_generate(spec)
+        stream = TokenStream(embeddings=stream.embeddings,
+                             modality=stream.modality,
+                             window_id=np.array([1, 1, 1, 0, 0, 0, -1]),
+                             position=stream.position)
+        with pytest.raises(StreamError, match="window_id decreases"):
+            run_pipeline(stream, QWEN25, DEFAULTS)
 
 
 class TestContainerOracle:

@@ -80,6 +80,13 @@ class TestSolveDelta:
         with pytest.raises(ValueError):
             solve_delta(QWEN25, 0.3, 0.99)
 
+    @pytest.mark.parametrize("r, lam", [(math.nan, 1.4), (0.3, math.nan),
+                                        (0.3, math.inf)])
+    @pytest.mark.parametrize("solver", [solve_delta, delta_oracle])
+    def test_non_finite_inputs_rejected(self, solver, r, lam):
+        with pytest.raises(ValueError):
+            solver(QWEN25, r, lam)
+
 
 class TestDeltaOracle:
     def test_agrees_with_closed_form(self):
@@ -114,6 +121,15 @@ class TestDeltaOracle:
         with pytest.raises(InfeasibleScheduleError):
             delta_oracle(QWEN25, 0.3, hi + 1e-5)
 
+    def test_agreement_when_shallow_ratio_clips(self):
+        # lambda*R > 1 pins r_s at 1; the closed form still solves the
+        # identity, to within the bisection's own tolerance
+        for r, lam in ((0.75, 1.4), (0.8, 1.3), (0.72, 1.4), (0.7, 1.45)):
+            closed, _ = solve_delta(QWEN25, r, lam)
+            assert closed == (28 * r - 23) / C_28
+            assert delta_oracle(QWEN25, r, lam) == pytest.approx(
+                closed, abs=1e-12)
+
     def test_zero_budget(self):
         assert delta_oracle(QWEN25, 0.0, 1.4) == 0.0
 
@@ -121,28 +137,29 @@ class TestDeltaOracle:
 class TestBuildSchedule:
     def test_subblock_ratios(self):
         plan = build_schedule(QWEN25, 0.3, 1.4)
-        assert plan.r_s == pytest.approx(0.42, abs=1e-12)
-        assert plan.r_m1 == pytest.approx(0.3905322282577112, abs=1e-12)
-        assert plan.r_m2 == pytest.approx(0.3104305198054688, abs=1e-12)
-        assert plan.r_m3 == pytest.approx(0.09269150129121395, abs=1e-12)
+        assert plan.trr_at(1) == pytest.approx(0.42, abs=1e-12)
+        assert plan.trr_at(17) == pytest.approx(0.3905322282577112, abs=1e-12)
+        assert plan.trr_at(19) == pytest.approx(0.3104305198054688, abs=1e-12)
+        assert plan.trr_at(21) == pytest.approx(0.09269150129121395,
+                                                abs=1e-12)
 
     def test_decay_recurrence(self):
         plan = build_schedule(QWEN25, 0.3, 1.4)
         e = math.e
-        assert plan.r_m1 == pytest.approx(plan.r_s - plan.delta, abs=1e-12)
-        assert plan.r_m2 == pytest.approx(plan.r_m1 - plan.delta * e, abs=1e-12)
-        assert plan.r_m3 == pytest.approx(plan.r_m2 - plan.delta * e * e,
-                                          abs=1e-12)
+        r_s, r_m1, r_m2, r_m3 = (plan.trr_at(l) for l in (1, 17, 19, 21))
+        assert r_m1 == pytest.approx(r_s - plan.delta, abs=1e-12)
+        assert r_m2 == pytest.approx(r_m1 - plan.delta * e, abs=1e-12)
+        assert r_m3 == pytest.approx(r_m2 - plan.delta * e * e, abs=1e-12)
 
     def test_per_layer_shape(self):
         # 16 shallow layers, then 2/2/3-layer steps, then 5 zeros
         plan = build_schedule(QWEN25, 0.3, 1.4)
         trr = plan.per_layer_trr
         assert trr.shape == (28,)
-        assert np.allclose(trr[:16], plan.r_s)
-        assert np.allclose(trr[16:18], plan.r_m1)
-        assert np.allclose(trr[18:20], plan.r_m2)
-        assert np.allclose(trr[20:23], plan.r_m3)
+        assert np.allclose(trr[:16], 0.42)
+        assert np.allclose(trr[16:18], 0.3905322282577112)
+        assert np.allclose(trr[18:20], 0.3104305198054688)
+        assert np.allclose(trr[20:23], 0.09269150129121395)
         assert np.all(trr[23:] == 0.0)
 
     def test_budget_identity(self):
@@ -161,8 +178,8 @@ class TestBuildSchedule:
 
     def test_trr_at(self):
         plan = build_schedule(QWEN25, 0.3, 1.4)
-        assert plan.trr_at(1) == plan.r_s
-        assert plan.trr_at(17) == plan.r_m1
+        assert plan.trr_at(1) == plan.per_layer_trr[0]
+        assert plan.trr_at(17) == plan.per_layer_trr[16]
         assert plan.trr_at(24) == 0.0
         with pytest.raises(ValueError):
             plan.trr_at(0)
@@ -175,10 +192,9 @@ class TestBuildSchedule:
         assert plan.drop_layers == ()
 
     def test_clipped_shallow_ratio(self):
-        # lambda*R > 1 clips r_s to 1 and re-solves numerically; the layer
-        # mean must still hit R
+        # lambda*R > 1 clips r_s to 1; the layer mean must still hit R
         plan = build_schedule(QWEN25, 0.75, 1.4)
-        assert plan.r_s == 1.0
+        assert plan.trr_at(1) == 1.0
         assert plan.per_layer_trr.mean() == pytest.approx(0.75, abs=1e-9)
         # identity L*R = r_s*(L_l - 1) + delta*C still pins delta
         want_delta = (1.0 * 23 - 28 * 0.75) / -C_28
@@ -192,7 +208,8 @@ class TestBuildSchedule:
     def test_clipped_but_unreachable_mean(self):
         # even at full shallow retention the late block forces the mean
         # below (L_l - 1)/L = 23/28
-        with pytest.raises(InfeasibleScheduleError):
+        with pytest.raises(InfeasibleScheduleError,
+                           match="0.821429, already below target 0.83"):
             build_schedule(QWEN25, 0.83, 1.3)
 
     def test_full_retention_is_structurally_infeasible(self):

@@ -217,11 +217,12 @@ def test_vectorised_budget_matches_topk_per_window(data):
                               int(budget[VISUAL].sum()
                                   + budget[AUDIO].sum())))
 
-    out, sel = apply_budget(stream, plan, scores[VISUAL], scores[AUDIO],
-                            layer=3)
+    kept_v, kept_a = apply_budget(plan, scores[VISUAL], scores[AUDIO],
+                                  layout)
 
-    want = list(stream.rows_of(TEXT))
-    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+    want, got = [], []
+    for m, counts, kept in ((VISUAL, layout.n_v, kept_v),
+                            (AUDIO, layout.n_a, kept_a)):
         start = 0
         for t in range(layout.T):
             rows = stream.rows_of(m, t)
@@ -229,13 +230,9 @@ def test_vectorised_budget_matches_topk_per_window(data):
                                 int(budget[m][t]))
             want += rows[local].tolist()
             start += rows.size
-        dropped = sel.dropped_v if m == VISUAL else sel.dropped_a
-        assert dropped.tolist() == (counts - budget[m]).tolist()
-    want.sort()
-    assert out.position.tolist() == stream.position[want].tolist()
-    nontext = [r for r in want if stream.modality[r] != TEXT]
-    assert sel.kept.tolist() == stream.position[nontext].tolist()
-    assert sel.layer == 3
+        assert np.all(np.diff(kept) > 0)
+        got += stream.rows_of(m)[kept].tolist()
+    assert sorted(got) == sorted(want)
 
 
 @SETTINGS
@@ -249,8 +246,8 @@ def test_budget_beyond_a_window_is_infeasible(data):
                       totals=(int(b_v.sum()), int(layout.n_a.sum()),
                               int(b_v.sum() + layout.n_a.sum())))
     try:
-        apply_budget(stream, plan, np.ones(layout.total_visual),
-                     np.ones(layout.total_audio))
+        apply_budget(plan, np.ones(layout.total_visual),
+                     np.ones(layout.total_audio), layout)
     except InfeasibleBudgetError as exc:
         assert f"in window {t}" in str(exc)
     else:
@@ -352,13 +349,15 @@ class RandomLogitOracle:
         rng = np.random.default_rng((self.seed, 0, modality))
         return rng.choice([0.0, 0.5, 1.0, 2.0], size=int(counts.sum()))
 
+    def logits(self, layer, modality):
+        rng = np.random.default_rng((self.seed, 1, layer, modality))
+        return rng.choice([-1.0, 0.0, 0.0, 1.0, 3.0],
+                          size=self.total[modality])
+
     def query_probs(self, layer, modality, ordinals):
         if len(ordinals) == 0:
             return np.zeros(0)
-        rng = np.random.default_rng((self.seed, 1, layer, modality))
-        logits = rng.choice([-1.0, 0.0, 0.0, 1.0, 3.0],
-                            size=self.total[modality])
-        return softmax(logits[ordinals])
+        return softmax(self.logits(layer, modality)[ordinals])
 
 
 # schedules feasible at lambda 1.4 for every drawn ratio; one merges two
@@ -385,10 +384,28 @@ def test_pipeline_invariants_on_ragged_streams(data):
     # recount the survivors of every layer from positions alone
     modality = dict(zip(stream.position.tolist(), stream.modality.tolist()))
     window = dict(zip(stream.position.tolist(), stream.window_id.tolist()))
+    ordinal = {m: {p: i for i, p in
+                   enumerate(stream.position[stream.rows_of(m)].tolist())}
+               for m in (VISUAL, AUDIO)}
 
     def per_window(kept, m):
         return np.bincount([window[p] for p in kept if modality[p] == m],
                            minlength=trace.T)
+
+    def topk_per_window(prev, layer, m, budget):
+        """Each window's select_topk of the query logits of the m-tokens in
+        prev, looked up at their ordinals among the modality's original
+        positions; without an oracle every score ties."""
+        tokens = [p for p in prev if modality[p] == m]
+        logits = (oracle.logits(layer, m) if oracle is not None
+                  else np.zeros(len(ordinal[m])))
+        kept = []
+        for t in range(trace.T):
+            group = [p for p in tokens if window[p] == t]
+            local = select_topk(logits[[ordinal[m][p] for p in group]],
+                                int(budget[t]))
+            kept += [group[i] for i in local]
+        return kept
 
     survivors = trace.stage1.kept[stream.modality[trace.stage1.rows] != TEXT]
     plans = dict(trace.plans)
@@ -400,10 +417,16 @@ def test_pipeline_invariants_on_ragged_streams(data):
             assert kept == sorted(set(kept))
             assert set(kept) <= set(survivors.tolist())
             if layer in plans:
-                assert per_window(kept, VISUAL).tolist() == \
-                    plans[layer].b_v.tolist()
-                assert per_window(kept, AUDIO).tolist() == \
-                    plans[layer].b_a.tolist()
+                plan, prev = plans[layer], survivors.tolist()
+                assert per_window(kept, VISUAL).tolist() == plan.b_v.tolist()
+                assert per_window(kept, AUDIO).tolist() == plan.b_a.tolist()
+                assert sel.dropped_v.tolist() == \
+                    (per_window(prev, VISUAL) - plan.b_v).tolist()
+                assert sel.dropped_a.tolist() == \
+                    (per_window(prev, AUDIO) - plan.b_a).tolist()
+                assert kept == sorted(
+                    topk_per_window(prev, layer, VISUAL, plan.b_v)
+                    + topk_per_window(prev, layer, AUDIO, plan.b_a))
             else:
                 assert kept == []
                 assert sel.dropped_v.tolist() == \

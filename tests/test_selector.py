@@ -1,10 +1,9 @@
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from omniprefill.allocator import allocate
+from omniprefill.allocator import BudgetPlan, allocate
 from omniprefill.core import (
     AUDIO,
     TEXT,
@@ -72,13 +71,23 @@ def uniform_rel(T):
     return RelevanceScores(s_v=u, s_a=u, s=u, tau=0.1)
 
 
+def survivors(stream, kept_v, kept_a):
+    """The stream that apply_budget's kept indices leave: the text rows
+    plus the kept rows of each modality, in storage order."""
+    rows = np.concatenate([stream.rows_of(TEXT),
+                           stream.rows_of(VISUAL)[kept_v],
+                           stream.rows_of(AUDIO)[kept_a]])
+    return stream.take(np.sort(rows))
+
+
 class TestApplyBudget:
     def test_full_capacity_is_identity(self):
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=2)
         lay = WindowLayout.from_stream(stream)
         plan = allocate(uniform_rel(2), 1.0, 1.0, lay)
-        out, sel = apply_budget(stream, plan,
-                                np.full(6, 1 / 6), np.full(4, 0.25))
+        kept_v, kept_a = apply_budget(plan, np.full(6, 1 / 6),
+                                      np.full(4, 0.25), lay)
+        out = survivors(stream, kept_v, kept_a)
         assert out.n == stream.n
         assert np.array_equal(out.position, stream.position)
 
@@ -86,8 +95,8 @@ class TestApplyBudget:
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=2)
         lay = WindowLayout.from_stream(stream)
         plan = allocate(uniform_rel(2), 0.0, 0.0, lay)
-        out, _ = apply_budget(stream, plan,
-                              np.full(6, 1 / 6), np.full(4, 0.25))
+        out = survivors(stream, *apply_budget(plan, np.full(6, 1 / 6),
+                                              np.full(4, 0.25), lay))
         want = late_removal(stream)
         assert np.array_equal(out.position, want.position)
         assert np.array_equal(out.modality, want.modality)
@@ -99,7 +108,7 @@ class TestApplyBudget:
         sv = rng.random(21)
         sa = rng.random(12)
         plan = allocate(uniform_rel(3), 0.5, 0.6, lay)
-        out, sel = apply_budget(stream, plan, sv, sa)
+        out = survivors(stream, *apply_budget(plan, sv, sa, lay))
         for t in range(3):
             assert out.count(VISUAL, t) == int(plan.b_v[t])
             assert out.count(AUDIO, t) == int(plan.b_a[t])
@@ -111,7 +120,7 @@ class TestApplyBudget:
         rng = np.random.default_rng(5)
         sv, sa = rng.random(8), rng.random(6)
         plan = allocate(uniform_rel(2), 0.5, 2 / 3, lay)
-        out, _ = apply_budget(stream, plan, sv, sa)
+        out = survivors(stream, *apply_budget(plan, sv, sa, lay))
         kept = set(out.position.tolist())
         for t in range(2):
             for mod, scores, budget, w in (
@@ -132,25 +141,30 @@ class TestApplyBudget:
         lay = WindowLayout.from_stream(stream)
         plan = allocate(uniform_rel(2), 0.5, 0.5, lay)
         with pytest.raises(ValueError):
-            apply_budget(stream, plan, np.ones(5), np.full(4, 0.25))
-
-    def test_windows_out_of_order_rejected(self):
-        # ranking runs on window-major segments; a stream whose window ids
-        # step back would be ranked against the wrong windows
-        stream = make_stream(T=2, n_v=2, n_a=1, n_q=1)
-        stream = dataclasses.replace(
-            stream, window_id=np.array([1, 1, 1, 0, 0, 0, -1]))
-        plan = allocate(uniform_rel(2), 0.5, 1.0,
-                        WindowLayout.from_stream(stream))
-        with pytest.raises(StreamError, match="window ids decrease"):
-            apply_budget(stream, plan, np.full(4, 0.25), np.full(2, 0.5))
+            apply_budget(plan, np.ones(5), np.full(4, 0.25), lay)
 
     def test_plan_stream_mismatch(self):
         stream = make_stream(T=2, n_v=2, n_a=1, n_q=1)
+        lay = WindowLayout.from_stream(stream)
         big = allocate(uniform_rel(2), 1.0, 1.0,
                        WindowLayout(n_v=np.array([3, 3]), n_a=np.array([1, 1])))
         with pytest.raises((ValueError, InfeasibleBudgetError)):
-            apply_budget(stream, big, np.full(4, 0.25), np.full(2, 0.5))
+            apply_budget(big, np.full(4, 0.25), np.full(2, 0.5), lay)
+
+    def test_plan_and_layout_window_counts_must_agree(self):
+        lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
+        wide = allocate(uniform_rel(3), 1.0, 1.0,
+                        WindowLayout(n_v=np.array([2, 2, 0]),
+                                     n_a=np.array([1, 1, 0])))
+        with pytest.raises(StreamError, match="3 windows"):
+            apply_budget(wide, np.full(4, 0.25), np.full(2, 0.5), lay)
+
+    def test_negative_budget_rejected(self):
+        lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
+        plan = BudgetPlan(b=np.array([0, 3]), b_v=np.array([-1, 2]),
+                          b_a=np.array([1, 1]), totals=(1, 2, 3))
+        with pytest.raises(StreamError, match="non-negative"):
+            apply_budget(plan, np.full(4, 0.25), np.full(2, 0.5), lay)
 
     def test_monotone_shrinkage(self):
         stream = make_stream(T=2, n_v=6, n_a=4, n_q=3, seed=6)
@@ -158,15 +172,14 @@ class TestApplyBudget:
         rng = np.random.default_rng(7)
         sv, sa = rng.random(12), rng.random(8)
         plan1 = allocate(uniform_rel(2), 0.7, 0.7, lay)
-        mid, sel1 = apply_budget(stream, plan1, sv, sa)
-        # score the survivors by slicing the originals at their rows
-        survived = np.isin(stream.position, mid.position)
-        sv2 = sv[survived[stream.modality == VISUAL]]
-        sa2 = sa[survived[stream.modality == AUDIO]]
-        lay2 = WindowLayout.from_stream(mid, T=2)
+        kv1, ka1 = apply_budget(plan1, sv, sa, lay)
+        mid = survivors(stream, kv1, ka1)
+        # score the survivors by indexing the originals at their kept indices
+        lay2 = WindowLayout(plan1.b_v, plan1.b_a)
         plan2 = allocate(uniform_rel(2), 0.3, 0.3, lay2, totals=(12, 8))
-        out, sel2 = apply_budget(mid, plan2, sv2, sa2)
-        assert set(sel2.kept.tolist()) <= set(sel1.kept.tolist())
+        kv2, ka2 = apply_budget(plan2, sv[kv1], sa[ka1], lay2)
+        out = survivors(stream, kv1[kv2], ka1[ka2])
+        assert set(out.position.tolist()) <= set(mid.position.tolist())
         assert out.n_text == 3
 
 
