@@ -207,12 +207,13 @@ def _cmd_run(args) -> int:
     retention = otsio.load_retention_spec(args.spec)
     if args.synth:
         source = otsio.load_synth_spec(args.synth)
-        oracle = None
+        oracle, T = None, None
     else:
-        stream, sections, header = otsio.read_ots_file(args.input)
-        source = stream
-        oracle = ContainerOracle(sections, int(header["t"]))
-    final, trace = run_pipeline(source, config, retention, oracle=oracle)
+        source, sections, header = otsio.read_ots_file(args.input)
+        T = int(header["t"])
+        oracle = ContainerOracle(sections, T)
+    final, trace = run_pipeline(source, config, retention, oracle=oracle,
+                                T=T)
     _emit(otsio.trace_csv(trace), args.trace)
     means = mean_retention(trace)
     report = trace_flops(trace, config)

@@ -180,7 +180,7 @@ class WindowLayout:
 
         T defaults to max(window_id)+1; pass it explicitly when trailing
         windows may have been emptied by selection. A visual or audio row
-        outside every window is a StreamError.
+        outside every window, or outside [0, T), is a StreamError.
         """
         visual, audio = stream.modality == VISUAL, stream.modality == AUDIO
         bad = np.flatnonzero((visual | audio) & (stream.window_id < 0))
@@ -193,6 +193,9 @@ class WindowLayout:
             T = int(stream.window_id[nontext].max()) + 1 if nontext.any() else 1
         n_v = np.bincount(stream.window_id[visual], minlength=T)
         n_a = np.bincount(stream.window_id[audio], minlength=T)
+        if max(n_v.size, n_a.size) > T:
+            raise StreamError(f"window id {max(n_v.size, n_a.size) - 1} lies "
+                              f"outside [0, {T})")
         return WindowLayout(n_v=n_v, n_a=n_a)
 
 

@@ -31,9 +31,12 @@ comments; JSON mirrors exist for tooling.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import struct
 
 import numpy as np
@@ -159,6 +162,136 @@ def _shaped(flat: np.ndarray, shape: tuple, what: str):
                                    f"representable ({exc})") from exc
 
 
+_FIELD_FAULTS = (TypeError, ValueError, AttributeError, OverflowError)
+
+
+def _entry_fields(entry) -> tuple[str, int, tuple]:
+    """One section-table entry as (name, length, shape): a string name, and
+    int() of the length and of each dimension, with -1 and () for a missing
+    length or shape."""
+    part = None
+    try:
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise TypeError("a section needs a string name")
+        part = "length"
+        length = int(entry.get("length", -1))
+        part = "shape"
+        shape = tuple(map(int, entry.get("shape", ())))
+    except _FIELD_FAULTS as exc:
+        what = (f"section {name!r} {part}" if part
+                else f"section entry {entry!r:.60}")
+        raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
+    return name, length, shape
+
+
+def _section_columns(entries: list):
+    """The name, length, size and shape columns of a section table, as
+    _entry_fields reads each entry, and the first malformed entry's error
+    (None when every entry is well formed); the columns stop short of that
+    entry. Sizes are Python ints, so a product never wraps. The shape
+    column is None when every shape has one dimension: each is (size,)."""
+    try:
+        names = [entry.get("name") for entry in entries]
+        lengths = list(map(int, [entry.get("length", -1) for entry in entries]))
+        raw = [entry.get("shape", ()) for entry in entries]
+        if list(map(len, raw)).count(1) == len(raw):
+            # vectors only: no shape tuple per entry is built
+            sizes = list(map(int, itertools.chain.from_iterable(raw)))
+            shapes = None
+        else:
+            shapes = [tuple(map(int, shape)) for shape in raw]
+            sizes = list(map(math.prod, shapes))
+        if all(map(isinstance, names, itertools.repeat(str))):
+            return names, lengths, sizes, shapes, None
+    except _FIELD_FAULTS:
+        pass
+    # some entry is malformed: only now is the table read entry by entry
+    fields, fault = [], None
+    for entry in entries:
+        try:
+            fields.append(_entry_fields(entry))
+        except ContainerFormatError as exc:
+            fault = exc
+            break
+    names, lengths, shapes = map(list, zip(*fields)) if fields else ([], [], [])
+    return names, lengths, list(map(math.prod, shapes)), shapes, fault
+
+
+def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
+    """The sections a table declares, as views of the blocks that fill
+    data[start:]. Each check runs once over the whole table. A table with
+    several faults is reported at its earliest faulty entry, by the first
+    check that entry fails, in the order: a malformed field, negative
+    dimensions, a length that is not 4 bytes per entry, a truncated length
+    prefix, a prefix that disagrees, truncated data."""
+    names, lengths, sizes, shapes, fault = _section_columns(entries)
+    # entries [0, ok) pass every check so far; fault is entry ok's error
+    ok = len(names)
+    expected = [4 * size for size in sizes]
+    dims = sizes if shapes is None else itertools.chain.from_iterable(shapes)
+    if min(dims, default=0) < 0 or lengths != expected:
+        negative = ([size < 0 for size in sizes] if shapes is None else
+                    [min(shape, default=0) < 0 for shape in shapes])
+        mismatch = list(map(operator.ne, lengths, expected))
+        ok = min(mask.index(True) for mask in (negative, mismatch)
+                 if True in mask)
+        name, length = names[ok], lengths[ok]
+        shape = (sizes[ok],) if shapes is None else shapes[ok]
+        fault = ContainerFormatError(
+            f"section {name!r} declares negative dimensions {shape}"
+            if negative[ok] else
+            f"section {name!r} declares {length} bytes but shape {shape} "
+            f"needs {expected[ok]}")
+
+    # each block is a u64 length prefix and its data; the sums stay Python
+    # ints until they are known to end inside the data, so none can wrap
+    blocks = [8 + length for length in lengths[:ok]]
+    left = len(data) - start
+    cut = ok
+    if sum(blocks) > left:
+        cut = bisect.bisect_right(list(itertools.accumulate(blocks)), left)
+    spans = np.array(blocks[:cut], dtype=np.int64)
+    starts = np.cumsum(spans) - spans
+    raw = np.frombuffer(data, dtype=np.uint8)
+    stored = raw[start + starts[:, None] + np.arange(8)].view("<u8")[:, 0]
+    wrong = np.flatnonzero(stored != (spans - 8).astype(np.uint64))
+    if wrong.size or cut < ok:
+        ok = int(wrong[0]) if wrong.size else cut
+        name, length = names[ok], lengths[ok]
+        at = start + int(spans[:ok].sum())
+        said = int.from_bytes(data[at : at + 8], "little")
+        if at + 8 > len(data):
+            fault = ContainerFormatError(
+                f"truncated section prefix for {name!r} at byte {at}")
+        elif said != length:
+            fault = ContainerFormatError(
+                f"section {name!r} prefix at byte {at} says {said} bytes, "
+                f"header says {length}")
+        else:
+            fault = ContainerFormatError(
+                f"truncated section {name!r} at byte {at + 8}: need {length} "
+                f"bytes, found {len(data) - at - 8}")
+
+    # every block starts a multiple of 4 bytes past start, so each section
+    # is a slice of this single view
+    region = np.frombuffer(data, dtype="<f4", count=left // 4, offset=start)
+    firsts = ((starts[:ok] + 8) // 4).tolist()
+    sections: dict[str, np.ndarray] = {}
+    for name, first, size, shape in zip(names, firsts, sizes,
+                                        shapes or itertools.repeat(None)):
+        flat = region[first : first + size]
+        sections[name] = (flat if shape is None or len(shape) == 1 else
+                          _shaped(flat, shape, f"section {name!r}"))
+    if fault is not None:
+        raise fault
+    end = start + int(spans.sum())
+    if end != len(data):
+        raise ContainerFormatError(
+            f"{len(data) - end} unexpected trailing bytes at byte {end}")
+    return sections
+
+
 def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
     """Parse OTS bytes back into (stream, sections, header).
 
@@ -259,63 +392,10 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             f"text row {int(text_rows[np.argmin(finite)])} has a non-finite "
             f"embedding")
 
-    sections: dict[str, np.ndarray] = {}
     if not isinstance(header["sections"], list):
         raise ContainerFormatError(
             f"header 'sections' must be a list, got {header['sections']!r:.60}")
-    # every section starts a multiple of 4 bytes past here, so each one is
-    # a slice of this single view
-    region_start = offset
-    region = np.frombuffer(data, dtype="<f4",
-                           count=(len(data) - offset) // 4, offset=offset)
-    for entry in header["sections"]:
-        part = None
-        try:
-            name = entry.get("name")
-            if not isinstance(name, str):
-                raise TypeError("a section needs a string name")
-            part = "length"
-            length = int(entry.get("length", -1))
-            part = "shape"
-            shape = tuple(map(int, entry.get("shape", ())))
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            what = (f"section {name!r} {part}" if part
-                    else f"section entry {entry!r:.60}")
-            raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
-        if any(x < 0 for x in shape):
-            raise ContainerFormatError(
-                f"section {name!r} declares negative dimensions {shape}"
-            )
-        expected = math.prod(shape) * 4
-        if length != expected:
-            raise ContainerFormatError(
-                f"section {name!r} declares {length} bytes but shape {shape} "
-                f"needs {expected}"
-            )
-        if offset + 8 > len(data):
-            raise ContainerFormatError(
-                f"truncated section prefix for {name!r} at byte {offset}"
-            )
-        (stored_len,) = struct.unpack("<Q", data[offset : offset + 8])
-        if stored_len != length:
-            raise ContainerFormatError(
-                f"section {name!r} prefix at byte {offset} says {stored_len} "
-                f"bytes, header says {length}"
-            )
-        offset += 8
-        if offset + length > len(data):
-            raise ContainerFormatError(
-                f"truncated section {name!r} at byte {offset}: need {length} "
-                f"bytes, found {len(data) - offset}"
-            )
-        lo = (offset - region_start) // 4
-        sections[name] = _shaped(region[lo : lo + length // 4], shape,
-                                 f"section {name!r}")
-        offset += length
-    if offset != len(data):
-        raise ContainerFormatError(
-            f"{len(data) - offset} unexpected trailing bytes at byte {offset}"
-        )
+    sections = _read_sections(data, header["sections"], offset)
 
     stream = TokenStream(embeddings=embeddings, modality=modality,
                          window_id=window_id, position=position)

@@ -102,7 +102,7 @@ def window_relevance(
     visual / audio tokens, in storage order. Each modality's window means go
     through softmax(mean/tau) over the windows where it is present.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:  # a NaN tau fails this too
         raise ValueError(f"tau must be positive, got {tau}")
     scores_v = np.asarray(scores_v, dtype=np.float64)
     scores_a = np.asarray(scores_a, dtype=np.float64)

@@ -12,7 +12,7 @@ import omniprefill
 from omniprefill.cli import main
 from omniprefill.core import VISUAL
 from omniprefill.io import load_synth_spec, read_ots_file, write_ots_file
-from omniprefill.pipeline import synth_generate
+from omniprefill.pipeline import SynthSpec, synth_generate
 
 MODEL = {"layers": 28, "d_model": 3584, "d_ff": 18944, "n_heads": 28,
          "boundaries": [16, 19, 21, 24]}
@@ -305,6 +305,25 @@ class TestRun:
         cont_line = capsys.readouterr().out
         assert t_synth.read_bytes() == t_cont.read_bytes()
         assert synth_line.splitlines()[-1] == cont_line.splitlines()[-1]
+
+    def test_container_window_count_is_honoured(self, configs, tmp_path):
+        # 4 windows of tokens in a container whose header declares t = 6:
+        # run and prune-pre must both count the two trailing empty windows
+        stream, _ = synth_generate(SynthSpec(seed=3, T=4, d=8, n_v=6, n_a=2,
+                                             n_q=3))
+        container = tmp_path / "t6.ots"
+        write_ots_file(str(container), stream, T=6)
+        kept = tmp_path / "kept.json"
+        assert main(["prune-pre", "--input", str(container), "--spec",
+                     configs["retention"], "--out", str(kept)]) == 0
+        windows = json.loads(kept.read_text())["per_window"]
+        assert len(windows["visual"]) == len(windows["audio"]) == 6
+        trace = tmp_path / "t.csv"
+        assert main(["run", "--config", configs["model"], "--spec",
+                     configs["retention"], "--input", str(container),
+                     "--trace", str(trace)]) == 0
+        counted = len(windows["visual"])
+        assert f"# windows={counted}" in trace.read_text().splitlines()
 
     def test_input_and_synth_exclusive(self, configs, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -447,9 +448,23 @@ class TestMalformedBytes:
         (header_edit(lambda h: h.update(sections=5)), "header 'sections'"),
         (header_edit(lambda h: h["sections"][0].update(name=["x"])),
          "section entry"),
+        # a declared length past 2**64 - 1 is compared as a number, never
+        # squeezed into a 64-bit integer
+        (header_edit(lambda h: h["sections"][0].update(
+            shape=[2**62], length=2**64)),
+         "section 'x' prefix at byte 472 says 16 bytes, header says "
+         "18446744073709551616"),
+        # the earliest faulty entry is reported, even when a later one is
+        # malformed: entry 0's prefix says 12 bytes, entry 1's length is "x"
+        (lambda data: repack(
+            data[:-24] + struct.pack("<Q", 12) + data[-16:],
+            lambda h: h["sections"].append(
+                {"length": "x", "name": "y", "shape": [1]})),
+         "section 'x' prefix at byte 472 says 12 bytes, header says 16"),
     ], ids=["n-string", "modality-number", "counts-number",
             "window-id-strings", "section-entry-number", "shape-strings",
-            "length-string", "sections-number", "section-name-list"])
+            "length-string", "sections-number", "section-name-list",
+            "length-past-u64", "fault-before-malformed-entry"])
     def test_mistyped_header_field(self, edit, field):
         data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
         with pytest.raises(ContainerFormatError, match=field):
@@ -492,6 +507,166 @@ def test_damaged_container_reads_or_is_a_format_error(data):
         read_ots(data)
     except ContainerFormatError:
         pass
+
+
+def reference_sections(data: bytes) -> dict[str, np.ndarray]:
+    """The section walk read_ots once made: one step per table entry, each
+    entry's checks in turn. It is the independent reference for the
+    columnar reader, and expects valid bytes up to the first section."""
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    offset = 12 + header_len + 24 * header["n"] + 4 * header["n"] * header["d"]
+    region_start = offset
+    region = np.frombuffer(data, dtype="<f4",
+                           count=(len(data) - offset) // 4, offset=offset)
+    sections = {}
+    for entry in header["sections"]:
+        part = None
+        try:
+            name = entry.get("name")
+            if not isinstance(name, str):
+                raise TypeError("a section needs a string name")
+            part = "length"
+            length = int(entry.get("length", -1))
+            part = "shape"
+            shape = tuple(map(int, entry.get("shape", ())))
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            what = (f"section {name!r} {part}" if part
+                    else f"section entry {entry!r:.60}")
+            raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
+        if any(x < 0 for x in shape):
+            raise ContainerFormatError(
+                f"section {name!r} declares negative dimensions {shape}")
+        expected = math.prod(shape) * 4
+        if length != expected:
+            raise ContainerFormatError(
+                f"section {name!r} declares {length} bytes but shape {shape} "
+                f"needs {expected}")
+        if offset + 8 > len(data):
+            raise ContainerFormatError(
+                f"truncated section prefix for {name!r} at byte {offset}")
+        (stored_len,) = struct.unpack("<Q", data[offset : offset + 8])
+        if stored_len != length:
+            raise ContainerFormatError(
+                f"section {name!r} prefix at byte {offset} says {stored_len} "
+                f"bytes, header says {length}")
+        offset += 8
+        if offset + length > len(data):
+            raise ContainerFormatError(
+                f"truncated section {name!r} at byte {offset}: need {length} "
+                f"bytes, found {len(data) - offset}")
+        lo = (offset - region_start) // 4
+        try:
+            sections[name] = region[lo : lo + length // 4].reshape(shape)
+        except ValueError as exc:
+            raise ContainerFormatError(
+                f"section {name!r} shape {shape} is not representable "
+                f"({exc})") from exc
+        offset += length
+    if offset != len(data):
+        raise ContainerFormatError(
+            f"{len(data) - offset} unexpected trailing bytes at byte {offset}")
+    return sections
+
+
+TABLE_BASE = write_ots(tiny_stream(), T=2)
+# values of the wrong kind for a field, or for a whole entry
+MISTYPED = ["x", "12", "", 1.5, -2.5, None, True, [1], [], {}, {"3": 1},
+            float("nan"), float("inf")]
+
+
+@st.composite
+def section_tables(draw):
+    """TABLE_BASE with a hand-made section table, of vectors only or of
+    any shapes (empty, scalar, zero-size, ragged, multi-dimensional), with
+    duplicate names (which write_ots cannot write), then a few random table
+    edits and byte faults."""
+    entries, blocks = [], []
+    vectors = draw(st.booleans())  # a table of vectors only, or any shapes
+    for index in range(draw(st.integers(0, 5))):
+        shape = draw(st.lists(st.integers(0, 3), min_size=vectors,
+                              max_size=1 if vectors else 3))
+        values = np.arange(math.prod(shape), dtype="<f4") + 10 * index
+        entries.append({"length": values.nbytes, "shape": shape,
+                        "name": draw(st.sampled_from(["a", "b", "w/0"]))})
+        blocks.append(struct.pack("<Q", values.nbytes) + values.tobytes())
+    faults = draw(st.lists(st.sampled_from(
+        ["length", "shape", "huge", "negative", "mistype", "prefix",
+         "truncate", "trailing"]), max_size=3))
+    for fault in faults:
+        if not entries or fault in ("prefix", "truncate", "trailing"):
+            continue
+        entry = draw(st.integers(0, len(entries) - 1))
+        if not isinstance(entries[entry], dict):
+            continue
+        if fault == "length":
+            entries[entry]["length"] = draw(st.one_of(
+                st.integers(-8, 48), st.sampled_from([2**64, -(2**64)]),
+                st.integers(-(2**70), 2**70)))
+        elif fault == "huge":
+            # length and shape agree on more bytes than any file holds,
+            # some past what a 64-bit integer holds
+            bits = draw(st.sampled_from([29, 61, 62, 70]))
+            entries[entry].update(length=2 ** (bits + 2), shape=[2**bits])
+        elif fault == "negative":
+            # length and shape agree on a negative byte count
+            dim = draw(st.integers(-3, -1))
+            shape = draw(st.sampled_from(
+                [[dim]] if vectors else [[dim], [2, dim], [dim, -1]]))
+            entries[entry].update(length=4 * math.prod(shape), shape=shape)
+        elif fault == "shape":
+            entries[entry]["shape"] = draw(st.one_of(
+                st.lists(st.integers(-2, 4), min_size=vectors,
+                         max_size=1 if vectors else 3),
+                st.sampled_from([[2**62], [0, 2**62], [2**32, 2**32],
+                                 [0, 2**64], [1] * 70])))
+        else:
+            field = draw(st.sampled_from(["name", "length", "shape", None]))
+            value = draw(st.sampled_from(MISTYPED))
+            if field is None:
+                entries[entry] = value
+            elif draw(st.booleans()):
+                entries[entry][field] = value
+            else:
+                entries[entry].pop(field, None)
+    data = repack(TABLE_BASE, lambda h: h.update(sections=entries))
+    region_start = len(data)
+    data = bytearray(data + b"".join(blocks))
+    for fault in faults:
+        if fault == "prefix" and blocks:
+            block = draw(st.integers(0, len(blocks) - 1))
+            at = region_start + sum(map(len, blocks[:block]))
+            at += draw(st.integers(0, 7))
+            if at < len(data):
+                data[at] ^= draw(st.integers(1, 255))
+        elif fault == "truncate":
+            del data[draw(st.integers(region_start, len(data))):]
+        elif fault == "trailing":
+            data += draw(st.binary(min_size=1, max_size=12))
+    return bytes(data)
+
+
+def sections_or_error(read, data: bytes):
+    """What a reader makes of data: each section's name, shape and bytes,
+    in order, or the ContainerFormatError's message."""
+    try:
+        sections = read(data)
+    except ContainerFormatError as exc:
+        return str(exc)
+    return [(name, array.shape, array.tobytes())
+            for name, array in sections.items()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=section_tables())
+def test_columnar_reader_matches_the_reference_walk(data):
+    expected = sections_or_error(reference_sections, data)
+    assert sections_or_error(lambda d: read_ots(d)[1], data) == expected
+    if isinstance(expected, list):
+        anchor = np.frombuffer(data, dtype=np.uint8)
+        for array in read_ots(data)[1].values():
+            assert not array.flags.owndata and not array.flags.writeable
+            assert array.size == 0 or np.shares_memory(array, anchor)
 
 
 class TestConfigLoading:

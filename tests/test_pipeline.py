@@ -244,6 +244,23 @@ class TestRunPipeline:
         assert trace.seq_len[0] == 2 * (4 + 3) + 3
         assert trace.seq_len[-1] == 3
 
+    def test_explicit_window_count(self):
+        # trailing empty windows count toward T; a T that leaves a window
+        # id outside [0, T) is refused
+        spec = SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4, n_q=3)
+        stream, _ = synth_generate(spec)
+        _, inferred = run_pipeline(stream, QWEN25, DEFAULTS)
+        _, same = run_pipeline(stream, QWEN25, DEFAULTS, T=2)
+        _, wider = run_pipeline(stream, QWEN25, DEFAULTS, T=5)
+        assert inferred.T == same.T == 2 and wider.T == 5
+        assert np.array_equal(same.seq_len, inferred.seq_len)
+        assert np.array_equal(wider.seq_len, inferred.seq_len)
+        for bad in (1, 0):
+            with pytest.raises(StreamError, match="window id 1 lies outside"):
+                run_pipeline(stream, QWEN25, DEFAULTS, T=bad)
+        _, synth = run_pipeline(spec, QWEN25, DEFAULTS, T=3)
+        assert synth.T == 3
+
     def test_huge_positions_stay_small(self):
         # survivors travel as indices into each modality's rows, so a
         # position of 2**40 costs nothing extra; a table indexed by position

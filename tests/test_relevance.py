@@ -153,6 +153,12 @@ class TestWindowRelevance:
         with pytest.raises(ValueError):
             window_relevance(np.array([1.0]), np.array([1.0]), lay, 0.0)
 
+    def test_rejects_nan_tau(self):
+        lay = layout([1], [1])
+        with pytest.raises(ValueError, match="tau must be positive"):
+            window_relevance(np.array([1.0]), np.array([1.0]), lay,
+                             float("nan"))
+
     def test_rejects_length_mismatch(self):
         lay = layout([2], [1])
         with pytest.raises(ValueError):
