@@ -141,12 +141,15 @@ def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
         raise ContainerFormatError(f"cannot write {path}: {exc}") from exc
 
 
+_FIELD_FAULTS = (TypeError, ValueError, AttributeError, OverflowError)
+
+
 def _field(what: str, convert, value):
     """convert(value), with any type or value fault a ContainerFormatError
     naming what was being read."""
     try:
         return convert(value)
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except _FIELD_FAULTS as exc:
         raise ContainerFormatError(f"{what} is malformed: {value!r:.60} "
                                    f"({exc})") from exc
 
@@ -160,9 +163,6 @@ def _shaped(flat: np.ndarray, shape: tuple, what: str):
     except ValueError as exc:
         raise ContainerFormatError(f"{what} shape {shape} is not "
                                    f"representable ({exc})") from exc
-
-
-_FIELD_FAULTS = (TypeError, ValueError, AttributeError, OverflowError)
 
 
 def _entry_fields(entry) -> tuple[str, int, tuple]:
@@ -189,19 +189,15 @@ def _section_columns(entries: list):
     """The name, length, size and shape columns of a section table, as
     _entry_fields reads each entry, and the first malformed entry's error
     (None when every entry is well formed); the columns stop short of that
-    entry. Sizes are Python ints, so a product never wraps. The shape
-    column is None when every shape has one dimension: each is (size,)."""
+    entry. Sizes are Python ints, so a product never wraps. A shape is the
+    entry's own sequence of dimensions, each of which int() accepts; a tuple
+    for each of thousands of entries would stay behind in CPython's tuple
+    free list as held memory."""
     try:
         names = [entry.get("name") for entry in entries]
         lengths = list(map(int, [entry.get("length", -1) for entry in entries]))
-        raw = [entry.get("shape", ()) for entry in entries]
-        if list(map(len, raw)).count(1) == len(raw):
-            # vectors only: no shape tuple per entry is built
-            sizes = list(map(int, itertools.chain.from_iterable(raw)))
-            shapes = None
-        else:
-            shapes = [tuple(map(int, shape)) for shape in raw]
-            sizes = list(map(math.prod, shapes))
+        shapes = [entry.get("shape", ()) for entry in entries]
+        sizes = [math.prod(map(int, shape)) for shape in shapes]
         if all(map(isinstance, names, itertools.repeat(str))):
             return names, lengths, sizes, shapes, None
     except _FIELD_FAULTS:
@@ -229,15 +225,14 @@ def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
     # entries [0, ok) pass every check so far; fault is entry ok's error
     ok = len(names)
     expected = [4 * size for size in sizes]
-    dims = sizes if shapes is None else itertools.chain.from_iterable(shapes)
+    dims = map(int, itertools.chain.from_iterable(shapes))
     if min(dims, default=0) < 0 or lengths != expected:
-        negative = ([size < 0 for size in sizes] if shapes is None else
-                    [min(shape, default=0) < 0 for shape in shapes])
+        negative = [min(map(int, shape), default=0) < 0 for shape in shapes]
         mismatch = list(map(operator.ne, lengths, expected))
         ok = min(mask.index(True) for mask in (negative, mismatch)
                  if True in mask)
         name, length = names[ok], lengths[ok]
-        shape = (sizes[ok],) if shapes is None else shapes[ok]
+        shape = tuple(map(int, shapes[ok]))
         fault = ContainerFormatError(
             f"section {name!r} declares negative dimensions {shape}"
             if negative[ok] else
@@ -248,9 +243,7 @@ def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
     # ints until they are known to end inside the data, so none can wrap
     blocks = [8 + length for length in lengths[:ok]]
     left = len(data) - start
-    cut = ok
-    if sum(blocks) > left:
-        cut = bisect.bisect_right(list(itertools.accumulate(blocks)), left)
+    cut = bisect.bisect_right(list(itertools.accumulate(blocks)), left)
     spans = np.array(blocks[:cut], dtype=np.int64)
     starts = np.cumsum(spans) - spans
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -278,11 +271,11 @@ def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
     region = np.frombuffer(data, dtype="<f4", count=left // 4, offset=start)
     firsts = ((starts[:ok] + 8) // 4).tolist()
     sections: dict[str, np.ndarray] = {}
-    for name, first, size, shape in zip(names, firsts, sizes,
-                                        shapes or itertools.repeat(None)):
+    for name, first, size, shape in zip(names, firsts, sizes, shapes):
         flat = region[first : first + size]
-        sections[name] = (flat if shape is None or len(shape) == 1 else
-                          _shaped(flat, shape, f"section {name!r}"))
+        sections[name] = (flat if len(shape) == 1 else
+                          _shaped(flat, tuple(map(int, shape)),
+                                  f"section {name!r}"))
     if fault is not None:
         raise fault
     end = start + int(spans.sum())

@@ -325,15 +325,16 @@ def run_pipeline(
     """Run all three stages over a stream or a SynthSpec.
 
     The oracle supplies stage-1 attention and per-layer query scores; pass
-    None for uniform signals (a SynthSpec brings its own). T is the window
-    count, trailing empty windows included, as a container's header `t`
-    declares it; None takes a SynthSpec's T, or one past a stream's largest
-    window id. A T that leaves some window id outside [0, T) is a
-    StreamError. Returns the final text-only stream and the full trace.
+    None for uniform signals (a SynthSpec brings its own). T is a stream's
+    window count, trailing empty windows included, as a container's header
+    `t` declares it; None takes one past the stream's largest window id,
+    and a SynthSpec brings its own T. A T that leaves some window id
+    outside [0, T) is a StreamError. Returns the final text-only stream and
+    the full trace.
     """
     if isinstance(source, SynthSpec):
         stream, oracle = synth_generate(source)
-        T = source.T if T is None else T
+        T = source.T
     else:
         stream = source
     if oracle is None:

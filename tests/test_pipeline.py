@@ -258,8 +258,6 @@ class TestRunPipeline:
         for bad in (1, 0):
             with pytest.raises(StreamError, match="window id 1 lies outside"):
                 run_pipeline(stream, QWEN25, DEFAULTS, T=bad)
-        _, synth = run_pipeline(spec, QWEN25, DEFAULTS, T=3)
-        assert synth.T == 3
 
     def test_huge_positions_stay_small(self):
         # survivors travel as indices into each modality's rows, so a
