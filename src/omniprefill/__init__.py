@@ -24,7 +24,6 @@ from .core import (
     TokenStream,
     WindowLayout,
     audio_intact_rv,
-    overall_ratio,
     validate_stream,
 )
 from .cost import FLOPS_FORMULA, CostReport, layer_flops, trace_flops
@@ -108,7 +107,6 @@ __all__ = [
     "load_synth_spec",
     "mean_received_attention",
     "mean_retention",
-    "overall_ratio",
     "read_ots",
     "read_ots_file",
     "retention_slack",

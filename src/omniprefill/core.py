@@ -249,8 +249,7 @@ class RetentionSpec:
     the window-relevance softmax temperature.
 
     r is the overall non-text retention ratio, kept for bookkeeping (the
-    config key "ratio"); overall_ratio derives it from (r_v, r_a) and a
-    layout.
+    config key "ratio"): (r_v*N_v + r_a*N_a) / (N_v + N_a) over a layout.
     """
 
     r_v: float
@@ -331,22 +330,14 @@ def validate_stream(stream: TokenStream, layout: WindowLayout) -> list[str]:
     return problems
 
 
-def overall_ratio(r_v: float, r_a: float, layout: WindowLayout) -> float:
-    """Overall non-text retention implied by per-modality ratios:
-    (r_v*N_v + r_a*N_a) / (N_v + N_a)."""
-    n_v, n_a = layout.total_visual, layout.total_audio
-    if n_v + n_a == 0:
-        raise EngineError("overall_ratio needs at least one non-text token")
-    return (r_v * n_v + r_a * n_a) / (n_v + n_a)
-
-
 def audio_intact_rv(
     r: float, layout: WindowLayout, min_practical: float = 0.0
 ) -> float:
     """Visual retention ratio that meets overall ratio r with audio untouched.
 
     Solves r_v from r*(N_v+N_a) = r_v*N_v + 1.0*N_a and returns that
-    continuous ratio, exact inverse of overall_ratio. The published
+    continuous ratio, the exact inverse of the overall ratio
+    (r_v*N_v + r_a*N_a) / (N_v+N_a) at r_a = 1. The published
     audio-intact table counts whole tokens instead: it keeps the fewest
     visual tokens that meet r, ceil(r_v*N_v), and prints them as a
     percentage of N_v (288/26 at r=0.15: r_v=7.33% keeps 22 tokens,

@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import ModelConfig, freeze_fields
+from .core import ModelConfig, StreamError, freeze_fields
 from .pipeline import PrefillTrace
 
 FLOPS_FORMULA = "v1: 8*n*d^2 + 4*n^2*d + 6*n*d*d_ff per layer"
@@ -54,7 +54,7 @@ def trace_flops(trace: PrefillTrace, config: ModelConfig) -> CostReport:
     so each of the L layers processes the full original length.
     """
     if trace.layers != config.layers:
-        raise ValueError(
+        raise StreamError(
             f"trace covers {trace.layers} layers, config has {config.layers}"
         )
     per_layer = np.array(

@@ -617,7 +617,17 @@ def parse_trace_csv(text: str) -> TraceView:
             raise ContainerFormatError(
                 f"line {lineno}: expected 5 columns, got {len(parts)}"
             )
-        rows.append((int(parts[0]), int(parts[1])))
+        try:
+            layer, seq_len = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ContainerFormatError(
+                f"line {lineno}: layer and seq_len must be integers"
+            ) from None
+        if not 0 <= seq_len < 2**63:
+            raise ContainerFormatError(
+                f"line {lineno}: seq_len {seq_len} lies outside [0, 2**63)"
+            )
+        rows.append((layer, seq_len))
     if not header_seen or not rows:
         raise ContainerFormatError("trace CSV has no data rows")
     try:
@@ -627,6 +637,13 @@ def parse_trace_csv(text: str) -> TraceView:
         raise ContainerFormatError(
             f"trace CSV lacks required metadata comment {exc}"
         ) from exc
+    except ValueError:
+        raise ContainerFormatError(
+            "trace CSV metadata n_visual, n_audio and n_text must be integers"
+        ) from None
+    if min(n_original) < 0:
+        raise ContainerFormatError("trace CSV token counts must be "
+                                   "non-negative")
     rows.sort()
     if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
         raise ContainerFormatError("trace CSV layer column must cover 1..L")

@@ -103,7 +103,7 @@ def window_relevance(
     through softmax(mean/tau) over the windows where it is present.
     """
     if not tau > 0.0:  # a NaN tau fails this too
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise StreamError(f"tau must be positive, got {tau}")
     scores_v = np.asarray(scores_v, dtype=np.float64)
     scores_a = np.asarray(scores_a, dtype=np.float64)
     if scores_v.shape[0] != layout.total_visual:

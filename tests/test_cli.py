@@ -459,6 +459,50 @@ class TestFlops:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMalformedTrace:
+    @pytest.fixture
+    def trace_lines(self, configs, tmp_path):
+        """A run's trace CSV lines, and the index of its layer-1 row."""
+        trace = tmp_path / "trace.csv"
+        main(["run", "--config", configs["model"], "--spec",
+              configs["retention"], "--synth", configs["synth"],
+              "--trace", str(trace)])
+        lines = trace.read_text().splitlines()
+        at = lines.index("layer,seq_len,kept_visual,kept_audio,kept_text") + 1
+        assert lines[at].startswith("1,")
+        return lines, at
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: "x" + row[1:], "layer and seq_len must be integers"),
+        (lambda row: "1,99999999999999999999999" + row[row.index(",", 2):],
+         "seq_len 99999999999999999999999 lies outside"),
+        (lambda row: "1,-5" + row[row.index(",", 2):],
+         "seq_len -5 lies outside"),
+    ], ids=["non-integer-layer", "seq-len-past-int64", "negative-seq-len"])
+    def test_bad_row_is_domain_error(self, configs, tmp_path, trace_lines,
+                                     edit, message):
+        lines, at = trace_lines
+        lines[at] = edit(lines[at])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = cli_process("flops", "--trace", str(bad), "--config",
+                           configs["model"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: line {at + 1}: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_layer_count_mismatch_is_domain_error(self, configs, tmp_path,
+                                                  trace_lines):
+        lines, at = trace_lines
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[: at + 1]) + "\n")
+        proc = cli_process("flops", "--trace", str(bad), "--config",
+                           configs["model"])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: trace covers 1 layers, config has 28\n"
+
+
 class TestUsage:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
     audio_intact_rv,
-    overall_ratio,
     validate_stream,
 )
 
@@ -224,6 +223,13 @@ class TestValidateStream:
         lay = WindowLayout(n_v=np.array([1, 2]), n_a=np.array([2, 1]))
         problems = validate_stream(s, lay)
         assert any("declares" in p for p in problems)
+
+
+def overall_ratio(r_v, r_a, layout):
+    """Overall non-text retention implied by per-modality ratios:
+    (r_v*N_v + r_a*N_a) / (N_v + N_a)."""
+    n_v, n_a = layout.total_visual, layout.total_audio
+    return (r_v * n_v + r_a * n_a) / (n_v + n_a)
 
 
 class TestRatioArithmetic:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omniprefill.core import ModelConfig, RetentionSpec
+from omniprefill.core import EngineError, ModelConfig, RetentionSpec
 from omniprefill.cost import layer_flops, trace_flops
 from omniprefill.pipeline import SynthSpec, run_pipeline
 
@@ -81,5 +81,6 @@ class TestTraceFlops:
         trace = small_trace(seed=6)
         other = ModelConfig(layers=30, d_model=64, d_ff=128, n_heads=4,
                             boundaries=(16, 19, 21, 24))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trace covers 28 layers") as exc:
             trace_flops(trace, other)
+        assert isinstance(exc.value, EngineError)

@@ -146,13 +146,19 @@ class TestGreedyMaxmin:
 def test_batched_kernel_with_zero_weights_matches_single_groups():
     # the kernel scales each distance column by its weight; zero weights
     # make whole value rows tie at 0, which must still pick exactly k per
-    # group and agree with greedy_maxmin group by group
+    # group and agree with greedy_maxmin group by group. greedy_maxmin runs
+    # its one group in one dimension, so this compares the two kernel paths,
+    # also at the stage-1 group sizes 50 and 288. The smallest subnormal
+    # weight rounds most values to 0 and the largest finite one overflows
+    # them to inf, so ties abound
     rng = np.random.default_rng(5)
     for _ in range(200):
         G, n, d = (int(x) for x in rng.integers((2, 2, 1), (6, 12, 5)))
-        k = int(rng.integers(1, n))
+        n = int(rng.choice([n] * 8 + [50, 288]))
+        k = int(rng.choice([1, n - 1, rng.integers(1, n)]))
         emb = rng.integers(-1, 2, size=(G * n, d)).astype(np.float64)
-        w = rng.choice([0.0, 0.0, 0.5, 1.0], size=(G, n))
+        w = rng.choice([0.0, 0.0, 0.5, 1.0, 5e-324, 1.7976931348623157e308],
+                       size=(G, n))
         unit, _ = _unit_rows(emb, range(G * n))
         dist = np.empty((G, n, n))
         _distances(unit.reshape(G, n, d), dist)

@@ -840,6 +840,16 @@ class TestTraceReports:
         with pytest.raises(ContainerFormatError, match="metadata"):
             parse_trace_csv(text)
 
+    @pytest.mark.parametrize("value, message", [
+        ("x", "must be integers"), ("-3", "must be non-negative")])
+    def test_metadata_counts_checked(self, value, message):
+        text = "\n".join(
+            f"# n_audio={value}" if line.startswith("# n_audio") else line
+            for line in trace_csv(self.ran()).splitlines()
+        )
+        with pytest.raises(ContainerFormatError, match=message):
+            parse_trace_csv(text)
+
     def test_column_count_checked(self):
         text = trace_csv(self.ran()) + "29,1,1\n"
         with pytest.raises(ContainerFormatError, match="5 columns"):

@@ -155,9 +155,10 @@ class TestWindowRelevance:
 
     def test_rejects_nan_tau(self):
         lay = layout([1], [1])
-        with pytest.raises(ValueError, match="tau must be positive"):
+        with pytest.raises(ValueError, match="tau must be positive") as exc:
             window_relevance(np.array([1.0]), np.array([1.0]), lay,
                              float("nan"))
+        assert isinstance(exc.value, StreamError)
 
     def test_rejects_length_mismatch(self):
         lay = layout([2], [1])

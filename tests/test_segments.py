@@ -26,7 +26,13 @@ from omniprefill.core import (
     WindowLayout,
 )
 from omniprefill.divprune import keep_count, win_div_prune
-from omniprefill.pipeline import ContainerOracle, run_pipeline, stage1_saliency
+from omniprefill.pipeline import (
+    ContainerOracle,
+    mean_retention,
+    retention_slack,
+    run_pipeline,
+    stage1_saliency,
+)
 from omniprefill.relevance import RelevanceScores, _window_means, softmax
 from omniprefill.selector import apply_budget, select_topk
 
@@ -441,6 +447,11 @@ def test_pipeline_invariants_on_ragged_streams(data):
     assert np.all(np.diff(trace.seq_len) <= 0)
     assert np.array_equal(trace.seq_len,
                           trace.kept_v + trace.kept_a + trace.kept_text)
+    means, slack = mean_retention(trace), retention_slack(trace)
+    for name, r_m, total in (("visual", retention.r_v, trace.n_original[0]),
+                             ("audio", retention.r_a, trace.n_original[1])):
+        if total:
+            assert abs(means[name] - r_m) <= slack[name]
     text = stream.rows_of(TEXT)
     assert final.position.tolist() == stream.position[text].tolist()
     assert np.all(final.modality == TEXT)
