@@ -110,9 +110,9 @@ def allocate(
     slot_share = share[slot_window]
     # first pass by largest remainder, later passes by relevance share; each
     # pass gives one token to every slot below its cap, in order, until the
-    # total lands
-    later = np.lexsort((slot_is_audio, slot_window, -slot_share))
+    # total lands. The later order is built only when a second pass runs
     order = np.lexsort((slot_is_audio, slot_window, -slot_share, -frac))
+    later = None
     while deficit > 0:
         open_slots = order[base[order] < caps[order]][:deficit]
         if open_slots.size == 0:
@@ -121,7 +121,9 @@ def allocate(
             )
         base[open_slots] += 1
         deficit -= open_slots.size
-        order = later
+        if deficit > 0 and later is None:
+            order = later = np.lexsort((slot_is_audio, slot_window,
+                                        -slot_share))
 
     b_v = base[:T]
     b_a = base[T:]

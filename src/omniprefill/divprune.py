@@ -50,24 +50,32 @@ class SelectionResult:
         freeze_fields(self, np.int64, "kept", "rows", "kept_v", "kept_a")
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def _unit_rows(emb: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a float64 (m, d) matrix scaled to unit length, and the mask
-    of zero-norm rows (left as they are). A non-finite norm (a NaN or inf
-    entry: float32 entries cannot overflow squared in float64) is a
-    StreamError naming row i as the flattened rows[i]."""
+    """Rows of a float64 (m, d) matrix scaled to unit length in float64 and
+    rounded to float32, and the mask of zero-norm rows (left as they are). A
+    non-finite norm (a NaN or inf entry: float32 entries cannot overflow
+    squared in float64) is a StreamError naming row i as the flattened
+    rows[i]."""
     norms = np.linalg.norm(emb, axis=1)
     if not np.isfinite(norms).all():
         i = np.flatnonzero(~np.isfinite(norms))[0]
         raise StreamError(f"embedding of row {np.ravel(rows)[i]} is not finite")
     zero = norms == 0.0
-    return emb / np.where(zero, 1.0, norms)[:, None], zero
+    unit = np.empty(emb.shape, dtype=np.float32)
+    np.divide(emb, np.where(zero, 1.0, norms)[:, None], out=unit,
+              casting="same_kind")
+    return unit, zero
 
 
 def _distances(unit: np.ndarray, out: np.ndarray) -> None:
-    """Fill out (G, n, n) with the pairwise 1-cos distances of G groups of
-    unit rows, clipped to [0, 2]. A zero-norm row (its squares underflow to
-    0) is left unscaled, so its dot products round away and it sits at
-    distance exactly 1 from everything (cosine is undefined there).
+    """Fill the float32 out (G, n, n) with the pairwise 1-cos distances of
+    G groups of float32 unit rows, clipped to [0, 2]; every step runs in
+    float32. A zero-norm row (its squares underflow to 0) is left unscaled,
+    so its dot products round away and it sits at distance exactly 1 from
+    everything (cosine is undefined there).
 
     One stacked matmul makes every Gram. numpy runs its 2-D routine once
     per group, and takes the syrk branch whenever both operands share
@@ -87,7 +95,7 @@ def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise 1-cos distances of one group and its zero-norm mask."""
     emb = np.asarray(embeddings, dtype=np.float64)
     unit, zero = _unit_rows(emb, range(emb.shape[0]))
-    dist = np.empty((1, emb.shape[0], emb.shape[0]))
+    dist = np.empty((1, emb.shape[0], emb.shape[0]), dtype=np.float32)
     _distances(unit[None], dist)
     return dist[0], zero
 
@@ -95,10 +103,13 @@ def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """Greedy max-min in G groups at once; returns the (G, n) pick mask.
 
-    dist is a contiguous (G, n, n) block filled by _distances, which this
-    overwrites; weights is (G, n). Scaling column j by weights[j] is exact
-    under min (rounding a product by a finite non-negative weight is
-    monotone), so row i then holds every candidate's value against pick i.
+    dist is a contiguous float32 (G, n, n) block filled by _distances,
+    which this overwrites; weights is (G, n), finite and non-negative, and is
+    clamped to the largest finite float32 and rounded to float32, so a
+    weight too small for float32, such as 5e-324, acts as 0. Scaling column j
+    by weights[j] is exact under min (rounding a product by a finite
+    non-negative weight is monotone), so row i then holds every candidate's
+    value against pick i.
     With the diagonal parked at +inf the column minima are the seed values
     w*nearest; parked at -inf it marks the picks, as a pick's own row drives
     its value to -inf. A step is one row gather, one minimum and one
@@ -107,8 +118,10 @@ def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     and the picked row as a view, which halves the cost of a step.
     """
     G, n, _ = dist.shape
-    # a weight near the float64 maximum times a distance overflows to inf,
-    # which orders the candidates exactly as intended
+    # the clamp keeps every weight finite, so a zero distance scales to 0
+    # and never to inf * 0 = NaN; a large weight times a positive distance
+    # may still overflow to inf, which orders the candidates as intended
+    weights = np.minimum(weights, _FLOAT32_MAX).astype(np.float32)
     with np.errstate(over="ignore"):
         dist *= weights[:, None, :]
     diagonal = dist.reshape(G, n * n)[:, :: n + 1]
@@ -176,10 +189,13 @@ def win_div_prune(
     selection). Pre-LLM ratios are min(1, lambda*r_m) per modality.
 
     Groups of equal size run through greedy max-min together, in chunks.
-    A chunk's working set (distance block plus float64 embedding copies)
-    stays within 25 n_max^2 bytes, four n*n float64 matrices of the largest
-    group, or within an eighth of the stream's embedding bytes if that is
-    more, so batching adds little to peak memory on short streams.
+    Rows are normalised in float64; the Gram, the distances, the weighted
+    values and the greedy steps run in float32. A chunk is sized as if its
+    distance block were float64: its working set (distance block plus
+    float64 embedding copies) stays within 25 n_max^2 bytes, four n*n
+    float64 matrices of the largest group, or within an eighth of the
+    stream's embedding bytes if that is more, so batching adds little to
+    peak memory on short streams, and the float32 block lowers it.
     """
     problems = validate_stream(stream, layout)
     if problems:
@@ -200,7 +216,7 @@ def win_div_prune(
     }
     n_max = int(max(layout.n_v.max(), layout.n_a.max()))
     budget = max(25 * n_max**2, stream.embeddings.nbytes // 8)
-    block = np.empty(0)
+    block = np.empty(0, dtype=np.float32)
 
     keep_rows = [stream.rows_of(TEXT)]
     kept_counts = {VISUAL: np.zeros(layout.T, dtype=np.int64),
@@ -217,7 +233,9 @@ def win_div_prune(
                 continue
             kept_counts[m][windows] = k
             # a group's distances, plus its float32 rows, their float64 copy,
-            # its square and the unit rows
+            # its square and the unit rows, counted as if the distances and
+            # unit rows were float64: float32 lowers peak memory rather than
+            # buying larger chunks
             per_chunk = max(1, budget // (8 * n * n + 28 * n * stream.d))
             for lo in range(0, windows.shape[0], per_chunk):
                 group_rows = rows[index[lo : lo + per_chunk]]
@@ -233,7 +251,7 @@ def win_div_prune(
                     continue
                 if block.size < G * n * n:
                     block = None  # release before growing
-                    block = np.empty(G * n * n)
+                    block = np.empty(G * n * n, dtype=np.float32)
                 dist = block[: G * n * n].reshape(G, n, n)
                 _distances(unit.reshape(G, n, -1), dist)
                 del unit

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,42 @@ def brute_force_greedy(emb, w, k):
                 best, best_val = c, val
         sel.append(best)
     return sorted(sel)
+
+
+def maxmin64(emb, w, k):
+    """Greedy max-min of one group with every step in float64: the stage-1
+    kernel before it moved to float32, kept here only as the reference for
+    measuring pick agreement. Unit rows, syrk Gram, 1 - cos clipped to
+    [0, 2], weighted columns, seed and greedy steps follow _maxmin's
+    one-dimensional path. Returns ascending picks."""
+    emb = np.asarray(emb, dtype=np.float64)
+    n = emb.shape[0]
+    if k == n:
+        return np.arange(n)
+    norms = np.linalg.norm(emb, axis=1)
+    unit = emb / np.where(norms == 0.0, 1.0, norms)[:, None]
+    dist = unit @ unit.T  # syrk: both operands share memory
+    np.subtract(1.0, dist, out=dist)
+    np.clip(dist, 0.0, 2.0, out=dist)
+    with np.errstate(over="ignore"):
+        dist *= np.asarray(w, dtype=np.float64)[None, :]
+    np.fill_diagonal(dist, np.inf)
+    seed = dist.min(axis=0)
+    np.fill_diagonal(dist, -np.inf)
+    value = dist[seed.argmax()].copy()
+    for _ in range(k - 1):
+        np.minimum(value, dist[value.argmax()], out=value)
+    return np.flatnonzero(value == -np.inf)
+
+
+def _chunk_picks(emb, w, k):
+    """Pick masks of the G groups of emb (G, n, d) run as one batched chunk,
+    and the distance block the kernel left behind."""
+    G, n, d = emb.shape
+    unit, _ = _unit_rows(emb.reshape(G * n, d), range(G * n))
+    dist = np.empty((G, n, n), dtype=np.float32)
+    _distances(unit.reshape(G, n, d), dist)
+    return _maxmin(dist, np.asarray(w, dtype=np.float64), k), dist
 
 
 class TestGreedyMaxmin:
@@ -159,10 +197,7 @@ def test_batched_kernel_with_zero_weights_matches_single_groups():
         emb = rng.integers(-1, 2, size=(G * n, d)).astype(np.float64)
         w = rng.choice([0.0, 0.0, 0.5, 1.0, 5e-324, 1.7976931348623157e308],
                        size=(G, n))
-        unit, _ = _unit_rows(emb, range(G * n))
-        dist = np.empty((G, n, n))
-        _distances(unit.reshape(G, n, d), dist)
-        mask = _maxmin(dist, w, k)
+        mask, _ = _chunk_picks(emb.reshape(G, n, d), w, k)
         assert mask.sum(axis=1).tolist() == [k] * G
         for g in range(G):
             want = greedy_maxmin(emb[g * n : (g + 1) * n], w[g], k)
@@ -176,10 +211,12 @@ def test_batched_kernel_with_zero_weights_matches_single_groups():
        zero=st.integers(0, 3), duplicate=st.integers(0, 3))
 def test_stacked_gram_equals_per_group_products(G, n, d, seed, zero,
                                                 duplicate):
-    # _distances makes every Gram in one stacked matmul. It must equal the
-    # 2-D product of each group bit for bit and be exactly symmetric: both
-    # rest on numpy running syrk per group, which a numpy release could
-    # change, and any difference in the last bit moves ties in _maxmin
+    # _unit_rows normalises in float64 and rounds to float32; _distances
+    # makes every float32 Gram in one stacked matmul. It must equal the
+    # float32 2-D product of each group bit for bit and be exactly
+    # symmetric: both rest on numpy running syrk per group, which a numpy
+    # release could change, and any difference in the last bit moves ties
+    # in _maxmin
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal((G, n, d)).astype(np.float32).astype(np.float64)
     for _ in range(zero):
@@ -187,16 +224,83 @@ def test_stacked_gram_equals_per_group_products(G, n, d, seed, zero,
     for _ in range(duplicate):
         g = rng.integers(G)
         emb[g, rng.integers(n)] = emb[g, rng.integers(n)]
-    unit, _ = _unit_rows(emb.reshape(G * n, d), range(G * n))
+    flat = emb.reshape(G * n, d)
+    unit, zero_mask = _unit_rows(flat, range(G * n))
+    norms = np.linalg.norm(flat, axis=1)
+    want_unit = flat / np.where(zero_mask, 1.0, norms)[:, None]
+    assert unit.dtype == np.float32
+    assert unit.tobytes() == want_unit.astype(np.float32).tobytes()
     unit = unit.reshape(G, n, d)
-    got = np.empty((G, n, n))
+    got = np.empty((G, n, n), dtype=np.float32)
     _distances(unit, got)
     for g in range(G):
         want = np.matmul(unit[g], unit[g].T)
-        np.subtract(1.0, want, out=want)
-        np.clip(want, 0.0, 2.0, out=want)
+        assert want.dtype == np.float32
+        np.subtract(np.float32(1.0), want, out=want)
+        np.clip(want, np.float32(0.0), np.float32(2.0), out=want)
         assert got[g].tobytes() == want.tobytes()
         assert got[g].tobytes() == got[g].T.copy().tobytes()
+
+
+@pytest.mark.parametrize("G", [1, 3], ids=["one-dimensional", "batched"])
+def test_largest_float64_weight_on_duplicates_picks_k(G):
+    # 1.7976931348623157e308 is finite in float64 but not in float32. The
+    # kernel clamps it to the largest float32, so a duplicate's distance 0
+    # scales to 0 instead of inf * 0 = NaN, and every group still picks
+    # exactly k distinct tokens, one per distinct vector first
+    n, d = 12, 4
+    label = np.arange(n) % 3  # three distinct vectors, four copies each
+    emb = np.tile(np.eye(d)[label], (G, 1, 1))
+    w = np.full((G, n), 1.7976931348623157e308)
+    for k in range(1, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask, dist = _chunk_picks(emb, w, k)
+            one = greedy_maxmin(emb[0], w[0], k)
+        assert not np.isnan(dist).any()
+        assert mask.sum(axis=1).tolist() == [k] * G
+        for g in range(G):
+            picks = np.flatnonzero(mask[g])
+            assert picks.tolist() == one.tolist()
+            assert len(set(label[picks].tolist())) == min(k, 3)
+
+
+@pytest.mark.parametrize("G", [1, 3], ids=["one-dimensional", "batched"])
+def test_smallest_subnormal_weight_acts_as_zero(G):
+    # 5e-324 rounds to 0 in float32, so it must pick exactly what a weight
+    # of 0 picks, on both kernel paths: in float64 it would beat a weight
+    # of 0 once only weights that small are left
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.choice([5, 16, 50]))
+        k = int(rng.integers(1, n))
+        emb = rng.standard_normal((G, n, 8))
+        w = rng.choice([0.0, 0.5, 1.0, 5e-324], size=(G, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = _chunk_picks(emb, w, k)
+            want, _ = _chunk_picks(emb, np.where(w == 5e-324, 0.0, w), k)
+            one = greedy_maxmin(emb[0], w[0], k)
+        assert got.tolist() == want.tolist()
+        assert one.tolist() == np.flatnonzero(want[0]).tolist()
+
+
+@pytest.mark.parametrize("seed", [7, 11, 13])
+@pytest.mark.parametrize("n, k", [(288, 120), (50, 45), (16, 6), (4, 3)])
+def test_float32_picks_agree_with_float64_reference(n, k, seed):
+    # Stage 1's float32 kernel moves a pick only where float32 rounding
+    # breaks a near-tie differently. On Gaussian groups of the stage-1 group
+    # shapes (d = 64, keep counts at the pre-LLM ratios 0.42 and 0.91) there
+    # are none, so the pick sets equal the float64 kernel's
+    rng = np.random.default_rng(seed)
+    G = 4
+    emb = rng.standard_normal((G, n, 64)).astype(np.float32)
+    w = rng.random((G, n))
+    mask, _ = _chunk_picks(emb.astype(np.float64), w, k)
+    for g in range(G):
+        want = maxmin64(emb[g], w[g], k)
+        assert np.flatnonzero(mask[g]).tolist() == want.tolist()
+        assert greedy_maxmin(emb[g], w[g], k).tolist() == want.tolist()
 
 
 class TestKeepCount:

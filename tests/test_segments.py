@@ -81,21 +81,25 @@ def ragged_streams(draw, max_d=4):
 def plain_maxmin(emb, w, k):
     """Greedy max-min over one group in Python loops: the seed maximizes
     w * nearest-neighbour distance, each later pick maximizes w * distance
-    to the nearest pick, and ties go to the lowest index. Distances follow
-    the engine's definition: 1 - cosine of the float64 rows, clipped to
-    [0, 2], zero-norm rows at 1 from everything."""
+    to the nearest pick, and ties go to the lowest index. Values follow the
+    engine's precision: rows normalised in float64 and rounded to float32,
+    then 1 - cosine in float32, clipped to [0, 2], zero-norm rows at 1 from
+    everything, each times its candidate's weight clamped to the largest
+    float32 and rounded to float32. Rounding a product is monotone, so
+    w * min equals the min of the rounded products."""
     n = emb.shape[0]
     if k == n:
         return list(range(n))
     emb = np.asarray(emb, dtype=np.float64)
     norms = np.linalg.norm(emb, axis=1)
     zero = norms == 0.0
-    unit = emb / np.where(zero, 1.0, norms)[:, None]
-    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    unit = (emb / np.where(zero, 1.0, norms)[:, None]).astype(np.float32)
+    dist = np.clip(np.float32(1.0) - unit @ unit.T, 0.0, 2.0)
     dist[zero, :] = 1.0
     dist[:, zero] = 1.0
-    d = dist.tolist()
-    w = [float(x) for x in w]
+    w32 = np.minimum(w, np.finfo(np.float32).max).astype(np.float32)
+    with np.errstate(over="ignore"):
+        d = (dist * w32[:, None]).tolist()  # d[c][s]: c's value against s
 
     def best(values):
         top = None
@@ -104,10 +108,10 @@ def plain_maxmin(emb, w, k):
                 top = (i, v)
         return top[0]
 
-    chosen = [best((i, w[i] * min(d[i][j] for j in range(n) if j != i))
+    chosen = [best((i, min(d[i][j] for j in range(n) if j != i))
                    for i in range(n))]
     while len(chosen) < k:
-        chosen.append(best((c, w[c] * min(d[c][s] for s in chosen))
+        chosen.append(best((c, min(d[c][s] for s in chosen))
                            for c in range(n) if c not in chosen))
     return sorted(chosen)
 
