@@ -203,17 +203,19 @@ def segments(counts: np.ndarray):
     """One modality's tokens, laid out window-major, grouped by run length.
 
     counts[t] tokens of the modality sit in window t, window after window.
-    Yields (n, windows, index) for each distinct non-zero length n,
+    Yields (n, windows, starts) for each distinct non-zero length n,
     ascending: windows holds, ascending, the windows with exactly n tokens
-    and index (len(windows), n) the token offsets of each such window's run.
-    Every stage that works window by window goes through these runs, so a
-    whole size class is handled by one array operation.
+    and starts the offset of each such window's first token, so
+    starts[:, None] + np.arange(n) are the offsets of their runs. Every
+    stage that works window by window goes through these runs, so a whole
+    size class is handled by one array operation; a stage builds the
+    offsets of as many runs at a time as it handles.
     """
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     for n in np.unique(counts[counts > 0]):
         windows = np.flatnonzero(counts == n)
-        yield int(n), windows, starts[windows][:, None] + np.arange(n)
+        yield int(n), windows, starts[windows]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -54,19 +54,21 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _unit_rows(emb: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a float64 (m, d) matrix scaled to unit length in float64 and
-    rounded to float32, and the mask of zero-norm rows (left as they are). A
-    non-finite norm (a NaN or inf entry: float32 entries cannot overflow
-    squared in float64) is a StreamError naming row i as the flattened
-    rows[i]."""
-    norms = np.linalg.norm(emb, axis=1)
+    """Rows of a float32 or float64 (m, d) matrix scaled to unit length in
+    float64 and rounded to float32, and the mask of zero-norm rows (left as
+    they are). The norms sum float64 squares and the quotients are taken in
+    float64, straight from the rows as given, so float32 rows get no float64
+    copy and come out exactly as a float64 copy of them would. A non-finite
+    norm (a NaN or inf entry: float32 entries cannot overflow squared in
+    float64) is a StreamError naming row i as the flattened rows[i]."""
+    norms = np.sqrt(np.add.reduce(np.square(emb, dtype=np.float64), axis=1))
     if not np.isfinite(norms).all():
         i = np.flatnonzero(~np.isfinite(norms))[0]
         raise StreamError(f"embedding of row {np.ravel(rows)[i]} is not finite")
     zero = norms == 0.0
     unit = np.empty(emb.shape, dtype=np.float32)
     np.divide(emb, np.where(zero, 1.0, norms)[:, None], out=unit,
-              casting="same_kind")
+              dtype=np.float64, casting="same_kind")
     return unit, zero
 
 
@@ -188,28 +190,38 @@ def win_div_prune(
     uniform weights everywhere (which reduces this to plain diversity
     selection). Pre-LLM ratios are min(1, lambda*r_m) per modality.
 
+    A float32 saliency vector is checked in place; any other converts to
+    float64 first. Weights reach the kernel clamped and rounded to float32
+    either way, so float32 and float64 vectors of the same values pick the
+    same tokens.
+
     Groups of equal size run through greedy max-min together, in chunks.
-    Rows are normalised in float64; the Gram, the distances, the weighted
-    values and the greedy steps run in float32. A chunk is sized as if its
-    distance block were float64: its working set (distance block plus
-    float64 embedding copies) stays within 25 n_max^2 bytes, four n*n
-    float64 matrices of the largest group, or within an eighth of the
-    stream's embedding bytes if that is more, so batching adds little to
-    peak memory on short streams, and the float32 block lowers it.
+    A chunk gathers its float32 rows and normalises them with float64 norms
+    and quotients, without a float64 copy of the rows; the Gram, the
+    distances, the weighted values and the greedy steps run in float32. A
+    chunk's group count G is set as if its rows were copied to float64 and
+    its distance block were float64: that working set stays within
+    25 n_max^2 bytes, four n*n float64 matrices of the largest group, or
+    within an eighth of the stream's embedding bytes if that is more, so
+    batching adds little to peak memory on short streams. The real one is
+    about half of that: the float32 gather, the float64 squares while the
+    norms are summed, the float32 unit rows and the float32 block.
     """
     problems = validate_stream(stream, layout)
     if problems:
         raise StreamError(f"invalid stream/layout: {problems[0]}")
     if saliency is not None:
-        saliency = np.asarray(saliency, dtype=np.float64)
+        saliency = np.asarray(saliency)
+        if saliency.dtype != np.float32:
+            saliency = saliency.astype(np.float64)
         if saliency.shape != (stream.n,):
             raise StreamError(f"saliency has shape {saliency.shape}, stream "
                               f"holds {stream.n} rows")
         bad = np.flatnonzero(~(np.isfinite(saliency) & (saliency >= 0)))
         if bad.size:
             raise StreamError(f"saliency weight of row {bad[0]} is "
-                              f"{saliency[bad[0]]}; weights must be finite "
-                              f"and non-negative")
+                              f"{float(saliency[bad[0]])}; weights must be "
+                              f"finite and non-negative")
     r_pre = {
         VISUAL: min(1.0, spec.lambda_ * spec.r_v),
         AUDIO: min(1.0, spec.lambda_ * spec.r_a),
@@ -227,22 +239,22 @@ def win_div_prune(
         # modality's rows, so its storage order is window-major
         rows = stream.rows_of(m)
         zero_counts = {}
-        for n, windows, index in segments(counts):
+        for n, windows, starts in segments(counts):
             k = keep_count(r_pre[m], n)
             if k == 0:
                 continue
             kept_counts[m][windows] = k
-            # a group's distances, plus its float32 rows, their float64 copy,
+            # a group's distances, plus its float32 rows, a float64 copy,
             # its square and the unit rows, counted as if the distances and
-            # unit rows were float64: float32 lowers peak memory rather than
-            # buying larger chunks
+            # unit rows were float64: float32 and the missing copy lower
+            # peak memory rather than buy larger chunks
             per_chunk = max(1, budget // (8 * n * n + 28 * n * stream.d))
+            offsets = np.arange(n)
             for lo in range(0, windows.shape[0], per_chunk):
-                group_rows = rows[index[lo : lo + per_chunk]]
+                group_rows = rows[starts[lo : lo + per_chunk, None] + offsets]
                 G = group_rows.shape[0]
-                emb = stream.embeddings[group_rows.ravel()].astype(np.float64)
-                unit, zero = _unit_rows(emb, group_rows)
-                del emb
+                unit, zero = _unit_rows(
+                    stream.embeddings[group_rows.ravel()], group_rows)
                 zero = zero.reshape(G, n)
                 for i in np.flatnonzero(zero.any(axis=1)):
                     zero_counts[int(windows[lo + i])] = int(zero[i].sum())
@@ -264,7 +276,12 @@ def win_div_prune(
             for t in sorted(zero_counts)
         ]
 
-    rows = np.sort(np.concatenate(keep_rows))
+    # the distance block and the per-chunk picks go before the result is
+    # built, so its copies are the only stage-1 arrays left at its peak
+    del block
+    rows = np.concatenate(keep_rows)
+    del keep_rows
+    rows.sort()
     return SelectionResult(
         kept=stream.position[rows],
         rows=rows,

@@ -24,6 +24,7 @@ import numpy as np
 from .allocator import BudgetPlan, allocate
 from .core import (
     AUDIO,
+    MODALITY_NAMES,
     NO_WINDOW,
     TEXT,
     VISUAL,
@@ -304,15 +305,82 @@ def stage1_saliency(oracle, stream: TokenStream,
     """Per-row saliency weights for win_div_prune. The oracle is asked
     once per modality that has rows, visual then audio, for one vector over
     that modality's rows, window-major as win_div_prune requires, or None.
-    Rows it gives no vector for, and text rows, weigh 1.
+    Rows it gives no vector for, and text rows, weigh 1. The weights keep
+    the oracle's dtype when every vector it gives is float32, as a
+    container's sections are, and are float64 otherwise. A vector that is
+    not one entry per row of its modality is a StreamError.
     """
-    saliency = np.ones(stream.n)
+    vecs = {}
     for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
         if counts.any():
             vec = oracle.modality_saliency(m, counts)
             if vec is not None:
-                saliency[stream.rows_of(m)] = vec
+                vecs[m] = np.asarray(vec)
+    float32 = bool(vecs) and all(v.dtype == np.float32 for v in vecs.values())
+    saliency = np.ones(stream.n, dtype=np.float32 if float32 else np.float64)
+    for m, vec in vecs.items():
+        rows = stream.rows_of(m)
+        if vec.shape != rows.shape:
+            raise StreamError(
+                f"{MODALITY_NAMES[m]} saliency has shape {vec.shape}, the "
+                f"stream holds {rows.size} {MODALITY_NAMES[m]} rows")
+        saliency[rows] = vec
     return saliency
+
+
+def _survivors(stream: TokenStream, rows: np.ndarray):
+    """Per modality, visual then audio, the stage-1 survivors among the
+    stream rows `rows` as ascending ordinals into the modality's rows,
+    together with their original positions."""
+    survived = np.zeros(stream.n, dtype=bool)
+    survived[rows] = True
+    out = []
+    for m in (VISUAL, AUDIO):
+        rows_m = stream.rows_of(m)
+        ordinals = np.flatnonzero(survived[rows_m])
+        out.append((ordinals, stream.position[rows_m[ordinals]]))
+    return out
+
+
+def _drop_layer(oracle, layer: int, survivors, layout: WindowLayout,
+                r_v: float, r_a: float, totals: tuple[int, int],
+                tau: float):
+    """One drop layer: score the survivors, allocate the layer's budget and
+    keep each window's best. survivors, one (ordinals, positions) pair per
+    modality, is narrowed in place, so each pair goes as its successor
+    comes. Returns the selection and the plan; nothing else of the layer
+    outlives the call."""
+    scores = []
+    for m, (ordinals, _) in zip((VISUAL, AUDIO), survivors):
+        probs = oracle.query_probs(layer, m, ordinals)
+        if probs is None:
+            probs = UniformOracle().query_probs(layer, m, ordinals)
+        scores.append(probs)
+    rel = window_relevance(*scores, layout, tau)
+    # Per-window keep floors at earlier stages can leave fewer survivors
+    # than this layer's nominal budget (small windows lose a large fraction
+    # to flooring). Scale both totals down together so the target fits; the
+    # common factor keeps every intra-window split ratio unchanged.
+    n_v0, n_a0 = totals
+    capacity = layout.total_visual + layout.total_audio
+    nominal = r_v * n_v0 + r_a * n_a0
+    if round(nominal) > capacity:
+        shrink = capacity / nominal
+        totals = (n_v0 * shrink, n_a0 * shrink)
+    plan = allocate(rel, r_v, r_a, layout, totals=totals)
+    keep = apply_budget(plan, *scores, layout)
+    # a long stream's peak falls in this layer: free each array once
+    # nothing reads it
+    del scores, rel
+    for m in range(len(survivors)):
+        survivors[m] = tuple(a[keep[m]] for a in survivors[m])
+    del keep
+    kept = np.concatenate([positions for _, positions in survivors])
+    kept.sort()
+    selection = LayerSelection(layer=layer, kept=kept,
+                               dropped_v=layout.n_v - plan.b_v,
+                               dropped_a=layout.n_a - plan.b_a)
+    return selection, plan
 
 
 def run_pipeline(
@@ -357,15 +425,13 @@ def run_pipeline(
     # exactly plan.b_v[t] / plan.b_a[t].
     layout = WindowLayout(stage1.kept_v, stage1.kept_a)
     # No later stage reads embeddings: each modality's survivors travel as
-    # ascending indices into its original rows, window-major because those
-    # rows are. Query logits are drawn over that original order, so the
-    # indices are what the oracle scores, and selection cannot shift them.
+    # ascending ordinals into its original rows, window-major because those
+    # rows are, beside their original positions, and a drop layer narrows
+    # both. Query logits are drawn over that original order, so the
+    # ordinals are what the oracle scores, and selection cannot shift them.
     # Text is never dropped, so the final text-only stream is the input's
     # text rows.
-    modality_rows = [stream.rows_of(m) for m in (VISUAL, AUDIO)]
-    survived = np.zeros(stream.n, dtype=bool)
-    survived[stage1.rows] = True
-    survivors = [np.flatnonzero(survived[rows]) for rows in modality_rows]
+    survivors = _survivors(stream, stage1.rows)
 
     L = config.layers
     kept_v = np.zeros(L, dtype=np.int64)
@@ -386,39 +452,10 @@ def run_pipeline(
             )
             layout = WindowLayout(np.zeros(T), np.zeros(T))
         elif layer in alloc_layers:
-            scores = []
-            for m, ordinals in zip((VISUAL, AUDIO), survivors):
-                probs = oracle.query_probs(layer, m, ordinals)
-                if probs is None:
-                    probs = UniformOracle().query_probs(layer, m, ordinals)
-                scores.append(probs)
-            rel = window_relevance(*scores, layout, retention.tau)
-            r_v_l = sched_v.trr_at(layer)
-            r_a_l = sched_a.trr_at(layer)
-            # Per-window keep floors at earlier stages can leave fewer
-            # survivors than this layer's nominal budget (small windows lose
-            # a large fraction to flooring). Scale both totals down together
-            # so the target fits; the common factor keeps every intra-window
-            # split ratio unchanged.
-            totals = (n_v0, n_a0)
-            capacity = layout.total_visual + layout.total_audio
-            nominal = r_v_l * n_v0 + r_a_l * n_a0
-            if round(nominal) > capacity:
-                shrink = capacity / nominal
-                totals = (n_v0 * shrink, n_a0 * shrink)
-            plan = allocate(rel, r_v_l, r_a_l, layout, totals=totals)
-            keep = apply_budget(plan, *scores, layout)
-            survivors = [s[k] for s, k in zip(survivors, keep)]
-            kept = np.concatenate([stream.position[rows[s]] for rows, s
-                                   in zip(modality_rows, survivors)])
-            selections.append(
-                LayerSelection(
-                    layer=layer,
-                    kept=np.sort(kept),
-                    dropped_v=layout.n_v - plan.b_v,
-                    dropped_a=layout.n_a - plan.b_a,
-                )
-            )
+            selection, plan = _drop_layer(
+                oracle, layer, survivors, layout, sched_v.trr_at(layer),
+                sched_a.trr_at(layer), (n_v0, n_a0), retention.tau)
+            selections.append(selection)
             plans.append((layer, plan))
             layout = WindowLayout(plan.b_v, plan.b_a)
         kept_v[layer - 1] = layout.total_visual

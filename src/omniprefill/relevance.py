@@ -85,8 +85,8 @@ class RelevanceScores:
 def _window_means(scores: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-window mean of a per-token score vector laid out window-major."""
     means = np.zeros(counts.shape[0], dtype=np.float64)
-    for _, windows, index in segments(counts):
-        means[windows] = scores[index].mean(axis=1)
+    for n, windows, starts in segments(counts):
+        means[windows] = scores[starts[:, None] + np.arange(n)].mean(axis=1)
     return means, counts > 0
 
 

@@ -93,10 +93,11 @@ def apply_budget(
         if np.any(budget < 0):
             raise StreamError("budget must be non-negative")
         keep = np.zeros(total, dtype=bool)
-        for n, windows, index in segments(counts):
+        for n, windows, starts in segments(counts):
             # offsets of each window's tokens, best first
-            ranked = np.argsort(-scores[index], axis=1, kind="stable")
-            ranked += index[:, :1]
+            ranked = np.argsort(-scores[starts[:, None] + np.arange(n)],
+                                axis=1, kind="stable")
+            ranked += starts[:, None]
             keep[ranked[np.arange(n) < budget[windows][:, None]]] = True
         kept.append(np.flatnonzero(keep))
     return tuple(kept)

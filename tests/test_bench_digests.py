@@ -3,8 +3,8 @@
 bench/omnibench.py records a digest of each workload's outputs at its default
 seed: the trace CSV, the stage-1 and every drop layer's kept positions and
 the FLOPs ratio. A change that moves a single pick changes it, so such a
-change fails here as well as in the benchmark. The benchmark's files are
-only read.
+change fails here as well as in the benchmark. The digests at the held-out
+seed 11 are recorded here. The benchmark's files are only read.
 """
 
 import sys
@@ -16,8 +16,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import omnibench  # noqa: E402  (imports its sibling tracing from bench/)
 
 
+# the outputs at the held-out seed 11, which the benchmark does not record;
+# a change that keeps the seed-7 picks by accident still has to keep these
+HELD_OUT_SEED = 11
+HELD_OUT_DIGESTS = {
+    "long-clip": "6acf31b982814c5027c9069770157a62"
+                 "bc796e60711eaea4a0de53278de17b83",
+    "many-windows": "4832fdb1ba1731fc2fcf02aeeb8da926"
+                    "99068703a9bb4feaf8d30c3c3b3abcee",
+    "short-clip": "890e85bd87fa18fdd30258726c8a7910"
+                  "5f6761c814386002ba83959311e412b5",
+}
+
+
 @pytest.mark.parametrize("name", sorted(omnibench.WORKLOADS))
 def test_workload_digest_at_default_seed(name):
     w = omnibench.WORKLOADS[name]
     data, _ = omnibench.make_container(w, omnibench.DEFAULT_SEED)
     assert omnibench.digest(omnibench.request(data)) == w.digest
+
+
+@pytest.mark.parametrize("name", sorted(HELD_OUT_DIGESTS))
+def test_workload_digest_at_held_out_seed(name):
+    w = omnibench.WORKLOADS[name]
+    data, _ = omnibench.make_container(w, HELD_OUT_SEED)
+    assert omnibench.digest(omnibench.request(data)) == HELD_OUT_DIGESTS[name]

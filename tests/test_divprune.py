@@ -242,6 +242,28 @@ def test_stacked_gram_equals_per_group_products(G, n, d, seed, zero,
         assert got[g].tobytes() == got[g].T.copy().tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       d=st.integers(1, 70), scale=st.sampled_from([1e-44, 1e-20, 1.0, 1e18,
+                                                    3e38]))
+def test_float32_rows_normalise_as_their_float64_copy(seed, n, d, scale):
+    # win_div_prune hands _unit_rows the gathered float32 rows; the norms
+    # and quotients are taken in float64 from them, so the unit rows must
+    # equal those of a float64 copy (the float64 norm and quotient rounded
+    # to float32) bit for bit, at any magnitude float32 holds
+    rng = np.random.default_rng(seed)
+    rows = (rng.uniform(-1.0, 1.0, (n, d)) * scale).astype(np.float32)
+    rows[rng.random(n) < 0.1] = 0.0
+    copy = rows.astype(np.float64)
+    norms = np.linalg.norm(copy, axis=1)
+    want = (copy / np.where(norms == 0.0, 1.0, norms)[:, None]).astype(
+        np.float32)
+    unit, zero = _unit_rows(rows, range(n))
+    assert unit.dtype == np.float32
+    assert unit.tobytes() == want.tobytes()
+    assert zero.tolist() == (norms == 0.0).tolist()
+
+
 @pytest.mark.parametrize("G", [1, 3], ids=["one-dimensional", "batched"])
 def test_largest_float64_weight_on_duplicates_picks_k(G):
     # 1.7976931348623157e308 is finite in float64 but not in float32. The
@@ -423,13 +445,55 @@ class TestWinDivPrune:
         np.ones(5),  # one weight per group row, not per stream row
         np.r_[-1.0, np.ones(6)],
         np.r_[np.ones(2), np.inf, np.ones(4)],
-    ], ids=["short", "negative", "inf"])
+        np.ones(5, dtype=np.float32),
+        np.r_[np.float32(-0.1), np.ones(6, dtype=np.float32)],
+        np.r_[np.ones(2, dtype=np.float32), np.float32(np.inf),
+              np.ones(4, dtype=np.float32)],
+        np.r_[np.ones(6, dtype=np.float32), np.float32(np.nan)],
+    ], ids=["short", "negative", "inf", "float32-short", "float32-negative",
+            "float32-inf", "float32-nan"])
     def test_bad_saliency_rejected(self, saliency):
         stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
         with pytest.raises(StreamError, match="saliency"):
             win_div_prune(stream, lay, saliency, spec)
+
+    @pytest.mark.parametrize("value", [-0.1, np.inf, -np.inf, np.nan])
+    def test_float32_saliency_errors_read_as_float64(self, value):
+        # a float32 vector is checked in place, not widened, and its
+        # message names the same value a float64 copy would
+        stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
+        weights = np.ones(stream.n, dtype=np.float32)
+        weights[4] = value
+        messages = []
+        for saliency in (weights, weights.astype(np.float64)):
+            with pytest.raises(StreamError) as info:
+                win_div_prune(stream, lay, saliency, spec)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("saliency weight of row 4 is ")
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_float32_and_float64_saliency_pick_alike(self, seed):
+        # weights reach the kernel rounded to float32 either way, so a
+        # float32 vector and its float64 copy keep the same rows; the
+        # values span the float32 range, zeros and subnormals included
+        stream = build_stream(T=5, n_v=24, n_a=7, n_q=3, seed=seed)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
+        rng = np.random.default_rng(seed)
+        weights = np.exp(rng.uniform(-100.0, 88.0, stream.n)).astype(
+            np.float32)
+        weights[rng.integers(stream.n, size=6)] = 0.0
+        weights[rng.integers(stream.n, size=3)] = np.float32(1e-45)
+        weights[rng.integers(stream.n, size=3)] = np.finfo(np.float32).max
+        single = win_div_prune(stream, lay, weights, spec)
+        double = win_div_prune(stream, lay, weights.astype(np.float64), spec)
+        assert single.rows.tolist() == double.rows.tolist()
+        assert single.kept.tolist() == double.kept.tolist()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_embedding_rejected(self, value):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
 )
+from omniprefill.io import read_ots, write_ots
 from omniprefill.pipeline import (
     ContainerOracle,
     SynthSpec,
@@ -283,6 +285,45 @@ class TestRunPipeline:
         for a, b in zip(trace.selections, near.selections):
             assert np.array_equal(a.kept, b.kept)
 
+    def test_container_stream_peak_memory(self):
+        # a container read by read_ots hands the engine zero-copy views, as
+        # the benchmark does, so the peak is the engine's own arrays: the
+        # stage-1 chunks, the survivors and what each layer builds. The
+        # bound was set from the peak measured on this stream, 1.60 MiB
+        # before drop layers carried survivor positions in place of the
+        # modality row maps and stage 1 kept float32 saliency and rows, and
+        # 1.32 MiB after; it sits between the two
+        T, n_v, n_a = 64, 288, 50
+        spec = SynthSpec(seed=7, T=T, d=64, n_v=n_v, n_a=n_a, n_q=64)
+        stream, synth = synth_generate(spec)
+        sections = {}
+        for m, name, n in ((VISUAL, "visual", n_v), (AUDIO, "audio", n_a)):
+            for t in range(T):
+                sections[f"saliency/w{t}/{name}"] = synth.saliency(t, m, n)
+            for layer in (17, 19, 21):
+                sections[f"query_logits/layer{layer}/{name}"] = \
+                    synth._query_logits(layer, m)
+        data = write_ots(stream, sections, T=T)
+
+        def request():
+            stream, sections, header = read_ots(data)
+            oracle = ContainerOracle(sections, int(header["t"]))
+            return run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)
+
+        _, want = request()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, trace = request()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.45 * 2**20
+        assert np.array_equal(trace.stage1.kept, want.stage1.kept)
+        for a, b in zip(trace.selections, want.selections):
+            assert np.array_equal(a.kept, b.kept)
+
     def test_windows_out_of_order_rejected(self):
         # drop layers rank window-major runs of each modality's rows; a
         # stream whose window ids step back is refused before any of them
@@ -368,6 +409,57 @@ class TestContainerOracle:
         got = synth.modality_saliency(AUDIO, np.array([2, 2, 2]))
         want = np.concatenate([synth.saliency(t, AUDIO, 2) for t in range(3)])
         assert got.tolist() == want.tolist()
+
+
+class VectorOracle(UniformOracle):
+    """Hands stage 1 a fixed vector per modality (None for none)."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def modality_saliency(self, modality, counts):
+        return self.vectors.get(modality)
+
+
+class TestStage1Saliency:
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_wrong_length_vector_names_modality_and_lengths(self, extra):
+        spec = SynthSpec(seed=6, T=3, d=8, n_v=5, n_a=2, n_q=3)
+        stream, _ = synth_generate(spec)
+        layout = WindowLayout.from_stream(stream)
+        oracle = VectorOracle({VISUAL: np.ones(15),
+                               AUDIO: np.ones(6 + extra)})
+        with pytest.raises(StreamError, match=rf"audio saliency has shape "
+                                              rf"\({6 + extra},\), the stream "
+                                              rf"holds 6 audio rows"):
+            stage1_saliency(oracle, stream, layout)
+        with pytest.raises(StreamError, match="audio saliency"):
+            run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)
+
+    @pytest.mark.parametrize("visual, audio, want", [
+        (np.float32, np.float32, np.float32),
+        (np.float32, None, np.float32),
+        (None, np.float32, np.float32),
+        (np.float32, np.float64, np.float64),
+        (np.float64, None, np.float64),
+        (np.int64, None, np.float64),
+        (None, None, np.float64),
+    ])
+    def test_weights_keep_float32(self, visual, audio, want):
+        # float32 vectors, as a container's sections are, are not widened;
+        # anything else becomes float64 as before, with the same values
+        spec = SynthSpec(seed=6, T=3, d=8, n_v=5, n_a=2, n_q=3)
+        stream, _ = synth_generate(spec)
+        layout = WindowLayout.from_stream(stream)
+        vectors = {m: np.arange(1, n + 1).astype(dtype)
+                   for m, n, dtype in ((VISUAL, 15, visual), (AUDIO, 6, audio))
+                   if dtype is not None}
+        got = stage1_saliency(VectorOracle(vectors), stream, layout)
+        assert got.dtype == want
+        expect = np.ones(stream.n)
+        for m, vec in vectors.items():
+            expect[stream.rows_of(m)] = vec
+        assert got.tolist() == expect.tolist()
 
 
 class TestSyntheticOracleKeying:

@@ -24,6 +24,7 @@ from omniprefill.core import (
     RetentionSpec,
     TokenStream,
     WindowLayout,
+    segments,
 )
 from omniprefill.divprune import keep_count, win_div_prune
 from omniprefill.pipeline import (
@@ -179,6 +180,24 @@ class AskedOracle(ContainerOracle):
 
 
 @SETTINGS
+@given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=12))
+def test_segments_start_each_window_run_once(counts):
+    # each non-empty window appears in exactly one size class, in ascending
+    # order within it, at the offset where its run begins window-major
+    seen = []
+    sizes = []
+    for n, windows, starts in segments(np.array(counts)):
+        sizes.append(n)
+        assert windows.tolist() == sorted(windows.tolist())
+        for t, start in zip(windows.tolist(), starts.tolist()):
+            assert counts[t] == n
+            assert start == sum(counts[:t])
+            seen.append(t)
+    assert sizes == sorted(set(c for c in counts if c))
+    assert sorted(seen) == [t for t, c in enumerate(counts) if c]
+
+
+@SETTINGS
 @given(data=st.data())
 def test_stage1_saliency_places_each_group_on_its_rows(data):
     # saliency sections for a random subset of the groups, with distinct
@@ -205,7 +224,15 @@ def test_stage1_saliency_places_each_group_on_its_rows(data):
     assert oracle.asked == [(m, counts.tolist()) for m, counts in
                             ((VISUAL, layout.n_v), (AUDIO, layout.n_a))
                             if counts.any()]
-    assert got.dtype == np.float64
+    # a modality's vector is float32 when each of its non-empty windows has
+    # a float32 section; a window without one weighs a float64 1. The
+    # weights stay float32 only when every vector given is
+    present = [[f"saliency/w{t}/{name}" in sections
+                for t, n in enumerate(counts.tolist()) if n]
+               for name, counts in (("visual", layout.n_v),
+                                    ("audio", layout.n_a))]
+    whole = [all(has) for has in present if any(has)]
+    assert got.dtype == (np.float32 if whole and all(whole) else np.float64)
     assert got.tolist() == want.tolist()
 
 
