@@ -15,7 +15,8 @@ OTS container ("omni token stream"), version 2:
                   float32 little-endian data
 
 The header declares n, d, t, per-modality counts, generator provenance and
-the section table (name, shape, length); it holds no per-token data.
+the section table (name, shape, length), one entry per name; it holds no
+per-token data.
 Sections carry saliency vectors, attention matrices, or query logits keyed
 by name. Canonical form means identical inputs produce identical bytes.
 Readers validate every declared size before touching the data, so truncation
@@ -38,6 +39,7 @@ import json
 import math
 import operator
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -214,20 +216,71 @@ def _section_columns(entries: list):
     return names, lengths, list(map(math.prod, shapes)), shapes, fault
 
 
-def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
-    """The sections a table declares, as views of the blocks that fill
-    data[start:]. Each check runs once over the whole table. A table with
-    several faults is reported at its earliest faulty entry, by the first
-    check that entry fails, in the order: a malformed field, negative
-    dimensions, a length that is not 4 bytes per entry, a truncated length
-    prefix, a prefix that disagrees, truncated data."""
+class Sections(Mapping):
+    """A container's sections, read-only, in section-table order: name ->
+    float32 view of the container bytes. One view of the section region
+    backs every section; a section's own view is made only when it is asked
+    for, so a table of thousands of entries costs a name index and two
+    int64 columns, not an array object per entry."""
+
+    def __init__(self, region: np.ndarray, index: dict[str, int],
+                 firsts: np.ndarray, sizes: list[int], shapes: dict):
+        self.region = region
+        self._index = index
+        # one trailing -1 in each column answers the -1 of an absent name
+        self._first = np.append(firsts, -1)
+        self._size = np.array([*sizes, -1], dtype=np.int64)
+        self._shapes = shapes  # entry -> shape, for entries not vectors
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        entry = self._index[name]
+        first = int(self._first[entry])
+        flat = self.region[first : first + int(self._size[entry])]
+        shape = self._shapes.get(entry)
+        return flat if shape is None else flat.reshape(shape)
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, name) -> bool:
+        return name in self._index
+
+    def locate(self, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each name's first entry in `region` and its entry count, both
+        -1 for a name not held."""
+        get = self._index.get
+        entries = np.fromiter((get(name, -1) for name in names),
+                              dtype=np.int64, count=len(names))
+        return self._first[entries], self._size[entries]
+
+
+def _read_sections(data, entries: list, start: int) -> Sections:
+    """The sections a table declares, as a Sections mapping over the
+    blocks that fill data[start:]. Each check runs once over the whole
+    table. A table with several faults is reported at its earliest faulty
+    entry, by the first check that entry fails, in the order: a malformed
+    field, a name an earlier entry already uses, negative dimensions, a
+    length that is not 4 bytes per entry, a truncated length prefix, a
+    prefix that disagrees, truncated data, a shape numpy cannot represent."""
     names, lengths, sizes, shapes, fault = _section_columns(entries)
     # entries [0, ok) pass every check so far; fault is entry ok's error
     ok = len(names)
-    expected = [4 * size for size in sizes]
-    dims = map(int, itertools.chain.from_iterable(shapes))
-    if min(dims, default=0) < 0 or lengths != expected:
-        negative = [min(map(int, shape), default=0) < 0 for shape in shapes]
+    index = dict(zip(names, itertools.count()))
+    if len(index) < ok:
+        first = {}
+        ok = next(i for i, name in enumerate(names)
+                  if first.setdefault(name, i) != i)
+        fault = ContainerFormatError(
+            f"section {names[ok]!r} at entry {ok} repeats the name of entry "
+            f"{first[names[ok]]}")
+    expected = [4 * size for size in sizes[:ok]]
+    dims = map(int, itertools.chain.from_iterable(shapes[:ok]))
+    if min(dims, default=0) < 0 or lengths[:ok] != expected:
+        negative = [min(map(int, shape), default=0) < 0
+                    for shape in shapes[:ok]]
         mismatch = list(map(operator.ne, lengths, expected))
         ok = min(mask.index(True) for mask in (negative, mismatch)
                  if True in mask)
@@ -246,8 +299,11 @@ def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
     cut = bisect.bisect_right(list(itertools.accumulate(blocks)), left)
     spans = np.array(blocks[:cut], dtype=np.int64)
     starts = np.cumsum(spans) - spans
-    raw = np.frombuffer(data, dtype=np.uint8)
-    stored = raw[start + starts[:, None] + np.arange(8)].view("<u8")[:, 0]
+    # every block starts a multiple of 4 bytes past start, so each section
+    # is a slice of this single view, and each prefix two of its words
+    region = np.frombuffer(data, dtype="<f4", count=left // 4, offset=start)
+    words = starts[:, None] // 4 + np.arange(2)
+    stored = region.view("<u4")[words].view("<u8")[:, 0]
     wrong = np.flatnonzero(stored != (spans - 8).astype(np.uint64))
     if wrong.size or cut < ok:
         ok = int(wrong[0]) if wrong.size else cut
@@ -266,32 +322,32 @@ def _read_sections(data, entries: list, start: int) -> dict[str, np.ndarray]:
                 f"truncated section {name!r} at byte {at + 8}: need {length} "
                 f"bytes, found {len(data) - at - 8}")
 
-    # every block starts a multiple of 4 bytes past start, so each section
-    # is a slice of this single view
-    region = np.frombuffer(data, dtype="<f4", count=left // 4, offset=start)
-    firsts = ((starts[:ok] + 8) // 4).tolist()
-    sections: dict[str, np.ndarray] = {}
-    for name, first, size, shape in zip(names, firsts, sizes, shapes):
-        flat = region[first : first + size]
-        sections[name] = (flat if len(shape) == 1 else
-                          _shaped(flat, tuple(map(int, shape)),
-                                  f"section {name!r}"))
+    firsts = (starts[:ok] + 8) // 4
+    shaped = {}
+    for entry, dims in enumerate(shapes[:ok]):
+        if len(dims) != 1:
+            first = int(firsts[entry])
+            shaped[entry] = tuple(map(int, dims))
+            _shaped(region[first : first + sizes[entry]], shaped[entry],
+                    f"section {names[entry]!r}")
     if fault is not None:
         raise fault
     end = start + int(spans.sum())
     if end != len(data):
         raise ContainerFormatError(
             f"{len(data) - end} unexpected trailing bytes at byte {end}")
-    return sections
+    return Sections(region, index, firsts, sizes, shaped)
 
 
-def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
+def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     """Parse OTS bytes back into (stream, sections, header).
 
     Strict inverse of write_ots on valid input; every size is checked against
-    what the header declares before any array is built. When data is a
-    bytes object, the stream's arrays and the sections are read-only views
-    of it, not copies.
+    what the header declares before any array is built. sections is a
+    read-only Sections mapping that makes each section's view when it is
+    asked for; the header comes back without its "sections" table, which
+    the mapping replaces. When data is a bytes object, the stream's arrays
+    and the sections are read-only views of it, not copies.
     """
     if len(data) < 12:
         raise ContainerFormatError(
@@ -385,17 +441,19 @@ def read_ots(data: bytes) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
             f"text row {int(text_rows[np.argmin(finite)])} has a non-finite "
             f"embedding")
 
-    if not isinstance(header["sections"], list):
+    # the mapping carries every name, shape and length the table declares
+    entries = header.pop("sections")
+    if not isinstance(entries, list):
         raise ContainerFormatError(
-            f"header 'sections' must be a list, got {header['sections']!r:.60}")
-    sections = _read_sections(data, header["sections"], offset)
+            f"header 'sections' must be a list, got {entries!r:.60}")
+    sections = _read_sections(data, entries, offset)
 
     stream = TokenStream(embeddings=embeddings, modality=modality,
                          window_id=window_id, position=position)
     return stream, sections, header
 
 
-def read_ots_file(path) -> tuple[TokenStream, dict[str, np.ndarray], dict]:
+def read_ots_file(path) -> tuple[TokenStream, Sections, dict]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -191,10 +192,12 @@ class ContainerOracle:
 
     Expects saliency vectors under "saliency/w{t}/{visual|audio}" and
     full-length query logits under "query_logits/layer{l}/{visual|audio}".
-    Missing entries fall back to uniform signals (None).
+    Missing entries fall back to uniform signals (None). sections is the
+    Sections mapping read_ots returns, whose saliency is gathered in one
+    index per modality, or a plain dict of arrays, read window by window.
     """
 
-    def __init__(self, sections: dict[str, np.ndarray], T: int):
+    def __init__(self, sections: Mapping[str, np.ndarray], T: int):
         self.sections = sections or {}
         self.T = T
 
@@ -205,15 +208,20 @@ class ContainerOracle:
     def modality_saliency(self, modality, counts):
         """One vector over the modality's rows, window-major, from the
         sections of its non-empty windows; rows of a window without a
-        section weigh 1, and None means no window has one. The first
-        window, in ascending order, whose section length differs from its
-        count is a StreamError."""
+        section weigh 1, and None means no window has one. The vector is
+        float32 when every window has a float32 section, float64
+        otherwise. The first window, in ascending order, whose section
+        length differs from its count is a StreamError."""
         windows = np.flatnonzero(counts)
         name = self._name(modality)
-        vecs = [self.sections.get(f"saliency/w{t}/{name}")
-                for t in windows.tolist()]
-        sizes = np.array([-1 if v is None else v.size for v in vecs],
-                         dtype=np.int64)
+        names = [f"saliency/w{t}/{name}" for t in windows.tolist()]
+        locate = getattr(self.sections, "locate", None)
+        if locate is None:
+            vecs = [self.sections.get(key) for key in names]
+            sizes = np.array([-1 if v is None else v.size for v in vecs],
+                             dtype=np.int64)
+        else:
+            firsts, sizes = locate(names)
         present = sizes >= 0
         if not present.any():
             return None
@@ -225,8 +233,19 @@ class ContainerOracle:
                 f"saliency section for window {windows[i]} has {sizes[i]} "
                 f"entries, group holds {n[i]}"
             )
-        return np.concatenate([np.ones(k) if v is None else v
-                               for v, k in zip(vecs, n.tolist())], axis=None)
+        if locate is None:
+            return np.concatenate([np.ones(k) if v is None else v
+                                   for v, k in zip(vecs, n.tolist())],
+                                  axis=None)
+        # entry j of window i sits at firsts[i] + j of the section region
+        ends = np.cumsum(n)
+        at = np.repeat(firsts - (ends - n), n) + np.arange(ends[-1])
+        if present.all():
+            return self.sections.region[at]
+        held = np.repeat(present, n)
+        vec = np.ones(at.size)
+        vec[held] = self.sections.region[at[held]]
+        return vec
 
     def query_probs(self, layer, modality, ordinals):
         logits = self.sections.get(

@@ -381,6 +381,25 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: saliency section for window 0")
 
+    def test_duplicate_section_name_is_domain_error(self, configs,
+                                                    tmp_path):
+        # a table naming a section twice would read as its second block
+        stream, oracle = synth_generate(load_synth_spec(configs["synth"]))
+        sections = {f"saliency/w{t}/visual": oracle.saliency(t, VISUAL, 72)
+                    for t in (0, 1)}
+        good = tmp_path / "good.ots"
+        write_ots_file(str(good), stream, sections, T=4)
+        data = good.read_bytes()
+        # both names are as long, so the header keeps its length
+        container = tmp_path / "twice.ots"
+        container.write_bytes(data.replace(b'"saliency/w1/visual"',
+                                           b'"saliency/w0/visual"'))
+        proc = run_process(configs, container, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: section 'saliency/w0/visual' at entry "
+                               "1 repeats the name of entry 0\n")
+        assert run_process(configs, good, tmp_path).returncode == 0
+
     @pytest.mark.parametrize("field, entries, value", [
         ("saliency/w1/visual", slice(3, 4), np.nan),
         # every visual token of window 1, so some survive stage 1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -199,6 +200,96 @@ class TestZeroCopy:
         stream, _, _ = read_ots_file(path)
         assert not stream.embeddings.flags.owndata
         assert not stream.position.flags.writeable
+
+
+class TestSectionsMapping:
+    SECTIONS = {"b/one": np.array([2.5], dtype=np.float32),
+                "c/empty": np.zeros(0, dtype=np.float32),
+                "a/matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
+                "d/vector": np.array([1.5, -2.0, 3.25], dtype=np.float32),
+                "e/zero-rows": np.zeros((0, 4), dtype=np.float32)}
+
+    def read(self):
+        data = write_ots(tiny_stream(), self.SECTIONS, T=2)
+        return (data,) + read_ots(data)
+
+    def test_mapping_interface(self):
+        _, _, back, _ = self.read()
+        assert isinstance(back, Mapping)
+        assert list(back.keys()) == sorted(self.SECTIONS)
+        assert len(back) == 5
+        assert "d/vector" in back and "z" not in back
+        assert back.get("z") is None
+        assert back.get("z", "absent") == "absent"
+        assert back.get("d/vector").tolist() == [1.5, -2.0, 3.25]
+        with pytest.raises(KeyError):
+            back["z"]
+        assert [name for name, _ in back.items()] == sorted(self.SECTIONS)
+        for name, array in back.items():
+            assert array.dtype == np.float32
+            assert array.shape == np.shape(self.SECTIONS[name])
+            assert np.array_equal(array, self.SECTIONS[name])
+
+    def test_dict_equals_the_reference_walk(self):
+        data, _, back, _ = self.read()
+        plain = dict(back)
+        expected = reference_sections(data)
+        assert list(plain) == list(expected)
+        for name in expected:
+            assert plain[name].shape == expected[name].shape
+            assert plain[name].tobytes() == expected[name].tobytes()
+
+    def test_views_are_read_only_aligned_and_shared(self):
+        data, _, back, _ = self.read()
+        anchor = np.frombuffer(data, dtype=np.uint8)
+        for name, array in back.items():
+            assert not array.flags.writeable
+            assert not array.flags.owndata
+            assert array.flags.aligned
+            assert array.size == 0 or np.shares_memory(array, anchor)
+        assert back["e/zero-rows"].shape == (0, 4)
+
+    def test_zero_dimensional_entry(self):
+        # write_ots writes a scalar as one entry of shape [1]; a table may
+        # still declare shape [] for those 4 bytes
+        data, _, _, _ = self.read()
+        scalar = repack(data, lambda h: h["sections"][1].update(shape=[]))
+        _, back, _ = read_ots(scalar)
+        assert back["b/one"].shape == () and back["b/one"] == 2.5
+        assert not back["b/one"].flags.writeable
+        assert back["b/one"].tobytes() == \
+            reference_sections(scalar)["b/one"].tobytes()
+
+    def test_item_assignment_refused(self):
+        _, _, back, _ = self.read()
+        with pytest.raises(TypeError):
+            back["d/vector"] = np.ones(3, dtype=np.float32)
+        with pytest.raises(TypeError):
+            del back["d/vector"]
+        with pytest.raises(ValueError):
+            back["d/vector"][0] = 7.0
+        assert back["d/vector"][0] == 1.5
+
+    def test_rewrite_is_byte_identical(self):
+        data, stream, back, header = self.read()
+        assert write_ots(stream, back, T=header["t"]) == data
+
+    def test_header_has_no_section_table(self):
+        _, _, back, header = self.read()
+        assert "sections" not in header
+        assert sorted(header) == ["counts", "d", "generator", "n", "t",
+                                  "version"]
+
+    def test_locate_answers_absent_names(self):
+        _, _, back, _ = self.read()
+        firsts, sizes = back.locate(["d/vector", "z", "b/one"])
+        assert sizes.tolist() == [3, -1, 1]
+        assert firsts[1] == -1
+        assert back.region[firsts[0] : firsts[0] + 3].tolist() == \
+            [1.5, -2.0, 3.25]
+        _, empty, _ = read_ots(write_ots(tiny_stream(), T=2))
+        assert len(empty) == 0
+        assert [a.tolist() for a in empty.locate(["z"])] == [[-1], [-1]]
 
 
 class TestWriterRefuses:
@@ -470,6 +561,47 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match=field):
             read_ots(edit(data))
 
+    def test_duplicate_section_name(self):
+        # the second block would hide the first without a word
+        data = write_ots(tiny_stream(), {"a": np.ones(4, dtype=np.float32),
+                                         "b": np.zeros(4, dtype=np.float32)})
+        bad = repack(data, lambda h: h["sections"][1].update(name="a"))
+        with pytest.raises(ContainerFormatError,
+                           match="section 'a' at entry 1 repeats the name "
+                                 "of entry 0"):
+            read_ots(bad)
+
+    @pytest.mark.parametrize("edit, message", [
+        # a repeated name is reported before a later malformed entry
+        (lambda h: h["sections"][2].update(length="x"),
+         "section 'a' at entry 1 repeats the name of entry 0"),
+        # and after a malformed field of its own entry or an earlier one
+        (lambda h: h["sections"][1].update(shape=["x"]),
+         "section 'a' shape is malformed"),
+        (lambda h: h["sections"][0].update(length="x"),
+         "section 'a' length is malformed"),
+        # but before negative dimensions or a wrong length of its entry
+        (lambda h: h["sections"][1].update(shape=[-1], length=-4),
+         "section 'a' at entry 1 repeats the name of entry 0"),
+        (lambda h: h["sections"][1].update(length=12),
+         "section 'a' at entry 1 repeats the name of entry 0"),
+        # an earlier entry's fault comes first
+        (lambda h: h["sections"][0].update(shape=[-1], length=-4),
+         r"section 'a' declares negative dimensions \(-1,\)"),
+    ], ids=["before-later-malformed", "after-own-malformed",
+            "after-earlier-malformed", "before-own-negative",
+            "before-own-length", "after-earlier-negative"])
+    def test_duplicate_name_fault_order(self, edit, message):
+        data = write_ots(tiny_stream(), {
+            name: np.ones(4, dtype=np.float32) for name in "abc"})
+
+        def mutate(header):
+            header["sections"][1]["name"] = "a"
+            edit(header)
+
+        with pytest.raises(ContainerFormatError, match=message):
+            read_ots(repack(data, mutate))
+
     def test_trailing_garbage(self):
         data = write_ots(tiny_stream())
         with pytest.raises(ContainerFormatError, match="trailing bytes"):
@@ -519,8 +651,8 @@ def reference_sections(data: bytes) -> dict[str, np.ndarray]:
     region_start = offset
     region = np.frombuffer(data, dtype="<f4",
                            count=(len(data) - offset) // 4, offset=offset)
-    sections = {}
-    for entry in header["sections"]:
+    sections, entry_of = {}, {}
+    for index, entry in enumerate(header["sections"]):
         part = None
         try:
             name = entry.get("name")
@@ -534,6 +666,11 @@ def reference_sections(data: bytes) -> dict[str, np.ndarray]:
             what = (f"section {name!r} {part}" if part
                     else f"section entry {entry!r:.60}")
             raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
+        if name in entry_of:
+            raise ContainerFormatError(
+                f"section {name!r} at entry {index} repeats the name of entry "
+                f"{entry_of[name]}")
+        entry_of[name] = index
         if any(x < 0 for x in shape):
             raise ContainerFormatError(
                 f"section {name!r} declares negative dimensions {shape}")
@@ -663,6 +800,8 @@ def test_columnar_reader_matches_the_reference_walk(data):
     expected = sections_or_error(reference_sections, data)
     assert sections_or_error(lambda d: read_ots(d)[1], data) == expected
     if isinstance(expected, list):
+        assert sections_or_error(lambda d: dict(read_ots(d)[1]), data) == \
+            expected
         anchor = np.frombuffer(data, dtype=np.uint8)
         for array in read_ots(data)[1].values():
             assert not array.flags.owndata and not array.flags.writeable
