@@ -225,7 +225,7 @@ class Sections(Mapping):
 
     def __init__(self, region: np.ndarray, index: dict[str, int],
                  firsts: np.ndarray, sizes: list[int], shapes: dict):
-        self.region = region
+        self._region = region
         self._index = index
         # one trailing -1 in each column answers the -1 of an absent name
         self._first = np.append(firsts, -1)
@@ -235,7 +235,7 @@ class Sections(Mapping):
     def __getitem__(self, name: str) -> np.ndarray:
         entry = self._index[name]
         first = int(self._first[entry])
-        flat = self.region[first : first + int(self._size[entry])]
+        flat = self._region[first : first + int(self._size[entry])]
         shape = self._shapes.get(entry)
         return flat if shape is None else flat.reshape(shape)
 
@@ -248,13 +248,30 @@ class Sections(Mapping):
     def __contains__(self, name) -> bool:
         return name in self._index
 
-    def locate(self, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Each name's first entry in `region` and its entry count, both
-        -1 for a name not held."""
+    def gather(self, names: list[str], counts: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each name's entry count (-1 for a name not held) and, in one
+        index, the entries of every name back to back, with counts[i] ones
+        for a name i not held: float32 when every name is held, float64
+        otherwise. The vector is None when no name is held."""
         get = self._index.get
         entries = np.fromiter((get(name, -1) for name in names),
                               dtype=np.int64, count=len(names))
-        return self._first[entries], self._size[entries]
+        sizes = self._size[entries]
+        held = sizes >= 0
+        if not held.any():
+            return sizes, None
+        # entry j of name i sits at _first[entries[i]] + j of the region
+        lengths = np.where(held, sizes, counts)
+        ends = np.cumsum(lengths)
+        at = (np.repeat(self._first[entries] - (ends - lengths), lengths)
+              + np.arange(ends[-1]))
+        if held.all():
+            return sizes, self._region[at]
+        held = np.repeat(held, lengths)
+        vec = np.ones(at.size)
+        vec[held] = self._region[at[held]]
+        return sizes, vec
 
 
 def _read_sections(data, entries: list, start: int) -> Sections:

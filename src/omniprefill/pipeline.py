@@ -187,14 +187,28 @@ class UniformOracle:
         return np.full(n, 1.0 / n) if n else np.zeros(0)
 
 
+def _gather_plain(sections: Mapping[str, np.ndarray], names: list[str],
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sections.gather for a plain dict of arrays, one name at a time."""
+    vecs = [sections.get(name) for name in names]
+    sizes = np.array([-1 if v is None else v.size for v in vecs],
+                     dtype=np.int64)
+    if (sizes < 0).all():
+        return sizes, None
+    return sizes, np.concatenate([np.ones(k) if v is None else v
+                                  for v, k in zip(vecs, counts.tolist())],
+                                 axis=None)
+
+
 class ContainerOracle:
     """Oracle backed by the optional sections of a stream container.
 
     Expects saliency vectors under "saliency/w{t}/{visual|audio}" and
     full-length query logits under "query_logits/layer{l}/{visual|audio}".
     Missing entries fall back to uniform signals (None). sections is the
-    Sections mapping read_ots returns, whose saliency is gathered in one
-    index per modality, or a plain dict of arrays, read window by window.
+    Sections mapping read_ots returns, whose gather builds a modality's
+    saliency in one index, or a plain dict of arrays, read window by
+    window.
     """
 
     def __init__(self, sections: Mapping[str, np.ndarray], T: int):
@@ -215,17 +229,13 @@ class ContainerOracle:
         windows = np.flatnonzero(counts)
         name = self._name(modality)
         names = [f"saliency/w{t}/{name}" for t in windows.tolist()]
-        locate = getattr(self.sections, "locate", None)
-        if locate is None:
-            vecs = [self.sections.get(key) for key in names]
-            sizes = np.array([-1 if v is None else v.size for v in vecs],
-                             dtype=np.int64)
-        else:
-            firsts, sizes = locate(names)
-        present = sizes >= 0
-        if not present.any():
-            return None
         n = counts[windows]
+        from .io import Sections  # io imports this module
+        if isinstance(self.sections, Sections):
+            sizes, vec = self.sections.gather(names, n)
+        else:
+            sizes, vec = _gather_plain(self.sections, names, n)
+        present = sizes >= 0
         bad = np.flatnonzero(present & (sizes != n))
         if bad.size:
             i = bad[0]
@@ -233,18 +243,6 @@ class ContainerOracle:
                 f"saliency section for window {windows[i]} has {sizes[i]} "
                 f"entries, group holds {n[i]}"
             )
-        if locate is None:
-            return np.concatenate([np.ones(k) if v is None else v
-                                   for v, k in zip(vecs, n.tolist())],
-                                  axis=None)
-        # entry j of window i sits at firsts[i] + j of the section region
-        ends = np.cumsum(n)
-        at = np.repeat(firsts - (ends - n), n) + np.arange(ends[-1])
-        if present.all():
-            return self.sections.region[at]
-        held = np.repeat(present, n)
-        vec = np.ones(at.size)
-        vec[held] = self.sections.region[at[held]]
         return vec
 
     def query_probs(self, layer, modality, ordinals):

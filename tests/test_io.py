@@ -280,16 +280,31 @@ class TestSectionsMapping:
         assert sorted(header) == ["counts", "d", "generator", "n", "t",
                                   "version"]
 
-    def test_locate_answers_absent_names(self):
+    def test_gather_fills_absent_names_with_ones(self):
         _, _, back, _ = self.read()
-        firsts, sizes = back.locate(["d/vector", "z", "b/one"])
+        sizes, vec = back.gather(["d/vector", "z", "b/one"],
+                                 np.array([3, 2, 1]))
         assert sizes.tolist() == [3, -1, 1]
-        assert firsts[1] == -1
-        assert back.region[firsts[0] : firsts[0] + 3].tolist() == \
-            [1.5, -2.0, 3.25]
+        assert vec.dtype == np.float64
+        assert vec.tolist() == [1.5, -2.0, 3.25, 1.0, 1.0, 2.5]
+        sizes, vec = back.gather(["b/one", "a/matrix"], np.array([1, 6]))
+        assert vec.dtype == np.float32
+        assert vec.tolist() == [2.5, 0, 1, 2, 3, 4, 5]
+
+    def test_gather_without_a_vector(self):
+        _, _, back, _ = self.read()
+        # no name held, no names at all
+        for names, counts in ((["z", "y"], [1, 2]), ([], [])):
+            sizes, vec = back.gather(names, np.array(counts, dtype=np.int64))
+            assert sizes.tolist() == [-1] * len(names) and vec is None
+        # a held name gives its own entries whatever its count
+        sizes, vec = back.gather(["z", "d/vector"], np.array([1, 2]))
+        assert sizes.tolist() == [-1, 3]
+        assert vec.tolist() == [1.0, 1.5, -2.0, 3.25]
         _, empty, _ = read_ots(write_ots(tiny_stream(), T=2))
         assert len(empty) == 0
-        assert [a.tolist() for a in empty.locate(["z"])] == [[-1], [-1]]
+        sizes, vec = empty.gather(["z"], np.array([4]))
+        assert sizes.tolist() == [-1] and vec is None
 
 
 class TestWriterRefuses:
@@ -714,10 +729,10 @@ MISTYPED = ["x", "12", "", 1.5, -2.5, None, True, [1], [], {}, {"3": 1},
 
 @st.composite
 def section_tables(draw):
-    """TABLE_BASE with a hand-made section table, of vectors only or of
-    any shapes (empty, scalar, zero-size, ragged, multi-dimensional), with
-    duplicate names (which write_ots cannot write), then a few random table
-    edits and byte faults."""
+    """TABLE_BASE with a hand-made section table of distinct names, of
+    vectors only or of any shapes (empty, scalar, zero-size, ragged,
+    multi-dimensional), then a few random table edits, a repeated name
+    (which write_ots cannot write) among them, and byte faults."""
     entries, blocks = [], []
     vectors = draw(st.booleans())  # a table of vectors only, or any shapes
     for index in range(draw(st.integers(0, 5))):
@@ -725,18 +740,25 @@ def section_tables(draw):
                               max_size=1 if vectors else 3))
         values = np.arange(math.prod(shape), dtype="<f4") + 10 * index
         entries.append({"length": values.nbytes, "shape": shape,
-                        "name": draw(st.sampled_from(["a", "b", "w/0"]))})
+                        "name": f"w/{index}"})
         blocks.append(struct.pack("<Q", values.nbytes) + values.tobytes())
     faults = draw(st.lists(st.sampled_from(
-        ["length", "shape", "huge", "negative", "mistype", "prefix",
-         "truncate", "trailing"]), max_size=3))
+        ["length", "shape", "huge", "negative", "mistype", "duplicate",
+         "prefix", "truncate", "trailing"]), max_size=3))
     for fault in faults:
         if not entries or fault in ("prefix", "truncate", "trailing"):
             continue
         entry = draw(st.integers(0, len(entries) - 1))
         if not isinstance(entries[entry], dict):
             continue
-        if fault == "length":
+        if fault == "duplicate":
+            # a later entry takes an earlier entry's name
+            source = draw(st.integers(0, len(entries) - 1))
+            if source != entry and isinstance(entries[source], dict):
+                later, earlier = max(source, entry), min(source, entry)
+                if isinstance(entries[later], dict):
+                    entries[later]["name"] = entries[earlier].get("name")
+        elif fault == "length":
             entries[entry]["length"] = draw(st.one_of(
                 st.integers(-8, 48), st.sampled_from([2**64, -(2**64)]),
                 st.integers(-(2**70), 2**70)))
