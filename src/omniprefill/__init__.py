@@ -24,7 +24,6 @@ from .core import (
     TokenStream,
     WindowLayout,
     audio_intact_rv,
-    validate_stream,
 )
 from .cost import FLOPS_FORMULA, CostReport, layer_flops, trace_flops
 from .divprune import SelectionResult, greedy_maxmin, win_div_prune
@@ -116,7 +115,6 @@ __all__ = [
     "stage1_saliency",
     "synth_generate",
     "trace_flops",
-    "validate_stream",
     "win_div_prune",
     "window_relevance",
     "write_ots",

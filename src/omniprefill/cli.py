@@ -23,7 +23,6 @@ from .core import (
     VISUAL,
     EngineError,
     ModelConfig,
-    RetentionSpec,
     WindowLayout,
 )
 from .cost import trace_flops
@@ -226,8 +225,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_flops(args) -> int:
     config = otsio.load_model_config(args.config)
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        view = otsio.parse_trace_csv(fh.read())
+    try:
+        with open(args.trace, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise otsio.ContainerFormatError(
+            f"trace CSV {args.trace} is not UTF-8: {exc}") from exc
+    view = otsio.parse_trace_csv(text)
     report = trace_flops(view, config)
     text = (otsio.cost_json(report) + "\n") if args.json else otsio.cost_csv(report)
     _emit(text, args.out)
@@ -303,10 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

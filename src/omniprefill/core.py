@@ -78,10 +78,14 @@ def freeze_fields(obj, dtype, *names) -> None:
 class TokenStream:
     """Embedded tokens in original sequence order.
 
-    embeddings: (N, d) real matrix.
+    embeddings: (N, d) real matrix, finite in text rows.
     modality:   (N,) labels in {VISUAL, AUDIO, TEXT}.
-    window_id:  (N,) window index for visual/audio rows, NO_WINDOW for text.
+    window_id:  (N,) window index for visual/audio rows, never decreasing
+                along a modality's rows; NO_WINDOW for text.
     position:   (N,) original sequence index, strictly increasing.
+
+    A stream that breaks one of these is a StreamError naming the first
+    faulty row, so no stage checks them again.
     """
 
     embeddings: np.ndarray
@@ -98,6 +102,38 @@ class TokenStream:
         if not (self.modality.shape == self.window_id.shape
                 == self.position.shape == (n,)):
             raise ValueError("modality/window_id/position must have one entry per row")
+        # argmax of a fault mask is its first faulty row
+        modality, window_id = self.modality, self.window_id
+        unknown = modality.view(np.uint64) > TEXT  # negative codes too
+        if unknown.any():
+            raise StreamError(f"{np.count_nonzero(unknown)} of {n} modality "
+                              f"codes are not 0, 1 or 2, the first at row "
+                              f"{np.argmax(unknown)}")
+        is_text = modality == TEXT
+        # text rows hold exactly NO_WINDOW, the others an id >= 0
+        wrong = ((window_id < 0) != is_text) | (window_id < NO_WINDOW)
+        if wrong.any():
+            r = np.argmax(wrong)
+            raise StreamError(
+                f"{MODALITY_NAMES[int(modality[r])]} row {r} has window id "
+                f"{window_id[r]}; it must be "
+                f"{NO_WINDOW if is_text[r] else '>= 0'}")
+        step = self.position[1:] <= self.position[:-1]
+        if step.any():
+            raise StreamError(f"position not strictly increasing at row "
+                              f"{np.argmax(step) + 1}")
+        for m in (VISUAL, AUDIO):
+            ids = window_id[modality == m]
+            back = ids[1:] < ids[:-1]
+            if back.any():
+                raise StreamError(
+                    f"window_id decreases along {MODALITY_NAMES[m]} rows at "
+                    f"row {self.rows_of(m)[np.argmax(back) + 1]}")
+        text_rows = np.flatnonzero(is_text)
+        finite = np.isfinite(self.embeddings[text_rows]).all(axis=1)
+        if not finite.all():
+            raise StreamError(f"text row {text_rows[np.argmin(finite)]} has "
+                              f"a non-finite embedding")
 
     @property
     def n(self) -> int:
@@ -133,10 +169,8 @@ class TokenStream:
         return np.flatnonzero(mask)
 
     def take(self, rows) -> "TokenStream":
-        """Row subset. Rows must be ascending so original order survives."""
+        """Row subset. Rows must ascend, as the positions must."""
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size > 1 and np.any(np.diff(rows) <= 0):
-            raise ValueError("row subset must be strictly ascending")
         return TokenStream(
             embeddings=self.embeddings[rows],
             modality=self.modality[rows],
@@ -180,17 +214,11 @@ class WindowLayout:
 
         T defaults to max(window_id)+1; pass it explicitly when trailing
         windows may have been emptied by selection. A visual or audio row
-        outside every window, or outside [0, T), is a StreamError.
+        outside [0, T) is a StreamError.
         """
-        visual, audio = stream.modality == VISUAL, stream.modality == AUDIO
-        bad = np.flatnonzero((visual | audio) & (stream.window_id < 0))
-        if bad.size:
-            raise StreamError(f"{MODALITY_NAMES[int(stream.modality[bad[0]])]} "
-                              f"row {bad[0]} has window id "
-                              f"{stream.window_id[bad[0]]}; it must be >= 0")
-        nontext = stream.window_id >= 0
         if T is None:
-            T = int(stream.window_id[nontext].max()) + 1 if nontext.any() else 1
+            T = int(stream.window_id.max(initial=0)) + 1
+        visual, audio = stream.modality == VISUAL, stream.modality == AUDIO
         n_v = np.bincount(stream.window_id[visual], minlength=T)
         n_a = np.bincount(stream.window_id[audio], minlength=T)
         if max(n_v.size, n_a.size) > T:
@@ -272,64 +300,6 @@ class RetentionSpec:
                              f"{self.lambda_}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-def validate_stream(stream: TokenStream, layout: WindowLayout) -> list[str]:
-    """Check every stream/layout invariant; violations come back as strings.
-
-    An empty list means pass. Violations are data, not faults: nothing raises.
-    """
-    problems: list[str] = []
-    pos = stream.position
-    if pos.size > 1 and np.any(np.diff(pos) <= 0):
-        first = int(np.flatnonzero(np.diff(pos) <= 0)[0])
-        problems.append(f"position not strictly increasing at row {first + 1}")
-
-    bad_label = ~np.isin(stream.modality, (VISUAL, AUDIO, TEXT))
-    if bad_label.any():
-        problems.append(
-            f"unknown modality label at row {int(np.flatnonzero(bad_label)[0])}"
-        )
-
-    is_text = stream.modality == TEXT
-    text_with_window = is_text & (stream.window_id != NO_WINDOW)
-    if text_with_window.any():
-        problems.append(
-            f"text row {int(np.flatnonzero(text_with_window)[0])} carries a window_id"
-        )
-    nontext_bad_window = (~is_text) & (
-        (stream.window_id < 0) | (stream.window_id >= layout.T)
-    )
-    if nontext_bad_window.any():
-        problems.append(
-            f"non-text row {int(np.flatnonzero(nontext_bad_window)[0])} has "
-            f"window_id outside [0, {layout.T})"
-        )
-
-    for m in (VISUAL, AUDIO):
-        wins = stream.window_id[stream.modality == m]
-        if wins.size > 1 and np.any(np.diff(wins) < 0):
-            problems.append(
-                f"window_id decreases along {MODALITY_NAMES[m]} rows"
-            )
-
-    for m, declared in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
-        sel = (stream.modality == m) & (stream.window_id >= 0) & (
-            stream.window_id < layout.T
-        )
-        actual = np.bincount(stream.window_id[sel], minlength=layout.T)
-        if int(actual.sum()) != int(declared.sum()):
-            problems.append(
-                f"layout total for {MODALITY_NAMES[m]} is {int(declared.sum())} "
-                f"but stream has {int(actual.sum())} rows"
-            )
-        elif not np.array_equal(actual, declared):
-            t = int(np.flatnonzero(actual != declared)[0])
-            problems.append(
-                f"window {t} holds {int(actual[t])} {MODALITY_NAMES[m]} rows, "
-                f"layout declares {int(declared[t])}"
-            )
-    return problems
 
 
 def audio_intact_rv(

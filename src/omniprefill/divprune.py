@@ -25,7 +25,6 @@ from .core import (
     WindowLayout,
     freeze_fields,
     segments,
-    validate_stream,
 )
 
 
@@ -188,7 +187,9 @@ def win_div_prune(
     saliency holds one finite, non-negative weight per stream row (those
     of text rows go unused), as stage1_saliency builds it, or is None for
     uniform weights everywhere (which reduces this to plain diversity
-    selection). Pre-LLM ratios are min(1, lambda*r_m) per modality.
+    selection). Pre-LLM ratios are min(1, lambda*r_m) per modality. A
+    layout that does not count the stream's rows window by window is a
+    StreamError.
 
     A float32 saliency vector is checked in place; any other converts to
     float64 first. Weights reach the kernel clamped and rounded to float32
@@ -207,9 +208,13 @@ def win_div_prune(
     about half of that: the float32 gather, the float64 squares while the
     norms are summed, the float32 unit rows and the float32 block.
     """
-    problems = validate_stream(stream, layout)
-    if problems:
-        raise StreamError(f"invalid stream/layout: {problems[0]}")
+    held = WindowLayout.from_stream(stream, layout.T)
+    for m, have, counts in ((VISUAL, held.n_v, layout.n_v),
+                            (AUDIO, held.n_a, layout.n_a)):
+        if not np.array_equal(have, counts):
+            t = np.argmax(have != counts)
+            raise StreamError(f"window {t} holds {have[t]} {MODALITY_NAMES[m]}"
+                              f" rows, layout declares {counts[t]}")
     if saliency is not None:
         saliency = np.asarray(saliency)
         if saliency.dtype != np.float32:
@@ -235,8 +240,6 @@ def win_div_prune(
                    AUDIO: np.zeros(layout.T, dtype=np.int64)}
     notes: list[str] = []
     for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
-        # validate_stream checked that window ids never decrease along the
-        # modality's rows, so its storage order is window-major
         rows = stream.rows_of(m)
         zero_counts = {}
         for n, windows, starts in segments(counts):

@@ -52,6 +52,7 @@ from .core import (
     EngineError,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
 )
 from .cost import CostReport
@@ -83,22 +84,19 @@ def write_ots(
 ) -> bytes:
     """Serialize a stream (and optional named float sections) canonically.
 
-    T defaults to one past the largest visual or audio window id (read_ots
-    ignores the window ids of text rows). Bytes read_ots would refuse are a
-    ContainerFormatError instead: a T outside [1, max(1, n)] or a visual
-    or audio window id outside [0, T).
+    T defaults to one past the largest window id (text rows carry
+    NO_WINDOW, as every TokenStream's do). Bytes read_ots would refuse are
+    a ContainerFormatError instead: a T outside [1, max(1, n)] or a visual
+    or audio window id at or past T.
     """
     sections = sections or {}
-    nontext = stream.modality != TEXT
     if T is None:
-        ids = stream.window_id[nontext]
-        T = max(1, int(ids.max()) + 1) if ids.size else 1
+        T = int(stream.window_id.max(initial=0)) + 1
     T = int(T)
     if not 1 <= T <= max(1, stream.n):
         raise ContainerFormatError(f"cannot write t={T} for n={stream.n} "
                                    f"tokens (t must lie in [1, max(1, n)])")
-    outside = np.flatnonzero(nontext & ((stream.window_id < 0)
-                                        | (stream.window_id >= T)))
+    outside = np.flatnonzero(stream.window_id >= T)
     if outside.size:
         row = int(outside[0])
         raise ContainerFormatError(
@@ -146,14 +144,13 @@ def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
 _FIELD_FAULTS = (TypeError, ValueError, AttributeError, OverflowError)
 
 
-def _field(what: str, convert, value):
-    """convert(value), with any type or value fault a ContainerFormatError
-    naming what was being read."""
+def _field(what: str, convert, value, error=ContainerFormatError):
+    """convert(value), with any type or value fault an error (a container
+    fault unless told otherwise) naming what was being read."""
     try:
         return convert(value)
     except _FIELD_FAULTS as exc:
-        raise ContainerFormatError(f"{what} is malformed: {value!r:.60} "
-                                   f"({exc})") from exc
+        raise error(f"{what} is malformed: {value!r:.60} ({exc})") from exc
 
 
 def _shaped(flat: np.ndarray, shape: tuple, what: str):
@@ -360,7 +357,9 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     """Parse OTS bytes back into (stream, sections, header).
 
     Strict inverse of write_ots on valid input; every size is checked against
-    what the header declares before any array is built. sections is a
+    what the header declares before any array is built, and a stream that
+    TokenStream refuses is a ContainerFormatError with the same message.
+    sections is a
     read-only Sections mapping that makes each section's view when it is
     asked for; the header comes back without its "sections" table, which
     the mapping replaces. When data is a bytes object, the stream's arrays
@@ -428,7 +427,6 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
         (n, d), "embeddings")
     offset += payload_len
 
-    tallied = 0
     for label, code in (("visual", VISUAL), ("audio", AUDIO), ("text", TEXT)):
         actual = int(np.count_nonzero(modality == code))
         if declared.get(label) != actual:
@@ -436,27 +434,21 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
                 f"count mismatch: header says {declared.get(label)} {label} "
                 f"tokens, codes tally {actual}"
             )
-        tallied += actual
-    if tallied != n:
-        raise ContainerFormatError(
-            f"{n - tallied} of {n} modality codes are not 0, 1 or 2")
-    is_text = modality == TEXT
-    # a negative id turns into a huge one as uint64, so one compare covers
-    # both ends of [0, t)
-    outside = np.flatnonzero(~is_text & (window_id.view("<u8") >= t))
+    # a negative value turns into a huge one as uint64, so one compare
+    # picks the visual and audio codes and one covers both ends of [0, t)
+    outside = np.flatnonzero((modality.view("<u8") < TEXT)
+                             & (window_id.view("<u8") >= t))
     if outside.size:
         row = int(outside[0])
         raise ContainerFormatError(
             f"{MODALITY_NAMES[int(modality[row])]} row {row} has window id "
             f"{int(window_id[row])}, outside [0, {t})")
-    # stage 1 rejects non-finite visual and audio rows from the norms it
-    # computes anyway; text rows no stage reads, so they are checked here
-    text_rows = np.flatnonzero(is_text)
-    finite = np.isfinite(embeddings[text_rows]).all(axis=1)
-    if not finite.all():
-        raise ContainerFormatError(
-            f"text row {int(text_rows[np.argmin(finite)])} has a non-finite "
-            f"embedding")
+    # the stream's own invariants are TokenStream's to check
+    try:
+        stream = TokenStream(embeddings=embeddings, modality=modality,
+                             window_id=window_id, position=position)
+    except StreamError as exc:
+        raise ContainerFormatError(str(exc)) from exc
 
     # the mapping carries every name, shape and length the table declares
     entries = header.pop("sections")
@@ -464,9 +456,6 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
         raise ContainerFormatError(
             f"header 'sections' must be a list, got {entries!r:.60}")
     sections = _read_sections(data, entries, offset)
-
-    stream = TokenStream(embeddings=embeddings, modality=modality,
-                         window_id=window_id, position=position)
     return stream, sections, header
 
 
@@ -491,7 +480,7 @@ def _load_document(source, schema: dict, kind: str) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read {kind} file {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"{kind} file {source} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} document must be a JSON object")
@@ -504,68 +493,59 @@ def _load_document(source, schema: dict, kind: str) -> dict:
     return doc
 
 
-def load_model_config(source) -> ModelConfig:
-    doc = _load_document(
-        source,
-        {"layers": True, "d_model": True, "d_ff": True, "n_heads": True,
-         "boundaries": True},
-        "model config",
-    )
-    boundaries = doc["boundaries"]
-    if not (isinstance(boundaries, list) and len(boundaries) == 4):
-        raise ConfigError("boundaries must be a list of four layer indices")
+def _load_config(source, cls, kind: str, fields: dict):
+    """cls built from a config document. fields maps each document key to
+    (argument name, conversion, required). A value its conversion refuses
+    is a ConfigError naming the key, and one cls refuses a ConfigError
+    with cls's message."""
+    doc = _load_document(source, {key: required for key, (_, _, required)
+                                  in fields.items()}, kind)
+    args = {arg: _field(f"{kind} key {key!r}", convert, doc[key], ConfigError)
+            for key, (arg, convert, _) in fields.items() if key in doc}
     try:
-        return ModelConfig(
-            layers=int(doc["layers"]),
-            d_model=int(doc["d_model"]),
-            d_ff=int(doc["d_ff"]),
-            n_heads=int(doc["n_heads"]),
-            boundaries=tuple(int(b) for b in boundaries),
-        )
+        return cls(**args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _boundaries(value) -> tuple[int, ...]:
+    if not (isinstance(value, list) and len(value) == 4):
+        raise ValueError("boundaries must be a list of four layer indices")
+    return tuple(map(int, value))
+
+
+def load_model_config(source) -> ModelConfig:
+    return _load_config(source, ModelConfig, "model config", {
+        "layers": ("layers", int, True),
+        "d_model": ("d_model", int, True),
+        "d_ff": ("d_ff", int, True),
+        "n_heads": ("n_heads", int, True),
+        "boundaries": ("boundaries", _boundaries, True),
+    })
 
 
 def load_retention_spec(source) -> RetentionSpec:
-    doc = _load_document(
-        source,
-        {"ratio_visual": True, "ratio_audio": True, "lambda": True,
-         "tau": True, "ratio": False},
-        "retention spec",
-    )
-    try:
-        return RetentionSpec(
-            r_v=float(doc["ratio_visual"]),
-            r_a=float(doc["ratio_audio"]),
-            lambda_=float(doc["lambda"]),
-            tau=float(doc["tau"]),
-            r=float(doc["ratio"]) if "ratio" in doc else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _load_config(source, RetentionSpec, "retention spec", {
+        "ratio_visual": ("r_v", float, True),
+        "ratio_audio": ("r_a", float, True),
+        "lambda": ("lambda_", float, True),
+        "tau": ("tau", float, True),
+        "ratio": ("r", float, False),
+    })
 
 
 def load_synth_spec(source) -> SynthSpec:
-    doc = _load_document(
-        source,
-        {"seed": True, "windows": True, "d": True, "visual_per_window": True,
-         "audio_per_window": True, "text_tokens": True,
-         "planted_windows": False, "planted_gain": False},
-        "synth spec",
-    )
-    try:
-        return SynthSpec(
-            seed=int(doc["seed"]),
-            T=int(doc["windows"]),
-            d=int(doc["d"]),
-            n_v=int(doc["visual_per_window"]),
-            n_a=int(doc["audio_per_window"]),
-            n_q=int(doc["text_tokens"]),
-            planted_windows=tuple(doc.get("planted_windows", ())),
-            planted_gain=float(doc.get("planted_gain", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _load_config(source, SynthSpec, "synth spec", {
+        "seed": ("seed", int, True),
+        "windows": ("T", int, True),
+        "d": ("d", int, True),
+        "visual_per_window": ("n_v", int, True),
+        "audio_per_window": ("n_a", int, True),
+        "text_tokens": ("n_q", int, True),
+        "planted_windows": ("planted_windows",
+                            lambda w: tuple(map(int, w)), False),
+        "planted_gain": ("planted_gain", float, False),
+    })
 
 
 # ---------------------------------------------------------------- reports

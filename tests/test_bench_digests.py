@@ -4,7 +4,9 @@ bench/omnibench.py records a digest of each workload's outputs at its default
 seed: the trace CSV, the stage-1 and every drop layer's kept positions and
 the FLOPs ratio. A change that moves a single pick changes it, so such a
 change fails here as well as in the benchmark. The digests at the held-out
-seed 11 are recorded here. The benchmark's files are only read.
+seed 11 are recorded here. Every engine name the traced benchmark run wraps
+must exist, so a change that deletes one fails here too. The benchmark's
+files are only read.
 """
 
 import sys
@@ -14,6 +16,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import omnibench  # noqa: E402  (imports its sibling tracing from bench/)
+import tracing  # noqa: E402
 
 
 # the outputs at the held-out seed 11, which the benchmark does not record;
@@ -41,3 +44,12 @@ def test_workload_digest_at_held_out_seed(name):
     w = omnibench.WORKLOADS[name]
     data, _ = omnibench.make_container(w, HELD_OUT_SEED)
     assert omnibench.digest(omnibench.request(data)) == HELD_OUT_DIGESTS[name]
+
+
+def test_every_traced_engine_name_exists():
+    # the benchmark's `--trace 1` run wraps these names; one that an engine
+    # change deletes or renames would break that run
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr in tracing.engine_targets()
+               if attr not in vars(owner)]
+    assert missing == []

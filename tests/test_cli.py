@@ -369,6 +369,32 @@ class TestRun:
         assert rc == 1
         assert "unknown retention spec keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("model", {"layers": None}, "model config key 'layers' is malformed"),
+        ("synth", {"seed": None}, "synth spec key 'seed' is malformed"),
+        ("retention", {"ratio_visual": [1]},
+         "retention spec key 'ratio_visual' is malformed"),
+        ("synth", {"planted_windows": 5},
+         "synth spec key 'planted_windows' is malformed"),
+        ("model", b"\xff", "is not JSON: 'utf-8' codec can't decode"),
+    ], ids=["null-layers", "null-seed", "list-ratio", "scalar-planted",
+            "not-utf8"])
+    def test_malformed_config_is_domain_error(self, configs, name, edit,
+                                              message):
+        # as a real process: exit 1 and one error line, never a traceback
+        doc = {"model": MODEL, "synth": SYNTH, "retention": RETENTION}[name]
+        with open(configs[name], "wb") as fh:
+            fh.write(edit + json.dumps(doc).encode() if isinstance(edit, bytes)
+                     else json.dumps(dict(doc, **edit)).encode())
+        proc = cli_process("run", "--config", configs["model"], "--spec",
+                           configs["retention"], "--synth", configs["synth"],
+                           "--trace", os.devnull)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
     def test_wrong_length_saliency_is_domain_error(self, configs, tmp_path):
         # run as a real process: a bad section must end in exit code 1 and
         # a one-line message, never a traceback
@@ -520,6 +546,17 @@ class TestMalformedTrace:
                            configs["model"])
         assert proc.returncode == 1
         assert proc.stderr == "error: trace covers 1 layers, config has 28\n"
+
+    def test_trace_not_utf8_is_domain_error(self, configs, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"# layers=28\n\xff\xfe\n")
+        proc = cli_process("flops", "--trace", str(trace), "--config",
+                           configs["model"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: trace CSV {trace} is not "
+                                      f"UTF-8: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestUsage:

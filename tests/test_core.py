@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
     audio_intact_rv,
-    validate_stream,
 )
+from omniprefill.divprune import win_div_prune
 
 
 def make_stream(rows, d=4, seed=0):
@@ -93,8 +94,11 @@ class TestTokenStream:
         assert np.array_equal(sub.embeddings, s.embeddings[[0, 3, 6]])
 
     def test_take_requires_ascending_rows(self):
+        # other rows give positions that do not increase, which the
+        # constructor refuses as a StreamError, a ValueError
         s = make_stream(MIXED_ROWS)
-        with pytest.raises(ValueError):
+        with pytest.raises(StreamError, match="not strictly increasing at "
+                                              "row 1"):
             s.take(np.array([3, 0]))
         with pytest.raises(ValueError):
             s.take(np.array([2, 2]))
@@ -132,9 +136,11 @@ class TestWindowLayout:
 
     @pytest.mark.parametrize("m, name", [(VISUAL, "visual"), (AUDIO, "audio")])
     def test_from_stream_rejects_negative_window(self, m, name):
-        s = make_stream([(VISUAL, 0), (m, -1), (TEXT, -1)])
-        with pytest.raises(StreamError, match=f"{name} row 1 has window id -1"):
-            WindowLayout.from_stream(s)
+        # the stream itself refuses the id, so no layout ever sees it
+        with pytest.raises(StreamError, match=f"{name} row 1 has window id "
+                                              f"-1; it must be >= 0"):
+            WindowLayout.from_stream(
+                make_stream([(VISUAL, 0), (m, -1), (TEXT, -1)]))
 
     def test_text_only_stream(self):
         # a layout always carries at least one (possibly empty) window
@@ -188,41 +194,97 @@ class TestRetentionSpec:
             RetentionSpec(**dict(good, **{field: value}))
 
 
+def layout_check(stream, layout):
+    """win_div_prune's check that a layout counts the stream's rows."""
+    win_div_prune(stream, layout, None,
+                  RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1))
+
+
 class TestValidateStream:
+    """A stream is validated once, when it is built: each invariant is a
+    StreamError naming the first faulty row. win_div_prune then checks only
+    that the layout it is given counts the stream's rows."""
+
     def test_clean_stream(self):
         s = make_stream(MIXED_ROWS)
-        assert validate_stream(s, WindowLayout.from_stream(s)) == []
+        layout_check(s, WindowLayout.from_stream(s))
+
+    @pytest.mark.parametrize("code", [3, -1, 7])
+    def test_unknown_modality_code(self, code):
+        rows = MIXED_ROWS[:4] + [(code, 1)] + MIXED_ROWS[5:]
+        with pytest.raises(StreamError, match=r"^1 of 8 modality codes are "
+                                              r"not 0, 1 or 2, the first at "
+                                              r"row 4$"):
+            make_stream(rows)
 
     def test_text_with_window_id(self):
-        s = make_stream([(VISUAL, 0), (TEXT, 0)])
-        problems = validate_stream(s, WindowLayout(n_v=np.array([1]),
-                                                   n_a=np.array([0])))
-        assert any("text" in p for p in problems)
+        with pytest.raises(StreamError, match=r"^text row 1 has window id 0; "
+                                              r"it must be -1$"):
+            make_stream([(VISUAL, 0), (TEXT, 0)])
+
+    @pytest.mark.parametrize("window", [-1, -2])
+    def test_negative_window_id(self, window):
+        with pytest.raises(StreamError, match=rf"^audio row 2 has window id "
+                                              rf"{window}; it must be >= 0$"):
+            make_stream([(VISUAL, 0), (TEXT, -1), (AUDIO, window)])
+
+    def test_text_window_id_below_no_window(self):
+        with pytest.raises(StreamError, match=r"^text row 0 has window id -2; "
+                                              r"it must be -1$"):
+            make_stream([(TEXT, -2), (VISUAL, 0)])
+
+    @pytest.mark.parametrize("at", [1, 5, 7])
+    def test_position_not_increasing(self, at):
+        s = make_stream(MIXED_ROWS)
+        position = s.position.copy()
+        position[at] = position[at - 1]
+        with pytest.raises(StreamError, match=rf"^position not strictly "
+                                              rf"increasing at row {at}$"):
+            dataclasses.replace(s, position=position)
 
     def test_window_out_of_range(self):
+        # the stream is valid; the layout it is checked against is too short
         s = make_stream([(VISUAL, 0), (VISUAL, 5), (TEXT, -1)])
-        problems = validate_stream(s, WindowLayout(n_v=np.array([2]),
-                                                   n_a=np.array([0])))
-        assert problems
+        with pytest.raises(StreamError, match=r"window id 5 lies outside "
+                                              r"\[0, 1\)"):
+            layout_check(s, WindowLayout(n_v=np.array([2]),
+                                         n_a=np.array([0])))
 
     def test_window_order_violation(self):
         # visual tokens of window 1 appear before window 0
-        s = make_stream([(VISUAL, 1), (VISUAL, 0), (TEXT, -1)])
-        problems = validate_stream(s, WindowLayout(n_v=np.array([1, 1]),
-                                                   n_a=np.array([0, 0])))
-        assert any("window" in p for p in problems)
+        with pytest.raises(StreamError, match=r"^window_id decreases along "
+                                              r"visual rows at row 1$"):
+            make_stream([(VISUAL, 1), (VISUAL, 0), (TEXT, -1)])
+        # audio steps back from window 2 to 1 while visual rows stay in order
+        with pytest.raises(StreamError, match=r"^window_id decreases along "
+                                              r"audio rows at row 4$"):
+            make_stream([(AUDIO, 0), (VISUAL, 0), (AUDIO, 2), (VISUAL, 1),
+                         (AUDIO, 1)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_text_embedding(self, value):
+        s = make_stream(MIXED_ROWS)
+        emb = s.embeddings.copy()
+        emb[7, 2] = value
+        emb[3, 0] = value  # a visual row: stage 1's norms find it
+        with pytest.raises(StreamError, match=r"^text row 7 has a non-finite "
+                                              r"embedding$"):
+            dataclasses.replace(s, embeddings=emb)
 
     def test_total_mismatch(self):
+        # a total that differs is reported at its first differing window
         s = make_stream(MIXED_ROWS)
         lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 2]))
-        problems = validate_stream(s, lay)
-        assert any("total" in p for p in problems)
+        with pytest.raises(StreamError, match="window 1 holds 1 visual rows, "
+                                              "layout declares 2"):
+            layout_check(s, lay)
 
     def test_per_window_mismatch(self):
         s = make_stream(MIXED_ROWS)
         lay = WindowLayout(n_v=np.array([1, 2]), n_a=np.array([2, 1]))
-        problems = validate_stream(s, lay)
-        assert any("declares" in p for p in problems)
+        with pytest.raises(StreamError, match="window 0 holds 2 visual rows, "
+                                              "layout declares 1"):
+            layout_check(s, lay)
 
 
 def overall_ratio(r_v, r_a, layout):

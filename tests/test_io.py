@@ -16,6 +16,7 @@ from omniprefill.core import (
     VISUAL,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
 )
@@ -82,6 +83,14 @@ def poke_column(data: bytes, key: str, row: int, value: int) -> bytes:
     """Container bytes with one entry of an int64 column replaced."""
     at = column_offset(data, key, row)
     return data[:at] + struct.pack("<q", value) + data[at + 8 :]
+
+
+def poke_embedding(data: bytes, row: int, col: int, value: float) -> bytes:
+    """Container bytes with one embedding entry replaced."""
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    at = 12 + header_len + 24 * header["n"] + 4 * (row * header["d"] + col)
+    return data[:at] + struct.pack("<f", value) + data[at + 4 :]
 
 
 def header_edit(mutate):
@@ -321,8 +330,7 @@ class TestWriterRefuses:
         data = write_ots(tiny_stream(), T=7)
         assert read_ots(data)[2]["t"] == 7
 
-    @pytest.mark.parametrize("row, window, T", [(3, 1, 1), (2, -1, 2),
-                                                (0, 7, None)])
+    @pytest.mark.parametrize("row, window, T", [(3, 1, 1), (4, 7, None)])
     def test_window_id_outside_t(self, row, window, T):
         stream = tiny_stream()
         ids = stream.window_id.copy()
@@ -335,22 +343,28 @@ class TestWriterRefuses:
             write_ots(bad, T=T)
 
     def test_text_window_ids_do_not_count_toward_t(self):
-        # read_ots ignores them, so the inferred t comes from the other rows
+        # text rows carry no window id: a stream refuses one, and so does
+        # read_ots, with the same message, so t comes from the other rows
         stream = tiny_stream()
+        assert read_ots(write_ots(stream))[2]["t"] == 2
         ids = stream.window_id.copy()
         ids[5] = 40
-        back, _, header = read_ots(write_ots(
-            dataclasses.replace(stream, window_id=ids)))
-        assert header["t"] == 2
-        assert back.window_id[5] == 40
+        message = r"^text row 5 has window id 40; it must be -1$"
+        with pytest.raises(StreamError, match=message):
+            dataclasses.replace(stream, window_id=ids)
+        data = poke_column(write_ots(stream), "window_id", 5, 40)
+        with pytest.raises(ContainerFormatError, match=message):
+            read_ots(data)
 
     def test_negative_window_id_with_inferred_t(self):
+        # no stream holds one, so write_ots never meets one
         stream = tiny_stream()
         ids = stream.window_id.copy()
         ids[:5] = -3
-        with pytest.raises(ContainerFormatError,
-                           match=r"row 0 with window id -3, outside \[0, 1\)"):
-            write_ots(dataclasses.replace(stream, window_id=ids))
+        with pytest.raises(StreamError,
+                           match=r"^visual row 0 has window id -3; it must be "
+                                 r">= 0$"):
+            dataclasses.replace(stream, window_id=ids)
 
 
 class TestCanonicalBytes:
@@ -464,10 +478,8 @@ class TestMalformedBytes:
             read_ots(data)
 
     def test_non_finite_text_embedding(self):
-        stream = tiny_stream()
-        emb = stream.embeddings.copy()
-        emb[6, 1] = np.inf
-        data = write_ots(dataclasses.replace(stream, embeddings=emb))
+        # a stream refuses the embedding, so the bytes are poked
+        data = poke_embedding(write_ots(tiny_stream()), 6, 1, np.inf)
         with pytest.raises(ContainerFormatError,
                            match="text row 6 has a non-finite embedding"):
             read_ots(data)

@@ -344,16 +344,16 @@ class TestRunPipeline:
         assert container_request_peak(T=512, n_v=16, n_a=4) < 0.76 * 2**20
 
     def test_windows_out_of_order_rejected(self):
-        # drop layers rank window-major runs of each modality's rows; a
-        # stream whose window ids step back is refused before any of them
+        # every stage ranks window-major runs of each modality's rows; a
+        # stream whose window ids step back cannot be built
         spec = SynthSpec(seed=5, T=2, d=8, n_v=2, n_a=1, n_q=1)
         stream, _ = synth_generate(spec)
-        stream = TokenStream(embeddings=stream.embeddings,
-                             modality=stream.modality,
-                             window_id=np.array([1, 1, 1, 0, 0, 0, -1]),
-                             position=stream.position)
-        with pytest.raises(StreamError, match="window_id decreases"):
-            run_pipeline(stream, QWEN25, DEFAULTS)
+        with pytest.raises(StreamError, match="window_id decreases along "
+                                              "visual rows at row 3"):
+            TokenStream(embeddings=stream.embeddings,
+                        modality=stream.modality,
+                        window_id=np.array([1, 1, 1, 0, 0, 0, -1]),
+                        position=stream.position)
 
 
 class TestContainerOracle:

@@ -7,11 +7,18 @@ per-window loop written in this file, over random ragged layouts with empty
 windows, absent modalities, zero-norm rows, duplicate embeddings, k == n
 groups and tied scores. Results must be identical, not merely close. The
 whole pipeline, which carries its per-window counts from layer to layer, is
-checked against a recount of every layer's survivors.
+checked against a recount of every layer's survivors, and a stream with one
+fault is refused alike when it is built and when its container is read.
 """
 
+import dataclasses
+import itertools
+import json
+import struct
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omniprefill.allocator import BudgetPlan, allocate
@@ -22,11 +29,13 @@ from omniprefill.core import (
     InfeasibleBudgetError,
     ModelConfig,
     RetentionSpec,
+    StreamError,
     TokenStream,
     WindowLayout,
     segments,
 )
 from omniprefill.divprune import keep_count, win_div_prune
+from omniprefill.io import ContainerFormatError, read_ots, write_ots
 from omniprefill.pipeline import (
     ContainerOracle,
     mean_retention,
@@ -486,3 +495,97 @@ def test_pipeline_invariants_on_ragged_streams(data):
     text = stream.rows_of(TEXT)
     assert final.position.tolist() == stream.position[text].tolist()
     assert np.all(final.modality == TEXT)
+
+
+def repacked(data: bytes, cols: dict) -> bytes:
+    """Container bytes with their columns, embeddings and header counts
+    replaced by cols, a stream's fields as plain arrays of the same sizes:
+    the bytes a writer without checks would emit for them."""
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    header["counts"] = {name: int(np.count_nonzero(cols["modality"] == m))
+                        for name, m in (("visual", VISUAL), ("audio", AUDIO),
+                                        ("text", TEXT))}
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    raw += b" " * (-(12 + len(raw)) % 8)
+    payload = b"".join(cols[key].astype("<i8").tobytes()
+                       for key in ("modality", "window_id", "position"))
+    payload += cols["embeddings"].astype("<f4").tobytes()
+    return b"".join([data[:4], struct.pack("<Q", len(raw)), raw, payload,
+                     data[12 + header_len + len(payload) :]])
+
+
+def apply_fault(draw, cols: dict, t: int) -> tuple[str, str]:
+    """One fault, drawn among those the stream has rows for, applied to
+    cols in place. Returns the message of the constructor and of read_ots,
+    whose header check for [0, t) comes first."""
+    modality, window_id = cols["modality"], cols["window_id"]
+    n, d = cols["embeddings"].shape
+    text = np.flatnonzero(modality == TEXT).tolist()
+    nontext = np.flatnonzero(modality != TEXT).tolist()
+    # rows whose predecessor of the same modality lies past window 0
+    after = [r for m in (VISUAL, AUDIO)
+             for prev, r in itertools.pairwise(np.flatnonzero(modality == m))
+             if window_id[prev] > 0]
+    faults = ["code"] * (n > 0) + ["position"] * (n > 1)
+    faults += ["text window", "nan text"] * bool(text)
+    faults += ["negative window"] * bool(nontext)
+    faults += ["step back"] * bool(after)
+    assume(faults)
+    fault = draw(st.sampled_from(faults))
+    if fault == "code":
+        r = draw(st.integers(0, n - 1))
+        modality[r] = draw(st.sampled_from([-1, 3, 7, 2**40]))
+        message = (f"1 of {n} modality codes are not 0, 1 or 2, the first "
+                   f"at row {r}")
+    elif fault == "position":
+        r = draw(st.integers(1, n - 1))
+        cols["position"][r] = cols["position"][r - 1] - draw(st.integers(0, 2))
+        message = f"position not strictly increasing at row {r}"
+    elif fault == "text window":
+        r = draw(st.sampled_from(text))
+        window_id[r] = draw(st.sampled_from([-2, 0, 1, t, 2**40]))
+        message = f"text row {r} has window id {window_id[r]}; it must be -1"
+    elif fault == "nan text":
+        r = draw(st.sampled_from(text))
+        cols["embeddings"][r, draw(st.integers(0, d - 1))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        message = f"text row {r} has a non-finite embedding"
+    elif fault == "negative window":
+        r = draw(st.sampled_from(nontext))
+        window_id[r] = draw(st.sampled_from([-1, -2, -(2**40)]))
+        name = "visual" if modality[r] == VISUAL else "audio"
+        said = f"{name} row {r} has window id {window_id[r]}"
+        return f"{said}; it must be >= 0", f"{said}, outside [0, {t})"
+    else:
+        r = draw(st.sampled_from(after))
+        prev = max(q for q in range(r) if modality[q] == modality[r])
+        window_id[r] = draw(st.integers(0, window_id[prev] - 1))
+        name = "visual" if modality[r] == VISUAL else "audio"
+        message = f"window_id decreases along {name} rows at row {r}"
+    return message, message
+
+
+@SETTINGS
+@given(data=st.data())
+def test_one_fault_is_refused_when_built_and_when_read(data):
+    stream, _ = data.draw(ragged_streams())
+    # a container's t may not exceed its token count
+    assume(stream.window_id.max(initial=0) < max(1, stream.n))
+    container = write_ots(stream)
+    # unfaulted, the stream's container reads and runs through
+    back, _, header = read_ots(container)
+    final, _ = run_pipeline(back, CONFIGS[0], RetentionSpec(
+        r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1), T=header["t"])
+    assert final.position.tolist() == \
+        stream.position[stream.rows_of(TEXT)].tolist()
+
+    cols = {field.name: getattr(stream, field.name).copy()
+            for field in dataclasses.fields(stream)}
+    built, read = apply_fault(data.draw, cols, header["t"])
+    with pytest.raises(StreamError) as refused:
+        TokenStream(**cols)
+    assert str(refused.value) == built
+    with pytest.raises(ContainerFormatError) as unread:
+        read_ots(repacked(container, cols))
+    assert str(unread.value) == read
