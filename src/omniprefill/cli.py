@@ -138,7 +138,7 @@ def _cmd_gen(args) -> int:
 def _cmd_prune_pre(args) -> int:
     stream, sections, header = otsio.read_ots_file(args.input)
     spec = otsio.load_retention_spec(args.spec)
-    T = int(header["t"])
+    T = header["t"]
     layout = WindowLayout.from_stream(stream, T)
     saliency = stage1_saliency(ContainerOracle(sections, T), stream, layout)
     result = win_div_prune(stream, layout, saliency, spec)
@@ -209,7 +209,7 @@ def _cmd_run(args) -> int:
         oracle, T = None, None
     else:
         source, sections, header = otsio.read_ots_file(args.input)
-        T = int(header["t"])
+        T = header["t"]
         oracle = ContainerOracle(sections, T)
     final, trace = run_pipeline(source, config, retention, oracle=oracle,
                                 T=T)

@@ -1,8 +1,8 @@
 """Bit-exact serialization.
 
-OTS container ("omni token stream"), version 2:
+OTS container ("omni token stream"), version 3:
 
-    bytes 0..3    magic b"OTS2"
+    bytes 0..3    magic b"OTS3"
     bytes 4..11   header length H, unsigned 64-bit little-endian
     bytes 12..    UTF-8 JSON header, exactly H bytes, canonical form
                   (lexicographically sorted keys, no whitespace) padded
@@ -15,14 +15,16 @@ OTS container ("omni token stream"), version 2:
                   float32 little-endian data
 
 The header declares n, d, t, per-modality counts, generator provenance and
-the section table (name, shape, length), one entry per name; it holds no
-per-token data.
-Sections carry saliency vectors, attention matrices, or query logits keyed
-by name. Canonical form means identical inputs produce identical bytes.
-Readers validate every declared size before touching the data, so truncation
-is caught without materializing anything, and return read-only views of
-input bytes rather than copies. OTS1 containers (per-token lists in the JSON
-header) are no longer read; `omniprefill gen` writes an OTS2 one.
+the section table: {"length": [...], "name": [...], "shape": [[...], ...]},
+three equal-length columns with one entry per name, in name order. It holds
+no per-token data. Sections carry saliency vectors, attention matrices, or
+query logits keyed by name. Canonical form means identical inputs produce
+identical bytes. Readers validate every declared size before touching the
+data, so truncation is caught without materializing anything, and return
+read-only views of input bytes rather than copies. OTS1 and OTS2 containers
+are no longer read; `omniprefill gen` writes an OTS3 one. An integer in a
+header or a config document is a JSON integer, never a bool, a string or a
+float, and a float is a finite JSON number, never a bool.
 
 Configuration documents are plain JSON with fixed schemas; unknown keys are
 rejected outright because a typo in a boundary would silently corrupt every
@@ -59,8 +61,8 @@ from .cost import CostReport
 from .pipeline import PrefillTrace, SynthSpec
 from .schedule import SchedulePlan, block_of
 
-MAGIC = b"OTS2"
-OTS_VERSION = 2
+MAGIC = b"OTS3"
+OTS_VERSION = 3
 COLUMNS = ("modality", "window_id", "position")
 
 
@@ -103,14 +105,12 @@ def write_ots(
             f"cannot write {MODALITY_NAMES[int(stream.modality[row])]} row "
             f"{row} with window id {int(stream.window_id[row])}, outside "
             f"[0, {T})")
-    section_table = []
-    blobs = []
-    for name in sorted(sections):
-        arr = np.ascontiguousarray(sections[name], dtype="<f4")
-        section_table.append(
-            {"length": arr.nbytes, "name": name, "shape": list(arr.shape)}
-        )
-        blobs += [struct.pack("<Q", arr.nbytes), arr]
+    names = sorted(sections)
+    arrays = [np.ascontiguousarray(sections[name], dtype="<f4")
+              for name in names]
+    table = {"length": [arr.nbytes for arr in arrays], "name": names,
+             "shape": [list(arr.shape) for arr in arrays]}
+    blobs = [x for arr in arrays for x in (struct.pack("<Q", arr.nbytes), arr)]
     header = {
         "counts": {
             "audio": stream.n_audio,
@@ -120,7 +120,7 @@ def write_ots(
         "d": stream.d,
         "generator": generator,
         "n": stream.n,
-        "sections": section_table,
+        "sections": table,
         "t": T,
         "version": OTS_VERSION,
     }
@@ -141,16 +141,35 @@ def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
         raise ContainerFormatError(f"cannot write {path}: {exc}") from exc
 
 
-_FIELD_FAULTS = (TypeError, ValueError, AttributeError, OverflowError)
-
-
 def _field(what: str, convert, value, error=ContainerFormatError):
     """convert(value), with any type or value fault an error (a container
     fault unless told otherwise) naming what was being read."""
     try:
         return convert(value)
-    except _FIELD_FAULTS as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} is malformed: {value!r:.60} ({exc})") from exc
+
+
+def _integer(value) -> int:
+    """value, when it is a JSON integer: not a bool, a string or a float,
+    which int() would read as some other number without a word."""
+    if type(value) is not int:
+        raise TypeError(f"an integer is needed, not {type(value).__name__}")
+    return value
+
+
+def _integers(value) -> tuple[int, ...]:
+    """A JSON list of integers, as a tuple."""
+    if type(value) is not list:
+        raise TypeError("a list of integers is needed")
+    return tuple(map(_integer, value))
+
+
+def _number(value) -> float:
+    """float(value), when value is a finite JSON number that is not a bool."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("a finite number is needed")
+    return float(value)
 
 
 def _shaped(flat: np.ndarray, shape: tuple, what: str):
@@ -164,53 +183,46 @@ def _shaped(flat: np.ndarray, shape: tuple, what: str):
                                    f"representable ({exc})") from exc
 
 
-def _entry_fields(entry) -> tuple[str, int, tuple]:
-    """One section-table entry as (name, length, shape): a string name, and
-    int() of the length and of each dimension, with -1 and () for a missing
-    length or shape."""
-    part = None
-    try:
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise TypeError("a section needs a string name")
-        part = "length"
-        length = int(entry.get("length", -1))
-        part = "shape"
-        shape = tuple(map(int, entry.get("shape", ())))
-    except _FIELD_FAULTS as exc:
-        what = (f"section {name!r} {part}" if part
-                else f"section entry {entry!r:.60}")
-        raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
-    return name, length, shape
+SECTION_COLUMNS = ("length", "name", "shape")
 
 
-def _section_columns(entries: list):
-    """The name, length, size and shape columns of a section table, as
-    _entry_fields reads each entry, and the first malformed entry's error
-    (None when every entry is well formed); the columns stop short of that
-    entry. Sizes are Python ints, so a product never wraps. A shape is the
-    entry's own sequence of dimensions, each of which int() accepts; a tuple
-    for each of thousands of entries would stay behind in CPython's tuple
-    free list as held memory."""
-    try:
-        names = [entry.get("name") for entry in entries]
-        lengths = list(map(int, [entry.get("length", -1) for entry in entries]))
-        shapes = [entry.get("shape", ()) for entry in entries]
-        sizes = [math.prod(map(int, shape)) for shape in shapes]
-        if all(map(isinstance, names, itertools.repeat(str))):
-            return names, lengths, sizes, shapes, None
-    except _FIELD_FAULTS:
-        pass
-    # some entry is malformed: only now is the table read entry by entry
-    fields, fault = [], None
-    for entry in entries:
+def _section_columns(table) -> tuple[list, list, list, Exception | None]:
+    """A section table's length, name and shape columns, stopping short of
+    the first malformed entry, and that entry's error (None if there is
+    none). A table not an object of three equal-length lists raises."""
+    if not isinstance(table, dict):
+        raise ContainerFormatError(
+            f"header 'sections' must be an object, got {table!r:.60}")
+    if sorted(table) != list(SECTION_COLUMNS):
+        raise ContainerFormatError(
+            f"header 'sections' must hold the columns length, name and "
+            f"shape, got {sorted(table)!r:.60}")
+    lengths, names, shapes = columns = [table[k] for k in SECTION_COLUMNS]
+    for key, column in zip(SECTION_COLUMNS, columns):
+        if type(column) is not list:
+            raise ContainerFormatError(
+                f"section column {key!r} must be a list, got {column!r:.60}")
+    if not len(lengths) == len(names) == len(shapes):
+        raise ContainerFormatError(
+            f"section columns differ in length: {len(lengths)} lengths, "
+            f"{len(names)} names, {len(shapes)} shapes")
+    # _integer's rule, one pass per column; only a table that fails a pass
+    # is read entry by entry, to name its first malformed field
+    if (set(map(type, names)) <= {str} and set(map(type, lengths)) <= {int}
+            and set(map(type, shapes)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(shapes)))
+            <= {int}):
+        return lengths, names, shapes, None
+    for entry, (length, name, shape) in enumerate(zip(*columns)):
         try:
-            fields.append(_entry_fields(entry))
-        except ContainerFormatError as exc:
-            fault = exc
-            break
-    names, lengths, shapes = map(list, zip(*fields)) if fields else ([], [], [])
-    return names, lengths, list(map(math.prod, shapes)), shapes, fault
+            if type(name) is not str:
+                raise ContainerFormatError(
+                    f"section entry {entry} name is malformed: {name!r:.60} "
+                    f"(a section needs a string name)")
+            _field(f"section {name!r} length", _integer, length)
+            _field(f"section {name!r} shape", _integers, shape)
+        except ContainerFormatError as fault:
+            return lengths[:entry], names[:entry], shapes[:entry], fault
 
 
 class Sections(Mapping):
@@ -271,15 +283,15 @@ class Sections(Mapping):
         return sizes, vec
 
 
-def _read_sections(data, entries: list, start: int) -> Sections:
-    """The sections a table declares, as a Sections mapping over the
-    blocks that fill data[start:]. Each check runs once over the whole
-    table. A table with several faults is reported at its earliest faulty
-    entry, by the first check that entry fails, in the order: a malformed
-    field, a name an earlier entry already uses, negative dimensions, a
-    length that is not 4 bytes per entry, a truncated length prefix, a
-    prefix that disagrees, truncated data, a shape numpy cannot represent."""
-    names, lengths, sizes, shapes, fault = _section_columns(entries)
+def _read_sections(data, table, start: int) -> Sections:
+    """The sections a columnar table declares, as a Sections mapping over
+    the blocks that fill data[start:], each check one pass over the table.
+    A fault of the table's structure comes first, then the earliest faulty
+    entry, by the first check it fails: a malformed field, a name an earlier
+    entry uses, negative dimensions, a length not 4 bytes per entry, a
+    truncated length prefix, a prefix that disagrees, truncated data, a
+    shape numpy cannot represent."""
+    lengths, names, shapes, fault = _section_columns(table)
     # entries [0, ok) pass every check so far; fault is entry ok's error
     ok = len(names)
     index = dict(zip(names, itertools.count()))
@@ -290,16 +302,16 @@ def _read_sections(data, entries: list, start: int) -> Sections:
         fault = ContainerFormatError(
             f"section {names[ok]!r} at entry {ok} repeats the name of entry "
             f"{first[names[ok]]}")
-    expected = [4 * size for size in sizes[:ok]]
-    dims = map(int, itertools.chain.from_iterable(shapes[:ok]))
+    # Python ints, so neither a product nor a sum below can wrap
+    sizes = list(map(math.prod, shapes[:ok]))
+    expected = [4 * size for size in sizes]
+    dims = itertools.chain.from_iterable(shapes[:ok])
     if min(dims, default=0) < 0 or lengths[:ok] != expected:
-        negative = [min(map(int, shape), default=0) < 0
-                    for shape in shapes[:ok]]
+        negative = [min(shape, default=0) < 0 for shape in shapes[:ok]]
         mismatch = list(map(operator.ne, lengths, expected))
         ok = min(mask.index(True) for mask in (negative, mismatch)
                  if True in mask)
-        name, length = names[ok], lengths[ok]
-        shape = tuple(map(int, shapes[ok]))
+        name, length, shape = names[ok], lengths[ok], tuple(shapes[ok])
         fault = ContainerFormatError(
             f"section {name!r} declares negative dimensions {shape}"
             if negative[ok] else
@@ -341,7 +353,7 @@ def _read_sections(data, entries: list, start: int) -> Sections:
     for entry, dims in enumerate(shapes[:ok]):
         if len(dims) != 1:
             first = int(firsts[entry])
-            shaped[entry] = tuple(map(int, dims))
+            shaped[entry] = tuple(dims)
             _shaped(region[first : first + sizes[entry]], shaped[entry],
                     f"section {names[entry]!r}")
     if fault is not None:
@@ -359,33 +371,29 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     Strict inverse of write_ots on valid input; every size is checked against
     what the header declares before any array is built, and a stream that
     TokenStream refuses is a ContainerFormatError with the same message.
-    sections is a
-    read-only Sections mapping that makes each section's view when it is
-    asked for; the header comes back without its "sections" table, which
-    the mapping replaces. When data is a bytes object, the stream's arrays
-    and the sections are read-only views of it, not copies.
+    sections is a read-only Sections mapping that makes each section's view
+    when it is asked for; the header comes back without its "sections"
+    table, which the mapping replaces. When data is a bytes object, the
+    stream's arrays and the sections are read-only views of it, not copies.
     """
     if len(data) < 12:
         raise ContainerFormatError(
-            f"truncated at byte {len(data)}: magic and header length need 12 bytes"
-        )
+            f"truncated at byte {len(data)}: magic and header length need 12 bytes")
     if data[:4] != MAGIC:
         # "OTS" followed by an unexpected digit is a later/earlier container
         # revision, not garbage; report it as a version problem.
         if data[:3] == MAGIC[:3]:
             raise ContainerFormatError(
                 f"unsupported container version {data[:4]!r}, this reader "
-                f"handles {MAGIC!r}"
-            )
+                f"handles {MAGIC!r}; omniprefill gen regenerates a container "
+                f"from its synth spec")
         raise ContainerFormatError(
-            f"bad magic at byte 0: got {data[:4]!r}, expected {MAGIC!r}"
-        )
+            f"bad magic at byte 0: got {data[:4]!r}, expected {MAGIC!r}")
     (header_len,) = struct.unpack("<Q", data[4:12])
     if 12 + header_len > len(data):
         raise ContainerFormatError(
             f"truncated header at byte 12: declared {header_len} bytes, "
-            f"{len(data) - 12} available"
-        )
+            f"{len(data) - 12} available")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON or an oversized number
@@ -393,15 +401,14 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     if not isinstance(header, dict):
         raise ContainerFormatError("header must be a JSON object")
     version = header.get("version")
-    if version != OTS_VERSION:
+    if type(version) is not int or version != OTS_VERSION:
         raise ContainerFormatError(
-            f"unsupported version {version!r}, this reader handles {OTS_VERSION}"
-        )
+            f"unsupported version {version!r}, this reader handles {OTS_VERSION}")
 
     for key in ("n", "d", "t", "counts", "sections"):
         if key not in header:
             raise ContainerFormatError(f"header lacks required key {key!r}")
-    n, d, t = (_field(f"header {key!r}", int, header[key])
+    n, d, t = (_field(f"header {key!r}", _integer, header[key])
                for key in ("n", "d", "t"))
     # every window array is sized by t, so t may not outgrow the tokens
     if n < 0 or d < 1 or not 1 <= t <= max(1, n):
@@ -417,8 +424,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     if offset + payload_len > len(data):
         raise ContainerFormatError(
             f"truncated payload at byte {offset}: the columns and embeddings "
-            f"need {payload_len} bytes (24n+4nd), found {len(data) - offset}"
-        )
+            f"need {payload_len} bytes (24n+4nd), found {len(data) - offset}")
     modality, window_id, position = (
         np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n * i)
         for i in range(3))
@@ -429,11 +435,10 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
 
     for label, code in (("visual", VISUAL), ("audio", AUDIO), ("text", TEXT)):
         actual = int(np.count_nonzero(modality == code))
-        if declared.get(label) != actual:
+        if type(declared.get(label)) is not int or declared[label] != actual:
             raise ContainerFormatError(
                 f"count mismatch: header says {declared.get(label)} {label} "
-                f"tokens, codes tally {actual}"
-            )
+                f"tokens, codes tally {actual}")
     # a negative value turns into a huge one as uint64, so one compare
     # picks the visual and audio codes and one covers both ends of [0, t)
     outside = np.flatnonzero((modality.view("<u8") < TEXT)
@@ -451,11 +456,7 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
         raise ContainerFormatError(str(exc)) from exc
 
     # the mapping carries every name, shape and length the table declares
-    entries = header.pop("sections")
-    if not isinstance(entries, list):
-        raise ContainerFormatError(
-            f"header 'sections' must be a list, got {entries!r:.60}")
-    sections = _read_sections(data, entries, offset)
+    sections = _read_sections(data, header.pop("sections"), offset)
     return stream, sections, header
 
 
@@ -511,40 +512,39 @@ def _load_config(source, cls, kind: str, fields: dict):
 def _boundaries(value) -> tuple[int, ...]:
     if not (isinstance(value, list) and len(value) == 4):
         raise ValueError("boundaries must be a list of four layer indices")
-    return tuple(map(int, value))
+    return _integers(value)
 
 
 def load_model_config(source) -> ModelConfig:
     return _load_config(source, ModelConfig, "model config", {
-        "layers": ("layers", int, True),
-        "d_model": ("d_model", int, True),
-        "d_ff": ("d_ff", int, True),
-        "n_heads": ("n_heads", int, True),
+        "layers": ("layers", _integer, True),
+        "d_model": ("d_model", _integer, True),
+        "d_ff": ("d_ff", _integer, True),
+        "n_heads": ("n_heads", _integer, True),
         "boundaries": ("boundaries", _boundaries, True),
     })
 
 
 def load_retention_spec(source) -> RetentionSpec:
     return _load_config(source, RetentionSpec, "retention spec", {
-        "ratio_visual": ("r_v", float, True),
-        "ratio_audio": ("r_a", float, True),
-        "lambda": ("lambda_", float, True),
-        "tau": ("tau", float, True),
-        "ratio": ("r", float, False),
+        "ratio_visual": ("r_v", _number, True),
+        "ratio_audio": ("r_a", _number, True),
+        "lambda": ("lambda_", _number, True),
+        "tau": ("tau", _number, True),
+        "ratio": ("r", _number, False),
     })
 
 
 def load_synth_spec(source) -> SynthSpec:
     return _load_config(source, SynthSpec, "synth spec", {
-        "seed": ("seed", int, True),
-        "windows": ("T", int, True),
-        "d": ("d", int, True),
-        "visual_per_window": ("n_v", int, True),
-        "audio_per_window": ("n_a", int, True),
-        "text_tokens": ("n_q", int, True),
-        "planted_windows": ("planted_windows",
-                            lambda w: tuple(map(int, w)), False),
-        "planted_gain": ("planted_gain", float, False),
+        "seed": ("seed", _integer, True),
+        "windows": ("T", _integer, True),
+        "d": ("d", _integer, True),
+        "visual_per_window": ("n_v", _integer, True),
+        "audio_per_window": ("n_a", _integer, True),
+        "text_tokens": ("n_q", _integer, True),
+        "planted_windows": ("planted_windows", _integers, False),
+        "planted_gain": ("planted_gain", _number, False),
     })
 
 

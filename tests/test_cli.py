@@ -377,8 +377,17 @@ class TestRun:
         ("synth", {"planted_windows": 5},
          "synth spec key 'planted_windows' is malformed"),
         ("model", b"\xff", "is not JSON: 'utf-8' codec can't decode"),
+        # numbers of the wrong kind, which int() would have read
+        ("synth", {"planted_windows": "12"},
+         "synth spec key 'planted_windows' is malformed: '12'"),
+        ("model", {"layers": 28.9}, "model config key 'layers' is malformed"),
+        ("model", {"d_model": True},
+         "model config key 'd_model' is malformed: True"),
+        ("model", {"boundaries": [16, 19, 21, 24.5]},
+         "model config key 'boundaries' is malformed"),
     ], ids=["null-layers", "null-seed", "list-ratio", "scalar-planted",
-            "not-utf8"])
+            "not-utf8", "string-planted", "fractional-layers",
+            "bool-d-model", "fractional-boundary"])
     def test_malformed_config_is_domain_error(self, configs, name, edit,
                                               message):
         # as a real process: exit 1 and one error line, never a traceback
@@ -394,6 +403,26 @@ class TestRun:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "prune-pre"])
+    @pytest.mark.parametrize("t", [2.7, "2"])
+    def test_mistyped_header_t_is_domain_error(self, configs, tmp_path,
+                                               command, t):
+        # read as 2 by int(), the t of a container is now refused
+        good = tmp_path / "good.ots"
+        main(["gen", "--synth", configs["synth"], "--out", str(good)])
+        container = tmp_path / "bad.ots"
+        container.write_bytes(patched(good.read_bytes(), "t", None, t))
+        if command == "run":
+            proc = run_process(configs, container, tmp_path)
+        else:
+            proc = cli_process("prune-pre", "--input", str(container),
+                               "--spec", configs["retention"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: header 't' is malformed: {t!r} (an "
+                               f"integer is needed, not "
+                               f"{type(t).__name__})\n")
 
     def test_wrong_length_saliency_is_domain_error(self, configs, tmp_path):
         # run as a real process: a bad section must end in exit code 1 and

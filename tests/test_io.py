@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -97,6 +98,21 @@ def header_edit(mutate):
     return lambda data: repack(data, mutate)
 
 
+def entry_edit(index, **fields):
+    """A header mutation setting fields of one entry of the columnar
+    section table."""
+    def mutate(header):
+        for key, value in fields.items():
+            header["sections"][key][index] = value
+    return mutate
+
+
+def add_entry(header, **fields):
+    """Append one entry to the columnar section table of header."""
+    for key, value in fields.items():
+        header["sections"][key].append(value)
+
+
 class TestRoundTrip:
     def test_stream_fields_survive(self):
         stream = tiny_stream()
@@ -156,7 +172,7 @@ class TestRoundTrip:
     def test_layout(self):
         stream = tiny_stream()
         data = write_ots(stream, {"x": np.ones(3, dtype=np.float32)}, T=2)
-        assert data[:4] == b"OTS2"
+        assert data[:4] == b"OTS3"
         (header_len,) = struct.unpack("<Q", data[4:12])
         assert (12 + header_len) % 8 == 0
         raw = data[12 : 12 + header_len]
@@ -165,7 +181,9 @@ class TestRoundTrip:
             header, sort_keys=True, separators=(",", ":")).encode()
         assert sorted(header) == ["counts", "d", "generator", "n", "sections",
                                   "t", "version"]
-        assert header["version"] == 2
+        assert header["version"] == 3
+        assert header["sections"] == {"length": [12], "name": ["x"],
+                                      "shape": [[3]]}
         offset = 12 + header_len
         for key in COLUMNS:
             column = np.frombuffer(data, "<i8", count=7, offset=offset)
@@ -262,7 +280,7 @@ class TestSectionsMapping:
         # write_ots writes a scalar as one entry of shape [1]; a table may
         # still declare shape [] for those 4 bytes
         data, _, _, _ = self.read()
-        scalar = repack(data, lambda h: h["sections"][1].update(shape=[]))
+        scalar = repack(data, entry_edit(1, shape=[]))
         _, back, _ = read_ots(scalar)
         assert back["b/one"].shape == () and back["b/one"] == 2.5
         assert not back["b/one"].flags.writeable
@@ -409,6 +427,23 @@ class TestMalformedBytes:
                            match="unsupported container version b'OTS1'"):
             read_ots(b"OTS1" + data[4:])
 
+    def test_ots2_container(self):
+        # a version 2 container, with its list of one object per section,
+        # is refused by its magic before its header is read
+        data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
+
+        def version2(header):
+            table = header["sections"]
+            header.update(version=2, sections=[
+                dict(zip(table, entry)) for entry in zip(*table.values())])
+
+        old = b"OTS2" + repack(data, version2)[4:]
+        with pytest.raises(ContainerFormatError,
+                           match=r"unsupported container version b'OTS2', "
+                                 r"this reader handles b'OTS3'; omniprefill "
+                                 r"gen regenerates"):
+            read_ots(old)
+
     def test_too_short_for_prologue(self):
         with pytest.raises(ContainerFormatError, match="truncated at byte"):
             read_ots(MAGIC + b"\x01")
@@ -455,6 +490,28 @@ class TestMalformedBytes:
         bad = repack(data, lambda h: h.update(n=8))
         with pytest.raises(ContainerFormatError, match="truncated payload"):
             read_ots(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("t", 2.7), ("t", "2"), ("t", True), ("t", 2.0), ("n", 7.0),
+        ("d", "4"), ("d", False)])
+    def test_dimension_must_be_a_json_integer(self, key, value):
+        # int() would read 2.7 as 2, "2" as 2 and true as 1
+        data = write_ots(tiny_stream(), T=2)
+        with pytest.raises(ContainerFormatError,
+                           match=f"header '{key}' is malformed: .* \\(an "
+                                 f"integer is needed, not "):
+            read_ots(repack(data, lambda h: h.update({key: value})))
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["counts"].update(audio=True),
+        lambda h: h["counts"].update(visual=4.0),
+        lambda h: h.update(version=3.0)],
+        ids=["bool-count", "float-count", "float-version"])
+    def test_counts_and_version_are_json_integers(self, edit):
+        data = write_ots(tiny_stream(), T=2)
+        with pytest.raises(ContainerFormatError,
+                           match="count mismatch|unsupported version"):
+            read_ots(repack(data, edit))
 
     @pytest.mark.parametrize("t", [0, -1])
     def test_window_count_must_be_positive(self, t):
@@ -525,13 +582,13 @@ class TestMalformedBytes:
     def test_section_shape_length_disagree(self):
         sections = {"x": np.ones(4, dtype=np.float32)}
         data = write_ots(tiny_stream(), sections)
-        bad = repack(data, lambda h: h["sections"][0].update(shape=[5]))
+        bad = repack(data, entry_edit(0, shape=[5]))
         with pytest.raises(ContainerFormatError, match="shape"):
             read_ots(bad)
 
     def test_unrepresentable_empty_shapes(self):
         data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
-        bad = repack(data, lambda h: h["sections"][0].update(shape=[0, 2**62]))
+        bad = repack(data, entry_edit(0, shape=[0, 2**62]))
         with pytest.raises(ContainerFormatError, match="not representable"):
             read_ots(bad)
         empty = TokenStream(embeddings=np.zeros((0, 1), dtype=np.float32),
@@ -545,7 +602,7 @@ class TestMalformedBytes:
         # each product wraps or comes to 0 in int64, which the zero-length
         # section below would match; an empty shape is a scalar of 4 bytes
         data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
-        bad = repack(data, lambda h: h["sections"][0].update(shape=shape))
+        bad = repack(data, entry_edit(0, shape=shape))
         with pytest.raises(ContainerFormatError, match="section 'x'"):
             read_ots(bad)
 
@@ -557,28 +614,27 @@ class TestMalformedBytes:
         # the file ends inside the window-id column
         (lambda data: data[: column_offset(data, "window_id", 3) + 3],
          "truncated payload"),
-        (header_edit(lambda h: h["sections"].__setitem__(0, 5)),
-         "section entry 5"),
-        (header_edit(lambda h: h["sections"][0].update(shape=["x"])),
-         "section 'x' shape"),
-        (header_edit(lambda h: h["sections"][0].update(length="x")),
-         "section 'x' length"),
-        (header_edit(lambda h: h.update(sections=5)), "header 'sections'"),
-        (header_edit(lambda h: h["sections"][0].update(name=["x"])),
-         "section entry"),
+        # a number where entry 0's shape list belongs
+        (header_edit(entry_edit(0, shape=5)),
+         r"section 'x' shape is malformed: 5 \(a list of integers is "
+         r"needed\)"),
+        (header_edit(entry_edit(0, shape=["x"])), "section 'x' shape"),
+        (header_edit(entry_edit(0, length="x")), "section 'x' length"),
+        (header_edit(lambda h: h.update(sections=5)),
+         "header 'sections' must be an object"),
+        (header_edit(entry_edit(0, name=["x"])),
+         "section entry 0 name is malformed"),
         # a declared length past 2**64 - 1 is compared as a number, never
         # squeezed into a 64-bit integer
-        (header_edit(lambda h: h["sections"][0].update(
-            shape=[2**62], length=2**64)),
+        (header_edit(entry_edit(0, shape=[2**62], length=2**64)),
          "section 'x' prefix at byte 472 says 16 bytes, header says "
          "18446744073709551616"),
         # the earliest faulty entry is reported, even when a later one is
         # malformed: entry 0's prefix says 12 bytes, entry 1's length is "x"
         (lambda data: repack(
             data[:-24] + struct.pack("<Q", 12) + data[-16:],
-            lambda h: h["sections"].append(
-                {"length": "x", "name": "y", "shape": [1]})),
-         "section 'x' prefix at byte 472 says 12 bytes, header says 16"),
+            lambda h: add_entry(h, length="x", name="y", shape=[1])),
+         "section 'x' prefix at byte 448 says 12 bytes, header says 16"),
     ], ids=["n-string", "modality-number", "counts-number",
             "window-id-strings", "section-entry-number", "shape-strings",
             "length-string", "sections-number", "section-name-list",
@@ -592,7 +648,7 @@ class TestMalformedBytes:
         # the second block would hide the first without a word
         data = write_ots(tiny_stream(), {"a": np.ones(4, dtype=np.float32),
                                          "b": np.zeros(4, dtype=np.float32)})
-        bad = repack(data, lambda h: h["sections"][1].update(name="a"))
+        bad = repack(data, entry_edit(1, name="a"))
         with pytest.raises(ContainerFormatError,
                            match="section 'a' at entry 1 repeats the name "
                                  "of entry 0"):
@@ -600,30 +656,45 @@ class TestMalformedBytes:
 
     @pytest.mark.parametrize("edit, message", [
         # a repeated name is reported before a later malformed entry
-        (lambda h: h["sections"][2].update(length="x"),
+        (entry_edit(2, length="x"),
          "section 'a' at entry 1 repeats the name of entry 0"),
         # and after a malformed field of its own entry or an earlier one
-        (lambda h: h["sections"][1].update(shape=["x"]),
-         "section 'a' shape is malformed"),
-        (lambda h: h["sections"][0].update(length="x"),
-         "section 'a' length is malformed"),
+        (entry_edit(1, shape=["x"]), "section 'a' shape is malformed"),
+        (entry_edit(0, length="x"), "section 'a' length is malformed"),
         # but before negative dimensions or a wrong length of its entry
-        (lambda h: h["sections"][1].update(shape=[-1], length=-4),
+        (entry_edit(1, shape=[-1], length=-4),
          "section 'a' at entry 1 repeats the name of entry 0"),
-        (lambda h: h["sections"][1].update(length=12),
+        (entry_edit(1, length=12),
          "section 'a' at entry 1 repeats the name of entry 0"),
         # an earlier entry's fault comes first
-        (lambda h: h["sections"][0].update(shape=[-1], length=-4),
+        (entry_edit(0, shape=[-1], length=-4),
          r"section 'a' declares negative dimensions \(-1,\)"),
+        # a fault of the table's structure comes before any entry's
+        (lambda h: h.update(sections=[
+            dict(zip(h["sections"], entry))
+            for entry in zip(*h["sections"].values())]),
+         r"header 'sections' must be an object, got \[\{"),
+        (lambda h: h["sections"].pop("shape"),
+         r"must hold the columns length, name and shape, got \['length', "
+         r"'name'\]"),
+        (lambda h: h["sections"].update(offset=[0, 24, 48]),
+         "must hold the columns length, name and shape"),
+        (lambda h: h["sections"].update(length=dict.fromkeys("abc", 16)),
+         "section column 'length' must be a list"),
+        (lambda h: h["sections"]["shape"].pop(),
+         "section columns differ in length: 3 lengths, 3 names, 2 shapes"),
     ], ids=["before-later-malformed", "after-own-malformed",
             "after-earlier-malformed", "before-own-negative",
-            "before-own-length", "after-earlier-negative"])
+            "before-own-length", "after-earlier-negative",
+            "after-table-not-object", "after-missing-column",
+            "after-extra-column", "after-column-not-list",
+            "after-unequal-columns"])
     def test_duplicate_name_fault_order(self, edit, message):
         data = write_ots(tiny_stream(), {
             name: np.ones(4, dtype=np.float32) for name in "abc"})
 
         def mutate(header):
-            header["sections"][1]["name"] = "a"
+            header["sections"]["name"][1] = "a"
             edit(header)
 
         with pytest.raises(ContainerFormatError, match=message):
@@ -669,30 +740,60 @@ def test_damaged_container_reads_or_is_a_format_error(data):
 
 
 def reference_sections(data: bytes) -> dict[str, np.ndarray]:
-    """The section walk read_ots once made: one step per table entry, each
-    entry's checks in turn. It is the independent reference for the
-    columnar reader, and expects valid bytes up to the first section."""
+    """A plain per-entry walk of the section table: its structure first,
+    then one step per table entry, each entry's checks in turn. It is the
+    independent reference for the columnar reader, and expects valid bytes
+    up to the first section."""
     (header_len,) = struct.unpack("<Q", data[4:12])
     header = json.loads(data[12 : 12 + header_len])
     offset = 12 + header_len + 24 * header["n"] + 4 * header["n"] * header["d"]
     region_start = offset
     region = np.frombuffer(data, dtype="<f4",
                            count=(len(data) - offset) // 4, offset=offset)
+    table = header["sections"]
+    if not isinstance(table, dict):
+        raise ContainerFormatError(
+            f"header 'sections' must be an object, got {table!r:.60}")
+    if set(table) != {"length", "name", "shape"}:
+        raise ContainerFormatError(
+            f"header 'sections' must hold the columns length, name and "
+            f"shape, got {sorted(table)!r:.60}")
+    for key in ("length", "name", "shape"):
+        if not isinstance(table[key], list):
+            raise ContainerFormatError(f"section column {key!r} must be a "
+                                       f"list, got {table[key]!r:.60}")
+    count = len(table["name"])
+    if len(table["length"]) != count or len(table["shape"]) != count:
+        raise ContainerFormatError(
+            f"section columns differ in length: {len(table['length'])} "
+            f"lengths, {count} names, {len(table['shape'])} shapes")
+
+    def integer(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
     sections, entry_of = {}, {}
-    for index, entry in enumerate(header["sections"]):
-        part = None
-        try:
-            name = entry.get("name")
-            if not isinstance(name, str):
-                raise TypeError("a section needs a string name")
-            part = "length"
-            length = int(entry.get("length", -1))
-            part = "shape"
-            shape = tuple(map(int, entry.get("shape", ())))
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            what = (f"section {name!r} {part}" if part
-                    else f"section entry {entry!r:.60}")
-            raise ContainerFormatError(f"{what} is malformed ({exc})") from exc
+    for index in range(count):
+        name = table["name"][index]
+        length = table["length"][index]
+        shape = table["shape"][index]
+        if not isinstance(name, str):
+            raise ContainerFormatError(
+                f"section entry {index} name is malformed: {name!r:.60} "
+                f"(a section needs a string name)")
+        if not integer(length):
+            raise ContainerFormatError(
+                f"section {name!r} length is malformed: {length!r:.60} (an "
+                f"integer is needed, not {type(length).__name__})")
+        if not isinstance(shape, list):
+            raise ContainerFormatError(
+                f"section {name!r} shape is malformed: {shape!r:.60} (a list "
+                f"of integers is needed)")
+        for dim in shape:
+            if not integer(dim):
+                raise ContainerFormatError(
+                    f"section {name!r} shape is malformed: {shape!r:.60} (an "
+                    f"integer is needed, not {type(dim).__name__})")
+        shape = tuple(shape)
         if name in entry_of:
             raise ContainerFormatError(
                 f"section {name!r} at entry {index} repeats the name of entry "
@@ -734,17 +835,18 @@ def reference_sections(data: bytes) -> dict[str, np.ndarray]:
 
 
 TABLE_BASE = write_ots(tiny_stream(), T=2)
-# values of the wrong kind for a field, or for a whole entry
-MISTYPED = ["x", "12", "", 1.5, -2.5, None, True, [1], [], {}, {"3": 1},
-            float("nan"), float("inf")]
+# values of the wrong kind for a field, a dimension or a whole column
+MISTYPED = ["x", "12", "", 1.5, -2.5, 4.0, None, True, False, [1], [], {},
+            {"3": 1}, float("nan"), float("inf")]
 
 
 @st.composite
 def section_tables(draw):
-    """TABLE_BASE with a hand-made section table of distinct names, of
-    vectors only or of any shapes (empty, scalar, zero-size, ragged,
-    multi-dimensional), then a few random table edits, a repeated name
-    (which write_ots cannot write) among them, and byte faults."""
+    """TABLE_BASE with a hand-made columnar section table of distinct
+    names, of vectors only or of any shapes (empty, scalar, zero-size,
+    ragged, multi-dimensional), then a few random faults: entry edits, a
+    repeated name (which write_ots cannot write) among them, faults of the
+    table's structure and byte faults."""
     entries, blocks = [], []
     vectors = draw(st.booleans())  # a table of vectors only, or any shapes
     for index in range(draw(st.integers(0, 5))):
@@ -756,20 +858,17 @@ def section_tables(draw):
         blocks.append(struct.pack("<Q", values.nbytes) + values.tobytes())
     faults = draw(st.lists(st.sampled_from(
         ["length", "shape", "huge", "negative", "mistype", "duplicate",
-         "prefix", "truncate", "trailing"]), max_size=3))
+         "prefix", "truncate", "trailing", "structure"]), max_size=3))
     for fault in faults:
-        if not entries or fault in ("prefix", "truncate", "trailing"):
+        if not entries or fault not in ("length", "shape", "huge",
+                                        "negative", "mistype", "duplicate"):
             continue
         entry = draw(st.integers(0, len(entries) - 1))
-        if not isinstance(entries[entry], dict):
-            continue
         if fault == "duplicate":
             # a later entry takes an earlier entry's name
             source = draw(st.integers(0, len(entries) - 1))
-            if source != entry and isinstance(entries[source], dict):
-                later, earlier = max(source, entry), min(source, entry)
-                if isinstance(entries[later], dict):
-                    entries[later]["name"] = entries[earlier].get("name")
+            later, earlier = max(source, entry), min(source, entry)
+            entries[later]["name"] = entries[earlier]["name"]
         elif fault == "length":
             entries[entry]["length"] = draw(st.one_of(
                 st.integers(-8, 48), st.sampled_from([2**64, -(2**64)]),
@@ -792,15 +891,42 @@ def section_tables(draw):
                 st.sampled_from([[2**62], [0, 2**62], [2**32, 2**32],
                                  [0, 2**64], [1] * 70])))
         else:
-            field = draw(st.sampled_from(["name", "length", "shape", None]))
+            field = draw(st.sampled_from(["name", "length", "shape", "dim"]))
             value = draw(st.sampled_from(MISTYPED))
-            if field is None:
-                entries[entry] = value
-            elif draw(st.booleans()):
+            shape = entries[entry]["shape"]
+            if field == "dim" and isinstance(shape, list):
+                # one dimension of the wrong kind, after well-formed ones
+                entries[entry]["shape"] = shape + [value]
+            elif field != "dim":
                 entries[entry][field] = value
-            else:
-                entries[entry].pop(field, None)
-    data = repack(TABLE_BASE, lambda h: h.update(sections=entries))
+    table = {key: [entry[key] for entry in entries]
+             for key in ("length", "name", "shape")}
+    for fault in faults:
+        if fault != "structure":
+            continue
+        fault = draw(st.sampled_from(["table", "columns", "column", "ragged"]))
+        if fault == "table":
+            # the version 2 list of one object per entry, or no table at all
+            table = copy.deepcopy(draw(st.sampled_from([entries, *MISTYPED])))
+        elif not isinstance(table, dict):
+            continue
+        elif fault == "columns":
+            # a column missing, or one too many
+            key = draw(st.sampled_from(["length", "name", "shape", "offset"]))
+            if table.pop(key, None) is None:
+                table[key] = [0] * len(entries)
+        elif fault == "column" and table:
+            table[draw(st.sampled_from(sorted(table)))] = draw(
+                st.sampled_from([value for value in MISTYPED
+                                 if not isinstance(value, list)]))
+        elif fault == "ragged" and table:
+            column = table[draw(st.sampled_from(sorted(table)))]
+            if isinstance(column, list):
+                if column and draw(st.booleans()):
+                    column.pop()
+                else:
+                    column.append(draw(st.sampled_from([4, "w/9", [1]])))
+    data = repack(TABLE_BASE, lambda h: h.update(sections=table))
     region_start = len(data)
     data = bytearray(data + b"".join(blocks))
     for fault in faults:
@@ -886,6 +1012,42 @@ class TestConfigLoading:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
             load_model_config(path)
+
+    @pytest.mark.parametrize("load, doc, key", [
+        # each of these used to be read as something else without a word
+        (load_synth_spec, {"planted_windows": "12"}, "planted_windows"),
+        (load_synth_spec, {"planted_windows": [1.0]}, "planted_windows"),
+        (load_synth_spec, {"windows": 4.0}, "windows"),
+        (load_synth_spec, {"seed": True}, "seed"),
+        (load_synth_spec, {"planted_gain": True}, "planted_gain"),
+        (load_model_config, {"layers": 28.9}, "layers"),
+        (load_model_config, {"d_model": True}, "d_model"),
+        (load_model_config, {"boundaries": [16, 19, 21, 24.5]}, "boundaries"),
+        (load_model_config, {"n_heads": "28"}, "n_heads"),
+        (load_retention_spec, {"tau": "0.1"}, "tau"),
+        (load_retention_spec, {"lambda": False}, "lambda"),
+        (load_retention_spec, {"ratio_visual": float("nan")}, "ratio_visual"),
+        (load_retention_spec, {"ratio": float("inf")}, "ratio"),
+    ], ids=["planted-string", "planted-float", "windows-float", "seed-bool",
+            "gain-bool", "layers-fraction", "d-model-bool",
+            "boundary-fraction", "heads-string", "tau-string",
+            "lambda-bool", "ratio-nan", "ratio-inf"])
+    def test_numbers_must_be_json_numbers(self, load, doc, key):
+        base = {load_synth_spec: {"seed": 7, "windows": 4, "d": 16,
+                                  "visual_per_window": 72,
+                                  "audio_per_window": 12, "text_tokens": 10},
+                load_model_config: self.MODEL,
+                load_retention_spec: {"ratio_visual": 0.3,
+                                      "ratio_audio": 0.65, "lambda": 1.4,
+                                      "tau": 0.1}}[load]
+        with pytest.raises(ConfigError, match=f"key '{key}' is malformed"):
+            load(dict(base, **doc))
+
+    def test_whole_numbers_may_fill_float_keys(self):
+        spec = load_retention_spec({"ratio_visual": 0, "ratio_audio": 1,
+                                    "lambda": 2, "tau": 1})
+        assert spec == RetentionSpec(r_v=0.0, r_a=1.0, lambda_=2.0, tau=1.0)
+        assert type(spec.lambda_) is float
 
     def test_retention_spec(self):
         spec = load_retention_spec({"ratio_visual": 0.3, "ratio_audio": 0.65,

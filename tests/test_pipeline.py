@@ -34,12 +34,10 @@ QWEN25 = ModelConfig(layers=28, d_model=3584, d_ff=18944, n_heads=28,
 DEFAULTS = RetentionSpec(r_v=0.30, r_a=0.65, lambda_=1.4, tau=0.1)
 
 
-def container_request_peak(T: int, n_v: int, n_a: int) -> int:
-    """tracemalloc peak, in bytes, of read_ots, ContainerOracle and
-    run_pipeline on a container of T windows of n_v visual and n_a audio
-    tokens with per-window saliency and layers 17, 19 and 21's query
-    logits. The measured request's stage-1 and layer picks must equal a
-    first request's."""
+def request_container(T: int, n_v: int, n_a: int) -> bytes:
+    """A container of T windows of n_v visual and n_a audio tokens with the
+    sections a request reads: per-window saliency and layers 17, 19 and
+    21's query logits."""
     spec = SynthSpec(seed=7, T=T, d=64, n_v=n_v, n_a=n_a, n_q=64)
     stream, synth = synth_generate(spec)
     sections = {}
@@ -49,23 +47,36 @@ def container_request_peak(T: int, n_v: int, n_a: int) -> int:
         for layer in (17, 19, 21):
             sections[f"query_logits/layer{layer}/{name}"] = \
                 synth._query_logits(layer, m)
-    data = write_ots(stream, sections, T=T)
-    del stream, synth, sections
+    return write_ots(stream, sections, T=T)
 
-    def request():
-        stream, sections, header = read_ots(data)
-        oracle = ContainerOracle(sections, int(header["t"]))
-        return run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)[1]
 
-    want = request()
+def traced_peak(call):
+    """call()'s result and its tracemalloc peak, in bytes, above what was
+    traced when it started."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        trace = request()
+        result = call()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def container_request_peak(T: int, n_v: int, n_a: int) -> int:
+    """tracemalloc peak, in bytes, of read_ots, ContainerOracle and
+    run_pipeline on request_container(T, n_v, n_a). The measured request's
+    stage-1 and layer picks must equal a first request's."""
+    data = request_container(T, n_v, n_a)
+
+    def request():
+        stream, sections, header = read_ots(data)
+        oracle = ContainerOracle(sections, header["t"])
+        return run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)[1]
+
+    want = request()
+    trace, peak = traced_peak(request)
     assert np.array_equal(trace.stage1.kept, want.stage1.kept)
     assert len(trace.selections) == len(want.selections)
     for a, b in zip(trace.selections, want.selections):
@@ -342,6 +353,17 @@ class TestRunPipeline:
         # parsed table in the header and a view per section, and 0.60 MiB
         # when the sections became a mapping over one view; it sits between
         assert container_request_peak(T=512, n_v=16, n_a=4) < 0.76 * 2**20
+
+    def test_many_windows_read_peak_memory(self):
+        # read_ots alone on the bench's many-windows shape, a table of 4,102
+        # sections. The bound was set from the peak measured on this
+        # stream, 2.05 MiB when the table was a list of one object per
+        # section and 1.30 MiB with the columnar table; it sits between
+        data = request_container(T=2048, n_v=16, n_a=4)
+        read_ots(data)
+        (stream, sections, header), peak = traced_peak(lambda: read_ots(data))
+        assert len(sections) == 4102 and header["t"] == 2048
+        assert peak < 1.65 * 2**20
 
     def test_windows_out_of_order_rejected(self):
         # every stage ranks window-major runs of each modality's rows; a
