@@ -18,10 +18,13 @@ to caps, until the total lands exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 
-from .core import InfeasibleBudgetError, WindowLayout, freeze_fields
+from .core import (EngineError, InfeasibleBudgetError, WindowLayout,
+                   freeze_fields)
 from .relevance import RelevanceScores
 
 
@@ -66,11 +69,17 @@ def allocate(
     n_v0, n_a0 = totals if totals is not None else (
         layout.total_visual, layout.total_audio
     )
+    for name, value in (("r_v", r_v), ("r_a", r_a), ("total N_v", n_v0),
+                        ("total N_a", n_a0)):
+        # a NaN fails it too, and so does an int too large for a float
+        if not 0.0 <= value <= sys.float_info.max:
+            raise EngineError(
+                f"{name} must be finite and non-negative, got {value}")
     total_real = r_v * n_v0 + r_a * n_a0
-    target = int(round(total_real))  # ties to even; the one rounding site
-    cap_v = layout.n_v.astype(np.int64)
-    cap_a = layout.n_a.astype(np.int64)
-    capacity = int(cap_v.sum() + cap_a.sum())
+    # ties to even; the one rounding site. Finite factors can still
+    # overflow to an infinite budget, which no capacity holds
+    target = int(round(total_real)) if total_real < math.inf else math.inf
+    capacity = layout.total_visual + layout.total_audio
     if target > capacity:
         raise InfeasibleBudgetError(
             f"budget {target} exceeds remaining capacity {capacity}"
@@ -83,47 +92,58 @@ def allocate(
         share = np.full(T, 1.0 / T)
     b_real = total_real * share
 
-    # intra-window split
+    # intra-window split, into slot i < T visual, else audio
     num_v = rel.s_v * (r_v * n_v0)
     num_a = rel.s_a * (r_a * n_a0)
     den = num_v + num_a
     spread = den > 0.0
+    cap_v, cap_a = layout.n_v, layout.n_a
     capacity_t = cap_v + cap_a
-    bv_real = np.where(
+    reals = np.empty(2 * T)
+    reals[:T] = np.where(
         spread,
         b_real * num_v / np.where(spread, den, 1.0),
         np.where(capacity_t > 0,
                  b_real * cap_v / np.maximum(capacity_t, 1), 0.0),
     )
-    ba_real = b_real - bv_real
+    del num_v, num_a, den, spread, capacity_t
+    np.subtract(b_real, reals[:T], out=reals[T:])
+    del b_real
 
     # integerize: floor, cap, then place the shortfall deterministically
-    reals = np.concatenate([bv_real, ba_real])  # slot i<T visual, else audio
     caps = np.concatenate([cap_v, cap_a])
-    base = np.minimum(np.floor(reals).astype(np.int64), caps)
+    floors = np.floor(reals)
+    base = floors.astype(np.int64)
+    np.minimum(base, caps, out=base)
+    rem = np.subtract(reals, floors, out=reals)
+    del reals, floors
     deficit = target - int(base.sum())
     assert deficit >= 0, "floor+cap can never overshoot the rounded total"
 
-    slot_window = np.concatenate([np.arange(T), np.arange(T)])
-    slot_is_audio = np.repeat([0, 1], T)
-    frac = reals - np.floor(reals)
-    slot_share = share[slot_window]
-    # first pass by largest remainder, later passes by relevance share; each
-    # pass gives one token to every slot below its cap, in order, until the
-    # total lands. The later order is built only when a second pass runs
-    order = np.lexsort((slot_is_audio, slot_window, -slot_share, -frac))
-    later = None
+    # slots window by window, visual before audio: the last tie-break
+    order = np.arange(2 * T).reshape(2, T).T.ravel()
+    # first pass: one token to each of the `deficit` open slots (below their
+    # cap) of largest remainder, ties by larger share, then that order
+    if deficit > 0:
+        open_slots = order[(base < caps)[order]]
+        if open_slots.size > deficit:
+            open_slots = _largest_remainders(open_slots, rem[open_slots],
+                                             share, deficit)
+        base[open_slots] += 1
+        deficit -= open_slots.size
+    del rem
+    # later passes by larger share, then that order: one token to every
+    # open slot, in order, until the total lands
+    if deficit > 0:
+        order = order.reshape(T, 2)[np.argsort(-share, kind="stable")].ravel()
     while deficit > 0:
-        open_slots = order[base[order] < caps[order]][:deficit]
+        open_slots = order[(base < caps)[order]][:deficit]
         if open_slots.size == 0:
             raise InfeasibleBudgetError(
                 "no spare capacity left while budget remains"
             )
         base[open_slots] += 1
         deficit -= open_slots.size
-        if deficit > 0 and later is None:
-            order = later = np.lexsort((slot_is_audio, slot_window,
-                                        -slot_share))
 
     b_v = base[:T]
     b_a = base[T:]
@@ -133,3 +153,16 @@ def allocate(
         b_a=b_a,
         totals=(int(b_v.sum()), int(b_a.sum()), int(b_v.sum() + b_a.sum())),
     )
+
+
+def _largest_remainders(slots, rem, share, k):
+    """The k of `slots` (window by window, visual before audio) that come
+    first by descending remainder rem, then descending window share, then
+    slot order; rem holds one remainder per slot. One partition finds the
+    k-th remainder; of the slots tied at it, a stable sort by share keeps
+    as many as are still needed."""
+    cut = np.partition(rem, rem.size - k)[rem.size - k]
+    above = rem > cut
+    tied = slots[rem == cut]
+    tied = tied[np.argsort(-share[tied % share.size], kind="stable")]
+    return np.concatenate([slots[above], tied[:k - np.count_nonzero(above)]])

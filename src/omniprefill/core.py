@@ -179,12 +179,18 @@ class TokenStream:
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WindowLayout:
-    """Per-window visual/audio token counts. May be ragged across windows."""
+    """Per-window visual/audio token counts. May be ragged across windows.
+    total_visual and total_audio are their sums, taken once: a request
+    reads them at every layer."""
 
     n_v: np.ndarray
     n_a: np.ndarray
+    total_visual: int = dataclasses.field(init=False, repr=False,
+                                          compare=False)
+    total_audio: int = dataclasses.field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         freeze_fields(self, np.int64, "n_v", "n_a")
@@ -195,18 +201,12 @@ class WindowLayout:
             raise ValueError("at least one window is required")
         if np.any(nv < 0) or np.any(na < 0):
             raise ValueError("window counts must be non-negative")
+        object.__setattr__(self, "total_visual", int(nv.sum()))
+        object.__setattr__(self, "total_audio", int(na.sum()))
 
     @property
     def T(self) -> int:
         return self.n_v.shape[0]
-
-    @property
-    def total_visual(self) -> int:
-        return int(self.n_v.sum())
-
-    @property
-    def total_audio(self) -> int:
-        return int(self.n_a.sum())
 
     @staticmethod
     def from_stream(stream: TokenStream, T: int | None = None) -> "WindowLayout":

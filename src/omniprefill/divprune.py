@@ -284,7 +284,7 @@ def win_div_prune(
     del block
     rows = np.concatenate(keep_rows)
     del keep_rows
-    rows.sort()
+    rows.sort(kind="stable")  # merges the ascending runs
     return SelectionResult(
         kept=stream.position[rows],
         rows=rows,

@@ -393,7 +393,7 @@ def _drop_layer(oracle, layer: int, survivors, layout: WindowLayout,
         survivors[m] = tuple(a[keep[m]] for a in survivors[m])
     del keep
     kept = np.concatenate([positions for _, positions in survivors])
-    kept.sort()
+    kept.sort(kind="stable")  # merges the ascending runs
     selection = LayerSelection(layer=layer, kept=kept,
                                dropped_v=layout.n_v - plan.b_v,
                                dropped_a=layout.n_a - plan.b_a)

@@ -239,6 +239,27 @@ class TestAllocate:
         assert rc == 1
         assert "must match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("totals, message", [
+        ("-5,4", "total N_v must be finite and non-negative, got -5"),
+        (f"4,{10**400}", f"total N_a must be finite and non-negative, got "
+                         f"{10**400}"),
+    ], ids=["negative", "beyond-float-range"])
+    def test_bad_totals_domain_error(self, tmp_path, totals, message):
+        # as a real process: a negative original total is refused, not
+        # turned into a negative visual budget per window, and one too
+        # large for a float is refused, not a traceback
+        (tmp_path / "rel.json").write_text(
+            json.dumps({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5]}))
+        (tmp_path / "lay.json").write_text(
+            json.dumps({"n_v": [4, 4], "n_a": [2, 2]}))
+        proc = cli_process("allocate", "--relevance", str(tmp_path / "rel.json"),
+                           "--layout", str(tmp_path / "lay.json"),
+                           "--ratio-visual", "0.3", "--ratio-audio", "0.5",
+                           f"--totals={totals}")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("relevance, layout", [
         ({"s_v": [-1, 0.5], "s_a": [0.5, 0.5]}, None),
         ('{"s_v": [Infinity, 0.5], "s_a": [0.5, 0.5]}', None),
