@@ -85,27 +85,33 @@ def allocate(
             f"budget {target} exceeds remaining capacity {capacity}"
         )
 
-    s_sum = rel.s.sum()
-    if s_sum > 0.0:
-        share = rel.s / s_sum
-    else:
-        share = np.full(T, 1.0 / T)
-    b_real = total_real * share
-
-    # intra-window split, into slot i < T visual, else audio
-    num_v = rel.s_v * (r_v * n_v0)
-    num_a = rel.s_a * (r_a * n_a0)
-    den = num_v + num_a
-    spread = den > 0.0
+    # window shares, then the split inside each window into slot i < T
+    # visual, else audio. Weights so large that either overflows are
+    # refused, without numpy's warnings
     cap_v, cap_a = layout.n_v, layout.n_a
     capacity_t = cap_v + cap_a
     reals = np.empty(2 * T)
-    reals[:T] = np.where(
-        spread,
-        b_real * num_v / np.where(spread, den, 1.0),
-        np.where(capacity_t > 0,
-                 b_real * cap_v / np.maximum(capacity_t, 1), 0.0),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_sum = rel.s.sum()
+        share = rel.s / s_sum if s_sum > 0.0 else np.full(T, 1.0 / T)
+        b_real = total_real * share
+        num_v = rel.s_v * (r_v * n_v0)
+        num_a = rel.s_a * (r_a * n_a0)
+        den = num_v + num_a
+        spread = den > 0.0
+        reals[:T] = np.where(
+            spread,
+            b_real * num_v / np.where(spread, den, 1.0),
+            np.where(capacity_t > 0,
+                     b_real * cap_v / np.maximum(capacity_t, 1), 0.0),
+        )
+    if not s_sum < math.inf:
+        raise EngineError("relevance weights sum past the float range")
+    bad = np.flatnonzero(~(np.isfinite(den) & np.isfinite(reals[:T])))
+    if bad.size:
+        t = bad[0]
+        raise EngineError(f"window {t}: relevance weights s_v={rel.s_v[t]:.6g}"
+                          f", s_a={rel.s_a[t]:.6g} overflow its budget split")
     del num_v, num_a, den, spread, capacity_t
     np.subtract(b_real, reals[:T], out=reals[T:])
     del b_real
@@ -137,13 +143,17 @@ def allocate(
     if deficit > 0:
         order = order.reshape(T, 2)[np.argsort(-share, kind="stable")].ravel()
     while deficit > 0:
-        open_slots = order[(base < caps)[order]][:deficit]
+        open_slots = order[(base < caps)[order]]
         if open_slots.size == 0:
             raise InfeasibleBudgetError(
                 "no spare capacity left while budget remains"
             )
-        base[open_slots] += 1
-        deficit -= open_slots.size
+        # q passes at once, while every open slot has room for them all
+        q = max(1, min(deficit // open_slots.size,
+                       int((caps - base)[open_slots].min())))
+        open_slots = open_slots[:deficit]
+        base[open_slots] += q
+        deficit -= q * open_slots.size
 
     b_v = base[:T]
     b_a = base[T:]

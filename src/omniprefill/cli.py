@@ -160,39 +160,42 @@ def _cmd_prune_pre(args) -> int:
 
 
 def _counts(doc: dict, key: str) -> np.ndarray:
-    """A layout's window counts: a list of whole numbers (4.0 counts as 4),
-    never a fraction or a boolean, which numpy would silently turn into one."""
+    """A layout's window counts: a list of whole numbers (4.0 counts as 4)
+    summing below 2**63, never a fraction or a boolean, which numpy would
+    silently turn into one."""
     values = doc[key]
     if not isinstance(values, list) or not all(
             type(x) is int or (type(x) is float and x.is_integer())
-            for x in values):
+            for x in values) or not sum(values) < 2**63:
         raise otsio.ConfigError(f"layout {key} must be a list of whole "
-                                f"numbers, got {values!r:.60}")
+                                f"numbers summing below 2**63, got "
+                                f"{values!r:.60}")
     return np.asarray(values, dtype=np.int64)
 
 
 def _cmd_allocate(args) -> int:
-    rel_doc = otsio._load_document(
-        args.relevance, {"s_v": True, "s_a": True, "tau": False}, "relevance"
-    )
+    rel_doc = otsio._load_config(args.relevance, dict, "relevance", {
+        "s_v": ("s_v", otsio._numbers, True),
+        "s_a": ("s_a", otsio._numbers, True),
+        "tau": ("tau", otsio._number, False),
+    })
+    s_v, s_a = np.array(rel_doc["s_v"]), np.array(rel_doc["s_a"])
     layout_doc = otsio._load_document(
         args.layout, {"n_v": True, "n_a": True}, "layout"
     )
     try:
         layout = WindowLayout(n_v=_counts(layout_doc, "n_v"),
                               n_a=_counts(layout_doc, "n_a"))
-        s_v = np.asarray(rel_doc["s_v"], dtype=np.float64)
-        s_a = np.asarray(rel_doc["s_a"], dtype=np.float64)
-        tau = float(rel_doc.get("tau", 0.0))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise otsio.ConfigError(f"malformed relevance or layout: {exc}") from exc
+        raise otsio.ConfigError(f"malformed layout: {exc}") from exc
     if s_v.shape != (layout.T,) or s_a.shape != (layout.T,):
         raise otsio.ConfigError(
             f"relevance shapes {s_v.shape} and {s_a.shape} must match the "
             f"{layout.T} windows, one weight each"
         )
-    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=window_weights(s_v, s_a, layout),
-                          tau=tau)
+    with np.errstate(over="ignore"):  # an infinite window weight is refused
+        s = window_weights(s_v, s_a, layout)
+    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=s, tau=rel_doc.get("tau", 0.0))
     totals = tuple(args.totals) if args.totals else None
     plan = allocate(rel, args.ratio_visual, args.ratio_audio, layout,
                     totals=totals)

@@ -268,8 +268,9 @@ class ModelConfig:
                 f"boundaries must satisfy 1 <= L_s < L_m1 <= L_m2 < L_l <= L, "
                 f"got ({ls},{lm1},{lm2},{ll}) with L={L}"
             )
-        if min(self.d_model, self.d_ff, self.n_heads) <= 0:
-            raise ValueError("widths and head count must be positive")
+        if not all(0 < w < 2**63
+                   for w in (self.d_model, self.d_ff, self.n_heads)):
+            raise ValueError("widths and head count must lie in [1, 2**63)")
         object.__setattr__(self, "boundaries", (int(ls), int(lm1), int(lm2), int(ll)))
 
 

@@ -26,6 +26,7 @@ from .core import (
     freeze_fields,
     segments,
 )
+from .schedule import shallow_ratio
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,9 +188,9 @@ def win_div_prune(
     saliency holds one finite, non-negative weight per stream row (those
     of text rows go unused), as stage1_saliency builds it, or is None for
     uniform weights everywhere (which reduces this to plain diversity
-    selection). Pre-LLM ratios are min(1, lambda*r_m) per modality. A
-    layout that does not count the stream's rows window by window is a
-    StreamError.
+    selection). Pre-LLM ratios are the schedule's shallow ratios,
+    shallow_ratio(r_m, lambda), per modality. A layout that does not count
+    the stream's rows window by window is a StreamError.
 
     A float32 saliency vector is checked in place; any other converts to
     float64 first. Weights reach the kernel clamped and rounded to float32
@@ -227,10 +228,8 @@ def win_div_prune(
             raise StreamError(f"saliency weight of row {bad[0]} is "
                               f"{float(saliency[bad[0]])}; weights must be "
                               f"finite and non-negative")
-    r_pre = {
-        VISUAL: min(1.0, spec.lambda_ * spec.r_v),
-        AUDIO: min(1.0, spec.lambda_ * spec.r_a),
-    }
+    r_pre = {VISUAL: shallow_ratio(spec.r_v, spec.lambda_),
+             AUDIO: shallow_ratio(spec.r_a, spec.lambda_)}
     n_max = int(max(layout.n_v.max(), layout.n_a.max()))
     budget = max(25 * n_max**2, stream.embeddings.nbytes // 8)
     block = np.empty(0, dtype=np.float32)

@@ -172,6 +172,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _numbers(value) -> tuple[float, ...]:
+    """A JSON list of finite numbers, none a bool, as a tuple."""
+    if type(value) is not list:
+        raise TypeError("a list of numbers is needed")
+    return tuple(map(_number, value))
+
+
 def _shaped(flat: np.ndarray, shape: tuple, what: str):
     """flat, a float32 view already checked to hold math.prod(shape)
     entries, in that shape. An empty view can still declare a dimension
@@ -696,9 +703,9 @@ def parse_trace_csv(text: str) -> TraceView:
         raise ContainerFormatError(
             "trace CSV metadata n_visual, n_audio and n_text must be integers"
         ) from None
-    if min(n_original) < 0:
+    if not all(0 <= n < 2**63 for n in n_original):
         raise ContainerFormatError("trace CSV token counts must be "
-                                   "non-negative")
+                                   "non-negative and below 2**63")
     rows.sort()
     if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
         raise ContainerFormatError("trace CSV layer column must cover 1..L")

@@ -215,10 +215,6 @@ class ContainerOracle:
         self.sections = sections or {}
         self.T = T
 
-    @staticmethod
-    def _name(modality: int) -> str:
-        return "visual" if modality == VISUAL else "audio"
-
     def modality_saliency(self, modality, counts):
         """One vector over the modality's rows, window-major, from the
         sections of its non-empty windows; rows of a window without a
@@ -227,7 +223,7 @@ class ContainerOracle:
         otherwise. The first window, in ascending order, whose section
         length differs from its count is a StreamError."""
         windows = np.flatnonzero(counts)
-        name = self._name(modality)
+        name = MODALITY_NAMES[modality]
         names = [f"saliency/w{t}/{name}" for t in windows.tolist()]
         n = counts[windows]
         from .io import Sections  # io imports this module
@@ -247,7 +243,7 @@ class ContainerOracle:
 
     def query_probs(self, layer, modality, ordinals):
         logits = self.sections.get(
-            f"query_logits/layer{layer}/{self._name(modality)}"
+            f"query_logits/layer{layer}/{MODALITY_NAMES[modality]}"
         )
         if logits is None:
             return None
@@ -312,9 +308,6 @@ class PrefillTrace:
     @property
     def layers(self) -> int:
         return int(self.seq_len.shape[0])
-
-    def seq_at(self, layer: int) -> int:
-        return int(self.seq_len[layer - 1])
 
 
 def stage1_saliency(oracle, stream: TokenStream,
@@ -430,10 +423,11 @@ def run_pipeline(
     n_v0, n_a0, n_q = layout.total_visual, layout.total_audio, stream.n_text
     sched_v = build_schedule(config, retention.r_v, retention.lambda_)
     sched_a = build_schedule(config, retention.r_a, retention.lambda_)
-    ls, lm1, lm2, ll = config.boundaries
-    alloc_layers = sorted(
-        (set(sched_v.drop_layers) | set(sched_a.drop_layers)) - {ll}
-    )
+    # drop layers: where either ratio falls before L_l; late removal is L_l
+    ll = config.boundaries[3]
+    trr = np.stack([sched_v.per_layer_trr, sched_a.per_layer_trr])[:, :ll - 1]
+    drop_layers = (np.flatnonzero((np.diff(trr) < 0).any(axis=0)) + 2).tolist()
+    del trr
 
     stage1 = win_div_prune(stream, layout,
                            stage1_saliency(oracle, stream, layout), retention)
@@ -451,37 +445,27 @@ def run_pipeline(
     survivors = _survivors(stream, stage1.rows)
 
     L = config.layers
-    kept_v = np.zeros(L, dtype=np.int64)
-    kept_a = np.zeros(L, dtype=np.int64)
+    kept = np.empty((2, L), dtype=np.int64)  # visual, audio tokens per layer
+    kept[:] = [[layout.total_visual], [layout.total_audio]]
     selections: list[LayerSelection] = []
     plans: list[tuple[int, BudgetPlan]] = []
-
-    for layer in range(1, L + 1):
-        if layer == ll:
-            final = late_removal(stream)
-            selections.append(
-                LayerSelection(
-                    layer=layer,
-                    kept=np.zeros(0, dtype=np.int64),
-                    dropped_v=layout.n_v,
-                    dropped_a=layout.n_a,
-                )
-            )
-            layout = WindowLayout(np.zeros(T), np.zeros(T))
-        elif layer in alloc_layers:
-            selection, plan = _drop_layer(
-                oracle, layer, survivors, layout, sched_v.trr_at(layer),
-                sched_a.trr_at(layer), (n_v0, n_a0), retention.tau)
-            selections.append(selection)
-            plans.append((layer, plan))
-            layout = WindowLayout(plan.b_v, plan.b_a)
-        kept_v[layer - 1] = layout.total_visual
-        kept_a[layer - 1] = layout.total_audio
+    for layer in drop_layers:
+        selection, plan = _drop_layer(
+            oracle, layer, survivors, layout, sched_v.trr_at(layer),
+            sched_a.trr_at(layer), (n_v0, n_a0), retention.tau)
+        selections.append(selection)
+        plans.append((layer, plan))
+        layout = WindowLayout(plan.b_v, plan.b_a)
+        kept[:, layer - 1:] = [[layout.total_visual], [layout.total_audio]]
+    final = late_removal(stream)
+    selections.append(LayerSelection(layer=ll, kept=(), dropped_v=layout.n_v,
+                                     dropped_a=layout.n_a))
+    kept[:, ll - 1:] = 0
 
     trace = PrefillTrace(
-        seq_len=kept_v + kept_a + n_q,
-        kept_v=kept_v,
-        kept_a=kept_a,
+        seq_len=kept.sum(axis=0) + n_q,
+        kept_v=kept[0],
+        kept_a=kept[1],
         kept_text=np.full(L, n_q),
         stage1=stage1,
         selections=tuple(selections),

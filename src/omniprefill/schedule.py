@@ -35,10 +35,15 @@ class SchedulePlan:
 
     per_layer_trr: np.ndarray  # length L, index 0 is layer 1
     delta: float
-    drop_layers: tuple[int, ...]  # 1-based layers where the ratio strictly falls
 
     def __post_init__(self):
         freeze_fields(self, np.float64, "per_layer_trr")
+
+    @property
+    def drop_layers(self) -> tuple[int, ...]:
+        """1-based layers where the ratio strictly falls."""
+        trr = self.per_layer_trr
+        return tuple((np.flatnonzero(trr[1:] < trr[:-1]) + 2).tolist())
 
     def trr_at(self, layer: int) -> float:
         """Retention ratio at a 1-based layer index."""
@@ -47,10 +52,6 @@ class SchedulePlan:
                 f"layer {layer} outside [1, {self.per_layer_trr.shape[0]}]"
             )
         return float(self.per_layer_trr[layer - 1])
-
-    @property
-    def layers(self) -> int:
-        return int(self.per_layer_trr.shape[0])
 
 
 def block_constant(config: ModelConfig) -> float:
@@ -98,6 +99,11 @@ def _layer_vector(block: np.ndarray, r_s: float, delta: float) -> np.ndarray:
     return np.array((r_s, *steps, 0.0))[block]
 
 
+def shallow_ratio(r: float, lambda_: float) -> float:
+    """r_s = min(1, lambda*r): the shallow block's ratio, and stage 1's."""
+    return min(1.0, lambda_ * r)
+
+
 def _check_inputs(r: float, lambda_: float) -> None:
     # written so that a NaN fails every comparison and is refused
     if not 0.0 <= r <= 1.0:
@@ -119,10 +125,9 @@ def solve_delta(
     if r == 0.0:
         return 0.0, c
     ll = config.boundaries[3]
-    r_s = lambda_ * r
-    if r_s > 1.0:
+    r_s = shallow_ratio(r, lambda_)
+    if r_s < lambda_ * r:
         # the shallow ratio clips at 1; the identity stays linear in delta
-        r_s = 1.0
         delta = (config.layers * r - (ll - 1)) / c
         if delta < 0.0:
             raise InfeasibleScheduleError(
@@ -146,7 +151,7 @@ def delta_oracle(config: ModelConfig, r: float, lambda_: float) -> float:
     _check_inputs(r, lambda_)
     if r == 0.0:
         return 0.0
-    r_s = min(1.0, lambda_ * r)
+    r_s = shallow_ratio(r, lambda_)
     block = _block_index(config)
 
     def mean_gap(delta: float) -> float:
@@ -184,16 +189,6 @@ def delta_oracle(config: ModelConfig, r: float, lambda_: float) -> float:
 def build_schedule(config: ModelConfig, r: float, lambda_: float) -> SchedulePlan:
     """Full per-layer plan for one retention target."""
     delta, _ = solve_delta(config, r, lambda_)
-    r_s = min(1.0, lambda_ * r)
-    per_layer = _layer_vector(_block_index(config), r_s, delta)
-    ls, lm1, lm2, ll = config.boundaries
-    # boundaries may coincide when a sub-block is empty, hence the set
-    drops = tuple(
-        l for l in sorted({ls + 1, lm1, lm2, ll})
-        if per_layer[l - 1] < per_layer[l - 2]
-    )
-    return SchedulePlan(
-        per_layer_trr=per_layer,
-        delta=delta,
-        drop_layers=drops,
-    )
+    per_layer = _layer_vector(_block_index(config), shallow_ratio(r, lambda_),
+                              delta)
+    return SchedulePlan(per_layer_trr=per_layer, delta=delta)

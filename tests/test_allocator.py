@@ -181,6 +181,25 @@ class TestInputDomain:
             allocate(rel, 1.0, 1.0, layout([4, 4], [2, 2]),
                      totals=(1.5e308, 1.5e308))
 
+    @pytest.mark.parametrize("s_v, s_a, window", [
+        ([1e308, 1e308], [0.5, 0.5], 0),   # s_v * r_v * N_v overflows
+        ([0.5, 3e307], [0.5, 6e307], 1),  # only the split's denominator does
+    ])
+    def test_overflowing_split_is_refused(self, s_v, s_a, window):
+        # never NaN reals floored to budgets of -2**63, nor a window's
+        # budget handed to one modality because its denominator overflowed
+        rel = RelevanceScores(s_v=s_v, s_a=s_a, s=[0.5, 0.5], tau=0.1)
+        with pytest.raises(EngineError, match=f"^window {window}: relevance "
+                                              f"weights .* overflow"):
+            allocate(rel, 0.3, 0.5, layout([4, 4], [2, 2]))
+
+    def test_weights_summing_past_float_range_are_refused(self):
+        # not shares of 0 everywhere, with the budget placed by slot order
+        rel = RelevanceScores(s_v=[8e307, 8e307, 2e307], s_a=[0.0] * 3,
+                              s=[8e307, 8e307, 2e307], tau=0.1)
+        with pytest.raises(EngineError, match="sum past the float range"):
+            allocate(rel, 0.3, 0.0, layout([4, 4, 4], [0, 0, 0]))
+
     def test_zero_totals_are_a_zero_budget(self):
         rel = rel_of([0.5, 0.5], [0.5, 0.5])
         plan = allocate(rel, 0.3, 0.5, layout([4, 4], [2, 2]), totals=(0, 0))
@@ -307,6 +326,27 @@ def test_integerization_matches_full_sort(inputs):
     assert plan.b_a.tolist() == want[1].tolist()
     assert plan.totals == (int(want[0].sum()), int(want[1].sum()),
                            int(want[0].sum() + want[1].sum()))
+
+
+def test_many_later_passes_match_the_full_sort():
+    # window 0 takes all the relevance but holds one token; hundreds of
+    # one-token passes over the other windows' slots, until each cap binds
+    args = (rel_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), 0.7, 0.9,
+            layout([1, 300, 2], [0, 200, 5]), None)
+    want = reference_allocate(*args)
+    assert want[2] > 100
+    plan = allocate(*args[:4])
+    assert plan.b_v.tolist() == want[0].tolist()
+    assert plan.b_a.tolist() == want[1].tolist()
+
+
+def test_later_passes_scale_with_slots_not_tokens():
+    # 2**39 one-token passes, one per token, would not end; whole passes
+    # run at once while every open slot has room for them
+    rel = rel_of([1.0, 0.0], [0.0, 0.0])
+    plan = allocate(rel, 0.5, 0.5, layout([4, 2**40], [0, 0]))
+    assert plan.b_v.tolist() == [4, 2**39 - 2]
+    assert plan.b_a.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("passes", [2, 3])

@@ -260,6 +260,51 @@ class TestAllocate:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("s_v, s_a, message", [
+        ([1e308, 1e308], [0.5, 0.5], "window 0: relevance weights "
+         "s_v=1e+308, s_a=0.5 overflow its budget split"),
+        ([1.2e308, 0.6e308], [1.2e308, 0.6e308],
+         "s weights must be finite and non-negative"),
+        ([8e307, 8e307, 2e307], [0, 0, 0],
+         "relevance weights sum past the float range"),
+    ], ids=["split", "window-weight", "weight-sum"])
+    def test_overflowing_weights_domain_error(self, tmp_path, s_v, s_a,
+                                              message):
+        # as a real process: weights that overflow the split, a window's
+        # weight or the weights' sum are refused in one line, with no numpy
+        # warning, not printed as budgets of -2**63 or placed by slot order
+        (tmp_path / "rel.json").write_text(
+            json.dumps({"s_v": s_v, "s_a": s_a}))
+        (tmp_path / "lay.json").write_text(json.dumps(
+            {"n_v": [4] * len(s_v), "n_a": [2 * bool(a) for a in s_a]}))
+        proc = cli_process("allocate", "--relevance", str(tmp_path / "rel.json"),
+                           "--layout", str(tmp_path / "lay.json"),
+                           "--ratio-visual", "0.3", "--ratio-audio", "0.5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("relevance, key", [
+        ({"s_v": ["0.5", True], "s_a": [0.5, 0.5], "tau": "0.1"}, "s_v"),
+        ({"s_v": [0.5, 0.5], "s_a": [0.5, True]}, "s_a"),
+        ({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5], "tau": "0.1"}, "tau"),
+        ({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5], "tau": True}, "tau"),
+    ], ids=["string-and-bool-weights", "bool-weight", "string-tau",
+            "bool-tau"])
+    def test_loose_numbers_are_refused(self, tmp_path, relevance, key):
+        # weights and tau are finite JSON numbers, as every config number
+        # is: a string or a bool is not read as one
+        (tmp_path / "rel.json").write_text(json.dumps(relevance))
+        (tmp_path / "lay.json").write_text(
+            json.dumps({"n_v": [4, 4], "n_a": [2, 2]}))
+        proc = cli_process("allocate", "--relevance", str(tmp_path / "rel.json"),
+                           "--layout", str(tmp_path / "lay.json"),
+                           "--ratio-visual", "0.3", "--ratio-audio", "0.5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: relevance key {key!r} is malformed")
+
     @pytest.mark.parametrize("relevance, layout", [
         ({"s_v": [-1, 0.5], "s_a": [0.5, 0.5]}, None),
         ('{"s_v": [Infinity, 0.5], "s_a": [0.5, 0.5]}', None),
@@ -271,9 +316,12 @@ class TestAllocate:
         (None, {"n_v": [4.9, 4], "n_a": [2, 2]}),
         (None, {"n_v": [4, 4], "n_a": [2, 2.5]}),
         (None, {"n_v": [True, 4], "n_a": [2, 2]}),
+        ({"s_v": [0.25] * 4, "s_a": [0] * 4},
+         {"n_v": [2**62] * 4, "n_a": [0] * 4}),
     ], ids=["negative-weight", "inf-weight", "nan-weight", "string-weight",
             "nested-weights", "negative-count", "empty-layout",
-            "fractional-count", "fractional-audio-count", "boolean-count"])
+            "fractional-count", "fractional-audio-count", "boolean-count",
+            "counts-summing-past-int64"])
     def test_bad_document_is_domain_error(self, tmp_path, relevance, layout):
         # as a real process: exit 1 and one line, never a plan or a traceback
         docs = {"rel": relevance or {"s_v": [0.5, 0.5], "s_a": [0.5, 0.5]},

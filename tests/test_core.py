@@ -174,6 +174,15 @@ class TestModelConfig:
             ModelConfig(layers=0, d_model=64, d_ff=256, n_heads=4,
                         boundaries=(1, 2, 3, 4))
 
+    @pytest.mark.parametrize("field", ["d_model", "d_ff", "n_heads"])
+    @pytest.mark.parametrize("value", [0, 2**63, 10**400],
+                             ids=["zero", "2**63", "10**400"])
+    def test_widths_lie_in_int64_range(self, field, value):
+        # a width past 2**63 would overflow the cost model's floats
+        widths = {"d_model": 64, "d_ff": 256, "n_heads": 4, field: value}
+        with pytest.raises(ValueError, match=r"in \[1, 2\*\*63\)"):
+            ModelConfig(layers=28, boundaries=(16, 19, 21, 24), **widths)
+
 
 class TestRetentionSpec:
     def test_range_checks(self):

@@ -1176,7 +1176,8 @@ class TestTraceReports:
             parse_trace_csv(text)
 
     @pytest.mark.parametrize("value, message", [
-        ("x", "must be integers"), ("-3", "must be non-negative")])
+        ("x", "must be integers"), ("-3", "must be non-negative"),
+        (str(10**400), "below 2\\*\\*63")])
     def test_metadata_counts_checked(self, value, message):
         text = "\n".join(
             f"# n_audio={value}" if line.startswith("# n_audio") else line

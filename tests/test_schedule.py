@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from omniprefill.core import InfeasibleScheduleError, ModelConfig
+from omniprefill.core import InfeasibleScheduleError, ModelConfig, RetentionSpec
+from omniprefill.pipeline import SynthSpec, run_pipeline
 from omniprefill.schedule import (
     block_constant,
     block_of,
     build_schedule,
     delta_oracle,
+    shallow_ratio,
     solve_delta,
 )
 
@@ -245,3 +249,108 @@ class TestBlockOf:
             block_of(0, QWEN25)
         with pytest.raises(ValueError):
             block_of(29, QWEN25)
+
+
+class TestShallowRatio:
+    def test_clips_at_one(self):
+        assert shallow_ratio(0.3, 1.4) == 0.3 * 1.4
+        assert shallow_ratio(0.75, 1.4) == 1.0
+        assert shallow_ratio(0.0, 1.4) == 0.0
+
+    def test_is_the_plans_first_ratio(self):
+        for r in (0.0, 0.1, 0.3, 0.75):
+            assert build_schedule(QWEN25, r, 1.4).trr_at(1) == shallow_ratio(
+                r, 1.4)
+
+
+def boundary_drop_layers(config: ModelConfig, trr: np.ndarray) -> tuple:
+    """Drop layers by the boundary-set rule, an independent reference:
+    of the layers that open a block after the shallow one (boundaries may
+    coincide when a sub-block is empty, hence the set), those where the
+    ratio strictly falls."""
+    ls, lm1, lm2, ll = config.boundaries
+    return tuple(l for l in sorted({ls + 1, lm1, lm2, ll})
+                 if trr[l - 1] < trr[l - 2])
+
+
+@st.composite
+def model_configs(draw):
+    """Random layer counts and boundaries, L_l = L and coinciding middle
+    splits among them."""
+    L = draw(st.integers(3, 64))
+    ll = draw(st.just(L) | st.integers(3, L))
+    ls = draw(st.integers(1, ll - 2))
+    lm1 = draw(st.integers(ls + 1, ll - 1))
+    lm2 = draw(st.just(lm1) | st.integers(lm1, ll - 1))
+    return ModelConfig(layers=L, d_model=8, d_ff=16, n_heads=2,
+                       boundaries=(ls, lm1, lm2, ll))
+
+
+def feasible_plan(config, r, lambda_offset):
+    """build_schedule at r and a scale factor just past the feasibility
+    edge L/(L_l - 1), or None when even that is infeasible."""
+    lambda_ = config.layers / (config.boundaries[3] - 1) + lambda_offset
+    try:
+        return build_schedule(config, r, lambda_)
+    except InfeasibleScheduleError:
+        return None
+
+
+RATIOS = st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.65]) | st.floats(0, 1)
+EDGE = ModelConfig(layers=28, d_model=8, d_ff=16, n_heads=2,
+                   boundaries=(16, 19, 21, 24))
+
+
+class TestDropLayersFollowTheTable:
+    @settings(max_examples=400, deadline=None)
+    @given(config=model_configs(), r=RATIOS,
+           lambda_offset=st.sampled_from([0.0, 1e-9]) | st.floats(0, 0.6))
+    @example(config=ModelConfig(layers=28, d_model=8, d_ff=16, n_heads=2,
+                                boundaries=(16, 17, 17, 24)),
+             r=0.3, lambda_offset=0.05)
+    @example(config=ModelConfig(layers=28, d_model=8, d_ff=16, n_heads=2,
+                                boundaries=(16, 19, 21, 28)),
+             r=0.3, lambda_offset=0.05)
+    @example(config=EDGE, r=0.0, lambda_offset=0.1)
+    @example(config=EDGE, r=23 / 28, lambda_offset=0.0)
+    def test_derived_drop_layers_match_the_boundary_rule(self, config, r,
+                                                         lambda_offset):
+        plan = feasible_plan(config, r, lambda_offset)
+        assume(plan is not None)
+        trr = plan.per_layer_trr
+        assert plan.drop_layers == boundary_drop_layers(config, trr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=model_configs(), r_v=RATIOS, r_a=RATIOS,
+           lambda_offset=st.floats(0, 0.6))
+    def test_run_acts_at_the_table_layers(self, config, r_v, r_a,
+                                          lambda_offset):
+        # drop layers are the union of both modalities' falls before L_l;
+        # late removal is L_l, and only drop layers carry a plan
+        plans = [feasible_plan(config, r, lambda_offset) for r in (r_v, r_a)]
+        assume(None not in plans)
+        ll = config.boundaries[3]
+        drops = sorted({l for plan in plans for l in boundary_drop_layers(
+            config, plan.per_layer_trr)} - {ll})
+        lambda_ = config.layers / (ll - 1) + lambda_offset
+        retention = RetentionSpec(r_v=r_v, r_a=r_a, lambda_=lambda_, tau=0.1)
+        spec = SynthSpec(seed=4, T=3, d=4, n_v=9, n_a=4, n_q=2)
+        _, trace = run_pipeline(spec, config, retention)
+        assert [s.layer for s in trace.selections] == drops + [ll]
+        assert [layer for layer, _ in trace.plans] == drops
+
+    @pytest.mark.parametrize("r, lambda_, selections, plans", [
+        (0.0, 1.4, [24], []),
+        # the scale factor at its feasibility edge and the largest
+        # reachable mean: delta comes out 3.4e-17, not 0, so layers 19 and
+        # 21 still fall, though layer 17 (1 - delta rounds to 1) does not
+        (23 / 28, 28 / 23, [19, 21, 24], [19, 21]),
+    ], ids=["zero-retention", "clipped-edge"])
+    def test_pinned_run_layers(self, r, lambda_, selections, plans):
+        spec = SynthSpec(seed=3, T=4, d=8, n_v=12, n_a=5, n_q=4)
+        retention = RetentionSpec(r_v=r, r_a=r, lambda_=lambda_, tau=0.1)
+        _, trace = run_pipeline(spec, EDGE, retention)
+        assert [s.layer for s in trace.selections] == selections
+        assert [layer for layer, _ in trace.plans] == plans
+        kept = 0 if r == 0.0 else 48
+        assert trace.kept_v.tolist() == [kept] * 23 + [0] * 5
