@@ -34,8 +34,8 @@ stream, oracle = synth_generate(spec)
 layout = WindowLayout.from_stream(stream, spec.T)
 retention = RetentionSpec(r_v=0.30, r_a=0.65, lambda_=1.4, tau=0.1)
 
-# one saliency weight per stream row, each group's from the oracle
-saliency = stage1_saliency(oracle, stream, layout)
+# one saliency vector per modality, each group's weights from the oracle
+saliency = stage1_saliency(oracle, layout)
 result = win_div_prune(stream, layout, saliency, retention)
 print(f"stream of {stream.n} tokens "
       f"({stream.n_visual} visual, {stream.n_audio} audio, {stream.n_text} text)")

@@ -32,6 +32,7 @@ from .pipeline import (
     mean_retention,
     run_pipeline,
     stage1_saliency,
+    synth_generate,
 )
 from .relevance import RelevanceScores, window_weights
 from .schedule import build_schedule, solve_delta
@@ -107,8 +108,6 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = otsio.load_synth_spec(args.synth)
-    from .pipeline import synth_generate
-
     stream, oracle = synth_generate(spec)
     sections = {}
     for m, name, count in ((VISUAL, "visual", spec.n_v),
@@ -140,7 +139,7 @@ def _cmd_prune_pre(args) -> int:
     spec = otsio.load_retention_spec(args.spec)
     T = header["t"]
     layout = WindowLayout.from_stream(stream, T)
-    saliency = stage1_saliency(ContainerOracle(sections, T), stream, layout)
+    saliency = stage1_saliency(ContainerOracle(sections, T), layout)
     result = win_div_prune(stream, layout, saliency, spec)
     kept_v = int(result.kept_v.sum())
     kept_a = int(result.kept_a.sum())

@@ -252,6 +252,8 @@ class ModelConfig:
 
     boundaries = (L_s, L_m1, L_m2, L_l), 1-based layer indices delimiting the
     shallow block [1, L_s], the middle sub-blocks, and the late block [L_l, L].
+    Every schedule and trace holds L entries per layer array, so L is at
+    most 4,096, far past any real backbone's depth.
     """
 
     layers: int
@@ -262,6 +264,8 @@ class ModelConfig:
 
     def __post_init__(self):
         L = self.layers
+        if L > 4096:
+            raise ValueError(f"layers must be at most 4096, got {L}")
         ls, lm1, lm2, ll = self.boundaries
         if not (1 <= ls < lm1 <= lm2 < ll <= L):
             raise ValueError(

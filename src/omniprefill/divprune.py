@@ -177,6 +177,23 @@ def keep_count(ratio: float, group_size: int) -> int:
     return max(1, min(group_size, math.floor(ratio * group_size)))
 
 
+def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
+    """One modality's saliency vector, float32 as given or else float64,
+    once it holds one finite, non-negative weight for each of rows."""
+    weight = np.asarray(weight)
+    if weight.dtype != np.float32:
+        weight = weight.astype(np.float64)
+    if weight.shape != rows.shape:
+        raise StreamError(f"{name} saliency has shape {weight.shape}, the "
+                          f"stream holds {rows.size} {name} rows")
+    bad = np.flatnonzero(~(np.isfinite(weight) & (weight >= 0)))
+    if bad.size:
+        raise StreamError(f"saliency weight of row {rows[bad[0]]} is "
+                          f"{float(weight[bad[0]])}; weights must be finite "
+                          f"and non-negative")
+    return weight
+
+
 def win_div_prune(
     stream: TokenStream,
     layout: WindowLayout,
@@ -185,17 +202,20 @@ def win_div_prune(
 ) -> SelectionResult:
     """Greedy max-min selection in every (window, modality) group.
 
-    saliency holds one finite, non-negative weight per stream row (those
-    of text rows go unused), as stage1_saliency builds it, or is None for
-    uniform weights everywhere (which reduces this to plain diversity
-    selection). Pre-LLM ratios are the schedule's shallow ratios,
-    shallow_ratio(r_m, lambda), per modality. A layout that does not count
-    the stream's rows window by window is a StreamError.
+    saliency is None, for uniform weights everywhere (which reduces this to
+    plain diversity selection), or a (visual, audio) pair, as
+    stage1_saliency gives it. Each entry is None, for uniform weights in
+    that modality, or one finite, non-negative weight per row of the
+    modality, window-major. Text rows take no weight. Pre-LLM ratios are
+    the schedule's shallow ratios, shallow_ratio(r_m, lambda), per
+    modality. A layout that does not count the stream's rows window by
+    window is a StreamError, and so is a vector of the wrong length or a
+    bad weight, named by its stream row.
 
-    A float32 saliency vector is checked in place; any other converts to
-    float64 first. Weights reach the kernel clamped and rounded to float32
-    either way, so float32 and float64 vectors of the same values pick the
-    same tokens.
+    A float32 vector is checked in place; any other converts to float64
+    first. Weights reach the kernel clamped and rounded to float32 either
+    way, so float32 and float64 vectors of the same values pick the same
+    tokens.
 
     Groups of equal size run through greedy max-min together, in chunks.
     A chunk gathers its float32 rows and normalises them with float64 norms
@@ -216,18 +236,6 @@ def win_div_prune(
             t = np.argmax(have != counts)
             raise StreamError(f"window {t} holds {have[t]} {MODALITY_NAMES[m]}"
                               f" rows, layout declares {counts[t]}")
-    if saliency is not None:
-        saliency = np.asarray(saliency)
-        if saliency.dtype != np.float32:
-            saliency = saliency.astype(np.float64)
-        if saliency.shape != (stream.n,):
-            raise StreamError(f"saliency has shape {saliency.shape}, stream "
-                              f"holds {stream.n} rows")
-        bad = np.flatnonzero(~(np.isfinite(saliency) & (saliency >= 0)))
-        if bad.size:
-            raise StreamError(f"saliency weight of row {bad[0]} is "
-                              f"{float(saliency[bad[0]])}; weights must be "
-                              f"finite and non-negative")
     r_pre = {VISUAL: shallow_ratio(spec.r_v, spec.lambda_),
              AUDIO: shallow_ratio(spec.r_a, spec.lambda_)}
     n_max = int(max(layout.n_v.max(), layout.n_a.max()))
@@ -238,8 +246,13 @@ def win_div_prune(
     kept_counts = {VISUAL: np.zeros(layout.T, dtype=np.int64),
                    AUDIO: np.zeros(layout.T, dtype=np.int64)}
     notes: list[str] = []
-    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
+    if saliency is None:
+        saliency = (None, None)
+    for m, counts, weight in zip((VISUAL, AUDIO), (layout.n_v, layout.n_a),
+                                 saliency):
         rows = stream.rows_of(m)
+        if weight is not None:
+            weight = _checked_weights(weight, rows, MODALITY_NAMES[m])
         zero_counts = {}
         for n, windows, starts in segments(counts):
             k = keep_count(r_pre[m], n)
@@ -269,8 +282,10 @@ def win_div_prune(
                 dist = block[: G * n * n].reshape(G, n, n)
                 _distances(unit.reshape(G, n, -1), dist)
                 del unit
-                weights = (np.ones((G, n)) if saliency is None
-                           else saliency[group_rows])
+                # indexed afresh: a (G, n) index kept alive beside
+                # group_rows would raise stage 1's peak memory
+                weights = (np.ones((G, n)) if weight is None else
+                           weight[starts[lo : lo + per_chunk, None] + offsets])
                 keep_rows.append(group_rows[_maxmin(dist, weights, k)])
         notes += [
             f"{zero_counts[t]} zero-norm embeddings in window {t} "

@@ -267,9 +267,9 @@ class Sections(Mapping):
     def gather(self, names: list[str], counts: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray | None]:
         """Each name's entry count (-1 for a name not held) and, in one
-        index, the entries of every name back to back, with counts[i] ones
-        for a name i not held: float32 when every name is held, float64
-        otherwise. The vector is None when no name is held."""
+        index, the float32 entries of every name back to back, with
+        counts[i] ones for a name i not held. The vector is None when no
+        name is held."""
         get = self._index.get
         entries = np.fromiter((get(name, -1) for name in names),
                               dtype=np.int64, count=len(names))
@@ -285,7 +285,7 @@ class Sections(Mapping):
         if held.all():
             return sizes, self._region[at]
         held = np.repeat(held, lengths)
-        vec = np.ones(at.size)
+        vec = np.ones(at.size, dtype=np.float32)
         vec[held] = self._region[at[held]]
         return sizes, vec
 

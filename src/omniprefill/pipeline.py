@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -187,19 +186,6 @@ class UniformOracle:
         return np.full(n, 1.0 / n) if n else np.zeros(0)
 
 
-def _gather_plain(sections: Mapping[str, np.ndarray], names: list[str],
-                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sections.gather for a plain dict of arrays, one name at a time."""
-    vecs = [sections.get(name) for name in names]
-    sizes = np.array([-1 if v is None else v.size for v in vecs],
-                     dtype=np.int64)
-    if (sizes < 0).all():
-        return sizes, None
-    return sizes, np.concatenate([np.ones(k) if v is None else v
-                                  for v, k in zip(vecs, counts.tolist())],
-                                 axis=None)
-
-
 class ContainerOracle:
     """Oracle backed by the optional sections of a stream container.
 
@@ -207,30 +193,24 @@ class ContainerOracle:
     full-length query logits under "query_logits/layer{l}/{visual|audio}".
     Missing entries fall back to uniform signals (None). sections is the
     Sections mapping read_ots returns, whose gather builds a modality's
-    saliency in one index, or a plain dict of arrays, read window by
-    window.
+    saliency in one index.
     """
 
-    def __init__(self, sections: Mapping[str, np.ndarray], T: int):
-        self.sections = sections or {}
+    def __init__(self, sections, T: int):
+        self.sections = sections
         self.T = T
 
     def modality_saliency(self, modality, counts):
-        """One vector over the modality's rows, window-major, from the
-        sections of its non-empty windows; rows of a window without a
-        section weigh 1, and None means no window has one. The vector is
-        float32 when every window has a float32 section, float64
-        otherwise. The first window, in ascending order, whose section
-        length differs from its count is a StreamError."""
+        """One float32 vector over the modality's rows, window-major, from
+        the sections of its non-empty windows; rows of a window without a
+        section weigh 1, and None means no window has one. The first
+        window, in ascending order, whose section length differs from its
+        count is a StreamError."""
         windows = np.flatnonzero(counts)
         name = MODALITY_NAMES[modality]
         names = [f"saliency/w{t}/{name}" for t in windows.tolist()]
         n = counts[windows]
-        from .io import Sections  # io imports this module
-        if isinstance(self.sections, Sections):
-            sizes, vec = self.sections.gather(names, n)
-        else:
-            sizes, vec = _gather_plain(self.sections, names, n)
+        sizes, vec = self.sections.gather(names, n)
         present = sizes >= 0
         bad = np.flatnonzero(present & (sizes != n))
         if bad.size:
@@ -257,18 +237,11 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenStream, SyntheticOracle]:
     rng = _keyed_rng(spec.seed, _PURPOSE_EMBED)
     embeddings = rng.standard_normal((n, spec.d), dtype=np.float32)
 
-    modality = np.empty(n, dtype=np.int64)
-    window_id = np.empty(n, dtype=np.int64)
-    row = 0
-    for t in range(spec.T):
-        modality[row : row + spec.n_v] = VISUAL
-        window_id[row : row + spec.n_v] = t
-        row += spec.n_v
-        modality[row : row + spec.n_a] = AUDIO
-        window_id[row : row + spec.n_a] = t
-        row += spec.n_a
-    modality[row:] = TEXT
-    window_id[row:] = NO_WINDOW
+    window = np.repeat([VISUAL, AUDIO], [spec.n_v, spec.n_a])
+    modality = np.concatenate([np.tile(window, spec.T),
+                               np.full(spec.n_q, TEXT)], dtype=np.int64)
+    window_id = np.concatenate([np.repeat(np.arange(spec.T), per_window),
+                                np.full(spec.n_q, NO_WINDOW)], dtype=np.int64)
 
     stream = TokenStream(
         embeddings=embeddings,
@@ -310,32 +283,13 @@ class PrefillTrace:
         return int(self.seq_len.shape[0])
 
 
-def stage1_saliency(oracle, stream: TokenStream,
-                    layout: WindowLayout) -> np.ndarray:
-    """Per-row saliency weights for win_div_prune. The oracle is asked
-    once per modality that has rows, visual then audio, for one vector over
-    that modality's rows, window-major as win_div_prune requires, or None.
-    Rows it gives no vector for, and text rows, weigh 1. The weights keep
-    the oracle's dtype when every vector it gives is float32, as a
-    container's sections are, and are float64 otherwise. A vector that is
-    not one entry per row of its modality is a StreamError.
-    """
-    vecs = {}
-    for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
-        if counts.any():
-            vec = oracle.modality_saliency(m, counts)
-            if vec is not None:
-                vecs[m] = np.asarray(vec)
-    float32 = bool(vecs) and all(v.dtype == np.float32 for v in vecs.values())
-    saliency = np.ones(stream.n, dtype=np.float32 if float32 else np.float64)
-    for m, vec in vecs.items():
-        rows = stream.rows_of(m)
-        if vec.shape != rows.shape:
-            raise StreamError(
-                f"{MODALITY_NAMES[m]} saliency has shape {vec.shape}, the "
-                f"stream holds {rows.size} {MODALITY_NAMES[m]} rows")
-        saliency[rows] = vec
-    return saliency
+def stage1_saliency(oracle, layout: WindowLayout) -> tuple:
+    """The (visual, audio) saliency pair win_div_prune takes. The oracle is
+    asked once per modality that has rows, visual then audio, for one
+    vector over that modality's rows, window-major, or None; a modality
+    without rows gets None."""
+    return tuple(oracle.modality_saliency(m, counts) if counts.any() else None
+                 for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)))
 
 
 def _survivors(stream: TokenStream, rows: np.ndarray):
@@ -425,12 +379,10 @@ def run_pipeline(
     sched_a = build_schedule(config, retention.r_a, retention.lambda_)
     # drop layers: where either ratio falls before L_l; late removal is L_l
     ll = config.boundaries[3]
-    trr = np.stack([sched_v.per_layer_trr, sched_a.per_layer_trr])[:, :ll - 1]
-    drop_layers = (np.flatnonzero((np.diff(trr) < 0).any(axis=0)) + 2).tolist()
-    del trr
+    drop_layers = sorted({*sched_v.drop_layers, *sched_a.drop_layers} - {ll})
 
-    stage1 = win_div_prune(stream, layout,
-                           stage1_saliency(oracle, stream, layout), retention)
+    stage1 = win_div_prune(stream, layout, stage1_saliency(oracle, layout),
+                           retention)
     # From here on the layout is carried, not recounted: stage 1 keeps
     # exactly kept_v[t] / kept_a[t] tokens per window and a drop layer
     # exactly plan.b_v[t] / plan.b_a[t].

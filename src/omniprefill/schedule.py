@@ -126,8 +126,9 @@ def solve_delta(
         return 0.0, c
     ll = config.boundaries[3]
     r_s = shallow_ratio(r, lambda_)
-    if r_s < lambda_ * r:
-        # the shallow ratio clips at 1; the identity stays linear in delta
+    if r_s == 1.0:
+        # the shallow ratio is 1, clipped or not (at lambda*r == 1 the other
+        # form leaves a rounding residue); the identity stays linear in delta
         delta = (config.layers * r - (ll - 1)) / c
         if delta < 0.0:
             raise InfeasibleScheduleError(
@@ -137,6 +138,7 @@ def solve_delta(
             )
     else:
         delta = (config.layers - ll * lambda_ + lambda_) * r / c
+    delta += 0.0  # a zero numerator over the negative C gives -0.0
     _validate(r_s, delta, "closed form")
     return delta, c
 

@@ -61,6 +61,21 @@ class TestSchedule:
         assert lines[1] == "# delta=0.0295"
         assert len(lines) == 3 + 28
 
+    def test_clipped_edge_prints_positive_zero_delta(self, capsys):
+        # lambda*r > 1 with r = 23/28 leaves delta exactly 0: printed
+        # unsigned
+        assert main(["schedule", "--layers", "28", "--boundaries",
+                     "16,19,21,24", "--lambda", "1.5", "--ratio",
+                     "0.8214285714285714"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "# delta=0.0000"
+
+    def test_layers_past_4096_is_domain_error(self, capsys):
+        assert main(["schedule", "--layers", "4097", "--boundaries",
+                     "16,19,21,24", "--lambda", "1.4", "--ratio", "0.3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: layers must be at most 4096, got 4097\n"
+
     def test_percent_and_fraction_agree(self, capsys):
         main(SCHED + ["--ratio", "0.3"])
         as_fraction = capsys.readouterr().out
@@ -454,9 +469,10 @@ class TestRun:
          "model config key 'd_model' is malformed: True"),
         ("model", {"boundaries": [16, 19, 21, 24.5]},
          "model config key 'boundaries' is malformed"),
+        ("model", {"layers": 4097}, "layers must be at most 4096, got 4097"),
     ], ids=["null-layers", "null-seed", "list-ratio", "scalar-planted",
             "not-utf8", "string-planted", "fractional-layers",
-            "bool-d-model", "fractional-boundary"])
+            "bool-d-model", "fractional-boundary", "layers-past-4096"])
     def test_malformed_config_is_domain_error(self, configs, name, edit,
                                               message):
         # as a real process: exit 1 and one error line, never a traceback

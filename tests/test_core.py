@@ -169,6 +169,15 @@ class TestModelConfig:
             ModelConfig(layers=28, d_model=64, d_ff=256, n_heads=4,
                         boundaries=bad)
 
+    def test_layers_at_most_4096(self):
+        # every schedule and trace array holds one entry per layer
+        ModelConfig(layers=4096, d_model=64, d_ff=256, n_heads=4,
+                    boundaries=(16, 19, 21, 24))
+        with pytest.raises(ValueError,
+                           match=r"^layers must be at most 4096, got 4097$"):
+            ModelConfig(layers=4097, d_model=64, d_ff=256, n_heads=4,
+                        boundaries=(16, 19, 21, 24))
+
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             ModelConfig(layers=0, d_model=64, d_ff=256, n_heads=4,

@@ -359,6 +359,17 @@ def build_stream(T, n_v, n_a, n_q, d=8, seed=0):
     )
 
 
+def wide_weights(stream, seed):
+    """A float32 (visual, audio) saliency pair whose values span the
+    float32 range, zeros and subnormals included."""
+    rng = np.random.default_rng(seed)
+    weights = np.exp(rng.uniform(-100.0, 88.0, stream.n)).astype(np.float32)
+    weights[rng.integers(stream.n, size=6)] = 0.0
+    weights[rng.integers(stream.n, size=3)] = np.float32(1e-45)
+    weights[rng.integers(stream.n, size=3)] = np.finfo(np.float32).max
+    return weights[stream.rows_of(VISUAL)], weights[stream.rows_of(AUDIO)]
+
+
 class TestWinDivPrune:
     def test_small_exact_counts(self):
         # r_s = min(1, 1.0*0.5) = 0.5 for each modality: keep 2 visual + 1
@@ -433,23 +444,21 @@ class TestWinDivPrune:
         for fav in (0, 3):
             w = np.full(4, 0.05)
             w[fav] = 10.0
-            saliency = np.ones(stream.n)
-            saliency[stream.rows_of(VISUAL, 0)] = w
-            res = win_div_prune(stream, lay, saliency, spec)
+            res = win_div_prune(stream, lay, (w, None), spec)
             picks[fav] = [i for i in res.kept.tolist()
                           if stream.modality[i] == VISUAL]
         assert picks[0] == [0]
         assert picks[3] == [3]
 
     @pytest.mark.parametrize("saliency", [
-        np.ones(5),  # one weight per group row, not per stream row
-        np.r_[-1.0, np.ones(6)],
-        np.r_[np.ones(2), np.inf, np.ones(4)],
-        np.ones(5, dtype=np.float32),
-        np.r_[np.float32(-0.1), np.ones(6, dtype=np.float32)],
-        np.r_[np.ones(2, dtype=np.float32), np.float32(np.inf),
-              np.ones(4, dtype=np.float32)],
-        np.r_[np.ones(6, dtype=np.float32), np.float32(np.nan)],
+        (np.ones(3), None),  # the stream holds 4 visual rows
+        (np.r_[-1.0, np.ones(3)], None),
+        (None, np.r_[1.0, np.inf]),
+        (None, np.ones(1, dtype=np.float32)),
+        (np.r_[np.float32(-0.1), np.ones(3, dtype=np.float32)], None),
+        (np.ones(4), np.r_[np.float32(1.0), np.float32(np.inf)]),
+        (np.r_[np.ones(3, dtype=np.float32), np.float32(np.nan)],
+         np.ones(2, dtype=np.float32)),
     ], ids=["short", "negative", "inf", "float32-short", "float32-negative",
             "float32-inf", "float32-nan"])
     def test_bad_saliency_rejected(self, saliency):
@@ -466,12 +475,12 @@ class TestWinDivPrune:
         stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
-        weights = np.ones(stream.n, dtype=np.float32)
-        weights[4] = value
+        weights = np.ones(4, dtype=np.float32)
+        weights[3] = value  # window 1's second visual row, stream row 4
         messages = []
         for saliency in (weights, weights.astype(np.float64)):
             with pytest.raises(StreamError) as info:
-                win_div_prune(stream, lay, saliency, spec)
+                win_div_prune(stream, lay, (saliency, None), spec)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("saliency weight of row 4 is ")
@@ -484,16 +493,45 @@ class TestWinDivPrune:
         stream = build_stream(T=5, n_v=24, n_a=7, n_q=3, seed=seed)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
-        rng = np.random.default_rng(seed)
-        weights = np.exp(rng.uniform(-100.0, 88.0, stream.n)).astype(
-            np.float32)
-        weights[rng.integers(stream.n, size=6)] = 0.0
-        weights[rng.integers(stream.n, size=3)] = np.float32(1e-45)
-        weights[rng.integers(stream.n, size=3)] = np.finfo(np.float32).max
-        single = win_div_prune(stream, lay, weights, spec)
-        double = win_div_prune(stream, lay, weights.astype(np.float64), spec)
-        assert single.rows.tolist() == double.rows.tolist()
-        assert single.kept.tolist() == double.kept.tolist()
+        single = wide_weights(stream, seed)
+        double = tuple(w.astype(np.float64) for w in single)
+        a = win_div_prune(stream, lay, single, spec)
+        b = win_div_prune(stream, lay, double, spec)
+        assert a.rows.tolist() == b.rows.tolist()
+        assert a.kept.tolist() == b.kept.tolist()
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_mixed_dtype_pair_picks_as_float64(self, seed):
+        # each vector is checked in its own dtype: a float32 visual vector
+        # beside a float64 audio one keeps what two float64 vectors keep
+        stream = build_stream(T=5, n_v=24, n_a=7, n_q=3, seed=seed)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
+        visual, audio = wide_weights(stream, seed)
+        mixed = win_div_prune(stream, lay, (visual, audio.astype(np.float64)),
+                              spec)
+        double = win_div_prune(stream, lay, (visual.astype(np.float64),
+                                             audio.astype(np.float64)), spec)
+        assert mixed.rows.tolist() == double.rows.tolist()
+
+    @pytest.mark.parametrize("visual_at, audio_at, row", [
+        (5, None, 7), (None, 3, 11), (7, 0, 9),
+    ], ids=["visual", "audio", "visual-first"])
+    def test_bad_weight_names_its_stream_row(self, visual_at, audio_at, row):
+        # windows of 4 visual then 2 audio rows: visual ordinal 5 is stream
+        # row 7, audio ordinal 3 is row 11; a bad visual weight is named
+        # before a bad audio one, though audio ordinal 0 is row 4
+        stream = build_stream(T=3, n_v=4, n_a=2, n_q=2)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
+        visual, audio = np.ones(12), np.ones(6, dtype=np.float32)
+        if visual_at is not None:
+            visual[visual_at] = -1.0
+        if audio_at is not None:
+            audio[audio_at] = np.nan
+        with pytest.raises(StreamError, match=rf"^saliency weight of row "
+                                              rf"{row} is "):
+            win_div_prune(stream, lay, (visual, audio), spec)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_embedding_rejected(self, value):

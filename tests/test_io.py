@@ -312,7 +312,7 @@ class TestSectionsMapping:
         sizes, vec = back.gather(["d/vector", "z", "b/one"],
                                  np.array([3, 2, 1]))
         assert sizes.tolist() == [3, -1, 1]
-        assert vec.dtype == np.float64
+        assert vec.dtype == np.float32
         assert vec.tolist() == [1.5, -2.0, 3.25, 1.0, 1.0, 2.5]
         sizes, vec = back.gather(["b/one", "a/matrix"], np.array([1, 6]))
         assert vec.dtype == np.float32
@@ -966,6 +966,44 @@ def test_columnar_reader_matches_the_reference_walk(data):
         for array in read_ots(data)[1].values():
             assert not array.flags.owndata and not array.flags.writeable
             assert array.size == 0 or np.shares_memory(array, anchor)
+
+
+def reference_gather(sections: dict, names, counts):
+    """Sections.gather as a plain walk, one name at a time: each name's
+    entry count (-1 when not held) and one concatenate of each held name's
+    entries or, for a name not held, its count of float32 ones; None when no
+    name is held."""
+    arrays = [sections.get(name) for name in names]
+    sizes = [-1 if a is None else a.size for a in arrays]
+    if all(a is None for a in arrays):
+        return sizes, None
+    return sizes, np.concatenate([
+        np.ones(k, dtype=np.float32) if a is None else np.ravel(a)
+        for a, k in zip(arrays, counts)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gather_matches_the_reference_walk(data):
+    pool = [f"saliency/w{t}/{m}" for t in range(5) for m in ("visual", "audio")]
+    sections = {}
+    for i, name in enumerate(data.draw(st.lists(st.sampled_from(pool),
+                                                unique=True))):
+        shape = data.draw(st.sampled_from([(0,), (1,), (3,), (5,), (2, 2)]))
+        sections[name] = (10.0 * i + np.arange(math.prod(shape)) - 0.5
+                          ).astype(np.float32).reshape(shape)
+    names = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=len(names),
+                                max_size=len(names)))
+    _, back, _ = read_ots(write_ots(tiny_stream(), sections, T=2))
+    sizes, vec = back.gather(names, np.array(counts, dtype=np.int64))
+    want_sizes, want = reference_gather(sections, names, counts)
+    assert sizes.tolist() == want_sizes
+    if want is None:
+        assert vec is None
+    else:
+        assert vec.dtype == np.float32
+        assert vec.tobytes() == want.tobytes()
 
 
 class TestConfigLoading:

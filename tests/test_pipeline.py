@@ -15,6 +15,7 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
 )
+from omniprefill.divprune import win_div_prune
 from omniprefill.io import read_ots, write_ots
 from omniprefill.pipeline import (
     ContainerOracle,
@@ -391,7 +392,7 @@ class TestContainerOracle:
                                      ("audio", AUDIO, 4)):
                 key = f"query_logits/layer{layer}/{name}"
                 sections[key] = synth._query_logits(layer, mod)
-        oracle = ContainerOracle(sections, T=2)
+        oracle = ContainerOracle(held(sections, stream, 2), T=2)
         _, via_container = run_pipeline(stream, QWEN25, DEFAULTS,
                                         oracle=oracle)
         _, via_synth = run_pipeline(spec, QWEN25, DEFAULTS)
@@ -401,12 +402,15 @@ class TestContainerOracle:
     def test_missing_sections_fall_back_to_uniform(self):
         spec = SynthSpec(seed=6, T=2, d=8, n_v=5, n_a=2, n_q=3)
         stream, _ = synth_generate(spec)
-        oracle = ContainerOracle({}, T=2)
+        oracle = ContainerOracle(held({}, stream, 2), T=2)
         _, trace = run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)
         assert trace.seq_len[-1] == 3
 
     def test_wrong_length_section_rejected(self):
-        oracle = ContainerOracle({"saliency/w0/visual": np.ones(3)}, T=1)
+        stream, _ = synth_generate(SynthSpec(seed=0, T=1, d=2, n_v=5, n_a=0,
+                                             n_q=1))
+        sections = held({"saliency/w0/visual": np.ones(3)}, stream, 1)
+        oracle = ContainerOracle(sections, T=1)
         with pytest.raises(ValueError, match="window 0 has 3 entries, "
                                              "group holds 5"):
             oracle.modality_saliency(VISUAL, np.array([5]))
@@ -423,24 +427,29 @@ class TestContainerOracle:
         sections["saliency/w0/audio"] = np.ones(1)
         sections["saliency/w5/visual"] = np.ones(3)
         layout = WindowLayout.from_stream(stream, 6)
+        oracle = ContainerOracle(held(sections, stream, 6), T=6)
         with pytest.raises(StreamError, match="saliency section for window 5 "
                                               "has 3 entries, group holds 5"):
-            stage1_saliency(ContainerOracle(sections, T=6), stream, layout)
+            stage1_saliency(oracle, layout)
 
     def test_one_vector_per_modality(self):
         counts = np.array([2, 0, 3, 1])
+        stream, _ = synth_generate(SynthSpec(seed=0, T=4, d=2, n_v=0, n_a=3,
+                                             n_q=1))
         sections = {"saliency/w0/audio": np.float32([0.5, 2.0]),
                     "saliency/w1/audio": np.float32([7.0]),  # empty window
                     "saliency/w3/audio": np.float32([3.0])}
-        oracle = ContainerOracle(sections, T=4)
+        oracle = ContainerOracle(held(sections, stream, 4), T=4)
         # window 2 has no section and weighs 1; window 1 holds no rows
-        assert oracle.modality_saliency(AUDIO, counts).tolist() == \
-            [0.5, 2.0, 1.0, 1.0, 1.0, 3.0]
+        vec = oracle.modality_saliency(AUDIO, counts)
+        assert vec.dtype == np.float32
+        assert vec.tolist() == [0.5, 2.0, 1.0, 1.0, 1.0, 3.0]
         assert oracle.modality_saliency(VISUAL, counts) is None
         assert UniformOracle().modality_saliency(VISUAL, counts) is None
         # of two wrong lengths, the lower window is reported
         sections["saliency/w0/audio"] = np.ones(3)
         sections["saliency/w3/audio"] = np.ones(2)
+        oracle = ContainerOracle(held(sections, stream, 4), T=4)
         with pytest.raises(StreamError, match="window 0 has 3 entries"):
             oracle.modality_saliency(AUDIO, counts)
 
@@ -479,35 +488,21 @@ class TestContainerOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(6))
     def test_container_mapping_matches_plain_dict(self, seed, dtype):
+        # the container's vector is the plain dict walked window by window,
+        # in float32 whatever dtype the sections were written from
         stream, counts, sections, T = self.ragged_container(seed, dtype)
         _, mapping, header = read_ots(write_ots(stream, sections, T=T))
         layout = WindowLayout.from_stream(stream, header["t"])
-        for m in (VISUAL, AUDIO):
-            gathered = ContainerOracle(mapping, T).modality_saliency(
-                m, counts[m])
-            held = ContainerOracle(dict(mapping), T).modality_saliency(
-                m, counts[m])
-            given = ContainerOracle(sections, T).modality_saliency(
-                m, counts[m])
-            if held is None:
-                assert gathered is None and given is None
+        pair = stage1_saliency(ContainerOracle(mapping, T), layout)
+        for m, got in zip((VISUAL, AUDIO), pair):
+            want = plain_modality_saliency(sections, m, counts[m])
+            if want is None:
+                assert got is None
                 continue
-            assert gathered.dtype == held.dtype
-            assert gathered.tolist() == held.tolist() == given.tolist()
-            # float32 only when every non-empty window has a float32 section
-            windows = np.flatnonzero(counts[m])
-            name = "visual" if m == VISUAL else "audio"
-            every = all(f"saliency/w{t}/{name}" in sections for t in windows)
-            assert gathered.dtype == (np.float32 if every else np.float64)
-            assert given.dtype == (np.float32 if every and dtype == np.float32
-                                   else np.float64)
-        weights = stage1_saliency(ContainerOracle(mapping, T), stream, layout)
-        plain = stage1_saliency(ContainerOracle(dict(mapping), T), stream,
-                                layout)
-        assert weights.dtype == plain.dtype
-        assert weights.tolist() == plain.tolist()
+            assert got.dtype == np.float32
+            assert got.tolist() == want.tolist()
         if seed % 3 == 0:  # every window has its section
-            assert weights.dtype == np.float32
+            assert all(vec is not None for vec in pair)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(6))
@@ -518,14 +513,15 @@ class TestContainerOracle:
             seed, dtype, wrong={(AUDIO, 1), (AUDIO, 4), (VISUAL, 7)})
         _, mapping, header = read_ots(write_ots(stream, sections, T=T))
         layout = WindowLayout.from_stream(stream, header["t"])
-        messages = []
-        for source in (mapping, dict(mapping), sections):
-            with pytest.raises(StreamError) as info:
-                stage1_saliency(ContainerOracle(source, T), stream, layout)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1] == messages[2]
-        window = 7 if counts[VISUAL][7] else 1 if counts[AUDIO][1] else 4
-        assert f"saliency section for window {window} has" in messages[0]
+        with pytest.raises(StreamError) as info:
+            stage1_saliency(ContainerOracle(mapping, T), layout)
+        m, window = ((VISUAL, 7) if counts[VISUAL][7] else
+                     (AUDIO, 1) if counts[AUDIO][1] else (AUDIO, 4))
+        name = "visual" if m == VISUAL else "audio"
+        assert str(info.value) == (
+            f"saliency section for window {window} has "
+            f"{sections[f'saliency/w{window}/{name}'].size} entries, group "
+            f"holds {counts[m][window]}")
 
     def test_synthetic_vector_is_its_windows_in_order(self):
         spec = SynthSpec(seed=6, T=3, d=8, n_v=4, n_a=2, n_q=3)
@@ -533,6 +529,26 @@ class TestContainerOracle:
         got = synth.modality_saliency(AUDIO, np.array([2, 2, 2]))
         want = np.concatenate([synth.saliency(t, AUDIO, 2) for t in range(3)])
         assert got.tolist() == want.tolist()
+
+
+def held(sections: dict, stream: TokenStream, T: int):
+    """sections as a container holds them: in float32, in the Sections
+    mapping read_ots gives for stream written with T windows."""
+    return read_ots(write_ots(stream, sections, T=T))[1]
+
+
+def plain_modality_saliency(sections: dict, m: int, counts: np.ndarray):
+    """ContainerOracle.modality_saliency walked over a plain dict: each
+    non-empty window's section, or its count of ones, concatenated in
+    float32; None when no such window has a section."""
+    name = "visual" if m == VISUAL else "audio"
+    vecs = [sections.get(f"saliency/w{t}/{name}")
+            for t in np.flatnonzero(counts).tolist()]
+    if all(vec is None for vec in vecs):
+        return None
+    return np.concatenate([np.ones(n) if vec is None else vec for vec, n
+                           in zip(vecs, counts[counts > 0].tolist())]
+                          ).astype(np.float32)
 
 
 class VectorOracle(UniformOracle):
@@ -556,11 +572,12 @@ class TestStage1Saliency:
         with pytest.raises(StreamError, match=rf"audio saliency has shape "
                                               rf"\({6 + extra},\), the stream "
                                               rf"holds 6 audio rows"):
-            stage1_saliency(oracle, stream, layout)
+            win_div_prune(stream, layout, stage1_saliency(oracle, layout),
+                          DEFAULTS)
         with pytest.raises(StreamError, match="audio saliency"):
             run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)
 
-    @pytest.mark.parametrize("visual, audio, want", [
+    @pytest.mark.parametrize("visual, audio, shared", [
         (np.float32, np.float32, np.float32),
         (np.float32, None, np.float32),
         (None, np.float32, np.float32),
@@ -569,21 +586,24 @@ class TestStage1Saliency:
         (np.int64, None, np.float64),
         (None, None, np.float64),
     ])
-    def test_weights_keep_float32(self, visual, audio, want):
-        # float32 vectors, as a container's sections are, are not widened;
-        # anything else becomes float64 as before, with the same values
+    def test_weights_keep_float32(self, visual, audio, shared):
+        # stage 1 takes each vector as the oracle gives it, a float32 one,
+        # as a container's is, included, and picks as it does with both
+        # vectors cast to one shared dtype
         spec = SynthSpec(seed=6, T=3, d=8, n_v=5, n_a=2, n_q=3)
         stream, _ = synth_generate(spec)
         layout = WindowLayout.from_stream(stream)
-        vectors = {m: np.arange(1, n + 1).astype(dtype)
+        rng = np.random.default_rng(6)
+        vectors = {m: rng.uniform(0.0, 9.0, n).astype(dtype)
                    for m, n, dtype in ((VISUAL, 15, visual), (AUDIO, 6, audio))
                    if dtype is not None}
-        got = stage1_saliency(VectorOracle(vectors), stream, layout)
-        assert got.dtype == want
-        expect = np.ones(stream.n)
-        for m, vec in vectors.items():
-            expect[stream.rows_of(m)] = vec
-        assert got.tolist() == expect.tolist()
+        pair = stage1_saliency(VectorOracle(vectors), layout)
+        assert [vec is vectors.get(m) for m, vec in
+                zip((VISUAL, AUDIO), pair)] == [True, True]
+        cast = tuple(None if vec is None else vec.astype(shared)
+                     for vec in pair)
+        assert win_div_prune(stream, layout, pair, DEFAULTS).rows.tolist() \
+            == win_div_prune(stream, layout, cast, DEFAULTS).rows.tolist()
 
 
 class TestSyntheticOracleKeying:

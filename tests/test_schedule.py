@@ -206,8 +206,13 @@ class TestBuildSchedule:
         # at the largest reachable mean, (L_l-1)/L, with the scale factor at
         # its feasibility edge L/(L_l-1), the plan is a step at L_l
         edge = build_schedule(QWEN25, 23 / 28, 28 / 23)
-        assert np.allclose(edge.per_layer_trr, np.arange(1, 29) < 24,
-                           atol=1e-9)
+        assert edge.delta == 0.0
+        assert edge.per_layer_trr.tolist() == (np.arange(1, 29) < 24).tolist()
+        assert edge.drop_layers == (24,)
+        # a zero numerator over the negative C is +0.0, never -0.0
+        for lambda_ in (28 / 23, 1.5):
+            delta, _ = solve_delta(QWEN25, 23 / 28, lambda_)
+            assert math.copysign(1.0, delta) == 1.0
 
     def test_clipped_but_unreachable_mean(self):
         # even at full shallow retention the late block forces the mean
@@ -342,9 +347,9 @@ class TestDropLayersFollowTheTable:
     @pytest.mark.parametrize("r, lambda_, selections, plans", [
         (0.0, 1.4, [24], []),
         # the scale factor at its feasibility edge and the largest
-        # reachable mean: delta comes out 3.4e-17, not 0, so layers 19 and
-        # 21 still fall, though layer 17 (1 - delta rounds to 1) does not
-        (23 / 28, 28 / 23, [19, 21, 24], [19, 21]),
+        # reachable mean: lambda*r is exactly 1, delta exactly 0, so only
+        # L_l acts
+        (23 / 28, 28 / 23, [24], []),
     ], ids=["zero-retention", "clipped-edge"])
     def test_pinned_run_layers(self, r, lambda_, selections, plans):
         spec = SynthSpec(seed=3, T=4, d=8, n_v=12, n_a=5, n_q=4)

@@ -134,27 +134,34 @@ def test_batched_stage1_matches_plain_loop(data):
     spec = RetentionSpec(r_v=data.draw(ratios), r_a=data.draw(ratios),
                          lambda_=data.draw(st.sampled_from([1.0, 1.4])),
                          tau=0.1)
-    saliency = np.ones(stream.n)
+    # per modality uniform weights (None), or a vector over its rows with
+    # some windows' weights drawn and the rest 1
+    saliency = []
     for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)):
-        for t in range(layout.T):
-            if counts[t] and data.draw(st.booleans()):
-                saliency[stream.rows_of(m, t)] = data.draw(st.lists(
+        vec = None if data.draw(st.booleans()) else np.ones(counts.sum())
+        for t, start in enumerate((np.cumsum(counts) - counts).tolist()):
+            if vec is not None and counts[t] and data.draw(st.booleans()):
+                vec[start : start + counts[t]] = data.draw(st.lists(
                     st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324,
                                      1.7976931348623157e308]),
                     min_size=int(counts[t]), max_size=int(counts[t])))
+        saliency.append(vec)
 
-    got = win_div_prune(stream, layout, saliency, spec)
+    got = win_div_prune(stream, layout, tuple(saliency), spec)
 
     want = list(stream.rows_of(TEXT))
-    for m, ratio in ((VISUAL, spec.r_v), (AUDIO, spec.r_a)):
+    for m, ratio, vec in zip((VISUAL, AUDIO), (spec.r_v, spec.r_a), saliency):
         kept = got.kept_v if m == VISUAL else got.kept_a
+        weights = np.ones(stream.n)
+        if vec is not None:
+            weights[stream.rows_of(m)] = vec
         for t in range(layout.T):
             rows = stream.rows_of(m, t)
             k = keep_count(min(1.0, spec.lambda_ * ratio), rows.size)
             assert kept[t] == k
             if k:
                 want += [rows[i] for i in plain_maxmin(
-                    stream.embeddings[rows], saliency[rows], k)]
+                    stream.embeddings[rows], weights[rows], k)]
     assert got.rows.tolist() == sorted(want)
     assert got.kept.tolist() == stream.position[sorted(want)].tolist()
 
@@ -219,30 +226,30 @@ def test_stage1_saliency_places_each_group_on_its_rows(data):
             if data.draw(st.booleans()):
                 sections[f"saliency/w{t}/{name}"] = np.float32(
                     10.0 * t + 5.0 * m + np.arange(n) / (n + 1.0))
-    oracle = AskedOracle(sections)
-    got = stage1_saliency(oracle, stream, layout)
+    oracle = AskedOracle(read_ots(write_ots(stream, sections))[1])
+    got = stage1_saliency(oracle, layout)
 
-    want = np.ones(stream.n)
-    for m, name in ((VISUAL, "visual"), (AUDIO, "audio")):
-        for t in range(layout.T):
-            rows = stream.rows_of(m, t)
-            vec = sections.get(f"saliency/w{t}/{name}")
-            if rows.size and vec is not None:
-                want[rows] = vec
     # once per modality with rows, visual then audio
     assert oracle.asked == [(m, counts.tolist()) for m, counts in
                             ((VISUAL, layout.n_v), (AUDIO, layout.n_a))
                             if counts.any()]
-    # a modality's vector is float32 when each of its non-empty windows has
-    # a float32 section; a window without one weighs a float64 1. The
-    # weights stay float32 only when every vector given is
-    present = [[f"saliency/w{t}/{name}" in sections
-                for t, n in enumerate(counts.tolist()) if n]
-               for name, counts in (("visual", layout.n_v),
-                                    ("audio", layout.n_a))]
-    whole = [all(has) for has in present if any(has)]
-    assert got.dtype == (np.float32 if whole and all(whole) else np.float64)
-    assert got.tolist() == want.tolist()
+    # entry i of a modality's float32 vector weighs its i-th row: each
+    # group's section placed on its rows, 1 on rows of a window without
+    # one; None when no window with rows has a section
+    for m, name, vec in zip((VISUAL, AUDIO), ("visual", "audio"), got):
+        want = np.ones(stream.n)
+        held = False
+        for t in range(layout.T):
+            rows = stream.rows_of(m, t)
+            section = sections.get(f"saliency/w{t}/{name}")
+            if rows.size and section is not None:
+                want[rows] = section
+                held = True
+        if not held:
+            assert vec is None
+            continue
+        assert vec.dtype == np.float32
+        assert vec.tolist() == want[stream.rows_of(m)].tolist()
 
 
 @SETTINGS
