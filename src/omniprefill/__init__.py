@@ -11,21 +11,18 @@ the whole thing testable on a laptop.
 from .allocator import BudgetPlan, allocate
 from .core import (
     AUDIO,
-    MIN_PRACTICAL_RV,
     TEXT,
     VISUAL,
     EngineError,
     InfeasibleBudgetError,
-    InfeasibleRetentionError,
     InfeasibleScheduleError,
     ModelConfig,
     RetentionSpec,
     StreamError,
     TokenStream,
     WindowLayout,
-    audio_intact_rv,
 )
-from .cost import FLOPS_FORMULA, CostReport, layer_flops, trace_flops
+from .cost import CostReport, layer_flops, trace_flops
 from .divprune import SelectionResult, greedy_maxmin, win_div_prune
 from .io import (
     ConfigError,
@@ -43,18 +40,13 @@ from .pipeline import (
     PrefillTrace,
     SynthSpec,
     SyntheticOracle,
-    UniformOracle,
     mean_retention,
     retention_slack,
     run_pipeline,
     stage1_saliency,
     synth_generate,
 )
-from .relevance import (
-    RelevanceScores,
-    mean_received_attention,
-    window_relevance,
-)
+from .relevance import RelevanceScores, window_relevance
 from .schedule import (
     SchedulePlan,
     build_schedule,
@@ -73,12 +65,9 @@ __all__ = [
     "ContainerOracle",
     "CostReport",
     "EngineError",
-    "FLOPS_FORMULA",
     "InfeasibleBudgetError",
-    "InfeasibleRetentionError",
     "InfeasibleScheduleError",
     "LayerSelection",
-    "MIN_PRACTICAL_RV",
     "ModelConfig",
     "PrefillTrace",
     "RelevanceScores",
@@ -90,12 +79,10 @@ __all__ = [
     "SyntheticOracle",
     "TEXT",
     "TokenStream",
-    "UniformOracle",
     "VISUAL",
     "WindowLayout",
     "allocate",
     "apply_budget",
-    "audio_intact_rv",
     "build_schedule",
     "delta_oracle",
     "greedy_maxmin",
@@ -104,7 +91,6 @@ __all__ = [
     "load_model_config",
     "load_retention_spec",
     "load_synth_spec",
-    "mean_received_attention",
     "mean_retention",
     "read_ots",
     "read_ots_file",

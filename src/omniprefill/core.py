@@ -1,5 +1,5 @@
-"""Shared data model: token streams, window layouts, model configuration,
-and the retention-ratio arithmetic used everywhere else.
+"""Shared data model: token streams, window layouts, model configuration
+and retention targets.
 
 A stream holds already-embedded tokens in original sequence order. Visual and
 audio tokens belong to temporal windows; text tokens belong to no window.
@@ -18,21 +18,14 @@ AUDIO = 1
 TEXT = 2
 MODALITY_NAMES = {VISUAL: "visual", AUDIO: "audio", TEXT: "text"}
 NO_WINDOW = -1
-
-# Reporting threshold for audio-intact budgeting: a continuous visual
-# retention ratio (as audio_intact_rv solves it, before any whole-token
-# count) below this is treated as unusable (reported "--") even when
-# non-negative, because the entire reduction would fall on a sliver of the
-# visual tokens.
-MIN_PRACTICAL_RV = 0.05
+# The most tokens one (window, modality) group may hold. Stage 1 fills an
+# n x n float32 distance block per group, 64 MiB at this size, and refuses
+# a larger group before it allocates one; the bench's groups hold 288.
+MAX_GROUP = 4096
 
 
 class EngineError(Exception):
     """Base class for domain errors raised by this package."""
-
-
-class InfeasibleRetentionError(EngineError):
-    """A requested retention ratio cannot be met by any selection."""
 
 
 class InfeasibleScheduleError(EngineError):
@@ -143,11 +136,8 @@ class TokenStream:
     def d(self) -> int:
         return self.embeddings.shape[1]
 
-    def count(self, modality: int, window: int | None = None) -> int:
-        mask = self.modality == modality
-        if window is not None:
-            mask &= self.window_id == window
-        return int(np.count_nonzero(mask))
+    def count(self, modality: int) -> int:
+        return int(np.count_nonzero(self.modality == modality))
 
     @property
     def n_visual(self) -> int:
@@ -161,12 +151,9 @@ class TokenStream:
     def n_text(self) -> int:
         return self.count(TEXT)
 
-    def rows_of(self, modality: int, window: int | None = None) -> np.ndarray:
-        """Row indices (storage order) of one modality, optionally one window."""
-        mask = self.modality == modality
-        if window is not None:
-            mask &= self.window_id == window
-        return np.flatnonzero(mask)
+    def rows_of(self, modality: int) -> np.ndarray:
+        """Row indices (storage order) of one modality."""
+        return np.flatnonzero(self.modality == modality)
 
     def take(self, rows) -> "TokenStream":
         """Row subset. Rows must ascend, as the positions must."""
@@ -305,34 +292,3 @@ class RetentionSpec:
                              f"{self.lambda_}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-def audio_intact_rv(
-    r: float, layout: WindowLayout, min_practical: float = 0.0
-) -> float:
-    """Visual retention ratio that meets overall ratio r with audio untouched.
-
-    Solves r_v from r*(N_v+N_a) = r_v*N_v + 1.0*N_a and returns that
-    continuous ratio, the exact inverse of the overall ratio
-    (r_v*N_v + r_a*N_a) / (N_v+N_a) at r_a = 1. The published
-    audio-intact table counts whole tokens instead: it keeps the fewest
-    visual tokens that meet r, ceil(r_v*N_v), and prints them as a
-    percentage of N_v (288/26 at r=0.15: r_v=7.33% keeps 22 tokens,
-    printed 8). Raises InfeasibleRetentionError when the continuous
-    solution is negative (audio alone overshoots the budget) or falls
-    below min_practical; pass min_practical=MIN_PRACTICAL_RV to reproduce
-    the reporting convention that marks such cells "--".
-    """
-    n_v, n_a = layout.total_visual, layout.total_audio
-    if n_v == 0:
-        raise EngineError("audio_intact_rv needs visual tokens")
-    r_v = (r * (n_v + n_a) - n_a) / n_v
-    if r_v < 0.0:
-        raise InfeasibleRetentionError(
-            f"audio alone exceeds the budget: r_v would be {r_v:.6f}"
-        )
-    if r_v < min_practical:
-        raise InfeasibleRetentionError(
-            f"r_v={r_v:.6f} is below the practical floor {min_practical:g}"
-        )
-    return r_v

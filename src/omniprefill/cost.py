@@ -22,8 +22,6 @@ import numpy as np
 from .core import ModelConfig, StreamError, freeze_fields
 from .pipeline import PrefillTrace
 
-FLOPS_FORMULA = "v1: 8*n*d^2 + 4*n^2*d + 6*n*d*d_ff per layer"
-
 
 @dataclasses.dataclass(frozen=True)
 class CostReport:
@@ -32,7 +30,7 @@ class CostReport:
     kv_tokens_per_layer: np.ndarray
     ratio_vs_full: float
     peak_kv_tokens: int
-    formula: str = FLOPS_FORMULA
+    formula: str = "v1: 8*n*d^2 + 4*n^2*d + 6*n*d*d_ff per layer"
 
     def __post_init__(self):
         freeze_fields(self, np.float64, "flops_per_layer")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     AUDIO,
+    MAX_GROUP,
     MODALITY_NAMES,
     TEXT,
     VISUAL,
@@ -93,15 +94,6 @@ def _distances(unit: np.ndarray, out: np.ndarray) -> None:
     np.clip(out, 0.0, 2.0, out=out)
 
 
-def _cosine_distances(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise 1-cos distances of one group and its zero-norm mask."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    unit, zero = _unit_rows(emb, range(emb.shape[0]))
-    dist = np.empty((1, emb.shape[0], emb.shape[0]), dtype=np.float32)
-    _distances(unit[None], dist)
-    return dist[0], zero
-
-
 def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """Greedy max-min in G groups at once; returns the (G, n) pick mask.
 
@@ -163,10 +155,12 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
         raise StreamError("saliency weights must be finite and non-negative")
     if not (1 <= k <= n):
         raise StreamError(f"k must lie in [1, {n}], got {k}")
-    dist, _ = _cosine_distances(emb)  # rejects non-finite rows first
+    unit, _ = _unit_rows(emb, range(n))  # rejects non-finite rows first
     if k == n:
         return np.arange(n, dtype=np.int64)
-    return np.flatnonzero(_maxmin(dist[None], w[None], k)[0])
+    dist = np.empty((1, n, n), dtype=np.float32)
+    _distances(unit[None], dist)
+    return np.flatnonzero(_maxmin(dist, w[None], k)[0])
 
 
 def keep_count(ratio: float, group_size: int) -> int:
@@ -209,25 +203,20 @@ def win_div_prune(
     modality, window-major. Text rows take no weight. Pre-LLM ratios are
     the schedule's shallow ratios, shallow_ratio(r_m, lambda), per
     modality. A layout that does not count the stream's rows window by
-    window is a StreamError, and so is a vector of the wrong length or a
-    bad weight, named by its stream row.
+    window is a StreamError, and so is a group of more than MAX_GROUP
+    rows (refused before any block is allocated), a vector of the wrong
+    length or a bad weight, named by its stream row.
 
     A float32 vector is checked in place; any other converts to float64
     first. Weights reach the kernel clamped and rounded to float32 either
     way, so float32 and float64 vectors of the same values pick the same
     tokens.
 
-    Groups of equal size run through greedy max-min together, in chunks.
-    A chunk gathers its float32 rows and normalises them with float64 norms
-    and quotients, without a float64 copy of the rows; the Gram, the
-    distances, the weighted values and the greedy steps run in float32. A
-    chunk's group count G is set as if its rows were copied to float64 and
-    its distance block were float64: that working set stays within
-    25 n_max^2 bytes, four n*n float64 matrices of the largest group, or
-    within an eighth of the stream's embedding bytes if that is more, so
-    batching adds little to peak memory on short streams. The real one is
-    about half of that: the float32 gather, the float64 squares while the
-    norms are summed, the float32 unit rows and the float32 block.
+    Groups of equal size run through greedy max-min together, in chunks
+    whose working set, counted as if it were float64, stays within
+    25 n_max^2 bytes or an eighth of the stream's embedding bytes if that
+    is more. Rows are normalised with float64 norms and quotients; the
+    Gram, the distances and the greedy steps run in float32.
     """
     held = WindowLayout.from_stream(stream, layout.T)
     for m, have, counts in ((VISUAL, held.n_v, layout.n_v),
@@ -236,6 +225,11 @@ def win_div_prune(
             t = np.argmax(have != counts)
             raise StreamError(f"window {t} holds {have[t]} {MODALITY_NAMES[m]}"
                               f" rows, layout declares {counts[t]}")
+        if counts.max() > MAX_GROUP:
+            t = np.argmax(counts > MAX_GROUP)
+            raise StreamError(f"window {t} holds {counts[t]} "
+                              f"{MODALITY_NAMES[m]} rows; a group may hold "
+                              f"at most {MAX_GROUP}")
     r_pre = {VISUAL: shallow_ratio(spec.r_v, spec.lambda_),
              AUDIO: shallow_ratio(spec.r_a, spec.lambda_)}
     n_max = int(max(layout.n_v.max(), layout.n_a.max()))

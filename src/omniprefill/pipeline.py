@@ -24,6 +24,7 @@ import numpy as np
 from .allocator import BudgetPlan, allocate
 from .core import (
     AUDIO,
+    MAX_GROUP,
     MODALITY_NAMES,
     NO_WINDOW,
     TEXT,
@@ -36,7 +37,7 @@ from .core import (
     freeze_fields,
 )
 from .divprune import SelectionResult, win_div_prune
-from .relevance import mean_received_attention, softmax, window_relevance
+from .relevance import softmax, window_relevance
 from .schedule import SchedulePlan, build_schedule
 from .selector import LayerSelection, apply_budget, late_removal
 
@@ -44,6 +45,9 @@ _PURPOSE_EMBED = 1
 _PURPOSE_STAGE1 = 2
 _PURPOSE_QUERY = 3
 _MASK64 = (1 << 64) - 1
+# The most embedding entries (tokens x d) a SynthSpec may ask for, 512 MiB
+# of float32; the bench's largest stream holds 11.1 M.
+MAX_SYNTH_ENTRIES = 2**27
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,6 +58,10 @@ class SynthSpec:
     window, with n_q text tokens at the end. planted_windows receive
     planted_gain on their query logits (background logits are standard
     normal, so the gain is in sigma units).
+
+    Sizes are bounded before anything is drawn: n_v and n_a at most
+    MAX_GROUP, T at most the stream's token count n = T*(n_v+n_a) + n_q
+    (a container's rule), and n*d at most MAX_SYNTH_ENTRIES.
     """
 
     seed: int
@@ -68,10 +76,18 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.T, self.d, self.n_q) < 1 or min(self.n_v, self.n_a) < 0:
             raise ValueError("sizes must be positive (n_v, n_a may be zero)")
+        n = self.T * (self.n_v + self.n_a) + self.n_q
+        if (max(self.n_v, self.n_a) > MAX_GROUP or self.T > n
+                or n * self.d > MAX_SYNTH_ENTRIES):
+            raise ValueError(
+                f"n_v and n_a must be at most {MAX_GROUP}, T at most the "
+                f"{n} tokens and tokens x d at most {MAX_SYNTH_ENTRIES}; got "
+                f"T={self.T} d={self.d} n_v={self.n_v} n_a={self.n_a} "
+                f"n_q={self.n_q}")
         planted = tuple(sorted(int(t) for t in set(self.planted_windows)))
         if any(t < 0 or t >= self.T for t in planted):
             raise ValueError(f"planted windows must lie in [0, {self.T})")
-        if self.planted_gain < 0:
+        if not self.planted_gain >= 0:  # a NaN fails this too
             raise ValueError("planted_gain must be non-negative")
         object.__setattr__(self, "planted_windows", planted)
 
@@ -156,8 +172,9 @@ class SyntheticOracle:
         return self._logit_cache[key]
 
     def saliency(self, window: int, modality: int, n: int) -> np.ndarray:
-        """Mean received attention inside one original group."""
-        return mean_received_attention(self.stage1_attention(window, modality, n))
+        """Mean received attention inside one original group: the column
+        means of its row-stochastic attention."""
+        return self.stage1_attention(window, modality, n).mean(axis=0)
 
     def modality_saliency(self, modality: int,
                           counts: np.ndarray) -> np.ndarray:
@@ -173,17 +190,6 @@ class SyntheticOracle:
                     ordinals: np.ndarray) -> np.ndarray:
         return _survivor_probs(self._query_logits(layer, modality), layer,
                                ordinals)
-
-
-class UniformOracle:
-    """Fallback when no attention source exists: every signal is flat."""
-
-    def modality_saliency(self, modality, counts):
-        return None
-
-    def query_probs(self, layer, modality, ordinals):
-        n = np.asarray(ordinals).shape[0]
-        return np.full(n, 1.0 / n) if n else np.zeros(0)
 
 
 class ContainerOracle:
@@ -310,15 +316,17 @@ def _drop_layer(oracle, layer: int, survivors, layout: WindowLayout,
                 r_v: float, r_a: float, totals: tuple[int, int],
                 tau: float):
     """One drop layer: score the survivors, allocate the layer's budget and
-    keep each window's best. survivors, one (ordinals, positions) pair per
-    modality, is narrowed in place, so each pair goes as its successor
-    comes. Returns the selection and the plan; nothing else of the layer
-    outlives the call."""
+    keep each window's best. A modality that the oracle (None for none)
+    does not score gets uniform scores. survivors, one (ordinals,
+    positions) pair per modality, is narrowed in place, so each pair goes
+    as its successor comes. Returns the selection and the plan; nothing
+    else of the layer outlives the call."""
     scores = []
     for m, (ordinals, _) in zip((VISUAL, AUDIO), survivors):
-        probs = oracle.query_probs(layer, m, ordinals)
+        probs = (None if oracle is None
+                 else oracle.query_probs(layer, m, ordinals))
         if probs is None:
-            probs = UniformOracle().query_probs(layer, m, ordinals)
+            probs = np.full(ordinals.size, 1.0 / max(ordinals.size, 1))
         scores.append(probs)
     rel = window_relevance(*scores, layout, tau)
     # Per-window keep floors at earlier stages can leave fewer survivors
@@ -356,21 +364,20 @@ def run_pipeline(
 ) -> tuple[TokenStream, PrefillTrace]:
     """Run all three stages over a stream or a SynthSpec.
 
-    The oracle supplies stage-1 attention and per-layer query scores; pass
-    None for uniform signals (a SynthSpec brings its own). T is a stream's
-    window count, trailing empty windows included, as a container's header
-    `t` declares it; None takes one past the stream's largest window id,
-    and a SynthSpec brings its own T. A T that leaves some window id
-    outside [0, T) is a StreamError. Returns the final text-only stream and
-    the full trace.
+    The oracle supplies stage-1 saliency and per-layer query scores; pass
+    None for uniform signals: stage 1 weighs every token alike and each
+    drop layer scores a modality's n survivors 1/n each (a SynthSpec
+    brings its own oracle). T is a stream's window count, trailing empty
+    windows included, as a container's header `t` declares it; None takes
+    one past the stream's largest window id, and a SynthSpec brings its
+    own T. A T that leaves some window id outside [0, T) is a
+    StreamError. Returns the final text-only stream and the full trace.
     """
     if isinstance(source, SynthSpec):
         stream, oracle = synth_generate(source)
         T = source.T
     else:
         stream = source
-    if oracle is None:
-        oracle = UniformOracle()
 
     layout = WindowLayout.from_stream(stream, T)
     T = layout.T
@@ -381,8 +388,11 @@ def run_pipeline(
     ll = config.boundaries[3]
     drop_layers = sorted({*sched_v.drop_layers, *sched_a.drop_layers} - {ll})
 
-    stage1 = win_div_prune(stream, layout, stage1_saliency(oracle, layout),
-                           retention)
+    # the saliency pair is a temporary, freed before the drop layers run
+    stage1 = win_div_prune(
+        stream, layout,
+        None if oracle is None else stage1_saliency(oracle, layout),
+        retention)
     # From here on the layout is carried, not recounted: stage 1 keeps
     # exactly kept_v[t] / kept_a[t] tokens per window and a drop layer
     # exactly plan.b_v[t] / plan.b_a[t].

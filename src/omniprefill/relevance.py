@@ -7,8 +7,8 @@ the query is the last text token; its attention over the surviving tokens of
 one modality is averaged per window and pushed through a temperature softmax
 to give per-window relevance weights.
 
-Saliency vectors are plain non-negative float arrays, one entry per token of
-one (window, modality) group.
+An oracle gives saliency as one non-negative vector per modality,
+window-major over that modality's rows.
 """
 
 from __future__ import annotations
@@ -30,25 +30,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def mean_received_attention(attn: np.ndarray) -> np.ndarray:
-    """Mean attention each token receives: column means of a row-stochastic
-    attention matrix. A (heads, n, n) stack is averaged over heads first.
-    """
-    a = np.asarray(attn, dtype=np.float64)
-    if a.ndim == 3:
-        a = a.mean(axis=0)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"attention must be square, got shape {a.shape}")
-    rows = a.sum(axis=1)
-    if a.shape[0] and not np.allclose(rows, 1.0, atol=1e-6):
-        worst = int(np.abs(rows - 1.0).argmax())
-        raise ValueError(
-            f"attention rows must sum to 1 (post-softmax); row {worst} "
-            f"sums to {rows[worst]:.8f}"
-        )
-    return a.mean(axis=0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """End-to-end acceptance gate.
 
-Nine checks, one per headline guarantee of the engine: closed-form schedule
+Ten checks, one per headline guarantee of the engine: closed-form schedule
 constants, the budget identity over a parameter grid, audio-intact ratio
 arithmetic against its reference table, per-step optimality of the greedy
 diversity selector, conservation laws of the budget allocator, recovery of
 planted relevance, the shape of a full pipeline trace, flops-ratio targets,
-and byte-level determinism of the container and CLI surfaces.
+byte-level determinism of the container and CLI surfaces, and the layer
+lengths and FLOPs cut at the paper's operating point.
 
 Every check verifies against logic written independently in this file (or
 frozen reference numbers), never against the engine's own intermediates, and
@@ -24,17 +25,14 @@ from omniprefill.allocator import allocate
 from omniprefill.cli import main as cli_main
 from omniprefill.core import (
     AUDIO,
-    MIN_PRACTICAL_RV,
     TEXT,
     VISUAL,
     InfeasibleBudgetError,
-    InfeasibleRetentionError,
     InfeasibleScheduleError,
     ModelConfig,
     RetentionSpec,
     TokenStream,
     WindowLayout,
-    audio_intact_rv,
 )
 from omniprefill.cost import trace_flops
 from omniprefill.divprune import greedy_maxmin
@@ -125,6 +123,59 @@ def test_02_budget_identity_grid():
           f"infeasible grid points agree ({elapsed:.2f} s)")
 
 
+# A continuous visual ratio below this is reported "--" even when it is
+# non-negative: the whole reduction would fall on a sliver of the visual
+# tokens.
+PRACTICAL_FLOOR = 0.05
+
+
+def overall_ratio(r_v, r_a, n_v, n_a):
+    """Overall non-text retention implied by per-modality ratios:
+    (r_v*N_v + r_a*N_a) / (N_v + N_a)."""
+    return (r_v * n_v + r_a * n_a) / (n_v + n_a)
+
+
+def audio_intact_rv(r, n_v, n_a):
+    """The continuous visual ratio that meets overall ratio r with audio
+    untouched: r_v solving r*(N_v+N_a) = r_v*N_v + 1.0*N_a, the inverse of
+    overall_ratio at r_a = 1. Negative when audio alone overshoots r."""
+    return (r * (n_v + n_a) - n_a) / n_v
+
+
+def audio_intact_cell(r, n_v, n_a):
+    """One cell of the audio-intact table: the fewest visual tokens that
+    meet r, ceil(r_v*N_v), as a whole percentage of N_v, or "--" when r_v
+    is negative or below the practical floor."""
+    r_v = audio_intact_rv(r, n_v, n_a)
+    if r_v < PRACTICAL_FLOOR:
+        return "--"
+    # 1e-9 keeps float noise just above an integer from adding a token
+    return round(100 * math.ceil(r_v * n_v - 1e-9) / n_v)
+
+
+class TestRatioArithmetic:
+    def test_overall_ratio(self):
+        assert overall_ratio(0.30, 0.65, 288, 50) == pytest.approx(118.9 / 338)
+
+    def test_audio_intact_inverts_overall(self):
+        for r_v in (0.1, 0.24, 0.5):
+            r = overall_ratio(r_v, 1.0, 3 * 288, 3 * 50)
+            assert audio_intact_rv(r, 3 * 288, 3 * 50) == pytest.approx(
+                r_v, abs=1e-12)
+
+    def test_negative_is_infeasible(self):
+        assert audio_intact_rv(0.10, 288, 50) < 0
+        assert audio_intact_cell(0.10, 288, 50) == "--"
+
+    def test_practical_floor(self):
+        # positive but below the reporting floor
+        assert 0 < audio_intact_rv(0.15, 288, 50) < PRACTICAL_FLOOR
+        assert audio_intact_cell(0.15, 288, 50) == "--"
+
+    def test_no_audio_passthrough(self):
+        assert audio_intact_rv(0.4, 20, 0) == pytest.approx(0.4)
+
+
 def test_03_audio_intact_reference_table():
     """Visual percentages for audio-intact budgeting, against the published
     reference figures for two per-window layouts ("--" marks cells whose
@@ -132,8 +183,7 @@ def test_03_audio_intact_reference_table():
 
     The table counts whole tokens: a window keeps the fewest visual tokens
     that meet the target, ceil(r_v*N_v), and prints them as a percentage
-    of N_v. audio_intact_rv returns the continuous ratio, so the count is
-    taken here (288/26 at R=0.15: r_v*288 = 21.1 keeps 22 tokens, 7.64%,
+    of N_v (288/26 at R=0.15: r_v*288 = 21.1 keeps 22 tokens, 7.64%,
     printed 8)."""
     reference = {
         (50, 0.35): 24, (50, 0.25): 12, (50, 0.15): "--", (50, 0.10): "--",
@@ -141,20 +191,8 @@ def test_03_audio_intact_reference_table():
     }
 
     def table_pass():
-        computed = {}
-        for (n_a, r) in reference:
-            layout = WindowLayout(n_v=np.array([288]), n_a=np.array([n_a]))
-            n_v = layout.total_visual
-            try:
-                r_v = audio_intact_rv(r, layout,
-                                      min_practical=MIN_PRACTICAL_RV)
-            except InfeasibleRetentionError:
-                computed[(n_a, r)] = "--"
-                continue
-            # 1e-9 keeps float noise just above an integer from adding a token
-            kept = math.ceil(r_v * n_v - 1e-9)
-            computed[(n_a, r)] = round(100 * kept / n_v)
-        return computed
+        return {(n_a, r): audio_intact_cell(r, 288, n_a)
+                for (n_a, r) in reference}
 
     elapsed = float("inf")
     for _ in range(5):  # best-of-5, as in test_01
@@ -525,3 +563,67 @@ def test_09_determinism_and_round_trip(tmp_path):
     assert elapsed < 10.0, f"[FAIL] determinism suite took {elapsed:.2f} s"
     print(f"[criterion 9] PASS 3 identical CLI traces, 1000 containers "
           f"round-trip bit-exactly ({elapsed:.2f} s)")
+
+
+def _operating_point_lengths(T, n_v, n_a, n_q, r, lam, config):
+    """Input length of every layer at r_v = r_a = r, from the block
+    schedule's closed form and whole-token counts: stage 1 keeps
+    floor(r_s*n) of each group, a drop layer the rounded schedule budget of
+    the original tokens (or what survives, if fewer), and the late block
+    the text alone."""
+    L = config.layers
+    ls, lm1, lm2, ll = config.boundaries
+    e = math.e
+    c = ls + 1 + e * lm1 + e * e * lm2 - (1 + e + e * e) * ll
+    r_s = min(1.0, lam * r)
+    delta = (L * r - r_s * (ll - 1)) / c
+    kept = T * (math.floor(r_s * n_v) + math.floor(r_s * n_a))
+    lengths = []
+    for layer in range(1, L + 1):
+        steps = (layer > ls) + (layer >= lm1) + (layer >= lm2)
+        if layer >= ll:
+            kept = 0
+        elif steps:
+            ratio = r_s - delta * (1.0, 1 + e, 1 + e + e * e)[steps - 1]
+            kept = min(kept, round(ratio * T * n_v + ratio * T * n_a))
+        lengths.append(kept + n_q)
+    return lengths
+
+
+def _v1_flops(n, config):
+    d = config.d_model
+    return 8 * n * d * d + 4 * n * n * d + 6 * n * d * config.d_ff
+
+
+def test_10_paper_operating_point():
+    """At the paper's headline point, 10% of visual and audio tokens kept
+    (r_v = r_a = 0.1, lambda = 1.4, 288 visual + 50 audio tokens per
+    window), each layer's length and the v1 FLOPs cut match arithmetic
+    written here. The cut depends on the input's length: about the paper's
+    9.3x at 16 windows, less on shorter inputs and more on longer ones."""
+    ret = RetentionSpec(r_v=0.1, r_a=0.1, lambda_=1.4, tau=0.1)
+    cuts = {4: "7.46", 16: "10.43", 64: "14.84"}
+    t0 = time.perf_counter()
+    got = {}
+    for T in cuts:
+        spec = SynthSpec(seed=3, T=T, d=8, n_v=288, n_a=50, n_q=64)
+        _, trace = run_pipeline(spec, QWEN25, ret)
+        want = _operating_point_lengths(T, 288, 50, 64, 0.1, 1.4, QWEN25)
+        assert trace.seq_len.tolist() == want, (
+            f"[FAIL] T={T}: engine lengths {trace.seq_len.tolist()}, "
+            f"reference {want}")
+        full = QWEN25.layers * _v1_flops(T * 338 + 64, QWEN25)
+        cut = full / sum(_v1_flops(n, QWEN25) for n in want)
+        ratio = trace_flops(trace, QWEN25).ratio_vs_full
+        assert ratio == pytest.approx(1 / cut, rel=1e-12), (
+            f"[FAIL] T={T}: engine FLOPs ratio {ratio}, reference {1 / cut}")
+        got[T] = f"{cut:.2f}"
+        if T == 16:
+            assert want == [800] * 16 + [768] * 2 + [624] * 2 + [231] * 3 \
+                + [64] * 5, f"[FAIL] T=16 lengths {want}"
+    elapsed = time.perf_counter() - t0
+    assert got == cuts, f"[FAIL] v1 FLOPs cuts {got}, expected {cuts}"
+    assert elapsed < 5.0, f"[FAIL] operating point took {elapsed:.2f} s"
+    print("[criterion 10] PASS v1 FLOPs cut "
+          + ", ".join(f"{got[T]}x at T={T}" for T in cuts)
+          + f" ({elapsed:.2f} s)")

@@ -10,7 +10,7 @@ import pytest
 
 import omniprefill
 from omniprefill.cli import main
-from omniprefill.core import VISUAL
+from omniprefill.core import MAX_GROUP, TEXT, VISUAL, TokenStream
 from omniprefill.io import load_synth_spec, read_ots_file, write_ots_file
 from omniprefill.pipeline import SynthSpec, synth_generate
 
@@ -470,9 +470,17 @@ class TestRun:
         ("model", {"boundaries": [16, 19, 21, 24.5]},
          "model config key 'boundaries' is malformed"),
         ("model", {"layers": 4097}, "layers must be at most 4096, got 4097"),
+        # sizes past the SynthSpec bounds, refused before anything is drawn
+        ("synth", {"audio_per_window": 4097},
+         "n_v and n_a must be at most 4096"),
+        ("synth", {"windows": 10**9, "visual_per_window": 0,
+                   "audio_per_window": 0}, "T at most the 10 tokens"),
+        ("synth", {"windows": 2**20, "d": 2},
+         "tokens x d at most 134217728; got T=1048576 d=2"),
     ], ids=["null-layers", "null-seed", "list-ratio", "scalar-planted",
             "not-utf8", "string-planted", "fractional-layers",
-            "bool-d-model", "fractional-boundary", "layers-past-4096"])
+            "bool-d-model", "fractional-boundary", "layers-past-4096",
+            "group-past-4096", "windows-past-tokens", "entries-past-2**27"])
     def test_malformed_config_is_domain_error(self, configs, name, edit,
                                               message):
         # as a real process: exit 1 and one error line, never a traceback
@@ -520,6 +528,29 @@ class TestRun:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: saliency section for window 0")
+
+    @pytest.mark.parametrize("command", ["run", "prune-pre"])
+    def test_group_past_ceiling_is_domain_error(self, configs, tmp_path,
+                                                command):
+        # 4,097 visual rows of width 1 in window 1: a small container whose
+        # group would need a 64 MiB distance block
+        n = 1 + MAX_GROUP + 1 + 2
+        stream = TokenStream(
+            embeddings=np.ones((n, 1), dtype=np.float32),
+            modality=np.array([VISUAL] * (n - 2) + [TEXT] * 2),
+            window_id=np.array([0] + [1] * (MAX_GROUP + 1) + [-1] * 2),
+            position=np.arange(n))
+        container = tmp_path / "big.ots"
+        write_ots_file(str(container), stream, T=2)
+        proc = (run_process(configs, container, tmp_path)
+                if command == "run" else
+                cli_process("prune-pre", "--input", str(container), "--spec",
+                            configs["retention"]))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: window 1 holds {MAX_GROUP + 1} visual "
+                               f"rows; a group may hold at most "
+                               f"{MAX_GROUP}\n")
 
     def test_duplicate_section_name_is_domain_error(self, configs,
                                                     tmp_path):

@@ -6,16 +6,13 @@ import pytest
 
 from omniprefill.core import (
     AUDIO,
-    MIN_PRACTICAL_RV,
     TEXT,
     VISUAL,
-    InfeasibleRetentionError,
     ModelConfig,
     RetentionSpec,
     StreamError,
     TokenStream,
     WindowLayout,
-    audio_intact_rv,
 )
 from omniprefill.divprune import win_div_prune
 
@@ -47,8 +44,7 @@ class TestTokenStream:
         assert s.n_visual == 3
         assert s.n_audio == 3
         assert s.n_text == 2
-        assert s.count(VISUAL, 0) == 2
-        assert s.count(AUDIO, 1) == 2
+        assert s.count(TEXT) == 2
 
     def test_arrays_are_frozen(self):
         s = make_stream(MIXED_ROWS)
@@ -105,8 +101,9 @@ class TestTokenStream:
 
     def test_rows_of(self):
         s = make_stream(MIXED_ROWS)
-        assert s.rows_of(VISUAL, 1).tolist() == [3]
-        assert s.rows_of(AUDIO, 0).tolist() == [2]
+        assert s.rows_of(VISUAL).tolist() == [0, 1, 3]
+        assert s.rows_of(AUDIO).tolist() == [2, 4, 5]
+        assert s.rows_of(TEXT).tolist() == [6, 7]
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -303,39 +300,3 @@ class TestValidateStream:
         with pytest.raises(StreamError, match="window 0 holds 2 visual rows, "
                                               "layout declares 1"):
             layout_check(s, lay)
-
-
-def overall_ratio(r_v, r_a, layout):
-    """Overall non-text retention implied by per-modality ratios:
-    (r_v*N_v + r_a*N_a) / (N_v + N_a)."""
-    n_v, n_a = layout.total_visual, layout.total_audio
-    return (r_v * n_v + r_a * n_a) / (n_v + n_a)
-
-
-class TestRatioArithmetic:
-    def test_overall_ratio(self):
-        lay = WindowLayout(n_v=np.array([288]), n_a=np.array([50]))
-        assert overall_ratio(0.30, 0.65, lay) == pytest.approx(118.9 / 338)
-
-    def test_audio_intact_inverts_overall(self):
-        lay = WindowLayout(n_v=np.full(3, 288), n_a=np.full(3, 50))
-        for r_v in (0.1, 0.24, 0.5):
-            r = overall_ratio(r_v, 1.0, lay)
-            assert audio_intact_rv(r, lay) == pytest.approx(r_v, abs=1e-12)
-
-    def test_negative_is_infeasible(self):
-        lay = WindowLayout(n_v=np.array([288]), n_a=np.array([50]))
-        with pytest.raises(InfeasibleRetentionError):
-            audio_intact_rv(0.10, lay)
-
-    def test_practical_floor(self):
-        # positive but below the reporting floor
-        lay = WindowLayout(n_v=np.array([288]), n_a=np.array([50]))
-        r_v = audio_intact_rv(0.15, lay)
-        assert 0 < r_v < MIN_PRACTICAL_RV
-        with pytest.raises(InfeasibleRetentionError):
-            audio_intact_rv(0.15, lay, min_practical=MIN_PRACTICAL_RV)
-
-    def test_no_audio_passthrough(self):
-        lay = WindowLayout(n_v=np.array([10, 10]), n_a=np.array([0, 0]))
-        assert audio_intact_rv(0.4, lay) == pytest.approx(0.4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from omniprefill.core import (
     AUDIO,
+    MAX_GROUP,
     TEXT,
     VISUAL,
     RetentionSpec,
@@ -15,7 +16,6 @@ from omniprefill.core import (
     WindowLayout,
 )
 from omniprefill.divprune import (
-    _cosine_distances,
     _distances,
     _maxmin,
     _unit_rows,
@@ -135,10 +135,12 @@ class TestGreedyMaxmin:
 
     def test_zero_norm_rows_at_unit_distance(self):
         emb = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        dist, zero_mask = _cosine_distances(emb)
+        unit, zero_mask = _unit_rows(emb, range(3))
+        dist = np.empty((1, 3, 3), dtype=np.float32)
+        _distances(unit[None], dist)
         assert zero_mask.tolist() == [True, False, False]
-        assert dist[0, 1] == dist[0, 2] == 1.0
-        assert dist[1, 2] == pytest.approx(0.0, abs=1e-12)
+        assert dist[0, 0, 1] == dist[0, 0, 2] == 1.0
+        assert dist[0, 1, 2] == pytest.approx(0.0, abs=1e-12)
         # zero row is maximally distant, so it wins a k=2 slot
         picks = greedy_maxmin(emb, np.ones(3), 2)
         assert 0 in picks.tolist()
@@ -552,3 +554,38 @@ class TestWinDivPrune:
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
         with pytest.raises(ValueError):
             win_div_prune(stream, bad_layout, None, spec)
+
+    @staticmethod
+    def one_big_group(m, n):
+        """A stream of width 1: one token of each modality in window 0 and
+        n tokens of modality m in window 1, then a text token."""
+        other = AUDIO if m == VISUAL else VISUAL
+        mods = [VISUAL, AUDIO] + [m] * n + [other, TEXT]
+        return TokenStream(
+            embeddings=np.ones((n + 4, 1), dtype=np.float32),
+            modality=np.array(mods),
+            window_id=np.array([0, 0] + [1] * (n + 1) + [-1]),
+            position=np.arange(n + 4))
+
+    @pytest.mark.parametrize("m, name", [(VISUAL, "visual"),
+                                         (AUDIO, "audio")])
+    def test_group_past_ceiling_rejected(self, m, name):
+        # refused before any distance block exists: the group would need
+        # (MAX_GROUP + 1)^2 float32 entries
+        stream = self.one_big_group(m, MAX_GROUP + 1)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.3, r_a=0.3, lambda_=1.0, tau=0.1)
+        with pytest.raises(StreamError, match=rf"^window 1 holds "
+                                              rf"{MAX_GROUP + 1} {name} rows; "
+                                              rf"a group may hold at most "
+                                              rf"{MAX_GROUP}$"):
+            win_div_prune(stream, lay, None, spec)
+
+    def test_group_at_ceiling_accepted(self):
+        # keeping every token allocates no distance block either
+        stream = self.one_big_group(VISUAL, MAX_GROUP)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=1.0, r_a=1.0, lambda_=1.0, tau=0.1)
+        got = win_div_prune(stream, lay, None, spec)
+        assert got.kept_v.tolist() == [1, MAX_GROUP]
+        assert got.rows.tolist() == list(range(stream.n))

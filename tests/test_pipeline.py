@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from omniprefill.core import (
     AUDIO,
+    MAX_GROUP,
     TEXT,
     VISUAL,
     InfeasibleScheduleError,
@@ -18,10 +20,10 @@ from omniprefill.core import (
 from omniprefill.divprune import win_div_prune
 from omniprefill.io import read_ots, write_ots
 from omniprefill.pipeline import (
+    MAX_SYNTH_ENTRIES,
     ContainerOracle,
     SynthSpec,
     SyntheticOracle,
-    UniformOracle,
     mean_retention,
     retention_slack,
     run_pipeline,
@@ -169,6 +171,38 @@ class TestSynthGenerate:
             SynthSpec(seed=0, T=2, d=4, n_v=1, n_a=1, n_q=1,
                       planted_windows=(5,))
 
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(n_v=MAX_GROUP + 1), "n_v and n_a must be at most 4096"),
+        (dict(n_a=MAX_GROUP + 1), "n_v and n_a must be at most 4096"),
+        (dict(T=11, n_v=0, n_a=0, n_q=10), "T at most the 10 tokens"),
+        (dict(T=10**9, n_v=0, n_a=0), "T at most the 1 tokens"),
+        (dict(n_q=MAX_SYNTH_ENTRIES + 1),
+         "tokens x d at most 134217728; got T=1 d=1"),
+        (dict(T=2**27, n_v=1), "tokens x d at most 134217728"),
+    ], ids=["visual", "audio", "windows-past-text", "billion-windows",
+            "entries", "entries-by-windows"])
+    def test_sizes_past_bounds_rejected(self, sizes, message):
+        # a spec is only data until synth_generate runs, so a bound is
+        # tested at its value plus one without drawing anything
+        base = dict(seed=0, T=1, d=1, n_v=0, n_a=0, n_q=1)
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**{**base, **sizes})
+
+    def test_sizes_at_bounds_accepted(self):
+        base = dict(seed=0, T=1, d=1, n_v=0, n_a=0, n_q=1)
+        for sizes in (dict(n_v=MAX_GROUP, n_a=MAX_GROUP),
+                      dict(T=10, n_q=10),
+                      dict(n_q=MAX_SYNTH_ENTRIES),
+                      dict(n_q=MAX_SYNTH_ENTRIES // 4, d=4)):
+            SynthSpec(**{**base, **sizes})
+
+    @pytest.mark.parametrize("gain", [math.nan, -1.0])
+    def test_nan_or_negative_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="planted_gain must be "
+                                             "non-negative"):
+            SynthSpec(seed=0, T=2, d=4, n_v=1, n_a=1, n_q=1,
+                      planted_windows=(1,), planted_gain=gain)
+
     def test_provenance_names_generator(self):
         spec = SynthSpec(seed=0, T=2, d=4, n_v=1, n_a=1, n_q=1)
         prov = spec.provenance()
@@ -292,11 +326,31 @@ class TestRunPipeline:
     def test_stream_input_with_uniform_oracle(self):
         spec = SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4, n_q=3)
         stream, _ = synth_generate(spec)
-        _, trace = run_pipeline(stream, QWEN25, DEFAULTS,
-                                oracle=UniformOracle())
+        _, trace = run_pipeline(stream, QWEN25, DEFAULTS, oracle=None)
         # floor(0.42*10)=4 visual and floor(0.91*4)=3 audio per window
         assert trace.seq_len[0] == 2 * (4 + 3) + 3
         assert trace.seq_len[-1] == 3
+
+    @pytest.mark.parametrize("n_a", [4, 0], ids=["both", "no-audio"])
+    def test_no_oracle_means_uniform_signals(self, n_a):
+        # oracle=None runs as an oracle that weighs every stage-1 token 1
+        # and scores a modality's n survivors 1/n each at every drop layer
+        class Uniform:
+            def modality_saliency(self, modality, counts):
+                return np.ones(int(counts.sum()))
+
+            def query_probs(self, layer, modality, ordinals):
+                return np.full(len(ordinals), 1.0 / max(len(ordinals), 1))
+
+        spec = SynthSpec(seed=5, T=3, d=8, n_v=10, n_a=n_a, n_q=3)
+        stream, _ = synth_generate(spec)
+        _, none = run_pipeline(stream, QWEN25, DEFAULTS, oracle=None)
+        _, flat = run_pipeline(stream, QWEN25, DEFAULTS, oracle=Uniform())
+        assert none.stage1.rows.tolist() == flat.stage1.rows.tolist()
+        assert [s.kept.tolist() for s in none.selections] \
+            == [s.kept.tolist() for s in flat.selections]
+        assert [p.b.tolist() for _, p in none.plans] \
+            == [p.b.tolist() for _, p in flat.plans]
 
     def test_explicit_window_count(self):
         # trailing empty windows count toward T; a T that leaves a window
@@ -445,7 +499,6 @@ class TestContainerOracle:
         assert vec.dtype == np.float32
         assert vec.tolist() == [0.5, 2.0, 1.0, 1.0, 1.0, 3.0]
         assert oracle.modality_saliency(VISUAL, counts) is None
-        assert UniformOracle().modality_saliency(VISUAL, counts) is None
         # of two wrong lengths, the lower window is reported
         sections["saliency/w0/audio"] = np.ones(3)
         sections["saliency/w3/audio"] = np.ones(2)
@@ -551,14 +604,18 @@ def plain_modality_saliency(sections: dict, m: int, counts: np.ndarray):
                           ).astype(np.float32)
 
 
-class VectorOracle(UniformOracle):
-    """Hands stage 1 a fixed vector per modality (None for none)."""
+class VectorOracle:
+    """Hands stage 1 a fixed vector per modality (None for none) and leaves
+    the drop layers' scores uniform."""
 
     def __init__(self, vectors):
         self.vectors = vectors
 
     def modality_saliency(self, modality, counts):
         return self.vectors.get(modality)
+
+    def query_probs(self, layer, modality, ordinals):
+        return None
 
 
 class TestStage1Saliency:

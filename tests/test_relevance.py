@@ -1,49 +1,49 @@
 import numpy as np
 import pytest
 
-from omniprefill.core import StreamError, WindowLayout
-from omniprefill.relevance import (
-    RelevanceScores,
-    mean_received_attention,
-    softmax,
-    window_relevance,
-)
+from omniprefill.core import AUDIO, VISUAL, StreamError, WindowLayout
+from omniprefill.pipeline import SynthSpec, SyntheticOracle
+from omniprefill.relevance import RelevanceScores, softmax, window_relevance
+
+
+class FixedAttention(SyntheticOracle):
+    """A synthetic oracle whose every group attends as attn does."""
+
+    def __init__(self, attn):
+        n = attn.shape[0]
+        super().__init__(SynthSpec(seed=0, T=1, d=1, n_v=n, n_a=0, n_q=1))
+        self.attn = attn
+
+    def stage1_attention(self, window, modality, n):
+        return self.attn
 
 
 class TestMeanReceivedAttention:
+    """SyntheticOracle.saliency is the mean attention a token receives:
+    the column means of its group's row-stochastic attention."""
+
     def test_uniform(self):
         n = 5
         attn = np.full((n, n), 1.0 / n)
-        assert np.allclose(mean_received_attention(attn), 1.0 / n)
+        got = FixedAttention(attn).saliency(0, VISUAL, n)
+        assert np.allclose(got, 1.0 / n)
 
     def test_all_mass_on_first_token(self):
         attn = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert mean_received_attention(attn).tolist() == [1.0, 0.0]
+        assert FixedAttention(attn).saliency(0, VISUAL, 2).tolist() \
+            == [1.0, 0.0]
 
     def test_column_means(self):
-        rng = np.random.default_rng(0)
-        raw = rng.random((3, 3))
-        attn = raw / raw.sum(axis=1, keepdims=True)
-        got = mean_received_attention(attn)
-        # independent per-element summation
-        for j in range(3):
-            assert got[j] == pytest.approx(
-                sum(attn[i, j] for i in range(3)) / 3, abs=1e-12)
-
-    def test_head_axis_is_averaged(self):
-        rng = np.random.default_rng(1)
-        heads = rng.random((4, 3, 3))
-        heads /= heads.sum(axis=2, keepdims=True)
-        got = mean_received_attention(heads)
-        assert np.allclose(got, mean_received_attention(heads.mean(axis=0)))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            mean_received_attention(np.ones((2, 3)) / 3)
-
-    def test_rejects_non_stochastic_rows(self):
-        with pytest.raises(ValueError):
-            mean_received_attention(np.ones((3, 3)))
+        spec = SynthSpec(seed=0, T=2, d=4, n_v=4, n_a=3, n_q=1)
+        oracle = SyntheticOracle(spec)
+        for t, m, n in ((0, VISUAL, 4), (1, VISUAL, 4), (1, AUDIO, 3)):
+            attn = oracle.stage1_attention(t, m, n)
+            got = oracle.saliency(t, m, n)
+            # independent per-element summation
+            for j in range(n):
+                assert got[j] == pytest.approx(
+                    sum(attn[i, j] for i in range(n)) / n, abs=1e-12)
+            assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSoftmax:

@@ -49,6 +49,11 @@ from omniprefill.selector import apply_budget, select_topk
 SETTINGS = settings(max_examples=100, deadline=None)
 
 
+def rows_of(stream, m, t):
+    """Rows of modality m in window t, in storage order."""
+    return np.flatnonzero((stream.modality == m) & (stream.window_id == t))
+
+
 @st.composite
 def ragged_streams(draw, max_d=4):
     """A valid stream: per window its visual rows then its audio rows, with
@@ -156,7 +161,7 @@ def test_batched_stage1_matches_plain_loop(data):
         if vec is not None:
             weights[stream.rows_of(m)] = vec
         for t in range(layout.T):
-            rows = stream.rows_of(m, t)
+            rows = rows_of(stream, m, t)
             k = keep_count(min(1.0, spec.lambda_ * ratio), rows.size)
             assert kept[t] == k
             if k:
@@ -175,7 +180,7 @@ def test_zero_norm_notes_name_every_group(data):
     want = []
     for m, name in ((VISUAL, "visual"), (AUDIO, "audio")):
         for t in range(layout.T):
-            rows = stream.rows_of(m, t)
+            rows = rows_of(stream, m, t)
             zero = int((~stream.embeddings[rows].any(axis=1)).sum())
             if keep_count(0.5, rows.size) and zero:
                 want.append(f"{zero} zero-norm embeddings in window {t} "
@@ -240,7 +245,7 @@ def test_stage1_saliency_places_each_group_on_its_rows(data):
         want = np.ones(stream.n)
         held = False
         for t in range(layout.T):
-            rows = stream.rows_of(m, t)
+            rows = rows_of(stream, m, t)
             section = sections.get(f"saliency/w{t}/{name}")
             if rows.size and section is not None:
                 want[rows] = section
@@ -278,7 +283,7 @@ def test_vectorised_budget_matches_topk_per_window(data):
                             (AUDIO, layout.n_a, kept_a)):
         start = 0
         for t in range(layout.T):
-            rows = stream.rows_of(m, t)
+            rows = rows_of(stream, m, t)
             local = select_topk(scores[m][start:start + rows.size],
                                 int(budget[m][t]))
             want += rows[local].tolist()
