@@ -62,9 +62,16 @@ def _frozen(a, dtype):
 
 def freeze_fields(obj, dtype, *names) -> None:
     """Replace each named field of a frozen dataclass by a read-only array
-    of the given dtype, as _frozen makes it."""
+    of the given dtype, as _frozen makes it. Fields that name one object
+    get one array, frozen once."""
+    # id of a source -> (the source, held so its id stays its own, and its
+    # frozen array)
+    frozen = {}
     for name in names:
-        object.__setattr__(obj, name, _frozen(getattr(obj, name), dtype))
+        a = getattr(obj, name)
+        if id(a) not in frozen:
+            frozen[id(a)] = a, _frozen(a, dtype)
+        object.__setattr__(obj, name, frozen[id(a)][1])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -36,7 +36,9 @@ class SelectionResult:
 
     kept:  original positions of every surviving token (text included),
            ascending.
-    rows:  the same survivors as storage-row indices of the input stream.
+    rows:  the same survivors as storage-row indices of the input stream;
+           one array with kept when the stream's positions are its row
+           numbers.
     kept_v, kept_a: per-window surviving counts per modality.
     notes: diagnostics (currently zero-norm embedding reports).
     """
@@ -144,10 +146,14 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     largest. Every later step picks the candidate maximizing
     weight[c] * min over selected of dist(c, s). All ties break toward the
     lowest index, which is the earliest original position.
-    Returns ascending indices.
+    Returns ascending indices. More than MAX_GROUP tokens is a StreamError,
+    raised before any row is normalised or any block allocated.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
+    if n > MAX_GROUP:
+        raise StreamError(f"a group may hold at most {MAX_GROUP} tokens, "
+                          f"got {n}")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise StreamError(f"weights must have length {n}, got shape {w.shape}")
@@ -236,7 +242,8 @@ def win_div_prune(
     budget = max(25 * n_max**2, stream.embeddings.nbytes // 8)
     block = np.empty(0, dtype=np.float32)
 
-    keep_rows = [stream.rows_of(TEXT)]
+    # one flag per stream row; each group's rows are set once, to its picks
+    keep = stream.modality == TEXT
     kept_counts = {VISUAL: np.zeros(layout.T, dtype=np.int64),
                    AUDIO: np.zeros(layout.T, dtype=np.int64)}
     notes: list[str] = []
@@ -268,7 +275,7 @@ def win_div_prune(
                 for i in np.flatnonzero(zero.any(axis=1)):
                     zero_counts[int(windows[lo + i])] = int(zero[i].sum())
                 if k == n:
-                    keep_rows.append(group_rows.ravel())
+                    keep[group_rows] = True
                     continue
                 if block.size < G * n * n:
                     block = None  # release before growing
@@ -280,21 +287,24 @@ def win_div_prune(
                 # group_rows would raise stage 1's peak memory
                 weights = (np.ones((G, n)) if weight is None else
                            weight[starts[lo : lo + per_chunk, None] + offsets])
-                keep_rows.append(group_rows[_maxmin(dist, weights, k)])
+                keep[group_rows] = _maxmin(dist, weights, k)
         notes += [
             f"{zero_counts[t]} zero-norm embeddings in window {t} "
             f"{MODALITY_NAMES[m]}; treated as distance 1 to everything"
             for t in sorted(zero_counts)
         ]
 
-    # the distance block and the per-chunk picks go before the result is
-    # built, so its copies are the only stage-1 arrays left at its peak
+    # the distance block and the flags go before the result is built, so
+    # its copies are the only stage-1 arrays left at its peak
     del block
-    rows = np.concatenate(keep_rows)
-    del keep_rows
-    rows.sort(kind="stable")  # merges the ascending runs
+    rows = np.flatnonzero(keep)
+    del keep
+    # positions strictly increase, so these two ends make them row numbers
+    # and the survivors' positions their rows
+    position, last = stream.position, stream.n - 1
+    row_numbers = last >= 0 and position[0] == 0 and position[last] == last
     return SelectionResult(
-        kept=stream.position[rows],
+        kept=rows if row_numbers else position[rows],
         rows=rows,
         kept_v=kept_counts[VISUAL],
         kept_a=kept_counts[AUDIO],

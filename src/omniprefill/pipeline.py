@@ -46,7 +46,8 @@ _PURPOSE_STAGE1 = 2
 _PURPOSE_QUERY = 3
 _MASK64 = (1 << 64) - 1
 # The most embedding entries (tokens x d) a SynthSpec may ask for, 512 MiB
-# of float32; the bench's largest stream holds 11.1 M.
+# of float32, and the most stage-1 attention draws, T x (n_v^2 + n_a^2);
+# the bench's largest stream holds 11.1 M entries and makes 43.7 M draws.
 MAX_SYNTH_ENTRIES = 2**27
 
 
@@ -61,7 +62,8 @@ class SynthSpec:
 
     Sizes are bounded before anything is drawn: n_v and n_a at most
     MAX_GROUP, T at most the stream's token count n = T*(n_v+n_a) + n_q
-    (a container's rule), and n*d at most MAX_SYNTH_ENTRIES.
+    (a container's rule), and both n*d and the oracle's stage-1 attention
+    draws, T*(n_v^2 + n_a^2), at most MAX_SYNTH_ENTRIES.
     """
 
     seed: int
@@ -84,6 +86,12 @@ class SynthSpec:
                 f"{n} tokens and tokens x d at most {MAX_SYNTH_ENTRIES}; got "
                 f"T={self.T} d={self.d} n_v={self.n_v} n_a={self.n_a} "
                 f"n_q={self.n_q}")
+        draws = self.T * (self.n_v**2 + self.n_a**2)
+        if draws > MAX_SYNTH_ENTRIES:
+            raise ValueError(
+                f"stage-1 attention draws T x (n_v^2 + n_a^2) must be at most "
+                f"{MAX_SYNTH_ENTRIES}; got {draws} for T={self.T} "
+                f"n_v={self.n_v} n_a={self.n_a}")
         planted = tuple(sorted(int(t) for t in set(self.planted_windows)))
         if any(t < 0 or t >= self.T for t in planted):
             raise ValueError(f"planted windows must lie in [0, {self.T})")
@@ -105,12 +113,30 @@ class SynthSpec:
         }
 
 
-def _keyed_rng(seed: int, purpose: int, layer: int = 0, window: int = 0,
+def _philox() -> np.random.Generator:
+    """A Philox generator for _keyed_rng to re-key. Its seed is never drawn
+    from, and a given one spares the OS entropy an unseeded one reads."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _keyed_rng(rng: np.random.Generator, seed: int, purpose: int,
+               layer: int = 0, window: int = 0,
                modality: int = 0) -> np.random.Generator:
+    """rng, a _philox() generator, keyed by (seed, purpose, layer, window,
+    modality) with a zero counter and an empty buffer: the state that
+    np.random.Philox(key=...) starts in, set without building one."""
     context = purpose | (layer << 8) | (window << 24) | (modality << 40)
-    return np.random.Generator(
-        np.random.Philox(key=(seed & _MASK64) + (context << 64))
-    )
+    key = (seed & _MASK64) + (context << 64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _survivor_probs(logits: np.ndarray, layer: int,
@@ -137,11 +163,13 @@ class SyntheticOracle:
     stage1_attention answers with the full original group's row-stochastic
     matrix. Query logits are drawn once per (layer, modality) over the
     original token count and indexed by the survivors, so earlier selections
-    never perturb later scores.
+    never perturb later scores. Every draw re-keys the oracle's one
+    generator, so an oracle serves one thread at a time.
     """
 
     def __init__(self, spec: SynthSpec):
         self.spec = spec
+        self._rng = _philox()
         self._logit_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def stage1_attention(self, window: int, modality: int, n: int) -> np.ndarray:
@@ -152,8 +180,8 @@ class SyntheticOracle:
             )
         if n == 0:
             return np.zeros((0, 0))
-        rng = _keyed_rng(self.spec.seed, _PURPOSE_STAGE1, window=window,
-                         modality=modality)
+        rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_STAGE1,
+                         window=window, modality=modality)
         return softmax(rng.standard_normal((n, n)))
 
     def _query_logits(self, layer: int, modality: int) -> np.ndarray:
@@ -161,8 +189,8 @@ class SyntheticOracle:
         if key not in self._logit_cache:
             per_window = self.spec.n_v if modality == VISUAL else self.spec.n_a
             total = self.spec.T * per_window
-            rng = _keyed_rng(self.spec.seed, _PURPOSE_QUERY, layer=layer,
-                             modality=modality)
+            rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_QUERY,
+                             layer=layer, modality=modality)
             logits = rng.standard_normal(total)
             if self.spec.planted_windows and self.spec.planted_gain > 0:
                 window_of = np.repeat(np.arange(self.spec.T), per_window)
@@ -240,7 +268,7 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenStream, SyntheticOracle]:
     """Deterministic stream + oracle from a spec."""
     per_window = spec.n_v + spec.n_a
     n = spec.T * per_window + spec.n_q
-    rng = _keyed_rng(spec.seed, _PURPOSE_EMBED)
+    rng = _keyed_rng(_philox(), spec.seed, _PURPOSE_EMBED)
     embeddings = rng.standard_normal((n, spec.d), dtype=np.float32)
 
     window = np.repeat([VISUAL, AUDIO], [spec.n_v, spec.n_a])

@@ -14,7 +14,7 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
 )
-from omniprefill.divprune import win_div_prune
+from omniprefill.divprune import SelectionResult, win_div_prune
 
 
 def make_stream(rows, d=4, seed=0):
@@ -81,6 +81,19 @@ class TestTokenStream:
         assert array[0] != 0  # the source did change
         assert np.array_equal(s.position, np.arange(8))
         assert not s.position.flags.writeable
+
+    def test_one_source_in_two_fields_is_frozen_once(self):
+        # kept and rows naming one array give one read-only copy of it;
+        # equal arrays that are two objects stay two copies
+        rows = np.arange(5)
+        shared = SelectionResult(kept=rows, rows=rows, kept_v=[2], kept_a=[3])
+        assert shared.kept is shared.rows
+        rows[0] = 9  # a writable source is still copied
+        assert shared.rows.tolist() == [0, 1, 2, 3, 4]
+        assert not shared.rows.flags.writeable
+        apart = SelectionResult(kept=rows.copy(), rows=rows, kept_v=[2],
+                                kept_a=[3])
+        assert apart.kept is not apart.rows
 
     def test_take_preserves_rows(self):
         s = make_stream(MIXED_ROWS)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
 )
+from omniprefill import divprune
 from omniprefill.divprune import (
     _distances,
     _maxmin,
@@ -97,6 +99,32 @@ class TestGreedyMaxmin:
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(6, 3))
         assert greedy_maxmin(emb, np.ones(6), 6).tolist() == list(range(6))
+
+    def test_group_past_ceiling_rejected(self, monkeypatch):
+        # refused before any row is normalised: at k < n the group would
+        # need (MAX_GROUP + 1)^2 float32 distances
+        def never(*args):
+            raise AssertionError("rows normalised past the ceiling")
+
+        monkeypatch.setattr(divprune, "_unit_rows", never)
+        n = MAX_GROUP + 1
+        with pytest.raises(StreamError, match=rf"^a group may hold at most "
+                                              rf"{MAX_GROUP} tokens, got {n}$"):
+            greedy_maxmin(np.ones((n, 1)), np.ones(n), 2)
+
+    def test_all_kept_at_ceiling(self):
+        # k = n returns every index without a distance block, which would
+        # take 64 MiB at this size
+        n = MAX_GROUP
+        emb, w = np.ones((n, 1)), np.ones(n)
+        tracemalloc.start()
+        try:
+            got = greedy_maxmin(emb, w, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == list(range(n))
+        assert peak < 2**20
 
     def test_orthogonal_beats_duplicates(self):
         # three identical vectors plus one orthogonal: k=2 must take the

@@ -179,8 +179,13 @@ class TestSynthGenerate:
         (dict(n_q=MAX_SYNTH_ENTRIES + 1),
          "tokens x d at most 134217728; got T=1 d=1"),
         (dict(T=2**27, n_v=1), "tokens x d at most 134217728"),
+        # 2^27 + 1 = 1657009 * 9^2 stage-1 attention draws
+        (dict(T=1657009, n_v=9), r"draws T x \(n_v\^2 \+ n_a\^2\) must "
+         r"be at most 134217728; got 134217729 for T=1657009 n_v=9 n_a=0$"),
+        (dict(T=16000, n_v=MAX_GROUP, n_a=MAX_GROUP),
+         "got 536870912000 for T=16000"),
     ], ids=["visual", "audio", "windows-past-text", "billion-windows",
-            "entries", "entries-by-windows"])
+            "entries", "entries-by-windows", "draws", "draws-long"])
     def test_sizes_past_bounds_rejected(self, sizes, message):
         # a spec is only data until synth_generate runs, so a bound is
         # tested at its value plus one without drawing anything
@@ -193,7 +198,8 @@ class TestSynthGenerate:
         for sizes in (dict(n_v=MAX_GROUP, n_a=MAX_GROUP),
                       dict(T=10, n_q=10),
                       dict(n_q=MAX_SYNTH_ENTRIES),
-                      dict(n_q=MAX_SYNTH_ENTRIES // 4, d=4)):
+                      dict(n_q=MAX_SYNTH_ENTRIES // 4, d=4),
+                      dict(T=8, n_v=MAX_GROUP)):  # 8 * 4096^2 draws
             SynthSpec(**{**base, **sizes})
 
     @pytest.mark.parametrize("gain", [math.nan, -1.0])
@@ -391,6 +397,36 @@ class TestRunPipeline:
         for a, b in zip(trace.selections, near.selections):
             assert np.array_equal(a.kept, b.kept)
 
+    def test_stage1_holds_row_numbers_once(self):
+        # a generated stream's positions are its row numbers, so stage 1's
+        # survivors are one read-only array, as kept and as rows
+        _, trace = run_pipeline(
+            SynthSpec(seed=3, T=4, d=8, n_v=12, n_a=5, n_q=6), QWEN25,
+            DEFAULTS)
+        stage1 = trace.stage1
+        assert stage1.kept is stage1.rows
+        assert not stage1.rows.flags.writeable
+
+    def test_stage1_kept_are_positions_of_rows(self):
+        # positions that are not the row numbers: shifted, or starting at 0
+        # with a gap before the last row. kept maps the same rows through
+        # them
+        stream, _ = synth_generate(
+            SynthSpec(seed=3, T=4, d=8, n_v=12, n_a=5, n_q=6))
+        want = win_div_prune(stream, WindowLayout.from_stream(stream), None,
+                             DEFAULTS).rows
+        gap = stream.position.copy()
+        gap[-1] += 1
+        for position in (stream.position + 5, gap):
+            moved = TokenStream(embeddings=stream.embeddings,
+                                modality=stream.modality,
+                                window_id=stream.window_id, position=position)
+            _, trace = run_pipeline(moved, QWEN25, DEFAULTS)
+            stage1 = trace.stage1
+            assert np.array_equal(stage1.rows, want)
+            assert stage1.kept is not stage1.rows
+            assert np.array_equal(stage1.kept, position[stage1.rows])
+
     def test_container_stream_peak_memory(self):
         # a container read by read_ots hands the engine zero-copy views, as
         # the benchmark does, so the peak is the engine's own arrays: the
@@ -400,6 +436,14 @@ class TestRunPipeline:
         # modality row maps and stage 1 kept float32 saliency and rows, and
         # 1.32 MiB after; it sits between the two
         assert container_request_peak(T=64, n_v=288, n_a=50) < 1.45 * 2**20
+
+    def test_long_clip_container_peak_memory(self):
+        # the bench's long-clip shape, whose peak falls in stage 1's chunk
+        # loop or layer 19. The bound was set from the peak measured on this
+        # stream, 4.98 MiB when stage 1 built its survivors from per-chunk
+        # lists and held them twice, as kept and as rows, and 4.40 MiB with
+        # one pick mask and one array; it sits between the two
+        assert container_request_peak(T=512, n_v=288, n_a=50) < 4.7 * 2**20
 
     def test_many_windows_container_peak_memory(self):
         # a table of 1,030 sections: the peak counts the read, so it counts

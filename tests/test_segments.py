@@ -224,6 +224,8 @@ def test_stage1_saliency_places_each_group_on_its_rows(data):
     # saliency sections for a random subset of the groups, with distinct
     # values; the rest of the windows have none and weigh 1
     stream, layout = data.draw(ragged_streams())
+    # a container's t may not exceed its token count
+    assume(stream.window_id.max(initial=0) < max(1, stream.n))
     sections = {}
     for m, name, counts in ((VISUAL, "visual", layout.n_v),
                             (AUDIO, "audio", layout.n_a)):
