@@ -22,6 +22,10 @@ NO_WINDOW = -1
 # n x n float32 distance block per group, 64 MiB at this size, and refuses
 # a larger group before it allocates one; the bench's groups hold 288.
 MAX_GROUP = 4096
+# The most rows a stream may hold, so that every row number fits the int32
+# indices stage 1 and the drop layers hold; TokenStream refuses a longer
+# field on its shape, before it copies anything.
+MAX_ROWS = 2**31 - 1
 
 
 class EngineError(Exception):
@@ -85,7 +89,8 @@ class TokenStream:
     position:   (N,) original sequence index, strictly increasing.
 
     A stream that breaks one of these is a StreamError naming the first
-    faulty row, so no stage checks them again.
+    faulty row, so no stage checks them again, and so is a field of more
+    than MAX_ROWS rows.
     """
 
     embeddings: np.ndarray
@@ -94,6 +99,11 @@ class TokenStream:
     position: np.ndarray
 
     def __post_init__(self):
+        for name in ("embeddings", "modality", "window_id", "position"):
+            shape = np.shape(getattr(self, name))
+            if shape and shape[0] > MAX_ROWS:
+                raise StreamError(f"a stream holds at most {MAX_ROWS} rows, "
+                                  f"{name} has {shape[0]}")
         freeze_fields(self, np.float32, "embeddings")
         freeze_fields(self, np.int64, "modality", "window_id", "position")
         if self.embeddings.ndim != 2:

@@ -240,7 +240,6 @@ def win_div_prune(
              AUDIO: shallow_ratio(spec.r_a, spec.lambda_)}
     n_max = int(max(layout.n_v.max(), layout.n_a.max()))
     budget = max(25 * n_max**2, stream.embeddings.nbytes // 8)
-    block = np.empty(0, dtype=np.float32)
 
     # one flag per stream row; each group's rows are set once, to its picks
     keep = stream.modality == TEXT
@@ -251,7 +250,12 @@ def win_div_prune(
         saliency = (None, None)
     for m, counts, weight in zip((VISUAL, AUDIO), (layout.n_v, layout.n_a),
                                  saliency):
-        rows = stream.rows_of(m)
+        # each modality grows its own block, so the visual pass's does not
+        # sit beside the audio pass's gathers, and drops the previous row
+        # index before it builds its own, int32 as a stream holds at most
+        # MAX_ROWS rows
+        block, dist, rows = np.empty(0, dtype=np.float32), None, None
+        rows = stream.rows_of(m).astype(np.int32)
         if weight is not None:
             weight = _checked_weights(weight, rows, MODALITY_NAMES[m])
         zero_counts = {}
@@ -278,7 +282,7 @@ def win_div_prune(
                     keep[group_rows] = True
                     continue
                 if block.size < G * n * n:
-                    block = None  # release before growing
+                    block = dist = None  # release before growing
                     block = np.empty(G * n * n, dtype=np.float32)
                 dist = block[: G * n * n].reshape(G, n, n)
                 _distances(unit.reshape(G, n, -1), dist)
@@ -294,9 +298,9 @@ def win_div_prune(
             for t in sorted(zero_counts)
         ]
 
-    # the distance block and the flags go before the result is built, so
-    # its copies are the only stage-1 arrays left at its peak
-    del block
+    # the distance block, the row index and the flags go before the result
+    # is built, so its copies are the only stage-1 arrays left at its peak
+    del block, dist, rows
     rows = np.flatnonzero(keep)
     del keep
     # positions strictly increase, so these two ends make them row numbers

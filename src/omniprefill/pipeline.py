@@ -143,7 +143,9 @@ def _survivor_probs(logits: np.ndarray, layer: int,
                     ordinals: np.ndarray) -> np.ndarray:
     """Softmax of the surviving tokens' query logits. logits covers a
     modality's original tokens; ordinals index that original order."""
-    ordinals = np.asarray(ordinals, dtype=np.int64)
+    ordinals = np.asarray(ordinals)
+    if ordinals.dtype != np.int32:  # the run's own ordinals are int32
+        ordinals = ordinals.astype(np.int64)
     if ordinals.size == 0:
         return np.zeros(0)
     if ordinals.max() >= logits.shape[0]:
@@ -161,16 +163,16 @@ class SyntheticOracle:
     """Attention oracle for a generated stream.
 
     stage1_attention answers with the full original group's row-stochastic
-    matrix. Query logits are drawn once per (layer, modality) over the
+    matrix. Query logits are keyed by (layer, modality), drawn over the
     original token count and indexed by the survivors, so earlier selections
     never perturb later scores. Every draw re-keys the oracle's one
-    generator, so an oracle serves one thread at a time.
+    generator, so an oracle serves one thread at a time; nothing drawn is
+    kept, as a keyed draw repeats exactly.
     """
 
     def __init__(self, spec: SynthSpec):
         self.spec = spec
         self._rng = _philox()
-        self._logit_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def stage1_attention(self, window: int, modality: int, n: int) -> np.ndarray:
         expected = self.spec.n_v if modality == VISUAL else self.spec.n_a
@@ -185,19 +187,16 @@ class SyntheticOracle:
         return softmax(rng.standard_normal((n, n)))
 
     def _query_logits(self, layer: int, modality: int) -> np.ndarray:
-        key = (layer, modality)
-        if key not in self._logit_cache:
-            per_window = self.spec.n_v if modality == VISUAL else self.spec.n_a
-            total = self.spec.T * per_window
-            rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_QUERY,
-                             layer=layer, modality=modality)
-            logits = rng.standard_normal(total)
-            if self.spec.planted_windows and self.spec.planted_gain > 0:
-                window_of = np.repeat(np.arange(self.spec.T), per_window)
-                planted = np.isin(window_of, self.spec.planted_windows)
-                logits = logits + self.spec.planted_gain * planted
-            self._logit_cache[key] = logits
-        return self._logit_cache[key]
+        per_window = self.spec.n_v if modality == VISUAL else self.spec.n_a
+        total = self.spec.T * per_window
+        rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_QUERY,
+                         layer=layer, modality=modality)
+        logits = rng.standard_normal(total)
+        if self.spec.planted_windows and self.spec.planted_gain > 0:
+            window_of = np.repeat(np.arange(self.spec.T), per_window)
+            planted = np.isin(window_of, self.spec.planted_windows)
+            logits = logits + self.spec.planted_gain * planted
+        return logits
 
     def saliency(self, window: int, modality: int, n: int) -> np.ndarray:
         """Mean received attention inside one original group: the column
@@ -326,31 +325,46 @@ def stage1_saliency(oracle, layout: WindowLayout) -> tuple:
                  for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a)))
 
 
-def _survivors(stream: TokenStream, rows: np.ndarray):
-    """Per modality, visual then audio, the stage-1 survivors among the
-    stream rows `rows` as ascending ordinals into the modality's rows,
-    together with their original positions."""
+@dataclasses.dataclass
+class _Survivors:
+    """The non-text tokens still in the run, as a drop layer narrows them.
+
+    ordinals: per modality, visual then audio, ascending int32 ordinals
+              into the modality's original rows: what the oracle scores.
+    kept:     the previous selection's ascending original positions
+              (stage 1's include text), held as that selection holds them.
+    codes:    the int8 modality code of each entry of kept.
+    A modality's entries of kept ascend as its ordinals do, so its i-th
+    entry is the position of its i-th ordinal.
+    """
+
+    ordinals: list
+    kept: np.ndarray
+    codes: np.ndarray
+
+
+def _survivors(stream: TokenStream, stage1: SelectionResult) -> _Survivors:
+    """The stage-1 survivors of stream, ready for the first drop layer."""
     survived = np.zeros(stream.n, dtype=bool)
-    survived[rows] = True
-    out = []
-    for m in (VISUAL, AUDIO):
-        rows_m = stream.rows_of(m)
-        ordinals = np.flatnonzero(survived[rows_m])
-        out.append((ordinals, stream.position[rows_m[ordinals]]))
-    return out
+    survived[stage1.rows] = True
+    ordinals = [np.flatnonzero(survived[stream.modality == m]).astype(np.int32)
+                for m in (VISUAL, AUDIO)]
+    del survived
+    codes = stream.modality.astype(np.int8)[stage1.rows]
+    return _Survivors(ordinals, stage1.kept, codes)
 
 
-def _drop_layer(oracle, layer: int, survivors, layout: WindowLayout,
-                r_v: float, r_a: float, totals: tuple[int, int],
-                tau: float):
+def _drop_layer(oracle, layer: int, survivors: _Survivors,
+                layout: WindowLayout, r_v: float, r_a: float,
+                totals: tuple[int, int], tau: float):
     """One drop layer: score the survivors, allocate the layer's budget and
     keep each window's best. A modality that the oracle (None for none)
-    does not score gets uniform scores. survivors, one (ordinals,
-    positions) pair per modality, is narrowed in place, so each pair goes
-    as its successor comes. Returns the selection and the plan; nothing
-    else of the layer outlives the call."""
+    does not score gets uniform scores. survivors is narrowed in place to
+    the layer's selection, so each array goes as its successor comes.
+    Returns the selection and the plan; nothing else of the layer outlives
+    the call."""
     scores = []
-    for m, (ordinals, _) in zip((VISUAL, AUDIO), survivors):
+    for m, ordinals in zip((VISUAL, AUDIO), survivors.ordinals):
         probs = (None if oracle is None
                  else oracle.query_probs(layer, m, ordinals))
         if probs is None:
@@ -372,14 +386,21 @@ def _drop_layer(oracle, layer: int, survivors, layout: WindowLayout,
     # a long stream's peak falls in this layer: free each array once
     # nothing reads it
     del scores, rel
-    for m in range(len(survivors)):
-        survivors[m] = tuple(a[keep[m]] for a in survivors[m])
-    del keep
-    kept = np.concatenate([positions for _, positions in survivors])
-    kept.sort(kind="stable")  # merges the ascending runs
-    selection = LayerSelection(layer=layer, kept=kept,
+    # each modality's keep flags land on its codes' entries; text entries
+    # (stage 1's) stay unset
+    mask = np.zeros(survivors.kept.size, dtype=bool)
+    ordinals = survivors.ordinals
+    for m, keep_m in zip((VISUAL, AUDIO), keep):
+        flags = np.zeros(ordinals[m].size, dtype=bool)
+        flags[keep_m] = True
+        mask[survivors.codes == m] = flags
+        ordinals[m] = ordinals[m][keep_m]
+    del keep, flags
+    selection = LayerSelection(layer=layer, kept=survivors.kept[mask],
                                dropped_v=layout.n_v - plan.b_v,
                                dropped_a=layout.n_a - plan.b_a)
+    survivors.kept = selection.kept
+    survivors.codes = survivors.codes[mask]
     return selection, plan
 
 
@@ -427,12 +448,12 @@ def run_pipeline(
     layout = WindowLayout(stage1.kept_v, stage1.kept_a)
     # No later stage reads embeddings: each modality's survivors travel as
     # ascending ordinals into its original rows, window-major because those
-    # rows are, beside their original positions, and a drop layer narrows
-    # both. Query logits are drawn over that original order, so the
-    # ordinals are what the oracle scores, and selection cannot shift them.
-    # Text is never dropped, so the final text-only stream is the input's
-    # text rows.
-    survivors = _survivors(stream, stage1.rows)
+    # rows are, and their positions as the previous selection's kept array
+    # with one modality code per entry; a drop layer narrows all three.
+    # Query logits are drawn over that original order, so the ordinals are
+    # what the oracle scores, and selection cannot shift them. Text is
+    # never dropped, so the final text-only stream is the input's text rows.
+    survivors = _survivors(stream, stage1)
 
     L = config.layers
     kept = np.empty((2, L), dtype=np.int64)  # visual, audio tokens per layer

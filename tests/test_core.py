@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from omniprefill import core
 from omniprefill.core import (
     AUDIO,
+    MAX_ROWS,
     TEXT,
     VISUAL,
     ModelConfig,
@@ -94,6 +97,38 @@ class TestTokenStream:
         apart = SelectionResult(kept=rows.copy(), rows=rows, kept_v=[2],
                                 kept_a=[3])
         assert apart.kept is not apart.rows
+
+    @pytest.mark.parametrize("field", ["embeddings", "modality",
+                                       "window_id", "position", "all"])
+    def test_rows_past_ceiling_rejected(self, field):
+        # MAX_ROWS + 1 rows of zero stride, so nothing is allocated: the
+        # ceiling is checked on the shapes, before any field is copied
+        n = MAX_ROWS + 1
+        long = {"embeddings": np.broadcast_to(np.float32(0.0), (n, 1)),
+                "modality": np.broadcast_to(np.int64(TEXT), (n,)),
+                "window_id": np.broadcast_to(np.int64(-1), (n,)),
+                "position": np.broadcast_to(np.int64(0), (n,))}
+        fields = {"embeddings": np.zeros((1, 1), dtype=np.float32),
+                  "modality": [TEXT], "window_id": [-1], "position": [0]}
+        fields.update(long if field == "all" else {field: long[field]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(StreamError, match=(
+                    f"a stream holds at most {MAX_ROWS} rows, "
+                    f"{'embeddings' if field == 'all' else field} has {n}")):
+                TokenStream(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_rows_at_ceiling_accepted(self, monkeypatch):
+        # the ceiling is read when a stream is built; a lower one shows
+        # where it falls without 2**31 rows
+        monkeypatch.setattr(core, "MAX_ROWS", len(MIXED_ROWS))
+        assert make_stream(MIXED_ROWS).n == len(MIXED_ROWS)
+        with pytest.raises(StreamError, match="at most 8 rows, embeddings has 9"):
+            make_stream(MIXED_ROWS + [(TEXT, -1)])
 
     def test_take_preserves_rows(self):
         s = make_stream(MIXED_ROWS)

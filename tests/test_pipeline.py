@@ -17,6 +17,7 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
 )
+from omniprefill import pipeline
 from omniprefill.divprune import win_div_prune
 from omniprefill.io import read_ots, write_ots
 from omniprefill.pipeline import (
@@ -86,6 +87,42 @@ def container_request_peak(T: int, n_v: int, n_a: int) -> int:
         assert a.layer == b.layer
         assert np.array_equal(a.kept, b.kept)
     return peak
+
+
+def request_phase_peaks(monkeypatch, T: int, n_v: int, n_a: int) -> list:
+    """(phase, peak) for each phase of one request on request_container(T,
+    n_v, n_a), in call order: stage 1 (win_div_prune), the survivor carry
+    (_survivors) and each drop layer (_drop_layer). A phase's peak is its
+    tracemalloc peak, in bytes, above what was traced when the request
+    started."""
+    data = request_container(T, n_v, n_a)
+
+    def request():
+        stream, sections, header = read_ots(data)
+        oracle = ContainerOracle(sections, header["t"])
+        return run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)[1]
+
+    request()
+    peaks = []
+
+    def phase(name, call):
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            result = call(*args, **kwargs)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - base))
+            return result
+        return traced
+
+    for name in ("win_div_prune", "_survivors", "_drop_layer"):
+        monkeypatch.setattr(pipeline, name, phase(name, getattr(pipeline, name)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        request()
+    finally:
+        tracemalloc.stop()
+    return peaks
 
 
 class TestSynthGenerate:
@@ -445,6 +482,42 @@ class TestRunPipeline:
         # one pick mask and one array; it sits between the two
         assert container_request_peak(T=512, n_v=288, n_a=50) < 4.7 * 2**20
 
+    def test_long_clip_narrow_survivors_peak_memory(self):
+        # the same shape. The bound was set from the peak measured on this
+        # stream, 4.40 MiB when stage 1 held an int64 row index and its
+        # visual distance block into the audio pass and each drop layer an
+        # int64 copy of the survivors' positions, and 3.76 MiB with an int32
+        # index, a block per modality and the previous kept array carried;
+        # it sits between the two
+        assert container_request_peak(T=512, n_v=288, n_a=50) < 4.0 * 2**20
+
+    def test_bench_many_windows_container_peak_memory(self):
+        # the bench's many-windows shape, 2,048 windows of 16 visual and 4
+        # audio tokens. The bound was set from the peak measured on this
+        # stream, 1.92 MiB with int64 survivor positions copied at every
+        # drop layer and 1.76 MiB with int32 ordinals and the previous kept
+        # array carried; it sits between the two
+        assert container_request_peak(T=2048, n_v=16, n_a=4) < 1.84 * 2**20
+
+    def test_long_clip_phase_peak_memory(self, monkeypatch):
+        # each phase of the long-clip request bounded on its own, so that a
+        # regression names its phase. The bounds sit between the peaks
+        # measured before and after stage 1 held an int32 row index and a
+        # distance block per modality, and the drop layers carried int32
+        # ordinals beside the previous kept array: stage 1 4.40 -> 3.76 MiB,
+        # the survivor carry 3.51 -> 1.68, layers 17, 19 and 21
+        # 4.07/4.34/4.14 -> 3.19/3.51/3.48
+        peaks = request_phase_peaks(monkeypatch, T=512, n_v=288, n_a=50)
+        assert [name for name, _ in peaks] == \
+            ["win_div_prune", "_survivors"] + 3 * ["_drop_layer"]
+        (_, stage1), (_, carry), *layers = peaks
+        assert stage1 < 3.85 * 2**20
+        assert carry < 2.6 * 2**20
+        for _, peak in layers:
+            assert peak < 3.8 * 2**20
+            # the request's peak is stage 1's
+            assert peak < stage1
+
     def test_many_windows_container_peak_memory(self):
         # a table of 1,030 sections: the peak counts the read, so it counts
         # what the request keeps of the table. The bound was set from the
@@ -708,6 +781,20 @@ class TestStage1Saliency:
 
 
 class TestSyntheticOracleKeying:
+    def test_query_logits_are_drawn_afresh(self):
+        # the oracle holds no logits between calls: a keyed draw repeats
+        # exactly, whatever was drawn in between
+        spec = SynthSpec(seed=11, T=2, d=4, n_v=6, n_a=3, n_q=2,
+                         planted_windows=(1,), planted_gain=1.5)
+        oracle = SyntheticOracle(spec)
+        first = oracle._query_logits(17, VISUAL)
+        oracle._query_logits(19, AUDIO)
+        again = oracle._query_logits(17, VISUAL)
+        assert again is not first
+        assert np.array_equal(again, first)
+        assert np.array_equal(
+            SyntheticOracle(spec)._query_logits(17, VISUAL), first)
+
     def test_distinct_purposes_decorrelate(self):
         spec = SynthSpec(seed=11, T=1, d=4, n_v=6, n_a=6, n_q=2)
         oracle = SyntheticOracle(spec)

@@ -55,11 +55,13 @@ def rows_of(stream, m, t):
 
 
 @st.composite
-def ragged_streams(draw, max_d=4):
-    """A valid stream: per window its visual rows then its audio rows, with
-    text rows slotted in anywhere. Counts are ragged and may be zero, and a
-    modality may be absent altogether. Embedding entries come from a tiny
-    alphabet, so zero rows and exact duplicates are common."""
+def ragged_streams(draw, max_d=4, interleave=False):
+    """A valid stream: per window its visual rows then its audio rows (in a
+    drawn order when interleave is set), with text rows slotted in
+    anywhere. Counts are ragged and may be zero, and a modality may be
+    absent altogether. Positions start past 0, so they are never the row
+    numbers. Embedding entries come from a tiny alphabet, so zero rows and
+    exact duplicates are common."""
     T = draw(st.integers(1, 5))
     counts = st.lists(st.integers(0, 9), min_size=T, max_size=T)
     n_v, n_a = draw(counts), draw(counts)
@@ -70,13 +72,15 @@ def ragged_streams(draw, max_d=4):
         n_a = [0] * T
     mods, wins = [], []
     for t in range(T):
-        for m, count in ((VISUAL, n_v[t]), (AUDIO, n_a[t])):
-            for _ in range(count):
-                if draw(st.integers(0, 5)) == 0:
-                    mods.append(TEXT)
-                    wins.append(-1)
-                mods.append(m)
-                wins.append(t)
+        labels = [VISUAL] * n_v[t] + [AUDIO] * n_a[t]
+        if interleave:
+            labels = draw(st.permutations(labels))
+        for m in labels:
+            if draw(st.integers(0, 5)) == 0:
+                mods.append(TEXT)
+                wins.append(-1)
+            mods.append(m)
+            wins.append(t)
     mods += [TEXT] * draw(st.integers(0, 2))
     wins += [-1] * (len(mods) - len(wins))
     n, d = len(mods), draw(st.integers(1, max_d))
@@ -509,6 +513,58 @@ def test_pipeline_invariants_on_ragged_streams(data):
     text = stream.rows_of(TEXT)
     assert final.position.tolist() == stream.position[text].tolist()
     assert np.all(final.modality == TEXT)
+
+
+class AskedLogitOracle(RandomLogitOracle):
+    """A RandomLogitOracle that records the ordinals each drop layer asks
+    it to score."""
+
+    def __init__(self, seed, stream):
+        super().__init__(seed, stream)
+        self.asked = {}
+
+    def query_probs(self, layer, modality, ordinals):
+        self.asked[layer, modality] = np.asarray(ordinals).tolist()
+        return super().query_probs(layer, modality, ordinals)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_drop_layers_carry_each_modalitys_survivors(data):
+    # visual and audio rows interleave inside windows and positions are not
+    # row numbers, so a modality's survivors are not a run of the stream.
+    # Each modality's surviving ordinals are followed here on their own:
+    # every layer must score exactly them and keep the positions of its
+    # per-window top-k, concatenated and sorted
+    stream, _ = data.draw(ragged_streams(interleave=True))
+    config = data.draw(st.sampled_from(CONFIGS))
+    ratio = st.sampled_from([0.1, 0.3, 0.5, 0.65])
+    retention = RetentionSpec(r_v=data.draw(ratio), r_a=data.draw(ratio),
+                              lambda_=1.4, tau=0.1)
+    oracle = AskedLogitOracle(data.draw(st.integers(0, 2**32 - 1)), stream)
+    _, trace = run_pipeline(stream, config, retention, oracle=oracle)
+
+    rows = {m: np.flatnonzero(stream.modality == m) for m in (VISUAL, AUDIO)}
+    stage1 = set(trace.stage1.rows.tolist())
+    ordinals = {m: [i for i, r in enumerate(rows[m].tolist()) if r in stage1]
+                for m in (VISUAL, AUDIO)}
+    plans = dict(trace.plans)
+    for sel in trace.selections[:-1]:
+        plan = plans[sel.layer]
+        want = []
+        for m, budget in ((VISUAL, plan.b_v), (AUDIO, plan.b_a)):
+            assert oracle.asked[sel.layer, m] == ordinals[m]
+            logits = oracle.logits(sel.layer, m)
+            window = stream.window_id[rows[m]]
+            kept = []
+            for t in range(trace.T):
+                group = [i for i in ordinals[m] if window[i] == t]
+                kept += [group[j] for j in
+                         select_topk(logits[group], int(budget[t]))]
+            ordinals[m] = sorted(kept)
+            want += stream.position[rows[m][ordinals[m]]].tolist()
+        assert sel.kept.dtype == np.int64
+        assert sel.kept.tolist() == sorted(want)
 
 
 def repacked(data: bytes, cols: dict) -> bytes:
