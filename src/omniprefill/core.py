@@ -250,6 +250,22 @@ def segments(counts: np.ndarray):
         yield int(n), windows, starts[windows]
 
 
+def window_blocks(scores: np.ndarray,
+                  counts: np.ndarray) -> tuple[list, np.ndarray]:
+    """A modality's counts.sum() scores, window-major, gathered once per
+    segments() class as a (windows, starts, block) triple, row i of the
+    block holding window windows[i]'s scores, and the window means (0 where
+    empty): what apply_budget ranks and what window_relevance weighs."""
+    means = np.zeros(len(counts))
+    blocks = []
+    for n, windows, starts in segments(counts):
+        block = scores[starts[:, None] + np.arange(n)]
+        # block.mean(axis=1), bit for bit, without its Python wrapper
+        means[windows] = np.add.reduce(block, axis=1) / n
+        blocks.append((windows, starts, block))
+    return blocks, means
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     """Mock backbone geometry: layer count, widths, and block boundaries.

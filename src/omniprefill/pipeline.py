@@ -35,6 +35,7 @@ from .core import (
     TokenStream,
     WindowLayout,
     freeze_fields,
+    window_blocks,
 )
 from .divprune import SelectionResult, win_div_prune
 from .relevance import softmax, window_relevance
@@ -354,23 +355,44 @@ def _survivors(stream: TokenStream, stage1: SelectionResult) -> _Survivors:
     return _Survivors(ordinals, stage1.kept, codes)
 
 
+def _query_scores(oracle, layer: int, modality: int,
+                  ordinals: np.ndarray) -> np.ndarray:
+    """The oracle's (None for none) query scores of a modality's survivors
+    at a drop layer, or 1/n each for n survivors where it gives none. As
+    stage-1 saliency, they must be one finite, non-negative real number per
+    survivor; anything else is a StreamError naming layer and modality."""
+    probs = (None if oracle is None
+             else oracle.query_probs(layer, modality, ordinals))
+    if probs is None:
+        return np.full(ordinals.size, 1.0 / max(ordinals.size, 1))
+    probs = np.asarray(probs)
+    if probs.dtype.kind in "biuf" and probs.shape == ordinals.shape:
+        probs = probs.astype(np.float64, copy=False)
+        if probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < np.inf:
+            return probs
+    raise StreamError(
+        f"layer {layer} {MODALITY_NAMES[modality]} query scores must be "
+        f"{ordinals.size} finite, non-negative real numbers, one per "
+        f"survivor; got {probs.dtype} of shape {probs.shape}")
+
+
 def _drop_layer(oracle, layer: int, survivors: _Survivors,
                 layout: WindowLayout, r_v: float, r_a: float,
                 totals: tuple[int, int], tau: float):
     """One drop layer: score the survivors, allocate the layer's budget and
-    keep each window's best. A modality that the oracle (None for none)
-    does not score gets uniform scores. survivors is narrowed in place to
-    the layer's selection, so each array goes as its successor comes.
-    Returns the selection and the plan; nothing else of the layer outlives
-    the call."""
-    scores = []
-    for m, ordinals in zip((VISUAL, AUDIO), survivors.ordinals):
-        probs = (None if oracle is None
-                 else oracle.query_probs(layer, m, ordinals))
-        if probs is None:
-            probs = np.full(ordinals.size, 1.0 / max(ordinals.size, 1))
-        scores.append(probs)
-    rel = window_relevance(*scores, layout, tau)
+    keep each window's best. A modality's scores are gathered once per
+    window-size class, for relevance's window means and apply_budget's
+    ranking. survivors is narrowed in place to the layer's selection, so
+    each array goes as its successor comes. Returns the selection and the
+    plan; nothing else of the layer outlives the call."""
+    blocks, means = zip(*(
+        window_blocks(_query_scores(oracle, layer, m, ordinals), counts)
+        for m, ordinals, counts in zip((VISUAL, AUDIO), survivors.ordinals,
+                                       (layout.n_v, layout.n_a))))
+    rel = window_relevance(*means, layout, tau)
+    # a long stream's peak falls in this layer: free each array once
+    # nothing reads it
+    del means
     # Per-window keep floors at earlier stages can leave fewer survivors
     # than this layer's nominal budget (small windows lose a large fraction
     # to flooring). Scale both totals down together so the target fits; the
@@ -382,19 +404,16 @@ def _drop_layer(oracle, layer: int, survivors: _Survivors,
         shrink = capacity / nominal
         totals = (n_v0 * shrink, n_a0 * shrink)
     plan = allocate(rel, r_v, r_a, layout, totals=totals)
-    keep = apply_budget(plan, *scores, layout)
-    # a long stream's peak falls in this layer: free each array once
-    # nothing reads it
-    del scores, rel
+    del rel
+    keep = apply_budget(plan, *blocks, layout)
+    del blocks
     # each modality's keep flags land on its codes' entries; text entries
     # (stage 1's) stay unset
     mask = np.zeros(survivors.kept.size, dtype=bool)
     ordinals = survivors.ordinals
-    for m, keep_m in zip((VISUAL, AUDIO), keep):
-        flags = np.zeros(ordinals[m].size, dtype=bool)
-        flags[keep_m] = True
+    for m, flags in zip((VISUAL, AUDIO), keep):
         mask[survivors.codes == m] = flags
-        ordinals[m] = ordinals[m][keep_m]
+        ordinals[m] = ordinals[m][flags]
     del keep, flags
     selection = LayerSelection(layer=layer, kept=survivors.kept[mask],
                                dropped_v=layout.n_v - plan.b_v,

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import StreamError, WindowLayout, freeze_fields, segments
+from .core import StreamError, WindowLayout, freeze_fields
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -54,7 +54,7 @@ class RelevanceScores:
             raise StreamError("s_v, s_a and s must be 1-d and the same length")
         for name in ("s_v", "s_a", "s"):
             w = getattr(self, name)
-            if not np.all(np.isfinite(w) & (w >= 0)):
+            if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
                 raise StreamError(
                     f"{name} weights must be finite and non-negative")
 
@@ -63,44 +63,29 @@ class RelevanceScores:
         return int(self.s.shape[0])
 
 
-def _window_means(scores: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window mean of a per-token score vector laid out window-major."""
-    means = np.zeros(counts.shape[0], dtype=np.float64)
-    for n, windows, starts in segments(counts):
-        means[windows] = scores[starts[:, None] + np.arange(n)].mean(axis=1)
-    return means, counts > 0
-
-
 def window_relevance(
-    scores_v: np.ndarray,
-    scores_a: np.ndarray,
+    means_v: np.ndarray,
+    means_a: np.ndarray,
     layout: WindowLayout,
     tau: float,
 ) -> RelevanceScores:
-    """Window weights from per-token query scores.
+    """Window weights from per-window mean query scores.
 
-    scores_v / scores_a are the post-softmax query attention over the current
-    visual / audio tokens, in storage order. Each modality's window means go
-    through softmax(mean/tau) over the windows where it is present.
+    means_v / means_a hold each window's mean post-softmax query attention
+    over its current visual / audio tokens, as core.window_blocks takes
+    them; softmax(mean/tau) runs over the windows where layout has the
+    modality, and the other entries are not read.
     """
     if not tau > 0.0:  # a NaN tau fails this too
         raise StreamError(f"tau must be positive, got {tau}")
-    scores_v = np.asarray(scores_v, dtype=np.float64)
-    scores_a = np.asarray(scores_a, dtype=np.float64)
-    if scores_v.shape[0] != layout.total_visual:
-        raise StreamError(
-            f"visual scores length {scores_v.shape[0]} != layout total "
-            f"{layout.total_visual}"
-        )
-    if scores_a.shape[0] != layout.total_audio:
-        raise StreamError(
-            f"audio scores length {scores_a.shape[0]} != layout total "
-            f"{layout.total_audio}"
-        )
-
     weights = []
-    for scores, counts in ((scores_v, layout.n_v), (scores_a, layout.n_a)):
-        means, present = _window_means(scores, counts)
+    for name, means, counts in (("visual", means_v, layout.n_v),
+                                ("audio", means_a, layout.n_a)):
+        means = np.asarray(means, dtype=np.float64)
+        if means.shape != counts.shape:
+            raise StreamError(f"{name} means have shape {means.shape}, the "
+                              f"layout holds {layout.T} windows")
+        present = counts > 0
         w = np.zeros(layout.T, dtype=np.float64)
         if present.any():
             w[present] = softmax(means[present] / tau)

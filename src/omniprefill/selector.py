@@ -20,7 +20,6 @@ from .core import (
     TokenStream,
     WindowLayout,
     freeze_fields,
-    segments,
 )
 
 
@@ -56,33 +55,30 @@ def select_topk(scores: np.ndarray, budget: int) -> np.ndarray:
 
 def apply_budget(
     plan: BudgetPlan,
-    scores_v: np.ndarray,
-    scores_a: np.ndarray,
+    blocks_v: list,
+    blocks_a: list,
     layout: WindowLayout,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window per-modality top-k according to a plan built for layout.
 
-    scores_v / scores_a score each modality's current tokens, window-major
-    as layout counts them. Returns, per modality, the kept tokens as
-    ascending indices into those scores. Windows are ranked through
-    core.segments: one stable row-wise sort of descending scores per window
-    size, so ties go to the earlier token exactly as select_topk breaks them
-    window by window, and the work stays proportional to the tokens, however
-    ragged the windows.
+    blocks_v / blocks_a are each modality's current scores as
+    core.window_blocks gathers them over layout's counts. Returns, per
+    modality, keep flags over those tokens, window-major. A window whose
+    budget is its count is kept whole; a size class with any other window
+    is ranked by one stable row-wise sort of descending scores, so ties go
+    to the earlier token exactly as select_topk breaks them.
     """
     if plan.T != layout.T:
         raise StreamError(f"plan covers {plan.T} windows, the layout "
                           f"{layout.T}")
     kept = []
-    for scores, budget, counts in ((scores_v, plan.b_v, layout.n_v),
-                                   (scores_a, plan.b_a, layout.n_a)):
-        scores = np.asarray(scores, dtype=np.float64)
-        total = int(counts.sum())
-        if scores.shape != (total,):
-            raise StreamError(
-                f"scores length {scores.shape[0]} does not match the "
-                f"{total} current tokens of that modality"
-            )
+    for blocks, budget, counts, total in (
+            (blocks_v, plan.b_v, layout.n_v, layout.total_visual),
+            (blocks_a, plan.b_a, layout.n_a, layout.total_audio)):
+        held = sum(block.size for _, _, block in blocks)
+        if held != total:
+            raise StreamError(f"score blocks hold {held} tokens, the layout "
+                              f"{total}")
         over = np.flatnonzero(budget > counts)
         if over.size:
             t = int(over[0])
@@ -92,14 +88,17 @@ def apply_budget(
             )
         if np.any(budget < 0):
             raise StreamError("budget must be non-negative")
-        keep = np.zeros(total, dtype=bool)
-        for n, windows, starts in segments(counts):
-            # offsets of each window's tokens, best first
-            ranked = np.argsort(-scores[starts[:, None] + np.arange(n)],
-                                axis=1, kind="stable")
-            ranked += starts[:, None]
-            keep[ranked[np.arange(n) < budget[windows][:, None]]] = True
-        kept.append(np.flatnonzero(keep))
+        keep = np.repeat(budget == counts, counts)
+        partial = (budget > 0) & (budget < counts)
+        for windows, starts, block in blocks:
+            if partial[windows].any():
+                # offsets of each window's tokens, best first
+                ranked = np.argsort(-block, axis=1, kind="stable")
+                ranked += starts[:, None]
+                keep[ranked[np.arange(block.shape[1])
+                            < budget[windows][:, None]]] = True
+                del ranked
+        kept.append(keep)
     return tuple(kept)
 
 

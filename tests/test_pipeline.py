@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,8 @@ class TestSynthGenerate:
         lay = WindowLayout(n_v=np.full(5, 12), n_a=np.full(5, 4))
         sv = oracle.query_probs(17, VISUAL, np.arange(60))
         sa = oracle.query_probs(17, AUDIO, np.arange(20))
-        rel = window_relevance(sv, sa, lay, tau=0.1)
+        rel = window_relevance(sv.reshape(5, 12).mean(axis=1),
+                               sa.reshape(5, 4).mean(axis=1), lay, tau=0.1)
         assert int(np.argmax(rel.s)) == 3
 
     def test_unplanted_is_roughly_uniform(self):
@@ -198,7 +200,8 @@ class TestSynthGenerate:
         lay = WindowLayout(n_v=np.full(4, 50), n_a=np.full(4, 20))
         sv = oracle.query_probs(17, VISUAL, np.arange(200))
         sa = oracle.query_probs(17, AUDIO, np.arange(80))
-        rel = window_relevance(sv, sa, lay, tau=1.0)
+        rel = window_relevance(sv.reshape(4, 50).mean(axis=1),
+                               sa.reshape(4, 20).mean(axis=1), lay, tau=1.0)
         assert rel.s.max() - rel.s.min() < 0.2
 
     def test_spec_validation(self):
@@ -518,6 +521,19 @@ class TestRunPipeline:
             # the request's peak is stage 1's
             assert peak < stage1
 
+    def test_many_windows_phase_peak_memory(self, monkeypatch):
+        # the bench's many-windows shape, whose request peak falls in layer
+        # 21, bounded per drop layer. The bound sits between layer 21's
+        # peaks measured when each drop layer held the two flat score
+        # vectors across allocate, 1.76 MiB, and when it held int64
+        # within-window ranks of both modalities beside the gathered score
+        # blocks, 1.86 MiB; with the blocks alone it is 1.74 MiB
+        peaks = request_phase_peaks(monkeypatch, T=2048, n_v=16, n_a=4)
+        assert [name for name, _ in peaks] == \
+            ["win_div_prune", "_survivors"] + 3 * ["_drop_layer"]
+        for _, peak in peaks[2:]:
+            assert peak < 1.80 * 2**20
+
     def test_many_windows_container_peak_memory(self):
         # a table of 1,030 sections: the peak counts the read, so it counts
         # what the request keeps of the table. The bound was set from the
@@ -778,6 +794,69 @@ class TestStage1Saliency:
                      for vec in pair)
         assert win_div_prune(stream, layout, pair, DEFAULTS).rows.tolist() \
             == win_div_prune(stream, layout, cast, DEFAULTS).rows.tolist()
+
+
+class AudioScoreOracle:
+    """Leaves stage 1 and the visual drop-layer scores uniform and scores
+    each drop layer's audio survivors as scores_of(ordinals) says."""
+
+    def __init__(self, scores_of):
+        self.scores_of = scores_of
+
+    def modality_saliency(self, modality, counts):
+        return None
+
+    def query_probs(self, layer, modality, ordinals):
+        return self.scores_of(ordinals) if modality == AUDIO else None
+
+
+def one_bad(value):
+    """Uniform scores with value in place of the last one."""
+    def scores_of(ordinals):
+        scores = np.full(ordinals.size, 1.0 / ordinals.size)
+        scores[-1] = value
+        return scores
+    return scores_of
+
+
+class TestQueryScores:
+    @pytest.mark.parametrize("scores_of, got", [
+        (lambda o: np.full((o.size, 1), 1.0 / o.size), r"float64 of shape "
+                                                       r"\(6, 1\)"),
+        (lambda o: ["0.5"] * o.size, r"<U3 of shape \(6,\)"),
+        (lambda o: np.ones(o.size - 1), r"float64 of shape \(5,\)"),
+        (lambda o: np.array(o.size * [1j]), r"complex128 of shape \(6,\)"),
+        (one_bad(-0.1), r"float64 of shape \(6,\)"),
+        (one_bad(math.nan), r"float64 of shape \(6,\)"),
+        (one_bad(math.inf), r"float64 of shape \(6,\)"),
+        (one_bad(-math.inf), r"float64 of shape \(6,\)"),
+        (lambda o: np.zeros(o.size), None),
+        (lambda o: np.arange(o.size), None),
+        (lambda o: (np.arange(o.size) % 2).astype(bool), None),
+        (lambda o: np.full(o.size, 0.25, dtype=np.float32), None),
+        (lambda o: [0.25] * o.size, None),
+    ], ids=["column", "strings", "short", "complex", "negative", "nan", "inf",
+            "-inf", "zeros", "ints", "bools", "float32", "list"])
+    def test_scores_are_checked_once_per_layer_and_modality(self, scores_of,
+                                                            got):
+        # the first drop layer, 17, scores the 6 audio survivors stage 1
+        # keeps of 2 windows of 4. Each bad vector is refused there, with
+        # no numpy warning on the way; real, finite, non-negative ones of
+        # any numeric dtype run through every drop layer
+        spec = SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4, n_q=3)
+        stream, _ = synth_generate(spec)
+        oracle = AudioScoreOracle(scores_of)
+        if got is None:
+            _, trace = run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)
+            assert [layer for layer, _ in trace.plans] == [17, 19, 21]
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StreamError, match=(
+                    r"^layer 17 audio query scores must be 6 finite, "
+                    r"non-negative real numbers, one per survivor; got "
+                    + got + "$")):
+                run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle)
 
 
 class TestSyntheticOracleKeying:

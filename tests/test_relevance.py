@@ -77,17 +77,31 @@ def layout(n_v, n_a):
     return WindowLayout(n_v=np.asarray(n_v), n_a=np.asarray(n_a))
 
 
+def window_means(scores, counts):
+    """np.mean of each window's run of a window-major score vector, 0 for
+    an empty window."""
+    ends = np.cumsum(counts)
+    return np.array([np.mean(scores[end - n:end]) if n else 0.0
+                     for n, end in zip(counts.tolist(), ends.tolist())])
+
+
+def relevance(scores_v, scores_a, lay, tau):
+    """window_relevance of per-token visual and audio scores."""
+    return window_relevance(window_means(scores_v, lay.n_v),
+                            window_means(scores_a, lay.n_a), lay, tau)
+
+
 class TestWindowRelevance:
     def test_uniform_scores(self):
         lay = layout([3, 3], [2, 2])
-        rel = window_relevance(np.full(6, 1 / 6), np.full(4, 0.25), lay, 0.1)
+        rel = relevance(np.full(6, 1 / 6), np.full(4, 0.25), lay, 0.1)
         assert np.allclose(rel.s_v, 0.5)
         assert np.allclose(rel.s_a, 0.5)
         assert np.allclose(rel.s, 0.5)
 
     def test_single_window(self):
         lay = layout([4], [2])
-        rel = window_relevance(np.full(4, 0.25), np.full(2, 0.5), lay, 0.1)
+        rel = relevance(np.full(4, 0.25), np.full(2, 0.5), lay, 0.1)
         assert rel.s_v.tolist() == [1.0]
         assert rel.s_a.tolist() == [1.0]
         assert rel.s.tolist() == [1.0]
@@ -96,7 +110,7 @@ class TestWindowRelevance:
         # visual window means 0.8 / 0.2 at tau 0.1 -> softmax(8, 2);
         # uniform audio stays at one half
         lay = layout([1, 1], [2, 2])
-        rel = window_relevance(np.array([0.8, 0.2]), np.full(4, 0.25), lay, 0.1)
+        rel = relevance(np.array([0.8, 0.2]), np.full(4, 0.25), lay, 0.1)
         z = np.exp([8.0, 2.0])
         want_v = z / z.sum()
         assert np.allclose(rel.s_v, want_v, atol=1e-12)
@@ -107,8 +121,8 @@ class TestWindowRelevance:
         lay = layout([1, 1, 1], [1, 1, 1])
         sv = np.array([0.2, 0.5, 0.3])
         sa = np.array([0.1, 0.6, 0.3])
-        a = window_relevance(sv, sa, lay, 0.05)
-        b = window_relevance(sv + 4.0, sa + 4.0, lay, 0.05)
+        a = relevance(sv, sa, lay, 0.05)
+        b = relevance(sv + 4.0, sa + 4.0, lay, 0.05)
         assert np.allclose(a.s_v, b.s_v, atol=1e-9)
         assert np.allclose(a.s_a, b.s_a, atol=1e-9)
 
@@ -117,11 +131,11 @@ class TestWindowRelevance:
         rng = np.random.default_rng(5)
         sv = rng.random(6)
         sa = rng.random(3)
-        base = window_relevance(sv, sa, lay, 0.1)
+        base = relevance(sv, sa, lay, 0.1)
         perm = [2, 0, 1]
         sv_p = np.concatenate([sv[2 * t: 2 * t + 2] for t in perm])
         sa_p = sa[perm]
-        moved = window_relevance(sv_p, sa_p, lay, 0.1)
+        moved = relevance(sv_p, sa_p, lay, 0.1)
         assert np.allclose(moved.s[0], base.s[2], atol=1e-12)
         assert np.allclose(moved.s[1], base.s[0], atol=1e-12)
 
@@ -129,21 +143,21 @@ class TestWindowRelevance:
         lay = layout([1, 1, 1], [1, 1, 1])
         sv = np.array([0.5, 0.3, 0.2])
         sa = np.array([0.4, 0.4, 0.2])
-        hot = window_relevance(sv, sa, lay, 1e6)
+        hot = relevance(sv, sa, lay, 1e6)
         assert np.allclose(hot.s, 1 / 3, atol=1e-4)
-        cold = window_relevance(sv, sa, lay, 1e-3)
+        cold = relevance(sv, sa, lay, 1e-3)
         assert np.argmax(cold.s_v) == 0
         assert cold.s_v[0] == pytest.approx(1.0, abs=1e-6)
         # argmax window identical at every temperature
         for tau in (1e-3, 0.1, 1.0, 10.0):
-            rel = window_relevance(sv, sa, lay, tau)
+            rel = relevance(sv, sa, lay, tau)
             assert np.argmax(rel.s_v) == 0
 
     def test_absent_modality_windows(self):
         # audio exists only in window 0: audio softmax runs over that single
         # window, and windows without audio take the visual weight unhalved
         lay = layout([2, 2], [1, 0])
-        rel = window_relevance(np.full(4, 0.25), np.array([0.9]), lay, 0.1)
+        rel = relevance(np.full(4, 0.25), np.array([0.9]), lay, 0.1)
         assert rel.s_a.tolist() == [1.0, 0.0]
         assert rel.s[0] == pytest.approx((0.5 + 1.0) / 2, abs=1e-12)
         assert rel.s[1] == pytest.approx(0.5, abs=1e-12)
@@ -163,15 +177,29 @@ class TestWindowRelevance:
     def test_rejects_length_mismatch(self):
         lay = layout([2], [1])
         with pytest.raises(ValueError):
-            window_relevance(np.array([1.0]), np.array([1.0]), lay, 0.1)
+            window_relevance(np.array([1.0, 1.0]), np.array([1.0]), lay, 0.1)
 
     @pytest.mark.parametrize("n_v, n_a, name", [([2], [1], "visual"),
                                                 ([1], [3], "audio")])
     def test_length_mismatch_is_stream_error(self, n_v, n_a, name):
-        with pytest.raises(StreamError, match=f"{name} scores length 1 != "
-                                              f"layout total"):
-            window_relevance(np.array([1.0]), np.array([1.0]),
+        # one window, and means for two in the named modality
+        means = {"visual": np.array([1.0]), "audio": np.array([1.0])}
+        means[name] = np.array([1.0, 2.0])
+        with pytest.raises(StreamError, match=rf"{name} means have shape "
+                                              rf"\(2,\), the layout holds 1 "
+                                              rf"windows"):
+            window_relevance(means["visual"], means["audio"],
                              layout(n_v, n_a), 0.1)
+
+    def test_empty_windows_means_are_not_read(self):
+        # an absent modality's entry takes no part in its softmax
+        lay = layout([1, 0, 1], [1, 1, 1])
+        a = window_relevance(np.array([0.2, 0.0, 0.5]),
+                             np.array([0.1, 0.6, 0.3]), lay, 0.1)
+        b = window_relevance(np.array([0.2, 9.0, 0.5]),
+                             np.array([0.1, 0.6, 0.3]), lay, 0.1)
+        assert a.s_v.tolist() == b.s_v.tolist()
+        assert a.s_v[1] == 0.0
 
 
 class TestRelevanceScores:

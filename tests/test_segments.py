@@ -33,9 +33,11 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
     segments,
+    window_blocks,
 )
 from omniprefill.divprune import keep_count, win_div_prune
 from omniprefill.io import ContainerFormatError, read_ots, write_ots
+from omniprefill import pipeline
 from omniprefill.pipeline import (
     ContainerOracle,
     mean_retention,
@@ -43,7 +45,7 @@ from omniprefill.pipeline import (
     run_pipeline,
     stage1_saliency,
 )
-from omniprefill.relevance import RelevanceScores, _window_means, softmax
+from omniprefill.relevance import RelevanceScores, softmax
 from omniprefill.selector import apply_budget, select_topk
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -281,12 +283,14 @@ def test_vectorised_budget_matches_topk_per_window(data):
                               int(budget[VISUAL].sum()
                                   + budget[AUDIO].sum())))
 
-    kept_v, kept_a = apply_budget(plan, scores[VISUAL], scores[AUDIO],
+    keep_v, keep_a = apply_budget(plan, window_blocks(scores[VISUAL],
+                                                      layout.n_v)[0],
+                                  window_blocks(scores[AUDIO], layout.n_a)[0],
                                   layout)
 
     want, got = [], []
-    for m, counts, kept in ((VISUAL, layout.n_v, kept_v),
-                            (AUDIO, layout.n_a, kept_a)):
+    for m, counts, keep in ((VISUAL, layout.n_v, keep_v),
+                            (AUDIO, layout.n_a, keep_a)):
         start = 0
         for t in range(layout.T):
             rows = rows_of(stream, m, t)
@@ -294,8 +298,8 @@ def test_vectorised_budget_matches_topk_per_window(data):
                                 int(budget[m][t]))
             want += rows[local].tolist()
             start += rows.size
-        assert np.all(np.diff(kept) > 0)
-        got += stream.rows_of(m)[kept].tolist()
+        assert keep.dtype == bool and keep.shape == (int(counts.sum()),)
+        got += stream.rows_of(m)[keep].tolist()
     assert sorted(got) == sorted(want)
 
 
@@ -310,8 +314,10 @@ def test_budget_beyond_a_window_is_infeasible(data):
                       totals=(int(b_v.sum()), int(layout.n_a.sum()),
                               int(b_v.sum() + layout.n_a.sum())))
     try:
-        apply_budget(plan, np.ones(layout.total_visual),
-                     np.ones(layout.total_audio), layout)
+        apply_budget(plan, window_blocks(np.ones(layout.total_visual),
+                                         layout.n_v)[0],
+                     window_blocks(np.ones(layout.total_audio),
+                                   layout.n_a)[0], layout)
     except InfeasibleBudgetError as exc:
         assert f"in window {t}" in str(exc)
     else:
@@ -323,15 +329,17 @@ def test_budget_beyond_a_window_is_infeasible(data):
        seed=st.integers(0, 2**32 - 1))
 def test_window_means_match_per_window_mean(counts, seed):
     # runs of 8 or more tokens take numpy's pairwise summation, so this
-    # also pins the summation order
+    # also pins the summation order; each block row is its window's run
     counts = np.array(counts, dtype=np.int64)
     scores = np.random.default_rng(seed).random(int(counts.sum()))
-    means, present = _window_means(scores, counts)
+    blocks, means = window_blocks(scores, counts)
+    rows = {t: block[i].tolist() for windows, _, block in blocks
+            for i, t in enumerate(windows.tolist())}
     start = 0
     for t, c in enumerate(counts.tolist()):
         want = scores[start:start + c].mean() if c else 0.0
         assert means[t] == want
-        assert present[t] == (c > 0)
+        assert rows.get(t, []) == scores[start:start + c].tolist()
         start += c
 
 
@@ -528,39 +536,109 @@ class AskedLogitOracle(RandomLogitOracle):
         return super().query_probs(layer, modality, ordinals)
 
 
+class ConstantOracle:
+    """Scores every survivor alike, so that every drop layer ranks ties,
+    and records the ordinals each drop layer asks it to score."""
+
+    def __init__(self, value):
+        self.value = value
+        self.asked = {}
+
+    def modality_saliency(self, modality, counts):
+        return None
+
+    def query_probs(self, layer, modality, ordinals):
+        self.asked[layer, modality] = np.asarray(ordinals).tolist()
+        return np.full(len(ordinals), self.value)
+
+
 @SETTINGS
 @given(data=st.data())
 def test_drop_layers_carry_each_modalitys_survivors(data):
     # visual and audio rows interleave inside windows and positions are not
     # row numbers, so a modality's survivors are not a run of the stream.
     # Each modality's surviving ordinals are followed here on their own:
-    # every layer must score exactly them and keep the positions of its
-    # per-window top-k, concatenated and sorted
+    # every layer must score exactly them, weigh each window by the np.mean
+    # of their scores and keep the positions of its per-window top-k,
+    # concatenated and sorted. Scores are random or all tied (no oracle, or
+    # a constant one); plans are the allocator's, or keep windows whole,
+    # whole or empty, or mix the three
     stream, _ = data.draw(ragged_streams(interleave=True))
     config = data.draw(st.sampled_from(CONFIGS))
     ratio = st.sampled_from([0.1, 0.3, 0.5, 0.65])
     retention = RetentionSpec(r_v=data.draw(ratio), r_a=data.draw(ratio),
                               lambda_=1.4, tau=0.1)
-    oracle = AskedLogitOracle(data.draw(st.integers(0, 2**32 - 1)), stream)
-    _, trace = run_pipeline(stream, config, retention, oracle=oracle)
+    scoring = data.draw(st.sampled_from(["random", "uniform", "constant"]))
+    oracle = {"random": lambda: AskedLogitOracle(
+                  data.draw(st.integers(0, 2**32 - 1)), stream),
+              "uniform": lambda: None,
+              "constant": lambda: ConstantOracle(0.25)}[scoring]()
+    budgets = data.draw(st.sampled_from(["allocated", "whole",
+                                         "whole or none", "mixed"]))
+    real_relevance, real_allocate = pipeline.window_relevance, pipeline.allocate
+    means = []
+
+    def recorded_relevance(means_v, means_a, layout, tau):
+        means.append((means_v.tolist(), means_a.tolist()))
+        return real_relevance(means_v, means_a, layout, tau)
+
+    def drawn_allocate(rel, r_v, r_a, layout, totals):
+        plan = real_allocate(rel, r_v, r_a, layout, totals=totals)
+        if budgets == "allocated":
+            return plan
+        # per window: 0 keeps none, 1 all and 2 the allocator's budget
+        kinds = {"whole": [1], "whole or none": [0, 1],
+                 "mixed": [0, 1, 2]}[budgets]
+        b = [np.choose(data.draw(st.lists(st.sampled_from(kinds),
+                                          min_size=layout.T,
+                                          max_size=layout.T)),
+                       [0 * counts, counts, allocated])
+             for allocated, counts in ((plan.b_v, layout.n_v),
+                                       (plan.b_a, layout.n_a))]
+        return BudgetPlan(b=b[0] + b[1], b_v=b[0], b_a=b[1],
+                          totals=(int(b[0].sum()), int(b[1].sum()),
+                                  int((b[0] + b[1]).sum())))
+
+    pipeline.window_relevance = recorded_relevance
+    pipeline.allocate = drawn_allocate
+    try:
+        _, trace = run_pipeline(stream, config, retention, oracle=oracle)
+    finally:
+        pipeline.window_relevance = real_relevance
+        pipeline.allocate = real_allocate
+
+    def scores_of(layer, m, ordinals):
+        """The scores the layer was given, one per surviving ordinal."""
+        n = len(ordinals)
+        if scoring == "random":
+            return softmax(oracle.logits(layer, m)[ordinals]) if n else \
+                np.zeros(0)
+        return np.full(n, 0.25 if scoring == "constant" else 1.0 / max(n, 1))
 
     rows = {m: np.flatnonzero(stream.modality == m) for m in (VISUAL, AUDIO)}
     stage1 = set(trace.stage1.rows.tolist())
     ordinals = {m: [i for i, r in enumerate(rows[m].tolist()) if r in stage1]
                 for m in (VISUAL, AUDIO)}
     plans = dict(trace.plans)
-    for sel in trace.selections[:-1]:
+    assert len(means) == len(trace.selections) - 1
+    for sel, layer_means in zip(trace.selections[:-1], means):
         plan = plans[sel.layer]
         want = []
-        for m, budget in ((VISUAL, plan.b_v), (AUDIO, plan.b_a)):
-            assert oracle.asked[sel.layer, m] == ordinals[m]
-            logits = oracle.logits(sel.layer, m)
-            window = stream.window_id[rows[m]]
+        for m, budget, got_means in ((VISUAL, plan.b_v, layer_means[0]),
+                                     (AUDIO, plan.b_a, layer_means[1])):
+            if oracle is not None:
+                assert oracle.asked[sel.layer, m] == ordinals[m]
+            scores = scores_of(sel.layer, m, ordinals[m])
+            window = stream.window_id[rows[m]][ordinals[m]]
             kept = []
             for t in range(trace.T):
-                group = [i for i in ordinals[m] if window[i] == t]
-                kept += [group[j] for j in
-                         select_topk(logits[group], int(budget[t]))]
+                group = np.flatnonzero(window == t)
+                if group.size:
+                    assert got_means[t] == np.mean(scores[group])
+                local = select_topk(scores[group], int(budget[t]))
+                if scoring != "random":  # all tied: the earliest tokens win
+                    assert local.tolist() == list(range(int(budget[t])))
+                kept += [ordinals[m][j] for j in group[local].tolist()]
             ordinals[m] = sorted(kept)
             want += stream.position[rows[m][ordinals[m]]].tolist()
         assert sel.kept.dtype == np.int64

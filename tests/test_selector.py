@@ -12,6 +12,7 @@ from omniprefill.core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    window_blocks,
 )
 from omniprefill.relevance import RelevanceScores
 from omniprefill.selector import apply_budget, late_removal, select_topk
@@ -76,9 +77,16 @@ def rows_of(stream, m, t):
     return np.flatnonzero((stream.modality == m) & (stream.window_id == t))
 
 
+def keep_flags(plan, sv, sa, lay):
+    """apply_budget on flat visual and audio scores, as window_blocks
+    gathers them over lay."""
+    return apply_budget(plan, window_blocks(sv, lay.n_v)[0],
+                        window_blocks(sa, lay.n_a)[0], lay)
+
+
 def survivors(stream, kept_v, kept_a):
-    """The stream that apply_budget's kept indices leave: the text rows
-    plus the kept rows of each modality, in storage order."""
+    """The stream that apply_budget's keep flags leave: the text rows plus
+    the kept rows of each modality, in storage order."""
     rows = np.concatenate([stream.rows_of(TEXT),
                            stream.rows_of(VISUAL)[kept_v],
                            stream.rows_of(AUDIO)[kept_a]])
@@ -90,8 +98,8 @@ class TestApplyBudget:
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=2)
         lay = WindowLayout.from_stream(stream)
         plan = allocate(uniform_rel(2), 1.0, 1.0, lay)
-        kept_v, kept_a = apply_budget(plan, np.full(6, 1 / 6),
-                                      np.full(4, 0.25), lay)
+        kept_v, kept_a = keep_flags(plan, np.full(6, 1 / 6),
+                                    np.full(4, 0.25), lay)
         out = survivors(stream, kept_v, kept_a)
         assert out.n == stream.n
         assert np.array_equal(out.position, stream.position)
@@ -100,8 +108,8 @@ class TestApplyBudget:
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=2)
         lay = WindowLayout.from_stream(stream)
         plan = allocate(uniform_rel(2), 0.0, 0.0, lay)
-        out = survivors(stream, *apply_budget(plan, np.full(6, 1 / 6),
-                                              np.full(4, 0.25), lay))
+        out = survivors(stream, *keep_flags(plan, np.full(6, 1 / 6),
+                                            np.full(4, 0.25), lay))
         want = late_removal(stream)
         assert np.array_equal(out.position, want.position)
         assert np.array_equal(out.modality, want.modality)
@@ -113,7 +121,7 @@ class TestApplyBudget:
         sv = rng.random(21)
         sa = rng.random(12)
         plan = allocate(uniform_rel(3), 0.5, 0.6, lay)
-        out = survivors(stream, *apply_budget(plan, sv, sa, lay))
+        out = survivors(stream, *keep_flags(plan, sv, sa, lay))
         for t in range(3):
             assert rows_of(out, VISUAL, t).size == int(plan.b_v[t])
             assert rows_of(out, AUDIO, t).size == int(plan.b_a[t])
@@ -125,7 +133,7 @@ class TestApplyBudget:
         rng = np.random.default_rng(5)
         sv, sa = rng.random(8), rng.random(6)
         plan = allocate(uniform_rel(2), 0.5, 2 / 3, lay)
-        out = survivors(stream, *apply_budget(plan, sv, sa, lay))
+        out = survivors(stream, *keep_flags(plan, sv, sa, lay))
         kept = set(out.position.tolist())
         for t in range(2):
             for mod, scores, budget, w in (
@@ -142,11 +150,14 @@ class TestApplyBudget:
                 assert got == want, (t, mod)
 
     def test_scores_length_must_match(self):
+        # blocks of 5 visual scores against a layout of 6 visual tokens
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=1)
         lay = WindowLayout.from_stream(stream)
         plan = allocate(uniform_rel(2), 0.5, 0.5, lay)
-        with pytest.raises(ValueError):
-            apply_budget(plan, np.ones(5), np.full(4, 0.25), lay)
+        with pytest.raises(StreamError, match="score blocks hold 5 tokens, "
+                                              "the layout 6"):
+            apply_budget(plan, window_blocks(np.ones(5), np.array([3, 2]))[0],
+                         window_blocks(np.full(4, 0.25), lay.n_a)[0], lay)
 
     def test_plan_stream_mismatch(self):
         stream = make_stream(T=2, n_v=2, n_a=1, n_q=1)
@@ -154,7 +165,7 @@ class TestApplyBudget:
         big = allocate(uniform_rel(2), 1.0, 1.0,
                        WindowLayout(n_v=np.array([3, 3]), n_a=np.array([1, 1])))
         with pytest.raises((ValueError, InfeasibleBudgetError)):
-            apply_budget(big, np.full(4, 0.25), np.full(2, 0.5), lay)
+            keep_flags(big, np.full(4, 0.25), np.full(2, 0.5), lay)
 
     def test_plan_and_layout_window_counts_must_agree(self):
         lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
@@ -162,14 +173,14 @@ class TestApplyBudget:
                         WindowLayout(n_v=np.array([2, 2, 0]),
                                      n_a=np.array([1, 1, 0])))
         with pytest.raises(StreamError, match="3 windows"):
-            apply_budget(wide, np.full(4, 0.25), np.full(2, 0.5), lay)
+            keep_flags(wide, np.full(4, 0.25), np.full(2, 0.5), lay)
 
     def test_negative_budget_rejected(self):
         lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
         plan = BudgetPlan(b=np.array([0, 3]), b_v=np.array([-1, 2]),
                           b_a=np.array([1, 1]), totals=(1, 2, 3))
         with pytest.raises(StreamError, match="non-negative"):
-            apply_budget(plan, np.full(4, 0.25), np.full(2, 0.5), lay)
+            keep_flags(plan, np.full(4, 0.25), np.full(2, 0.5), lay)
 
     def test_monotone_shrinkage(self):
         stream = make_stream(T=2, n_v=6, n_a=4, n_q=3, seed=6)
@@ -177,13 +188,14 @@ class TestApplyBudget:
         rng = np.random.default_rng(7)
         sv, sa = rng.random(12), rng.random(8)
         plan1 = allocate(uniform_rel(2), 0.7, 0.7, lay)
-        kv1, ka1 = apply_budget(plan1, sv, sa, lay)
+        kv1, ka1 = keep_flags(plan1, sv, sa, lay)
         mid = survivors(stream, kv1, ka1)
         # score the survivors by indexing the originals at their kept indices
         lay2 = WindowLayout(plan1.b_v, plan1.b_a)
         plan2 = allocate(uniform_rel(2), 0.3, 0.3, lay2, totals=(12, 8))
-        kv2, ka2 = apply_budget(plan2, sv[kv1], sa[ka1], lay2)
-        out = survivors(stream, kv1[kv2], ka1[ka2])
+        kv2, ka2 = keep_flags(plan2, sv[kv1], sa[ka1], lay2)
+        out = survivors(stream, np.flatnonzero(kv1)[kv2],
+                        np.flatnonzero(ka1)[ka2])
         assert set(out.position.tolist()) <= set(mid.position.tolist())
         assert out.n_text == 3
 
