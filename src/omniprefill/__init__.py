@@ -46,7 +46,7 @@ from .pipeline import (
     stage1_saliency,
     synth_generate,
 )
-from .relevance import RelevanceScores, window_relevance
+from .relevance import window_relevance
 from .schedule import (
     SchedulePlan,
     build_schedule,
@@ -70,7 +70,6 @@ __all__ = [
     "LayerSelection",
     "ModelConfig",
     "PrefillTrace",
-    "RelevanceScores",
     "RetentionSpec",
     "SchedulePlan",
     "SelectionResult",

@@ -23,24 +23,28 @@ import sys
 
 import numpy as np
 
-from .core import (EngineError, InfeasibleBudgetError, WindowLayout,
-                   freeze_fields)
-from .relevance import RelevanceScores
+from .core import (EngineError, InfeasibleBudgetError, StreamError,
+                   WindowLayout, freeze_fields)
+from .relevance import real_weights, window_weights
 
 
 @dataclasses.dataclass(frozen=True)
 class BudgetPlan:
-    """Integer per-window budgets: b[t] = b_v[t] + b_a[t]."""
+    """Integer per-window budgets b_v and b_a, with b[t] = b_v[t] + b_a[t]
+    and totals = (total_v, total_a, total) derived from them."""
 
-    b: np.ndarray
     b_v: np.ndarray
     b_a: np.ndarray
-    totals: tuple[int, int, int]  # (total_v, total_a, total)
+    b: np.ndarray = dataclasses.field(init=False)
+    totals: tuple[int, int, int] = dataclasses.field(init=False)
 
     def __post_init__(self):
-        freeze_fields(self, np.int64, "b", "b_v", "b_a")
-        if not np.array_equal(self.b, self.b_v + self.b_a):
-            raise ValueError("b must equal b_v + b_a per window")
+        freeze_fields(self, np.int64, "b_v", "b_a")
+        b = self.b_v + self.b_a
+        b.setflags(write=False)
+        total_v, total_a = int(self.b_v.sum()), int(self.b_a.sum())
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "totals", (total_v, total_a, total_v + total_a))
 
     @property
     def T(self) -> int:
@@ -48,7 +52,8 @@ class BudgetPlan:
 
 
 def allocate(
-    rel: RelevanceScores,
+    s_v: np.ndarray,
+    s_a: np.ndarray,
     r_v: float,
     r_a: float,
     layout: WindowLayout,
@@ -56,16 +61,26 @@ def allocate(
 ) -> BudgetPlan:
     """Build the budget plan for one drop layer.
 
-    layout holds the per-window capacities as the stream currently stands;
-    totals holds the original (N_v, N_a) the ratios refer to and defaults to
-    the layout's own sums when no earlier selection has run. The rounded
-    total must fit the current capacity; otherwise InfeasibleBudgetError.
-    Callers whose earlier flooring may have shrunk capacity below the nominal
-    budget (see run_pipeline) pass proportionally reduced totals instead.
+    s_v and s_a, the relevance weights window_relevance gives, must hold
+    one finite, non-negative real number per window (else StreamError);
+    each window's share of the budget follows their window_weights, which
+    must not sum past the float range. layout holds the per-window
+    capacities as the stream currently stands; totals holds the original
+    (N_v, N_a) the ratios refer to and defaults to the layout's own sums
+    when no earlier selection has run. The rounded total must fit the
+    current capacity; otherwise InfeasibleBudgetError. Callers whose
+    earlier flooring may have shrunk capacity below the nominal budget (see
+    run_pipeline) pass proportionally reduced totals instead.
     """
     T = layout.T
-    if rel.T != T:
-        raise ValueError(f"relevance covers {rel.T} windows, layout has {T}")
+    checked = [real_weights(w, T) for w in (s_v, s_a)]
+    for name, w, weights in zip(("s_v", "s_a"), (s_v, s_a), checked):
+        if weights is None:
+            raise StreamError(
+                f"{name} weights must be finite and non-negative"
+                if np.shape(w) == (T,) else f"{name} weights have shape "
+                f"{np.shape(w)}, the layout holds {T} windows")
+    s_v, s_a = checked
     n_v0, n_a0 = totals if totals is not None else (
         layout.total_visual, layout.total_audio
     )
@@ -92,11 +107,12 @@ def allocate(
     capacity_t = cap_v + cap_a
     reals = np.empty(2 * T)
     with np.errstate(over="ignore", invalid="ignore"):
-        s_sum = rel.s.sum()
-        share = rel.s / s_sum if s_sum > 0.0 else np.full(T, 1.0 / T)
+        s = window_weights(s_v, s_a, layout)
+        s_sum = s.sum()
+        share = s / s_sum if s_sum > 0.0 else np.full(T, 1.0 / T)
         b_real = total_real * share
-        num_v = rel.s_v * (r_v * n_v0)
-        num_a = rel.s_a * (r_a * n_a0)
+        num_v = s_v * (r_v * n_v0)
+        num_a = s_a * (r_a * n_a0)
         den = num_v + num_a
         spread = den > 0.0
         reals[:T] = np.where(
@@ -110,8 +126,8 @@ def allocate(
     bad = np.flatnonzero(~(np.isfinite(den) & np.isfinite(reals[:T])))
     if bad.size:
         t = bad[0]
-        raise EngineError(f"window {t}: relevance weights s_v={rel.s_v[t]:.6g}"
-                          f", s_a={rel.s_a[t]:.6g} overflow its budget split")
+        raise EngineError(f"window {t}: relevance weights s_v={s_v[t]:.6g}"
+                          f", s_a={s_a[t]:.6g} overflow its budget split")
     del num_v, num_a, den, spread, capacity_t
     np.subtract(b_real, reals[:T], out=reals[T:])
     del b_real
@@ -155,14 +171,7 @@ def allocate(
         base[open_slots] += q
         deficit -= q * open_slots.size
 
-    b_v = base[:T]
-    b_a = base[T:]
-    return BudgetPlan(
-        b=b_v + b_a,
-        b_v=b_v,
-        b_a=b_a,
-        totals=(int(b_v.sum()), int(b_a.sum()), int(b_v.sum() + b_a.sum())),
-    )
+    return BudgetPlan(b_v=base[:T], b_a=base[T:])
 
 
 def _largest_remainders(slots, rem, share, k):

@@ -34,7 +34,6 @@ from .pipeline import (
     stage1_saliency,
     synth_generate,
 )
-from .relevance import RelevanceScores, window_weights
 from .schedule import build_schedule, solve_delta
 
 
@@ -176,7 +175,6 @@ def _cmd_allocate(args) -> int:
     rel_doc = otsio._load_config(args.relevance, dict, "relevance", {
         "s_v": ("s_v", otsio._numbers, True),
         "s_a": ("s_a", otsio._numbers, True),
-        "tau": ("tau", otsio._number, False),
     })
     s_v, s_a = np.array(rel_doc["s_v"]), np.array(rel_doc["s_a"])
     layout_doc = otsio._load_document(
@@ -192,11 +190,8 @@ def _cmd_allocate(args) -> int:
             f"relevance shapes {s_v.shape} and {s_a.shape} must match the "
             f"{layout.T} windows, one weight each"
         )
-    with np.errstate(over="ignore"):  # an infinite window weight is refused
-        s = window_weights(s_v, s_a, layout)
-    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=s, tau=rel_doc.get("tau", 0.0))
     totals = tuple(args.totals) if args.totals else None
-    plan = allocate(rel, args.ratio_visual, args.ratio_audio, layout,
+    plan = allocate(s_v, s_a, args.ratio_visual, args.ratio_audio, layout,
                     totals=totals)
     text = (otsio.budget_json(plan) + "\n") if args.json else otsio.budget_csv(plan)
     _emit(text, args.out)

@@ -301,24 +301,17 @@ class ModelConfig:
 @dataclasses.dataclass(frozen=True)
 class RetentionSpec:
     """Retention targets: per-modality ratios, the pre-LLM scale factor, and
-    the window-relevance softmax temperature.
-
-    r is the overall non-text retention ratio, kept for bookkeeping (the
-    config key "ratio"): (r_v*N_v + r_a*N_a) / (N_v + N_a) over a layout.
-    """
+    the window-relevance softmax temperature."""
 
     r_v: float
     r_a: float
     lambda_: float
     tau: float
-    r: float | None = None
 
     def __post_init__(self):
         for name, value in (("r_v", self.r_v), ("r_a", self.r_a)):
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.r is not None and not (0.0 <= self.r <= 1.0):
-            raise ValueError(f"r must lie in [0, 1], got {self.r}")
         # each test is written so that a NaN fails it
         if not 1.0 <= self.lambda_ < math.inf:
             raise ValueError(f"lambda_ must be finite and >= 1, got "

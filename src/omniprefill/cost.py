@@ -16,6 +16,7 @@ them.
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,16 +26,24 @@ from .pipeline import PrefillTrace
 
 @dataclasses.dataclass(frozen=True)
 class CostReport:
-    flops_total: float
+    """Flops and KV length per layer under `formula`, and the ratio against
+    the same input unpruned; the total and the peak (longest layer) follow."""
+
+    formula: ClassVar[str] = "v1: 8*n*d^2 + 4*n^2*d + 6*n*d*d_ff per layer"
+
     flops_per_layer: np.ndarray
     kv_tokens_per_layer: np.ndarray
     ratio_vs_full: float
-    peak_kv_tokens: int
-    formula: str = "v1: 8*n*d^2 + 4*n^2*d + 6*n*d*d_ff per layer"
+    flops_total: float = dataclasses.field(init=False)
+    peak_kv_tokens: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         freeze_fields(self, np.float64, "flops_per_layer")
         freeze_fields(self, np.int64, "kv_tokens_per_layer")
+        object.__setattr__(self, "flops_total",
+                           float(self.flops_per_layer.sum()))
+        object.__setattr__(self, "peak_kv_tokens",
+                           int(self.kv_tokens_per_layer.max(initial=0)))
 
 
 def layer_flops(n: int, config: ModelConfig) -> float:
@@ -62,9 +71,7 @@ def trace_flops(trace: PrefillTrace, config: ModelConfig) -> CostReport:
     n_full = int(sum(trace.n_original))
     full_total = config.layers * layer_flops(n_full, config)
     return CostReport(
-        flops_total=total,
         flops_per_layer=per_layer,
         kv_tokens_per_layer=trace.seq_len,
         ratio_vs_full=total / full_total if full_total else 1.0,
-        peak_kv_tokens=int(trace.seq_len[0]),
     )

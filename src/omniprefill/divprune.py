@@ -27,6 +27,7 @@ from .core import (
     freeze_fields,
     segments,
 )
+from .relevance import real_weights
 from .schedule import shallow_ratio
 
 
@@ -147,18 +148,18 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     weight[c] * min over selected of dist(c, s). All ties break toward the
     lowest index, which is the earliest original position.
     Returns ascending indices. More than MAX_GROUP tokens is a StreamError,
-    raised before any row is normalised or any block allocated.
+    raised before any row is normalised or any block allocated, and so are
+    weights that break relevance.real_weights' rule.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
     if n > MAX_GROUP:
         raise StreamError(f"a group may hold at most {MAX_GROUP} tokens, "
                           f"got {n}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise StreamError(f"weights must have length {n}, got shape {w.shape}")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise StreamError("saliency weights must be finite and non-negative")
+    w = real_weights(weights, n)
+    if w is None:
+        raise StreamError(f"saliency weights must be {n} finite, non-negative "
+                          f"real numbers, one per token")
     if not (1 <= k <= n):
         raise StreamError(f"k must lie in [1, {n}], got {k}")
     unit, _ = _unit_rows(emb, range(n))  # rejects non-finite rows first
@@ -179,8 +180,12 @@ def keep_count(ratio: float, group_size: int) -> int:
 
 def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
     """One modality's saliency vector, float32 as given or else float64,
-    once it holds one finite, non-negative weight for each of rows."""
+    once it holds one finite, non-negative real weight for each of rows;
+    a kind other than real is refused before it converts."""
     weight = np.asarray(weight)
+    if weight.dtype.kind not in "biuf":
+        raise StreamError(f"{name} saliency must be real numbers, got "
+                          f"{weight.dtype}")
     if weight.dtype != np.float32:
         weight = weight.astype(np.float64)
     if weight.shape != rows.shape:

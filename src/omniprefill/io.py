@@ -88,8 +88,9 @@ def write_ots(
 
     T defaults to one past the largest window id (text rows carry
     NO_WINDOW, as every TokenStream's do). Bytes read_ots would refuse are
-    a ContainerFormatError instead: a T outside [1, max(1, n)] or a visual
-    or audio window id at or past T.
+    a ContainerFormatError instead: a T outside [1, max(1, n)], a visual
+    or audio window id at or past T, a section name that is not a str, or
+    section data that is not of real numbers.
     """
     sections = sections or {}
     if T is None:
@@ -105,6 +106,12 @@ def write_ots(
             f"cannot write {MODALITY_NAMES[int(stream.modality[row])]} row "
             f"{row} with window id {int(stream.window_id[row])}, outside "
             f"[0, {T})")
+    for name, data in sections.items():
+        dtype = np.asarray(data).dtype
+        if not isinstance(name, str) or dtype.kind not in "biuf":
+            raise ContainerFormatError(
+                f"section {name!r:.60} must have a str name and real data; "
+                f"got {type(name).__name__} and {dtype}")
     names = sorted(sections)
     arrays = [np.ascontiguousarray(sections[name], dtype="<f4")
               for name in names]
@@ -134,9 +141,11 @@ def write_ots(
 
 
 def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
+    """write_ots to path; a refused stream or section leaves no file."""
+    data = write_ots(stream, sections, generator, T)
     try:
         with open(path, "wb") as fh:
-            fh.write(write_ots(stream, sections, generator, T))
+            fh.write(data)
     except OSError as exc:
         raise ContainerFormatError(f"cannot write {path}: {exc}") from exc
 
@@ -538,7 +547,6 @@ def load_retention_spec(source) -> RetentionSpec:
         "ratio_audio": ("r_a", _number, True),
         "lambda": ("lambda_", _number, True),
         "tau": ("tau", _number, True),
-        "ratio": ("r", _number, False),
     })
 
 

@@ -38,7 +38,7 @@ from .core import (
     window_blocks,
 )
 from .divprune import SelectionResult, win_div_prune
-from .relevance import softmax, window_relevance
+from .relevance import real_weights, softmax, window_relevance
 from .schedule import SchedulePlan, build_schedule
 from .selector import LayerSelection, apply_budget, late_removal
 
@@ -290,15 +290,14 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenStream, SyntheticOracle]:
 class PrefillTrace:
     """Everything a run decided, layer by layer.
 
-    seq_len[i] is the input length of 1-based layer i+1, recorded after any
-    selection at that layer; it is non-increasing and equals n_q from the
-    late boundary on. kept_v / kept_a mirror it per modality.
+    kept_v[i] / kept_a[i] count the visual / audio input tokens of 1-based
+    layer i+1, recorded after any selection at that layer; seq_len[i] adds
+    the n_q = n_original[2] text tokens kept_text holds at every layer. All
+    are non-increasing, and seq_len equals n_q from the late boundary on.
     """
 
-    seq_len: np.ndarray
     kept_v: np.ndarray
     kept_a: np.ndarray
-    kept_text: np.ndarray
     stage1: SelectionResult
     selections: tuple[LayerSelection, ...]
     plans: tuple[tuple[int, BudgetPlan], ...]
@@ -308,9 +307,15 @@ class PrefillTrace:
     retention: RetentionSpec
     n_original: tuple[int, int, int]  # (N_v, N_a, N_q)
     T: int
+    seq_len: np.ndarray = dataclasses.field(init=False)
+    kept_text: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
-        freeze_fields(self, np.int64, "seq_len", "kept_v", "kept_a", "kept_text")
+        freeze_fields(self, np.int64, "kept_v", "kept_a")
+        n_q = self.n_original[2]
+        object.__setattr__(self, "seq_len", self.kept_v + self.kept_a + n_q)
+        object.__setattr__(self, "kept_text", np.full(self.layers, n_q))
+        freeze_fields(self, np.int64, "seq_len", "kept_text")
 
     @property
     def layers(self) -> int:
@@ -365,15 +370,14 @@ def _query_scores(oracle, layer: int, modality: int,
              else oracle.query_probs(layer, modality, ordinals))
     if probs is None:
         return np.full(ordinals.size, 1.0 / max(ordinals.size, 1))
-    probs = np.asarray(probs)
-    if probs.dtype.kind in "biuf" and probs.shape == ordinals.shape:
-        probs = probs.astype(np.float64, copy=False)
-        if probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < np.inf:
-            return probs
-    raise StreamError(
-        f"layer {layer} {MODALITY_NAMES[modality]} query scores must be "
-        f"{ordinals.size} finite, non-negative real numbers, one per "
-        f"survivor; got {probs.dtype} of shape {probs.shape}")
+    checked = real_weights(probs, ordinals.size)
+    if checked is None:
+        probs = np.asarray(probs)
+        raise StreamError(
+            f"layer {layer} {MODALITY_NAMES[modality]} query scores must be "
+            f"{ordinals.size} finite, non-negative real numbers, one per "
+            f"survivor; got {probs.dtype} of shape {probs.shape}")
+    return checked
 
 
 def _drop_layer(oracle, layer: int, survivors: _Survivors,
@@ -389,7 +393,7 @@ def _drop_layer(oracle, layer: int, survivors: _Survivors,
         window_blocks(_query_scores(oracle, layer, m, ordinals), counts)
         for m, ordinals, counts in zip((VISUAL, AUDIO), survivors.ordinals,
                                        (layout.n_v, layout.n_a))))
-    rel = window_relevance(*means, layout, tau)
+    s_v, s_a = window_relevance(*means, layout, tau)
     # a long stream's peak falls in this layer: free each array once
     # nothing reads it
     del means
@@ -403,8 +407,8 @@ def _drop_layer(oracle, layer: int, survivors: _Survivors,
     if round(nominal) > capacity:
         shrink = capacity / nominal
         totals = (n_v0 * shrink, n_a0 * shrink)
-    plan = allocate(rel, r_v, r_a, layout, totals=totals)
-    del rel
+    plan = allocate(s_v, s_a, r_v, r_a, layout, totals=totals)
+    del s_v, s_a
     keep = apply_budget(plan, *blocks, layout)
     del blocks
     # each modality's keep flags land on its codes' entries; text entries
@@ -493,10 +497,8 @@ def run_pipeline(
     kept[:, ll - 1:] = 0
 
     trace = PrefillTrace(
-        seq_len=kept.sum(axis=0) + n_q,
         kept_v=kept[0],
         kept_a=kept[1],
-        kept_text=np.full(L, n_q),
         stage1=stage1,
         selections=tuple(selections),
         plans=tuple(plans),

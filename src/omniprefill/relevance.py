@@ -13,11 +13,9 @@ window-major over that modality's rows.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .core import StreamError, WindowLayout, freeze_fields
+from .core import StreamError, WindowLayout
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -32,35 +30,17 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return z
 
 
-@dataclasses.dataclass(frozen=True)
-class RelevanceScores:
-    """Per-window relevance weights after the temperature softmax.
-
-    s_v and s_a each sum to 1 over the windows where the modality is present
-    (absent windows carry weight 0). s[t] averages the two weights where both
-    modalities are present and equals the present one, unhalved, where only
-    one is; it is renormalized by consumers that need a distribution.
-    """
-
-    s_v: np.ndarray
-    s_a: np.ndarray
-    s: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        freeze_fields(self, np.float64, "s_v", "s_a", "s")
-        if not (self.s_v.ndim == 1 and self.s_v.shape == self.s_a.shape
-                == self.s.shape):
-            raise StreamError("s_v, s_a and s must be 1-d and the same length")
-        for name in ("s_v", "s_a", "s"):
-            w = getattr(self, name)
-            if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
-                raise StreamError(
-                    f"{name} weights must be finite and non-negative")
-
-    @property
-    def T(self) -> int:
-        return int(self.s.shape[0])
+def real_weights(w, n: int) -> np.ndarray | None:
+    """w as float64 when it is a 1-d vector of n finite, non-negative real
+    (bool, integer or float) numbers, else None. The one rule for weights
+    and scores from outside: its kind is checked before anything is
+    converted, so a bad vector raises no numpy warning."""
+    w = np.asarray(w)
+    if w.dtype.kind in "biuf" and w.shape == (n,):
+        w = w.astype(np.float64, copy=False)
+        if w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf:
+            return w
+    return None
 
 
 def window_relevance(
@@ -68,13 +48,15 @@ def window_relevance(
     means_a: np.ndarray,
     layout: WindowLayout,
     tau: float,
-) -> RelevanceScores:
-    """Window weights from per-window mean query scores.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window relevance weights (s_v, s_a) from per-window mean query
+    scores.
 
     means_v / means_a hold each window's mean post-softmax query attention
     over its current visual / audio tokens, as core.window_blocks takes
     them; softmax(mean/tau) runs over the windows where layout has the
-    modality, and the other entries are not read.
+    modality, and the other entries are not read. Each weight vector sums
+    to 1 over those windows and is 0 elsewhere.
     """
     if not tau > 0.0:  # a NaN tau fails this too
         raise StreamError(f"tau must be positive, got {tau}")
@@ -90,9 +72,7 @@ def window_relevance(
         if present.any():
             w[present] = softmax(means[present] / tau)
         weights.append(w)
-    s_v, s_a = weights
-    return RelevanceScores(s_v=s_v, s_a=s_a, s=window_weights(s_v, s_a, layout),
-                           tau=float(tau))
+    return tuple(weights)
 
 
 def window_weights(s_v: np.ndarray, s_a: np.ndarray,

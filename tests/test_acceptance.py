@@ -43,7 +43,6 @@ from omniprefill.pipeline import (
     retention_slack,
     run_pipeline,
 )
-from omniprefill.relevance import RelevanceScores
 from omniprefill.schedule import build_schedule, delta_oracle, solve_delta
 
 QWEN25 = ModelConfig(layers=28, d_model=3584, d_ff=18944, n_heads=28,
@@ -328,7 +327,6 @@ def test_05_allocation_conservation():
         s_a = np.where(n_a > 0, rng.uniform(0.0, 1.0, T), 0.0)
         both = (n_v > 0) & (n_a > 0)
         s = np.where(both, 0.5 * (s_v + s_a), s_v + s_a)
-        rel = RelevanceScores(s_v=s_v, s_a=s_a, s=s, tau=0.1)
         r_v = float(rng.uniform(0.0, 1.0))
         r_a = float(rng.uniform(0.0, 1.0))
         if rng.random() < 0.30:
@@ -341,7 +339,7 @@ def test_05_allocation_conservation():
         tag = (f"trial {trial}: T={T} n_v={n_v.tolist()} n_a={n_a.tolist()} "
                f"r_v={r_v:.4f} r_a={r_a:.4f} totals={totals}")
         try:
-            plan = allocate(rel, r_v, r_a, layout, totals=totals)
+            plan = allocate(s_v, s_a, r_v, r_a, layout, totals=totals)
         except InfeasibleBudgetError:
             infeasible += 1
             continue

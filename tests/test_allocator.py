@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from omniprefill.allocator import BudgetPlan, allocate
+from omniprefill.allocator import allocate
 from omniprefill.core import (
     AUDIO,
     VISUAL,
@@ -15,19 +15,14 @@ from omniprefill.core import (
     InfeasibleBudgetError,
     WindowLayout,
 )
-from omniprefill.relevance import RelevanceScores, softmax
-
-
-def rel_of(s_v, s_a, tau=0.1):
-    s_v = np.asarray(s_v, dtype=float)
-    s_a = np.asarray(s_a, dtype=float)
-    both = (s_v > 0) & (s_a > 0)
-    s = np.where(both, 0.5 * (s_v + s_a), s_v + s_a)
-    return RelevanceScores(s_v=s_v, s_a=s_a, s=s, tau=tau)
+from omniprefill.relevance import softmax
 
 
 def layout(n_v, n_a):
     return WindowLayout(n_v=np.asarray(n_v), n_a=np.asarray(n_a))
+
+
+HALVES = ([0.5, 0.5], [0.5, 0.5])
 
 
 class TestWorkedExample:
@@ -35,25 +30,27 @@ class TestWorkedExample:
         # capacities (4,4)/(2,2), half retention, visual relevance skewed to
         # window 0: real budgets (3.9, 2.1) integerize to (4, 2) with the
         # intra-window split favoring visual in window 0
-        rel = rel_of([0.8, 0.2], [0.5, 0.5])
-        plan = allocate(rel, 0.5, 0.5, layout([4, 4], [2, 2]))
+        plan = allocate([0.8, 0.2], [0.5, 0.5], 0.5, 0.5,
+                        layout([4, 4], [2, 2]))
         assert plan.b.tolist() == [4, 2]
         assert plan.b_v.tolist() == [3, 1]
         assert plan.b_a.tolist() == [1, 1]
         assert plan.totals == (4, 2, 6)
 
     def test_real_budget_identity(self):
-        # pre-rounding window budgets follow the combined share exactly
-        rel = rel_of([0.8, 0.2], [0.5, 0.5])
+        # pre-rounding window budgets follow the combined share exactly:
+        # both modalities fill both windows, so each window weighs the
+        # mean of s_v = (0.8, 0.2) and s_a = (0.5, 0.5)
+        s = np.array([0.65, 0.35])
         total = 0.5 * 8 + 0.5 * 4
-        b_real = total * rel.s / rel.s.sum()
+        b_real = total * s / s.sum()
         assert b_real.tolist() == pytest.approx([3.9, 2.1], abs=1e-12)
 
 
 class TestUniformRelevance:
     def test_equal_split(self):
-        rel = rel_of([0.25] * 4, [0.25] * 4)
-        plan = allocate(rel, 0.4, 0.8, layout([10] * 4, [5] * 4))
+        plan = allocate([0.25] * 4, [0.25] * 4, 0.4, 0.8,
+                        layout([10] * 4, [5] * 4))
         assert plan.b.tolist() == [8, 8, 8, 8]
         # split ratio equals r_v*N_v/(r_v*N_v + r_a*N_a) in every window
         want_v = 0.4 * 40 / (0.4 * 40 + 0.8 * 20)
@@ -63,15 +60,15 @@ class TestUniformRelevance:
 
 class TestDegenerateModalities:
     def test_audio_absent(self):
-        rel = rel_of([0.7, 0.3], [0.0, 0.0])
-        plan = allocate(rel, 0.5, 0.5, layout([6, 6], [0, 0]))
+        plan = allocate([0.7, 0.3], [0.0, 0.0], 0.5, 0.5,
+                        layout([6, 6], [0, 0]))
         assert plan.b_a.tolist() == [0, 0]
         assert plan.b_v.tolist() == plan.b.tolist()
         assert int(plan.b.sum()) == 6
 
     def test_visual_absent(self):
-        rel = rel_of([0.0, 0.0], [0.4, 0.6])
-        plan = allocate(rel, 0.3, 0.5, layout([0, 0], [10, 10]))
+        plan = allocate([0.0, 0.0], [0.4, 0.6], 0.3, 0.5,
+                        layout([0, 0], [10, 10]))
         assert plan.b_v.tolist() == [0, 0]
         assert int(plan.b.sum()) == 10
 
@@ -80,28 +77,25 @@ class TestConservationAndCaps:
     def test_capped_window_redistributes(self):
         # window 0 wants nearly everything but can hold only 3 tokens; the
         # overflow must land in the other windows
-        rel = rel_of([0.90, 0.05, 0.05], [1 / 3] * 3)
-        plan = allocate(rel, 0.8, 0.5, layout([3, 20, 20], [2, 2, 2]))
+        plan = allocate([0.90, 0.05, 0.05], [1 / 3] * 3, 0.8, 0.5,
+                        layout([3, 20, 20], [2, 2, 2]))
         target = round(0.8 * 43 + 0.5 * 6)
         assert int(plan.b.sum()) == target
         assert plan.b_v[0] <= 3 and plan.b_a[0] <= 2
 
     def test_infeasible_total(self):
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
         lay = layout([2, 2], [1, 1])
         with pytest.raises(InfeasibleBudgetError):
-            allocate(rel, 0.9, 0.9, lay, totals=(40, 10))
+            allocate(*HALVES, 0.9, 0.9, lay, totals=(40, 10))
 
     def test_original_totals_drive_budget(self):
         # totals reflect the original stream, not the already-shrunk layout
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
-        plan = allocate(rel, 0.25, 0.5, layout([50, 50], [10, 10]),
+        plan = allocate(*HALVES, 0.25, 0.5, layout([50, 50], [10, 10]),
                         totals=(288, 40))
         assert int(plan.b.sum()) == round(0.25 * 288 + 0.5 * 40)
 
     def test_zero_budget(self):
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
-        plan = allocate(rel, 0.0, 0.0, layout([4, 4], [2, 2]))
+        plan = allocate(*HALVES, 0.0, 0.0, layout([4, 4], [2, 2]))
         assert plan.b.tolist() == [0, 0]
 
     def test_random_draws_conserve(self):
@@ -117,7 +111,7 @@ class TestConservationAndCaps:
             raw_a = rng.random(T) * (n_a > 0)
             s_v = raw_v / raw_v.sum() if raw_v.sum() else raw_v
             s_a = raw_a / raw_a.sum() if raw_a.sum() else raw_a
-            plan = allocate(rel_of(s_v, s_a), float(r_v), float(r_a),
+            plan = allocate(s_v, s_a, float(r_v), float(r_a),
                             layout(n_v, n_a))
             target = round(float(r_v) * n_v.sum() + float(r_a) * n_a.sum())
             assert int(plan.b.sum()) == target, trial
@@ -128,10 +122,8 @@ class TestConservationAndCaps:
 class TestMonotonicity:
     def test_more_relevance_never_less_budget(self):
         lay = layout([50, 50, 50], [10, 10, 10])
-        lo = rel_of([0.2, 0.4, 0.4], [1 / 3] * 3)
-        hi = rel_of([0.5, 0.25, 0.25], [1 / 3] * 3)
-        b_lo = allocate(lo, 0.3, 0.5, lay).b[0]
-        b_hi = allocate(hi, 0.3, 0.5, lay).b[0]
+        b_lo = allocate([0.2, 0.4, 0.4], [1 / 3] * 3, 0.3, 0.5, lay).b[0]
+        b_hi = allocate([0.5, 0.25, 0.25], [1 / 3] * 3, 0.3, 0.5, lay).b[0]
         assert b_hi >= b_lo
 
 
@@ -141,21 +133,10 @@ class TestCrossModalShift:
         # past r_v*N_v; only the combined total is pinned
         lay = layout([100, 100], [100, 100])
         # tilt: score mass inside each window is visual-heavy
-        rel = RelevanceScores(
-            s_v=np.array([0.5, 0.5]) * 0.98, s_a=np.array([0.5, 0.5]) * 0.02,
-            s=np.array([0.5, 0.5]), tau=0.1)
-        plan = allocate(rel, 0.3, 0.3, lay)
+        plan = allocate(np.array([0.5, 0.5]) * 0.98,
+                        np.array([0.5, 0.5]) * 0.02, 0.3, 0.3, lay)
         assert int(plan.b_v.sum()) > round(0.3 * 200)
         assert int(plan.b.sum()) == round(0.3 * 400)
-
-
-class TestBudgetPlanType:
-    def test_split_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            BudgetPlan(
-                b=np.array([3]), b_v=np.array([1]), b_a=np.array([1]),
-                totals=(1, 1, 2),
-            )
 
 
 class TestInputDomain:
@@ -165,20 +146,17 @@ class TestInputDomain:
         ((10**400, 4), str(10**400)),
     ])
     def test_negative_or_non_finite_total_is_refused(self, totals, shown):
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(EngineError, match=f"got {shown}$"):
-            allocate(rel, 0.3, 0.5, layout([4, 4], [2, 2]), totals=totals)
+            allocate(*HALVES, 0.3, 0.5, layout([4, 4], [2, 2]), totals=totals)
 
     @pytest.mark.parametrize("r_v, r_a", [(-0.3, 0.5), (0.3, math.nan)])
     def test_negative_or_non_finite_ratio_is_refused(self, r_v, r_a):
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(EngineError, match="must be finite and non-neg"):
-            allocate(rel, r_v, r_a, layout([4, 4], [2, 2]))
+            allocate(*HALVES, r_v, r_a, layout([4, 4], [2, 2]))
 
     def test_budget_beyond_float_range_is_infeasible(self):
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(InfeasibleBudgetError, match="budget inf exceeds"):
-            allocate(rel, 1.0, 1.0, layout([4, 4], [2, 2]),
+            allocate(*HALVES, 1.0, 1.0, layout([4, 4], [2, 2]),
                      totals=(1.5e308, 1.5e308))
 
     @pytest.mark.parametrize("s_v, s_a, window", [
@@ -188,29 +166,34 @@ class TestInputDomain:
     def test_overflowing_split_is_refused(self, s_v, s_a, window):
         # never NaN reals floored to budgets of -2**63, nor a window's
         # budget handed to one modality because its denominator overflowed
-        rel = RelevanceScores(s_v=s_v, s_a=s_a, s=[0.5, 0.5], tau=0.1)
         with pytest.raises(EngineError, match=f"^window {window}: relevance "
-                                              f"weights .* overflow"):
-            allocate(rel, 0.3, 0.5, layout([4, 4], [2, 2]))
+                                              f"weights .* overflow its "
+                                              f"budget split$"):
+            allocate(s_v, s_a, 0.3, 0.5, layout([4, 4], [2, 2]))
 
     def test_weights_summing_past_float_range_are_refused(self):
         # not shares of 0 everywhere, with the budget placed by slot order
-        rel = RelevanceScores(s_v=[8e307, 8e307, 2e307], s_a=[0.0] * 3,
-                              s=[8e307, 8e307, 2e307], tau=0.1)
         with pytest.raises(EngineError, match="sum past the float range"):
-            allocate(rel, 0.3, 0.0, layout([4, 4, 4], [0, 0, 0]))
+            allocate([8e307, 8e307, 2e307], [0.0] * 3, 0.3, 0.0,
+                     layout([4, 4, 4], [0, 0, 0]))
 
     def test_zero_totals_are_a_zero_budget(self):
-        rel = rel_of([0.5, 0.5], [0.5, 0.5])
-        plan = allocate(rel, 0.3, 0.5, layout([4, 4], [2, 2]), totals=(0, 0))
+        plan = allocate(*HALVES, 0.3, 0.5, layout([4, 4], [2, 2]),
+                        totals=(0, 0))
         assert plan.totals == (0, 0, 0)
 
 
-def reference_allocate(rel, r_v, r_a, layout, totals=None):
+def reference_allocate(s_v, s_a, r_v, r_a, layout, totals=None):
     """The allocator's integerization as a sort of every slot on four keys:
     descending remainder, descending share, ascending window, visual before
-    audio; later passes on the last three. Returns (b_v, b_a, passes)."""
+    audio; later passes on the last three. A window's weight is the mean of
+    s_v and s_a where it holds both modalities, the one present's weight
+    where it holds one, and 0 where it holds neither. Returns (b_v, b_a,
+    passes)."""
     T = layout.T
+    s_v, s_a = np.asarray(s_v, dtype=float), np.asarray(s_a, dtype=float)
+    has_v, has_a = layout.n_v > 0, layout.n_a > 0
+    s = np.where(has_v & has_a, (s_v + s_a) / 2, s_v * has_v + s_a * has_a)
     n_v0, n_a0 = totals if totals is not None else (
         layout.total_visual, layout.total_audio)
     total_real = r_v * n_v0 + r_a * n_a0
@@ -221,11 +204,11 @@ def reference_allocate(rel, r_v, r_a, layout, totals=None):
     if target > capacity:
         raise InfeasibleBudgetError(
             f"budget {target} exceeds remaining capacity {capacity}")
-    s_sum = rel.s.sum()
-    share = rel.s / s_sum if s_sum > 0.0 else np.full(T, 1.0 / T)
+    s_sum = s.sum()
+    share = s / s_sum if s_sum > 0.0 else np.full(T, 1.0 / T)
     b_real = total_real * share
-    num_v = rel.s_v * (r_v * n_v0)
-    num_a = rel.s_a * (r_a * n_a0)
+    num_v = s_v * (r_v * n_v0)
+    num_a = s_a * (r_a * n_a0)
     den = num_v + num_a
     spread = den > 0.0
     capacity_t = cap_v + cap_a
@@ -278,10 +261,6 @@ def allocate_inputs(draw):
         n_v, s_v = np.zeros(T, dtype=np.int64), np.zeros(T)
     elif absent == AUDIO:
         n_a, s_a = np.zeros(T, dtype=np.int64), np.zeros(T)
-    both = (s_v > 0) & (s_a > 0)
-    rel = RelevanceScores(s_v=s_v, s_a=s_a,
-                          s=np.where(both, 0.5 * (s_v + s_a), s_v + s_a),
-                          tau=0.1)
     ratio = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0])
     r_v, r_a = draw(ratio), draw(ratio)
     totals = None
@@ -294,19 +273,20 @@ def allocate_inputs(draw):
             shrink = capacity / nominal
             n_v0, n_a0 = n_v0 * shrink, n_a0 * shrink
         totals = (n_v0, n_a0)
-    return rel, r_v, r_a, layout(n_v, n_a), totals
+    return s_v, s_a, r_v, r_a, layout(n_v, n_a), totals
 
 
 # window 0 takes all the relevance but holds one token; the budget spills
 # into zero-share slots one pass at a time
-THREE_PASSES = (rel_of([1.0, 0.0], [1.0, 0.0]), 0.5, 0.5,
-                layout([1, 4], [0, 4]), (8, 4))
+THREE_PASSES = ([1.0, 0.0], [1.0, 0.0], 0.5, 0.5, layout([1, 4], [0, 4]),
+                (8, 4))
 
-# four open slots tied at remainder 0: two visual of share 0, then two
-# audio of share 0.5; the one token goes to the earlier audio slot
-TIED_AT_ZERO = (RelevanceScores(s_v=[0.0, 0.0, 0.1, 0.1], s_a=[0.0] * 4,
-                                s=[0.0, 0.0, 0.1, 0.1], tau=0.1),
-                0.3, 0.0, layout([1, 1, 0, 0], [0, 0, 1, 1]), None)
+# windows 2 and 3 hold the relevance; their whole budgets of 1.5 go to
+# visual slots capped at 1, so four open slots are tied at remainder 0:
+# two visual of share 0, then two audio of share 0.5; the one token left
+# goes to the earlier audio slot
+TIED_AT_ZERO = ([0.0, 0.0, 1.0, 1.0], [0.0] * 4, 0.75, 0.0,
+                layout([1, 1, 1, 1], [0, 0, 1, 1]), None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -318,10 +298,10 @@ def test_integerization_matches_full_sort(inputs):
         want = reference_allocate(*inputs)
     except InfeasibleBudgetError as exc:
         with pytest.raises(InfeasibleBudgetError) as got:
-            allocate(*inputs[:4], totals=inputs[4])
+            allocate(*inputs[:5], totals=inputs[5])
         assert str(got.value) == str(exc)
         return
-    plan = allocate(*inputs[:4], totals=inputs[4])
+    plan = allocate(*inputs[:5], totals=inputs[5])
     assert plan.b_v.tolist() == want[0].tolist()
     assert plan.b_a.tolist() == want[1].tolist()
     assert plan.totals == (int(want[0].sum()), int(want[1].sum()),
@@ -331,11 +311,11 @@ def test_integerization_matches_full_sort(inputs):
 def test_many_later_passes_match_the_full_sort():
     # window 0 takes all the relevance but holds one token; hundreds of
     # one-token passes over the other windows' slots, until each cap binds
-    args = (rel_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), 0.7, 0.9,
+    args = ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.7, 0.9,
             layout([1, 300, 2], [0, 200, 5]), None)
     want = reference_allocate(*args)
     assert want[2] > 100
-    plan = allocate(*args[:4])
+    plan = allocate(*args[:5])
     assert plan.b_v.tolist() == want[0].tolist()
     assert plan.b_a.tolist() == want[1].tolist()
 
@@ -343,8 +323,8 @@ def test_many_later_passes_match_the_full_sort():
 def test_later_passes_scale_with_slots_not_tokens():
     # 2**39 one-token passes, one per token, would not end; whole passes
     # run at once while every open slot has room for them
-    rel = rel_of([1.0, 0.0], [0.0, 0.0])
-    plan = allocate(rel, 0.5, 0.5, layout([4, 2**40], [0, 0]))
+    plan = allocate([1.0, 0.0], [0.0, 0.0], 0.5, 0.5,
+                    layout([4, 2**40], [0, 0]))
     assert plan.b_v.tolist() == [4, 2**39 - 2]
     assert plan.b_a.tolist() == [0, 0]
 
@@ -372,15 +352,14 @@ def test_many_windows_allocate_peak_memory():
     T = 2048
     s_v = softmax(rng.normal(size=T) / 0.5)
     s_a = softmax(rng.normal(size=T) / 0.5)
-    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=0.5 * (s_v + s_a), tau=0.5)
     lay = layout(np.full(T, 12), np.full(T, 3))
-    args = (rel, 0.35, 0.6, lay, (0.9 * 16 * T, 0.9 * 4 * T))
+    args = (s_v, s_a, 0.35, 0.6, lay, (0.9 * 16 * T, 0.9 * 4 * T))
     want = reference_allocate(*args)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        plan = allocate(*args[:4], totals=args[4])
+        plan = allocate(*args[:5], totals=args[5])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

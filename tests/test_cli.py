@@ -279,7 +279,7 @@ class TestAllocate:
         ([1e308, 1e308], [0.5, 0.5], "window 0: relevance weights "
          "s_v=1e+308, s_a=0.5 overflow its budget split"),
         ([1.2e308, 0.6e308], [1.2e308, 0.6e308],
-         "s weights must be finite and non-negative"),
+         "relevance weights sum past the float range"),
         ([8e307, 8e307, 2e307], [0, 0, 0],
          "relevance weights sum past the float range"),
     ], ids=["split", "window-weight", "weight-sum"])
@@ -299,16 +299,21 @@ class TestAllocate:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("relevance, key", [
-        ({"s_v": ["0.5", True], "s_a": [0.5, 0.5], "tau": "0.1"}, "s_v"),
-        ({"s_v": [0.5, 0.5], "s_a": [0.5, True]}, "s_a"),
-        ({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5], "tau": "0.1"}, "tau"),
-        ({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5], "tau": True}, "tau"),
+    @pytest.mark.parametrize("relevance, message", [
+        ({"s_v": ["0.5", True], "s_a": [0.5, 0.5]},
+         "relevance key 's_v' is malformed"),
+        ({"s_v": [0.5, 0.5], "s_a": [0.5, True]},
+         "relevance key 's_a' is malformed"),
+        ({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5], "tau": "0.1"},
+         "unknown relevance keys: tau"),
+        ({"s_v": [0.5, 0.5], "s_a": [0.5, 0.5], "tau": True},
+         "unknown relevance keys: tau"),
     ], ids=["string-and-bool-weights", "bool-weight", "string-tau",
             "bool-tau"])
-    def test_loose_numbers_are_refused(self, tmp_path, relevance, key):
-        # weights and tau are finite JSON numbers, as every config number
-        # is: a string or a bool is not read as one
+    def test_loose_numbers_are_refused(self, tmp_path, relevance, message):
+        # weights are finite JSON numbers, as every config number is: a
+        # string or a bool is not read as one. allocate reads no
+        # temperature, so a tau key is refused whatever its value
         (tmp_path / "rel.json").write_text(json.dumps(relevance))
         (tmp_path / "lay.json").write_text(
             json.dumps({"n_v": [4, 4], "n_a": [2, 2]}))
@@ -318,7 +323,7 @@ class TestAllocate:
         assert proc.returncode == 1
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
-        assert line.startswith(f"error: relevance key {key!r} is malformed")
+        assert line.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("relevance, layout", [
         ({"s_v": [-1, 0.5], "s_a": [0.5, 0.5]}, None),
@@ -641,6 +646,25 @@ class TestFlops:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ratio_vs_full"] == pytest.approx(printed, abs=5e-7)
         assert doc["peak_kv_tokens"] == int(doc["kv_tokens_per_layer"][0])
+
+    def test_peak_is_the_longest_layer(self, tmp_path):
+        # a hand-written trace may rise: its peak is its longest layer,
+        # not its first
+        (tmp_path / "model.json").write_text(json.dumps(
+            {"layers": 3, "d_model": 8, "d_ff": 16, "n_heads": 2,
+             "boundaries": [1, 2, 2, 3]}))
+        (tmp_path / "trace.csv").write_text(
+            "# n_visual=10\n# n_audio=5\n# n_text=3\n"
+            "layer,seq_len,kept_visual,kept_audio,kept_text\n"
+            "1,5,1,1,3\n2,18,10,5,3\n3,3,0,0,3\n")
+        argv = ("flops", "--trace", str(tmp_path / "trace.csv"),
+                "--config", str(tmp_path / "model.json"))
+        proc = cli_process(*argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "# peak_kv_tokens=18" in proc.stdout.splitlines()
+        proc = cli_process(*argv, "--json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["peak_kv_tokens"] == 18
 
     def test_missing_trace_file(self, configs, tmp_path, capsys):
         rc = main(["flops", "--trace", str(tmp_path / "nope.csv"),

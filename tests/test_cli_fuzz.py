@@ -26,11 +26,11 @@ from omniprefill.cli import main
 MODEL = {"layers": 28, "d_model": 64, "d_ff": 128, "n_heads": 4,
          "boundaries": [16, 19, 21, 24]}
 RETENTION = {"ratio_visual": 0.3, "ratio_audio": 0.65, "lambda": 1.4,
-             "tau": 0.1, "ratio": 0.4}
+             "tau": 0.1}
 SYNTH = {"seed": 5, "windows": 3, "d": 4, "visual_per_window": 6,
          "audio_per_window": 3, "text_tokens": 3, "planted_windows": [1],
          "planted_gain": 2.0}
-RELEVANCE = {"s_v": [0.7, 0.3, 0.0], "s_a": [0.5, 0.25, 0.25], "tau": 0.1}
+RELEVANCE = {"s_v": [0.7, 0.3, 0.0], "s_a": [0.5, 0.25, 0.25]}
 LAYOUT = {"n_v": [4, 4, 0], "n_a": [2, 1, 3]}
 SIZE_KEYS = {"windows", "d", "visual_per_window", "audio_per_window",
              "text_tokens", "layers"}

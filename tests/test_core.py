@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from omniprefill import core
+from omniprefill.allocator import BudgetPlan
 from omniprefill.core import (
     AUDIO,
     MAX_ROWS,
@@ -17,7 +18,9 @@ from omniprefill.core import (
     TokenStream,
     WindowLayout,
 )
+from omniprefill.cost import CostReport
 from omniprefill.divprune import SelectionResult, win_div_prune
+from omniprefill.pipeline import PrefillTrace, SynthSpec, run_pipeline
 
 
 def make_stream(rows, d=4, seed=0):
@@ -249,12 +252,53 @@ class TestRetentionSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("lambda_", math.nan), ("lambda_", math.inf), ("tau", math.nan),
-        ("r_v", math.nan), ("r", math.nan),
+        ("r_v", math.nan),
     ])
     def test_non_finite_values_rejected(self, field, value):
         good = dict(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
         with pytest.raises(ValueError, match=field.rstrip("_")):
             RetentionSpec(**dict(good, **{field: value}))
+
+
+def test_result_types_take_only_what_they_cannot_derive():
+    # b and totals follow from b_v and b_a, seq_len and kept_text from the
+    # kept counts and n_q, flops_total and peak_kv_tokens from the per-layer
+    # arrays; none is an argument, and neither are the unread r and formula
+    plan = BudgetPlan(b_v=[1, 2, 0], b_a=[3, 0, 0])
+    assert plan.b.tolist() == [4, 2, 0] and plan.totals == (3, 3, 6)
+    assert not plan.b.flags.writeable
+    config = ModelConfig(layers=28, d_model=8, d_ff=16, n_heads=2,
+                         boundaries=(16, 19, 21, 24))
+    _, trace = run_pipeline(SynthSpec(seed=3, T=2, d=4, n_v=6, n_a=3, n_q=2),
+                            config, RetentionSpec(r_v=0.3, r_a=0.6,
+                                                  lambda_=1.4, tau=0.1))
+    n_q = trace.n_original[2]
+    assert np.array_equal(trace.seq_len, trace.kept_v + trace.kept_a + n_q)
+    assert trace.kept_text.tolist() == [n_q] * 28
+    assert not (trace.seq_len.flags.writeable
+                or trace.kept_text.flags.writeable)
+    report = CostReport(flops_per_layer=[3.0, 9.0, 1.5],
+                        kv_tokens_per_layer=[5, 18, 3], ratio_vs_full=0.5)
+    assert report.flops_total == 13.5 and report.peak_kv_tokens == 18
+    assert report.formula == CostReport.formula
+    assert report.formula.startswith("v1: ")
+    trace_args = {f.name: getattr(trace, f.name)
+                  for f in dataclasses.fields(trace) if f.init}
+    for build, args in [
+        (BudgetPlan, dict(b_v=[1], b_a=[1], b=[2])),
+        (BudgetPlan, dict(b_v=[1], b_a=[1], totals=(1, 1, 2))),
+        (PrefillTrace, dict(trace_args, seq_len=trace.seq_len)),
+        (PrefillTrace, dict(trace_args, kept_text=trace.kept_text)),
+        (CostReport, dict(flops_per_layer=[1.0], kv_tokens_per_layer=[1],
+                          ratio_vs_full=1.0, flops_total=1.0)),
+        (CostReport, dict(flops_per_layer=[1.0], kv_tokens_per_layer=[1],
+                          ratio_vs_full=1.0, peak_kv_tokens=1)),
+        (CostReport, dict(flops_per_layer=[1.0], kv_tokens_per_layer=[1],
+                          ratio_vs_full=1.0, formula="v2")),
+        (RetentionSpec, dict(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1, r=0.4)),
+    ]:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build(**args)
 
 
 def layout_check(stream, layout):

@@ -112,6 +112,19 @@ class TestGreedyMaxmin:
                                               rf"{MAX_GROUP} tokens, got {n}$"):
             greedy_maxmin(np.ones((n, 1)), np.ones(n), 2)
 
+    @pytest.mark.parametrize("weights", [
+        np.ones(4, dtype=complex), np.array(["1.0"] * 4),
+        np.array([1.0] * 4, dtype=object)], ids=["complex", "string",
+                                                 "object"])
+    def test_weights_must_be_real(self, weights):
+        # refused before numpy warns or parses a string as a number
+        emb = np.random.default_rng(0).normal(size=(4, 3))
+        with warnings.catch_warnings(), pytest.raises(
+                StreamError, match="^saliency weights must be 4 finite, "
+                                   "non-negative real numbers, one per token$"):
+            warnings.simplefilter("error")
+            greedy_maxmin(emb, weights, 2)
+
     def test_all_kept_at_ceiling(self):
         # k = n returns every index without a distance block, which would
         # take 64 MiB at this size
@@ -480,22 +493,35 @@ class TestWinDivPrune:
         assert picks[0] == [0]
         assert picks[3] == [3]
 
-    @pytest.mark.parametrize("saliency", [
-        (np.ones(3), None),  # the stream holds 4 visual rows
-        (np.r_[-1.0, np.ones(3)], None),
-        (None, np.r_[1.0, np.inf]),
-        (None, np.ones(1, dtype=np.float32)),
-        (np.r_[np.float32(-0.1), np.ones(3, dtype=np.float32)], None),
-        (np.ones(4), np.r_[np.float32(1.0), np.float32(np.inf)]),
-        (np.r_[np.ones(3, dtype=np.float32), np.float32(np.nan)],
-         np.ones(2, dtype=np.float32)),
+    @pytest.mark.parametrize("saliency, match", [
+        ((np.ones(3), None), "saliency"),  # the stream holds 4 visual rows
+        ((np.r_[-1.0, np.ones(3)], None), "saliency"),
+        ((None, np.r_[1.0, np.inf]), "saliency"),
+        ((None, np.ones(1, dtype=np.float32)), "saliency"),
+        ((np.r_[np.float32(-0.1), np.ones(3, dtype=np.float32)], None),
+         "saliency"),
+        ((np.ones(4), np.r_[np.float32(1.0), np.float32(np.inf)]),
+         "saliency"),
+        ((np.r_[np.ones(3, dtype=np.float32), np.float32(np.nan)],
+          np.ones(2, dtype=np.float32)), "saliency"),
+        ((np.ones(4, dtype=complex), None),
+         "^visual saliency must be real numbers, got complex128$"),
+        ((None, np.array(["1.0"] * 2)),
+         "^audio saliency must be real numbers, got <U3$"),
+        ((np.array([1.0, 1.0, 1.0, None], dtype=object), None),
+         "^visual saliency must be real numbers, got object$"),
     ], ids=["short", "negative", "inf", "float32-short", "float32-negative",
-            "float32-inf", "float32-nan"])
-    def test_bad_saliency_rejected(self, saliency):
+            "float32-inf", "float32-nan", "complex", "string", "object"])
+    def test_bad_saliency_rejected(self, saliency, match):
+        # refused before numpy warns: a complex vector does not lose its
+        # imaginary part, nor is a string vector read as numbers, and a
+        # vector not of real numbers names its modality
         stream = build_stream(T=2, n_v=2, n_a=1, n_q=1)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
-        with pytest.raises(StreamError, match="saliency"):
+        with warnings.catch_warnings(), pytest.raises(StreamError,
+                                                      match=match):
+            warnings.simplefilter("error")
             win_div_prune(stream, lay, saliency, spec)
 
     @pytest.mark.parametrize("value", [-0.1, np.inf, -np.inf, np.nan])

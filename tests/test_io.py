@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import struct
+import warnings
 from collections.abc import Mapping
 
 import numpy as np
@@ -44,7 +45,6 @@ from omniprefill.io import (
     write_ots_file,
 )
 from omniprefill.pipeline import SynthSpec, run_pipeline, synth_generate
-from omniprefill.relevance import RelevanceScores
 from omniprefill.schedule import build_schedule, solve_delta
 
 QWEN25 = ModelConfig(layers=28, d_model=3584, d_ff=18944, n_heads=28,
@@ -359,6 +359,28 @@ class TestWriterRefuses:
                  if T else r"t=8 for n=7")
         with pytest.raises(ContainerFormatError, match=match):
             write_ots(bad, T=T)
+
+    @pytest.mark.parametrize("sections, name, got", [
+        ({1: np.ones(2)}, "1", "int and float64"),
+        ({"a": np.ones(2), 2: np.ones(2)}, "2", "int and float64"),
+        ({"b": np.ones(2, dtype=complex)}, "'b'", "str and complex128"),
+        ({"c": np.array(["1.0", "2.0"])}, "'c'", "str and <U3"),
+        ({"d": [1.0, None]}, "'d'", "str and object"),
+    ], ids=["int-name", "mixed-names", "complex", "string", "object"])
+    def test_bad_section_refused_before_writing(self, tmp_path, sections,
+                                                name, got):
+        # never bytes read_ots refuses, a TypeError from sorting the names,
+        # or data cast to float32 with a warning; and no file is left
+        message = (f"^section {name} must have a str name and real data; "
+                   f"got {got}$")
+        path = tmp_path / "out.ots"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContainerFormatError, match=message):
+                write_ots(tiny_stream(), sections)
+            with pytest.raises(ContainerFormatError, match=message):
+                write_ots_file(str(path), tiny_stream(), sections)
+        assert not path.exists()
 
     def test_text_window_ids_do_not_count_toward_t(self):
         # text rows carry no window id: a stream refuses one, and so does
@@ -1065,11 +1087,10 @@ class TestConfigLoading:
         (load_retention_spec, {"tau": "0.1"}, "tau"),
         (load_retention_spec, {"lambda": False}, "lambda"),
         (load_retention_spec, {"ratio_visual": float("nan")}, "ratio_visual"),
-        (load_retention_spec, {"ratio": float("inf")}, "ratio"),
     ], ids=["planted-string", "planted-float", "windows-float", "seed-bool",
             "gain-bool", "layers-fraction", "d-model-bool",
             "boundary-fraction", "heads-string", "tau-string",
-            "lambda-bool", "ratio-nan", "ratio-inf"])
+            "lambda-bool", "ratio-nan"])
     def test_numbers_must_be_json_numbers(self, load, doc, key):
         base = {load_synth_spec: {"seed": 7, "windows": 4, "d": 16,
                                   "visual_per_window": 72,
@@ -1092,10 +1113,15 @@ class TestConfigLoading:
                                     "lambda": 1.4, "tau": 0.1})
         assert spec == RetentionSpec(r_v=0.3, r_a=0.65, lambda_=1.4, tau=0.1)
 
-    def test_retention_optional_overall(self):
-        spec = load_retention_spec({"ratio_visual": 0.3, "ratio_audio": 0.65,
-                                    "lambda": 1.4, "tau": 0.1, "ratio": 0.35})
-        assert spec.r == 0.35
+    @pytest.mark.parametrize("value", [0.35, float("inf")],
+                             ids=["number", "inf"])
+    def test_retention_overall_ratio_refused(self, value):
+        # nothing reads an overall ratio, so a document carrying one is
+        # refused as a typo would be, whatever its value
+        with pytest.raises(ConfigError,
+                           match="^unknown retention spec keys: ratio$"):
+            load_retention_spec({"ratio_visual": 0.3, "ratio_audio": 0.65,
+                                 "lambda": 1.4, "tau": 0.1, "ratio": value})
 
     def test_retention_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown retention spec keys"):
@@ -1159,10 +1185,7 @@ class TestScheduleReports:
 
 class TestBudgetReports:
     def plan(self):
-        rel = RelevanceScores(s_v=np.array([0.8, 0.2]),
-                              s_a=np.array([0.5, 0.5]),
-                              s=np.array([0.65, 0.35]), tau=0.1)
-        return allocate(rel, 0.5, 0.5,
+        return allocate(np.array([0.8, 0.2]), np.array([0.5, 0.5]), 0.5, 0.5,
                         WindowLayout(n_v=np.array([4, 4]),
                                      n_a=np.array([2, 2])))
 

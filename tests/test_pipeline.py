@@ -190,9 +190,11 @@ class TestSynthGenerate:
         lay = WindowLayout(n_v=np.full(5, 12), n_a=np.full(5, 4))
         sv = oracle.query_probs(17, VISUAL, np.arange(60))
         sa = oracle.query_probs(17, AUDIO, np.arange(20))
-        rel = window_relevance(sv.reshape(5, 12).mean(axis=1),
-                               sa.reshape(5, 4).mean(axis=1), lay, tau=0.1)
-        assert int(np.argmax(rel.s)) == 3
+        s_v, s_a = window_relevance(sv.reshape(5, 12).mean(axis=1),
+                                    sa.reshape(5, 4).mean(axis=1), lay,
+                                    tau=0.1)
+        # every window holds both modalities: its weight is their mean
+        assert int(np.argmax(0.5 * (s_v + s_a))) == 3
 
     def test_unplanted_is_roughly_uniform(self):
         spec = SynthSpec(seed=2, T=4, d=8, n_v=50, n_a=20, n_q=3)
@@ -200,9 +202,11 @@ class TestSynthGenerate:
         lay = WindowLayout(n_v=np.full(4, 50), n_a=np.full(4, 20))
         sv = oracle.query_probs(17, VISUAL, np.arange(200))
         sa = oracle.query_probs(17, AUDIO, np.arange(80))
-        rel = window_relevance(sv.reshape(4, 50).mean(axis=1),
-                               sa.reshape(4, 20).mean(axis=1), lay, tau=1.0)
-        assert rel.s.max() - rel.s.min() < 0.2
+        s_v, s_a = window_relevance(sv.reshape(4, 50).mean(axis=1),
+                                    sa.reshape(4, 20).mean(axis=1), lay,
+                                    tau=1.0)
+        s = 0.5 * (s_v + s_a)
+        assert s.max() - s.min() < 0.2
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

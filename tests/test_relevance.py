@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from omniprefill.core import AUDIO, VISUAL, StreamError, WindowLayout
+from omniprefill.allocator import allocate
+from omniprefill.core import (AUDIO, VISUAL, EngineError, StreamError,
+                              WindowLayout)
 from omniprefill.pipeline import SynthSpec, SyntheticOracle
-from omniprefill.relevance import RelevanceScores, softmax, window_relevance
+from omniprefill.relevance import softmax, window_relevance, window_weights
 
 
 class FixedAttention(SyntheticOracle):
@@ -86,9 +90,11 @@ def window_means(scores, counts):
 
 
 def relevance(scores_v, scores_a, lay, tau):
-    """window_relevance of per-token visual and audio scores."""
-    return window_relevance(window_means(scores_v, lay.n_v),
-                            window_means(scores_a, lay.n_a), lay, tau)
+    """window_relevance of per-token visual and audio scores, as s_v and
+    s_a, and the window weights s that window_weights combines of them."""
+    s_v, s_a = window_relevance(window_means(scores_v, lay.n_v),
+                                window_means(scores_a, lay.n_a), lay, tau)
+    return SimpleNamespace(s_v=s_v, s_a=s_a, s=window_weights(s_v, s_a, lay))
 
 
 class TestWindowRelevance:
@@ -194,22 +200,33 @@ class TestWindowRelevance:
     def test_empty_windows_means_are_not_read(self):
         # an absent modality's entry takes no part in its softmax
         lay = layout([1, 0, 1], [1, 1, 1])
-        a = window_relevance(np.array([0.2, 0.0, 0.5]),
-                             np.array([0.1, 0.6, 0.3]), lay, 0.1)
-        b = window_relevance(np.array([0.2, 9.0, 0.5]),
-                             np.array([0.1, 0.6, 0.3]), lay, 0.1)
-        assert a.s_v.tolist() == b.s_v.tolist()
-        assert a.s_v[1] == 0.0
+        a, _ = window_relevance(np.array([0.2, 0.0, 0.5]),
+                                np.array([0.1, 0.6, 0.3]), lay, 0.1)
+        b, _ = window_relevance(np.array([0.2, 9.0, 0.5]),
+                                np.array([0.1, 0.6, 0.3]), lay, 0.1)
+        assert a.tolist() == b.tolist()
+        assert a[1] == 0.0
 
 
 class TestRelevanceScores:
-    @pytest.mark.parametrize("s_v, s_a, s", [
-        ([0.5, 0.5], [1.0], [0.5, 0.5]),
-        ([[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]]),
-        ([0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]),
-    ], ids=["unequal", "two-d", "nan-combined"])
-    def test_rejects_bad_weights(self, s_v, s_a, s):
+    """The relevance weights s_v and s_a allocate takes follow one rule:
+    one finite, non-negative real number per window; the window weights it
+    combines of them must not sum past the float range."""
+
+    @pytest.mark.parametrize("s_v, s_a, error, message", [
+        ([0.5, 0.5], [1.0], StreamError,
+         r"^s_a weights have shape \(1,\), the layout holds 2 windows$"),
+        ([[0.5, 0.5]], [[0.5, 0.5]], StreamError,
+         r"^s_v weights have shape \(1, 2\), the layout holds 2 windows$"),
+        ([1e308, 0.5], [1e308, 0.5], EngineError,
+         "^relevance weights sum past the float range$"),
+        ([0.5 + 1j, 0.5], [0.5, 0.5], StreamError,
+         "^s_v weights must be finite and non-negative$"),
+        ([0.5, 0.5], ["0.5", "0.5"], StreamError,
+         "^s_a weights must be finite and non-negative$"),
+    ], ids=["unequal", "two-d", "overflow-combined", "complex", "string"])
+    def test_rejects_bad_weights(self, s_v, s_a, error, message):
         # the allocate CLI tests cover negative and non-finite s_v
-        with pytest.raises(StreamError):
-            RelevanceScores(s_v=np.array(s_v), s_a=np.array(s_a),
-                            s=np.array(s), tau=0.1)
+        with pytest.raises(error, match=message):
+            allocate(np.array(s_v), np.array(s_a), 0.5, 0.5,
+                     layout([2, 2], [1, 1]))

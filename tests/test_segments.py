@@ -45,7 +45,7 @@ from omniprefill.pipeline import (
     run_pipeline,
     stage1_saliency,
 )
-from omniprefill.relevance import RelevanceScores, softmax
+from omniprefill.relevance import softmax
 from omniprefill.selector import apply_budget, select_topk
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -276,12 +276,7 @@ def test_vectorised_budget_matches_topk_per_window(data):
     budget = {m: np.array([data.draw(st.integers(0, int(c))) for c in counts],
                           dtype=np.int64)
               for m, counts in ((VISUAL, layout.n_v), (AUDIO, layout.n_a))}
-    plan = BudgetPlan(b=budget[VISUAL] + budget[AUDIO], b_v=budget[VISUAL],
-                      b_a=budget[AUDIO],
-                      totals=(int(budget[VISUAL].sum()),
-                              int(budget[AUDIO].sum()),
-                              int(budget[VISUAL].sum()
-                                  + budget[AUDIO].sum())))
+    plan = BudgetPlan(b_v=budget[VISUAL], b_a=budget[AUDIO])
 
     keep_v, keep_a = apply_budget(plan, window_blocks(scores[VISUAL],
                                                       layout.n_v)[0],
@@ -310,9 +305,7 @@ def test_budget_beyond_a_window_is_infeasible(data):
     t = data.draw(st.integers(0, layout.T - 1))
     b_v = layout.n_v.copy()
     b_v[t] += 1
-    plan = BudgetPlan(b=b_v + layout.n_a, b_v=b_v, b_a=layout.n_a,
-                      totals=(int(b_v.sum()), int(layout.n_a.sum()),
-                              int(b_v.sum() + layout.n_a.sum())))
+    plan = BudgetPlan(b_v=b_v, b_a=layout.n_a)
     try:
         apply_budget(plan, window_blocks(np.ones(layout.total_visual),
                                          layout.n_v)[0],
@@ -343,17 +336,25 @@ def test_window_means_match_per_window_mean(counts, seed):
         start += c
 
 
-def plain_allocate(rel, r_v, r_a, layout, totals):
-    """The allocator's slot arithmetic one window and one token at a time."""
+def plain_allocate(s_v, s_a, r_v, r_a, layout, totals):
+    """The allocator's slot arithmetic one window and one token at a time.
+    A window weighs the mean of s_v and s_a if it holds both modalities,
+    the present one's weight if it holds one, and 0 if it holds neither."""
     T = layout.T
     n_v0, n_a0 = totals
     total_real = r_v * n_v0 + r_a * n_a0
     target = int(round(total_real))
     cap_v, cap_a = layout.n_v, layout.n_a
-    share = rel.s / rel.s.sum() if rel.s.sum() > 0.0 else np.full(T, 1.0 / T)
+    s = np.zeros(T)
+    for t in range(T):
+        if cap_v[t] and cap_a[t]:
+            s[t] = (s_v[t] + s_a[t]) / 2
+        elif cap_v[t] or cap_a[t]:
+            s[t] = s_v[t] if cap_v[t] else s_a[t]
+    share = s / s.sum() if s.sum() > 0.0 else np.full(T, 1.0 / T)
     b_real = total_real * share
-    num_v = rel.s_v * (r_v * n_v0)
-    num_a = rel.s_a * (r_a * n_a0)
+    num_v = s_v * (r_v * n_v0)
+    num_a = s_a * (r_a * n_a0)
     bv_real = np.zeros(T)
     for t in range(T):
         if num_v[t] + num_a[t] > 0.0:
@@ -392,14 +393,13 @@ def test_vectorised_allocate_matches_plain_loop(data):
     weight = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.2, 0.45]),
                       min_size=T, max_size=T)
     s_v, s_a = np.array(data.draw(weight)), np.array(data.draw(weight))
-    rel = RelevanceScores(s_v=s_v, s_a=s_a, s=0.5 * (s_v + s_a), tau=0.1)
     ratio = st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.65, 1.0])
     r_v, r_a = data.draw(ratio), data.draw(ratio)
     totals = (layout.total_visual, layout.total_audio)
 
-    want = plain_allocate(rel, r_v, r_a, layout, totals)
+    want = plain_allocate(s_v, s_a, r_v, r_a, layout, totals)
     try:
-        plan = allocate(rel, r_v, r_a, layout, totals=totals)
+        plan = allocate(s_v, s_a, r_v, r_a, layout, totals=totals)
     except InfeasibleBudgetError:
         assert want is None
         return
@@ -582,8 +582,8 @@ def test_drop_layers_carry_each_modalitys_survivors(data):
         means.append((means_v.tolist(), means_a.tolist()))
         return real_relevance(means_v, means_a, layout, tau)
 
-    def drawn_allocate(rel, r_v, r_a, layout, totals):
-        plan = real_allocate(rel, r_v, r_a, layout, totals=totals)
+    def drawn_allocate(s_v, s_a, r_v, r_a, layout, totals):
+        plan = real_allocate(s_v, s_a, r_v, r_a, layout, totals=totals)
         if budgets == "allocated":
             return plan
         # per window: 0 keeps none, 1 all and 2 the allocator's budget
@@ -595,9 +595,7 @@ def test_drop_layers_carry_each_modalitys_survivors(data):
                        [0 * counts, counts, allocated])
              for allocated, counts in ((plan.b_v, layout.n_v),
                                        (plan.b_a, layout.n_a))]
-        return BudgetPlan(b=b[0] + b[1], b_v=b[0], b_a=b[1],
-                          totals=(int(b[0].sum()), int(b[1].sum()),
-                                  int((b[0] + b[1]).sum())))
+        return BudgetPlan(b_v=b[0], b_a=b[1])
 
     pipeline.window_relevance = recorded_relevance
     pipeline.allocate = drawn_allocate

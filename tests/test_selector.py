@@ -14,7 +14,6 @@ from omniprefill.core import (
     WindowLayout,
     window_blocks,
 )
-from omniprefill.relevance import RelevanceScores
 from omniprefill.selector import apply_budget, late_removal, select_topk
 
 
@@ -68,8 +67,9 @@ def make_stream(T, n_v, n_a, n_q, d=4, seed=0):
 
 
 def uniform_rel(T):
+    """Equal relevance weights (s_v, s_a) over T windows."""
     u = np.full(T, 1.0 / T)
-    return RelevanceScores(s_v=u, s_a=u, s=u, tau=0.1)
+    return u, u
 
 
 def rows_of(stream, m, t):
@@ -97,7 +97,7 @@ class TestApplyBudget:
     def test_full_capacity_is_identity(self):
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=2)
         lay = WindowLayout.from_stream(stream)
-        plan = allocate(uniform_rel(2), 1.0, 1.0, lay)
+        plan = allocate(*uniform_rel(2), 1.0, 1.0, lay)
         kept_v, kept_a = keep_flags(plan, np.full(6, 1 / 6),
                                     np.full(4, 0.25), lay)
         out = survivors(stream, kept_v, kept_a)
@@ -107,7 +107,7 @@ class TestApplyBudget:
     def test_zero_plan_equals_late_removal(self):
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=2)
         lay = WindowLayout.from_stream(stream)
-        plan = allocate(uniform_rel(2), 0.0, 0.0, lay)
+        plan = allocate(*uniform_rel(2), 0.0, 0.0, lay)
         out = survivors(stream, *keep_flags(plan, np.full(6, 1 / 6),
                                             np.full(4, 0.25), lay))
         want = late_removal(stream)
@@ -120,7 +120,7 @@ class TestApplyBudget:
         rng = np.random.default_rng(3)
         sv = rng.random(21)
         sa = rng.random(12)
-        plan = allocate(uniform_rel(3), 0.5, 0.6, lay)
+        plan = allocate(*uniform_rel(3), 0.5, 0.6, lay)
         out = survivors(stream, *keep_flags(plan, sv, sa, lay))
         for t in range(3):
             assert rows_of(out, VISUAL, t).size == int(plan.b_v[t])
@@ -132,7 +132,7 @@ class TestApplyBudget:
         lay = WindowLayout.from_stream(stream)
         rng = np.random.default_rng(5)
         sv, sa = rng.random(8), rng.random(6)
-        plan = allocate(uniform_rel(2), 0.5, 2 / 3, lay)
+        plan = allocate(*uniform_rel(2), 0.5, 2 / 3, lay)
         out = survivors(stream, *keep_flags(plan, sv, sa, lay))
         kept = set(out.position.tolist())
         for t in range(2):
@@ -153,7 +153,7 @@ class TestApplyBudget:
         # blocks of 5 visual scores against a layout of 6 visual tokens
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=1)
         lay = WindowLayout.from_stream(stream)
-        plan = allocate(uniform_rel(2), 0.5, 0.5, lay)
+        plan = allocate(*uniform_rel(2), 0.5, 0.5, lay)
         with pytest.raises(StreamError, match="score blocks hold 5 tokens, "
                                               "the layout 6"):
             apply_budget(plan, window_blocks(np.ones(5), np.array([3, 2]))[0],
@@ -162,14 +162,14 @@ class TestApplyBudget:
     def test_plan_stream_mismatch(self):
         stream = make_stream(T=2, n_v=2, n_a=1, n_q=1)
         lay = WindowLayout.from_stream(stream)
-        big = allocate(uniform_rel(2), 1.0, 1.0,
+        big = allocate(*uniform_rel(2), 1.0, 1.0,
                        WindowLayout(n_v=np.array([3, 3]), n_a=np.array([1, 1])))
         with pytest.raises((ValueError, InfeasibleBudgetError)):
             keep_flags(big, np.full(4, 0.25), np.full(2, 0.5), lay)
 
     def test_plan_and_layout_window_counts_must_agree(self):
         lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
-        wide = allocate(uniform_rel(3), 1.0, 1.0,
+        wide = allocate(*uniform_rel(3), 1.0, 1.0,
                         WindowLayout(n_v=np.array([2, 2, 0]),
                                      n_a=np.array([1, 1, 0])))
         with pytest.raises(StreamError, match="3 windows"):
@@ -177,8 +177,7 @@ class TestApplyBudget:
 
     def test_negative_budget_rejected(self):
         lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
-        plan = BudgetPlan(b=np.array([0, 3]), b_v=np.array([-1, 2]),
-                          b_a=np.array([1, 1]), totals=(1, 2, 3))
+        plan = BudgetPlan(b_v=np.array([-1, 2]), b_a=np.array([1, 1]))
         with pytest.raises(StreamError, match="non-negative"):
             keep_flags(plan, np.full(4, 0.25), np.full(2, 0.5), lay)
 
@@ -187,12 +186,12 @@ class TestApplyBudget:
         lay = WindowLayout.from_stream(stream)
         rng = np.random.default_rng(7)
         sv, sa = rng.random(12), rng.random(8)
-        plan1 = allocate(uniform_rel(2), 0.7, 0.7, lay)
+        plan1 = allocate(*uniform_rel(2), 0.7, 0.7, lay)
         kv1, ka1 = keep_flags(plan1, sv, sa, lay)
         mid = survivors(stream, kv1, ka1)
         # score the survivors by indexing the originals at their kept indices
         lay2 = WindowLayout(plan1.b_v, plan1.b_a)
-        plan2 = allocate(uniform_rel(2), 0.3, 0.3, lay2, totals=(12, 8))
+        plan2 = allocate(*uniform_rel(2), 0.3, 0.3, lay2, totals=(12, 8))
         kv2, ka2 = keep_flags(plan2, sv[kv1], sa[ka1], lay2)
         out = survivors(stream, np.flatnonzero(kv1)[kv2],
                         np.flatnonzero(ka1)[ka2])
