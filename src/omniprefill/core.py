@@ -47,11 +47,33 @@ class StreamError(EngineError, ValueError):
     """
 
 
+class Owned:
+    """An array handed to a constructor by the engine code that made it,
+    which holds no other writable reference to it: freeze_fields keeps it,
+    frozen in place, rather than copying it. An array from a caller is
+    never wrapped, so a caller's later writes cannot reach a stream, a
+    layout or a selection."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    @property
+    def shape(self) -> tuple:
+        return self.array.shape
+
+
 def _frozen(a, dtype):
-    """a as a read-only array of dtype. An aligned, read-only array of that
+    """a as a read-only array of dtype. An Owned array of that dtype is
+    frozen in place and kept, and so is an aligned, read-only array of that
     dtype whose memory belongs to a bytes object (a container read by
-    read_ots) cannot change and comes back as it is; anything else is
-    copied."""
+    read_ots), which cannot change; anything else is copied."""
+    if isinstance(a, Owned):
+        a = a.array
+        if a.dtype == dtype:
+            a.setflags(write=False)
+            return a
     if (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.aligned
             and not a.flags.writeable):
         base = a.base
@@ -259,7 +281,10 @@ def window_blocks(scores: np.ndarray,
     means = np.zeros(len(counts))
     blocks = []
     for n, windows, starts in segments(counts):
-        block = scores[starts[:, None] + np.arange(n)]
+        # an int32 index, half the bytes of an int64 one: a modality holds
+        # at most MAX_ROWS scores
+        block = scores[starts.astype(np.int32)[:, None]
+                       + np.arange(n, dtype=np.int32)]
         # block.mean(axis=1), bit for bit, without its Python wrapper
         means[windows] = np.add.reduce(block, axis=1) / n
         blocks.append((windows, starts, block))

@@ -57,23 +57,36 @@ class SelectionResult:
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-def _unit_rows(emb: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(emb: np.ndarray, rows, out=None,
+               scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a float32 or float64 (m, d) matrix scaled to unit length in
     float64 and rounded to float32, and the mask of zero-norm rows (left as
-    they are). The norms sum float64 squares and the quotients are taken in
-    float64, straight from the rows as given, so float32 rows get no float64
-    copy and come out exactly as a float64 copy of them would. A non-finite
-    norm (a NaN or inf entry: float32 entries cannot overflow squared in
-    float64) is a StreamError naming row i as the flattened rows[i]."""
-    norms = np.sqrt(np.add.reduce(np.square(emb, dtype=np.float64), axis=1))
+    they are). The float32 out and the float64 scratch, both (m, d), are
+    allocated when not given; out may be emb itself, to normalise in place.
+    The rows are copied into scratch (exactly) and squared there, the norms
+    summed from it; the rows are copied in again, divided by their norms in
+    place and rounded into out. So every step runs in one dtype, no ufunc
+    casts through buffers of its own, and the bits equal a float64 copy's
+    norm and quotient rounded to float32. A non-finite norm (a NaN or inf
+    entry: float32 entries cannot overflow squared in float64) is a
+    StreamError naming row i as the flattened rows[i]."""
+    if out is None:
+        out = np.empty(emb.shape, dtype=np.float32)
+    if scratch is None:
+        scratch = np.empty(emb.shape)
+    np.copyto(scratch, emb)
+    np.square(scratch, out=scratch)
+    norms = np.add.reduce(scratch, axis=1)
+    np.sqrt(norms, out=norms)
     if not np.isfinite(norms).all():
         i = np.flatnonzero(~np.isfinite(norms))[0]
         raise StreamError(f"embedding of row {np.ravel(rows)[i]} is not finite")
     zero = norms == 0.0
-    unit = np.empty(emb.shape, dtype=np.float32)
-    np.divide(emb, np.where(zero, 1.0, norms)[:, None], out=unit,
-              dtype=np.float64, casting="same_kind")
-    return unit, zero
+    norms[zero] = 1.0
+    np.copyto(scratch, emb)
+    scratch /= norms[:, None]
+    np.copyto(out, scratch, casting="same_kind")
+    return out, zero
 
 
 def _distances(unit: np.ndarray, out: np.ndarray) -> None:
@@ -138,6 +151,44 @@ def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
         np.minimum(value, rows.take(first + value.argmax(axis=1), axis=0),
                    out=value)
     return value == -np.inf
+
+
+def _arena_size(G: int, n: int, d: int) -> int:
+    """float32 entries of the arena a chunk of G groups of n rows of width d
+    needs: region A, G*n*d entries for the rows, padded to an even count so
+    region B starts 8-byte aligned, then region B, room for a float64
+    (G*n, d) scratch or the (G, n, n) distance block, whichever is larger:
+    4nd + max(8nd, 4n^2) bytes a group."""
+    m = G * n
+    return m * d + (m * d) % 2 + max(2 * m * d, m * n)
+
+
+def _prune_chunk(arena: np.ndarray, embeddings: np.ndarray,
+                 group_rows: np.ndarray, weights, k: int):
+    """Stage 1 on one chunk, in an arena of at least _arena_size entries.
+
+    group_rows (G, n) holds the stream rows of G groups of n tokens,
+    weights their (G, n) saliency (not read when k == n) and k the keep
+    count of each. The rows are gathered into region A and normalised in
+    place, with region B as float64 scratch; region B then holds the
+    distance block, which the greedy steps overwrite.
+    Returns the (G, n) zero-norm mask and the (G, n) pick mask, or None
+    for the picks when k == n. Neither result is a view of the arena, so
+    the caller may release or grow it at once.
+    """
+    G, n = group_rows.shape
+    m, d = G * n, embeddings.shape[1]
+    b = m * d + (m * d) % 2
+    unit = arena[: m * d].reshape(m, d)
+    # mode="clip" writes straight into out; "raise" would buffer it
+    np.take(embeddings, group_rows.ravel(), axis=0, out=unit, mode="clip")
+    _, zero = _unit_rows(unit, group_rows, unit,
+                         arena[b : b + 2 * m * d].view(np.float64).reshape(m, d))
+    if k == n:
+        return zero.reshape(G, n), None
+    dist = arena[b : b + m * n].reshape(G, n, n)
+    _distances(unit.reshape(G, n, d), dist)
+    return zero.reshape(G, n), _maxmin(dist, weights, k)
 
 
 def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -226,8 +277,12 @@ def win_div_prune(
     Groups of equal size run through greedy max-min together, in chunks
     whose working set, counted as if it were float64, stays within
     25 n_max^2 bytes or an eighth of the stream's embedding bytes if that
-    is more. Rows are normalised with float64 norms and quotients; the
-    Gram, the distances and the greedy steps run in float32.
+    is more. Each modality pass runs its chunks in one float32 arena,
+    4nd + max(8nd, 4n^2) bytes a group of n rows of width d, grown when a
+    chunk needs more and freed before the next pass: the chunk's rows are
+    gathered into it and normalised there with float64 norms and
+    quotients, and its float64 scratch then holds the float32 distance
+    block. The Gram, the distances and the greedy steps run in float32.
     """
     held = WindowLayout.from_stream(stream, layout.T)
     for m, have, counts in ((VISUAL, held.n_v, layout.n_v),
@@ -255,11 +310,13 @@ def win_div_prune(
         saliency = (None, None)
     for m, counts, weight in zip((VISUAL, AUDIO), (layout.n_v, layout.n_a),
                                  saliency):
-        # each modality grows its own block, so the visual pass's does not
-        # sit beside the audio pass's gathers, and drops the previous row
-        # index before it builds its own, int32 as a stream holds at most
-        # MAX_ROWS rows
-        block, dist, rows = np.empty(0, dtype=np.float32), None, None
+        # each modality pass holds one float32 arena, grown only when a
+        # chunk needs more room; _prune_chunk keeps no view of it, so a
+        # smaller arena is freed as a larger one comes and the visual
+        # pass's before the audio pass gathers. The previous row index
+        # goes before the pass builds its own, int32 as a stream holds at
+        # most MAX_ROWS rows
+        arena, rows = np.empty(0, dtype=np.float32), None
         rows = stream.rows_of(m).astype(np.int32)
         if weight is not None:
             weight = _checked_weights(weight, rows, MODALITY_NAMES[m])
@@ -269,43 +326,37 @@ def win_div_prune(
             if k == 0:
                 continue
             kept_counts[m][windows] = k
-            # a group's distances, plus its float32 rows, a float64 copy,
-            # its square and the unit rows, counted as if the distances and
-            # unit rows were float64: float32 and the missing copy lower
-            # peak memory rather than buy larger chunks
+            # G as if a group held its distances, float32 rows, a float64
+            # copy, its square and the unit rows, with the distances and
+            # unit rows counted as float64; the arena holds 4nd +
+            # max(8nd, 4n^2) bytes a group, about half that, and this
+            # divisor keeps G, and so the greedy steps, as they were
             per_chunk = max(1, budget // (8 * n * n + 28 * n * stream.d))
             offsets = np.arange(n)
             for lo in range(0, windows.shape[0], per_chunk):
                 group_rows = rows[starts[lo : lo + per_chunk, None] + offsets]
                 G = group_rows.shape[0]
-                unit, zero = _unit_rows(
-                    stream.embeddings[group_rows.ravel()], group_rows)
-                zero = zero.reshape(G, n)
+                size = _arena_size(G, n, stream.d)
+                if arena.size < size:
+                    arena = None  # release before growing
+                    arena = np.empty(size, dtype=np.float32)
+                weights = (None if k == n else np.ones((G, n))
+                           if weight is None else
+                           weight[starts[lo : lo + per_chunk, None] + offsets])
+                zero, picks = _prune_chunk(arena, stream.embeddings,
+                                           group_rows, weights, k)
                 for i in np.flatnonzero(zero.any(axis=1)):
                     zero_counts[int(windows[lo + i])] = int(zero[i].sum())
-                if k == n:
-                    keep[group_rows] = True
-                    continue
-                if block.size < G * n * n:
-                    block = dist = None  # release before growing
-                    block = np.empty(G * n * n, dtype=np.float32)
-                dist = block[: G * n * n].reshape(G, n, n)
-                _distances(unit.reshape(G, n, -1), dist)
-                del unit
-                # indexed afresh: a (G, n) index kept alive beside
-                # group_rows would raise stage 1's peak memory
-                weights = (np.ones((G, n)) if weight is None else
-                           weight[starts[lo : lo + per_chunk, None] + offsets])
-                keep[group_rows] = _maxmin(dist, weights, k)
+                keep[group_rows] = True if picks is None else picks
         notes += [
             f"{zero_counts[t]} zero-norm embeddings in window {t} "
             f"{MODALITY_NAMES[m]}; treated as distance 1 to everything"
             for t in sorted(zero_counts)
         ]
 
-    # the distance block, the row index and the flags go before the result
-    # is built, so its copies are the only stage-1 arrays left at its peak
-    del block, dist, rows
+    # the arena, the row index and the flags go before the result is
+    # built, so its copies are the only stage-1 arrays left at its peak
+    del arena, rows
     rows = np.flatnonzero(keep)
     del keep
     # positions strictly increase, so these two ends make them row numbers

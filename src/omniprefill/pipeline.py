@@ -30,6 +30,7 @@ from .core import (
     TEXT,
     VISUAL,
     ModelConfig,
+    Owned,
     RetentionSpec,
     StreamError,
     TokenStream,
@@ -154,10 +155,11 @@ def _survivor_probs(logits: np.ndarray, layer: int,
             f"query logits for layer {layer} cover {logits.shape[0]} "
             f"tokens, ordinal {int(ordinals.max())} requested"
         )
+    # a fresh gather either way, so the softmax runs in place on it
     chosen = logits[ordinals].astype(np.float64, copy=False)
     if not np.isfinite(chosen).all():
         raise StreamError(f"query logits for layer {layer} are not finite")
-    return softmax(chosen)
+    return softmax(chosen, out=chosen)
 
 
 class SyntheticOracle:
@@ -185,7 +187,8 @@ class SyntheticOracle:
             return np.zeros((0, 0))
         rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_STAGE1,
                          window=window, modality=modality)
-        return softmax(rng.standard_normal((n, n)))
+        draws = rng.standard_normal((n, n))
+        return softmax(draws, out=draws)
 
     def _query_logits(self, layer: int, modality: int) -> np.ndarray:
         per_window = self.spec.n_v if modality == VISUAL else self.spec.n_a
@@ -277,11 +280,13 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenStream, SyntheticOracle]:
     window_id = np.concatenate([np.repeat(np.arange(spec.T), per_window),
                                 np.full(spec.n_q, NO_WINDOW)], dtype=np.int64)
 
+    # the stream adopts these fresh arrays rather than copying them, so
+    # generation peaks at the stream's own size
     stream = TokenStream(
-        embeddings=embeddings,
-        modality=modality,
-        window_id=window_id,
-        position=np.arange(n, dtype=np.int64),
+        embeddings=Owned(embeddings),
+        modality=Owned(modality),
+        window_id=Owned(window_id),
+        position=Owned(np.arange(n, dtype=np.int64)),
     )
     return stream, SyntheticOracle(spec)
 
@@ -419,9 +424,10 @@ def _drop_layer(oracle, layer: int, survivors: _Survivors,
         mask[survivors.codes == m] = flags
         ordinals[m] = ordinals[m][flags]
     del keep, flags
-    selection = LayerSelection(layer=layer, kept=survivors.kept[mask],
-                               dropped_v=layout.n_v - plan.b_v,
-                               dropped_a=layout.n_a - plan.b_a)
+    # the selection adopts its fresh arrays rather than copying them
+    selection = LayerSelection(layer=layer, kept=Owned(survivors.kept[mask]),
+                               dropped_v=Owned(layout.n_v - plan.b_v),
+                               dropped_a=Owned(layout.n_a - plan.b_a))
     survivors.kept = selection.kept
     survivors.codes = survivors.codes[mask]
     return selection, plan
@@ -489,7 +495,8 @@ def run_pipeline(
             sched_a.trr_at(layer), (n_v0, n_a0), retention.tau)
         selections.append(selection)
         plans.append((layer, plan))
-        layout = WindowLayout(plan.b_v, plan.b_a)
+        # the plan's counts are frozen already: shared, not copied
+        layout = WindowLayout(Owned(plan.b_v), Owned(plan.b_a))
         kept[:, layer - 1:] = [[layout.total_visual], [layout.total_audio]]
     final = late_removal(stream)
     selections.append(LayerSelection(layer=ll, kept=(), dropped_v=layout.n_v,

@@ -18,12 +18,14 @@ import numpy as np
 from .core import StreamError, WindowLayout
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis, shifted by the maximum so that large
     logits stay finite. The one softmax of the package: window relevance
     and every oracle's attention go through it. Works in place on one
-    temporary, so a large attention matrix costs a single allocation."""
-    z = np.subtract(x, x.max(axis=-1, keepdims=True),
+    temporary, so a large attention matrix costs a single allocation; out,
+    of x's shape and float dtype (x itself, to overwrite a fresh array),
+    takes that temporary's place, so there is none."""
+    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out,
                     dtype=np.result_type(x, 1.0))
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)

@@ -24,6 +24,7 @@ import numpy as np
 from .core import InfeasibleScheduleError, ModelConfig, freeze_fields
 
 _E = math.e
+_EPS = float(np.finfo(np.float64).eps)
 _DECAY = (1.0, 1.0 + _E, 1.0 + _E + _E * _E)  # cumulative step multipliers
 
 BLOCK_LABELS = ("shallow", "middle1", "middle2", "middle3", "late")
@@ -112,13 +113,23 @@ def _check_inputs(r: float, lambda_: float) -> None:
         raise ValueError(f"lambda must be finite and >= 1, got {lambda_}")
 
 
+def _edge(numerator: float, scale: float) -> float:
+    """delta's numerator, 0 where it is positive (delta negative, as C < 0)
+    by no more than a few ulps of scale, its largest term. There the inputs
+    sit on the edge delta = 0 in exact arithmetic and only rounding moved
+    them: 1.2 lies just below 12/10, so L = 12, L_l = 11, lambda = 1.2
+    leaves a numerator of 6.7e-16 and would refuse delta = -1.6e-17."""
+    return 0.0 if 0.0 < numerator <= 4 * _EPS * scale else numerator
+
+
 def solve_delta(
     config: ModelConfig, r: float, lambda_: float
 ) -> tuple[float, float]:
     """Closed-form decay scale for the budget identity; returns (delta, C).
 
     Raises InfeasibleScheduleError when delta < 0 or the deepest middle
-    ratio would go negative.
+    ratio would go negative; a delta that only rounding pushed below 0
+    (see _edge) is 0.
     """
     _check_inputs(r, lambda_)
     c = block_constant(config)
@@ -129,7 +140,7 @@ def solve_delta(
     if r_s == 1.0:
         # the shallow ratio is 1, clipped or not (at lambda*r == 1 the other
         # form leaves a rounding residue); the identity stays linear in delta
-        delta = (config.layers * r - (ll - 1)) / c
+        delta = _edge(config.layers * r - (ll - 1), config.layers * r) / c
         if delta < 0.0:
             raise InfeasibleScheduleError(
                 f"closed form: keeping every token until the late boundary "
@@ -137,7 +148,8 @@ def solve_delta(
                 f"already below target {r:.6g}"
             )
     else:
-        delta = (config.layers - ll * lambda_ + lambda_) * r / c
+        delta = _edge(config.layers - ll * lambda_ + lambda_,
+                      ll * lambda_) * r / c
     delta += 0.0  # a zero numerator over the negative C gives -0.0
     _validate(r_s, delta, "closed form")
     return delta, c

@@ -92,11 +92,15 @@ def apply_budget(
         partial = (budget > 0) & (budget < counts)
         for windows, starts, block in blocks:
             if partial[windows].any():
-                # offsets of each window's tokens, best first
-                ranked = np.argsort(-block, axis=1, kind="stable")
-                ranked += starts[:, None]
-                keep[ranked[np.arange(block.shape[1])
-                            < budget[windows][:, None]]] = True
+                # a stable ascending sort of each row read backwards, taken
+                # backwards, ranks by descending score with ties to the
+                # earlier token, and without a negated copy of the block:
+                # rank j of the reversed order is offset n - 1 - j
+                n = block.shape[1]
+                ranked = np.argsort(block[:, ::-1], axis=1, kind="stable")
+                np.subtract(starts[:, None] + (n - 1), ranked, out=ranked)
+                keep[ranked[:, ::-1][np.arange(n)
+                                     < budget[windows][:, None]]] = True
                 del ranked
         kept.append(keep)
     return tuple(kept)

@@ -79,39 +79,46 @@ def test_02_budget_identity_grid():
 
     tuples = [(28, feasible_boundaries(28)) for _ in range(5)]
     tuples += [(48, feasible_boundaries(48)) for _ in range(5)]
+    # the grid, then each tuple's feasibility edge lambda = L/(L_l - 1),
+    # where delta is 0 in exact arithmetic and a few ulps off in floats
+    points = [(float(r), float(lam), layers, bounds)
+              for r in np.linspace(0.05, 0.5, 10)
+              for lam in np.linspace(1.0, 2.0, 10)
+              for layers, bounds in tuples]
+    points += [(float(r), layers / (bounds[3] - 1), layers, bounds)
+               for r in np.linspace(0.05, 0.5, 10)
+               for layers, bounds in tuples]
     t0 = time.perf_counter()
     n_feasible = n_infeasible = 0
-    for r in np.linspace(0.05, 0.5, 10):
-        for lam in np.linspace(1.0, 2.0, 10):
-            for layers, bounds in tuples:
-                cfg = ModelConfig(layers=layers, d_model=1, d_ff=1,
-                                  n_heads=1, boundaries=bounds)
-                point = f"L={layers} b={bounds} R={r:.3f} lambda={lam:.3f}"
-                try:
-                    d_closed, _ = solve_delta(cfg, float(r), float(lam))
-                except InfeasibleScheduleError:
-                    d_closed = None
-                try:
-                    d_oracle = delta_oracle(cfg, float(r), float(lam))
-                except InfeasibleScheduleError:
-                    d_oracle = None
-                assert (d_closed is None) == (d_oracle is None), (
-                    f"[FAIL] feasibility disagreement at {point}: "
-                    f"closed={d_closed} oracle={d_oracle}"
-                )
-                if d_closed is None:
-                    n_infeasible += 1
-                    continue
-                n_feasible += 1
-                assert abs(d_closed - d_oracle) <= 1e-9, (
-                    f"[FAIL] delta mismatch at {point}: "
-                    f"closed={d_closed!r} oracle={d_oracle!r}"
-                )
-                plan = build_schedule(cfg, float(r), float(lam))
-                mean = float(plan.per_layer_trr.mean())
-                assert abs(mean - r) <= 1e-9, (
-                    f"[FAIL] layer-mean {mean!r} != {r!r} at {point}"
-                )
+    for r, lam, layers, bounds in points:
+        cfg = ModelConfig(layers=layers, d_model=1, d_ff=1,
+                          n_heads=1, boundaries=bounds)
+        point = f"L={layers} b={bounds} R={r:.3f} lambda={lam:.3f}"
+        try:
+            d_closed, _ = solve_delta(cfg, r, lam)
+        except InfeasibleScheduleError:
+            d_closed = None
+        try:
+            d_oracle = delta_oracle(cfg, r, lam)
+        except InfeasibleScheduleError:
+            d_oracle = None
+        assert (d_closed is None) == (d_oracle is None), (
+            f"[FAIL] feasibility disagreement at {point}: "
+            f"closed={d_closed} oracle={d_oracle}"
+        )
+        if d_closed is None:
+            n_infeasible += 1
+            continue
+        n_feasible += 1
+        assert abs(d_closed - d_oracle) <= 1e-9, (
+            f"[FAIL] delta mismatch at {point}: "
+            f"closed={d_closed!r} oracle={d_oracle!r}"
+        )
+        plan = build_schedule(cfg, r, lam)
+        mean = float(plan.per_layer_trr.mean())
+        assert abs(mean - r) <= 1e-9, (
+            f"[FAIL] layer-mean {mean!r} != {r!r} at {point}"
+        )
     elapsed = time.perf_counter() - t0
     assert n_feasible > 100 and n_infeasible > 100, (
         f"[FAIL] grid too one-sided: {n_feasible} feasible, "

@@ -343,6 +343,7 @@ def test_drawn_inputs_reach_later_passes(passes):
     assert reference_allocate(*THREE_PASSES)[2] == 3
 
 
+@pytest.mark.memory
 def test_many_windows_allocate_peak_memory():
     # T = 2,048 windows, 4,096 slots, as the many-windows benchmark
     # allocates them. The bound sits between the peak of a four-key sort

@@ -69,6 +69,15 @@ class TestSchedule:
                      "0.8214285714285714"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "# delta=0.0000"
 
+    def test_rounding_edge_schedules(self, capsys):
+        # lambda 1.2 lies just below 12/10, so delta rounds to -1.6e-17;
+        # it is the edge delta = 0, not an infeasible schedule
+        assert main(["schedule", "--layers", "12", "--boundaries",
+                     "4,6,9,11", "--ratio", "0.8", "--lambda", "1.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "# delta=0.0000"
+        assert lines[3] == "1,shallow,0.960000,0.960000"
+
     def test_layers_past_4096_is_domain_error(self, capsys):
         assert main(["schedule", "--layers", "4097", "--boundaries",
                      "16,19,21,24", "--lambda", "1.4", "--ratio", "0.3"]) == 1

@@ -13,6 +13,7 @@ from omniprefill.core import (
     TEXT,
     VISUAL,
     ModelConfig,
+    Owned,
     RetentionSpec,
     StreamError,
     TokenStream,
@@ -21,6 +22,7 @@ from omniprefill.core import (
 from omniprefill.cost import CostReport
 from omniprefill.divprune import SelectionResult, win_div_prune
 from omniprefill.pipeline import PrefillTrace, SynthSpec, run_pipeline
+from omniprefill.selector import LayerSelection
 
 
 def make_stream(rows, d=4, seed=0):
@@ -101,8 +103,45 @@ class TestTokenStream:
                                 kept_a=[3])
         assert apart.kept is not apart.rows
 
+    def test_owned_arrays_are_adopted_and_callers_copied(self):
+        # an array the engine made and wraps in Owned is kept, frozen in
+        # place; the same array handed over bare, as a caller would, is
+        # copied, so the caller's later writes cannot reach the stream
+        def fields():
+            return {"embeddings": np.zeros((4, 2), dtype=np.float32),
+                    "modality": np.full(4, TEXT),
+                    "window_id": np.full(4, -1), "position": np.arange(4)}
+
+        made = fields()
+        adopted = TokenStream(**{k: Owned(v) for k, v in made.items()})
+        given = fields()
+        copied = TokenStream(**given)
+        for name in made:
+            assert getattr(adopted, name) is made[name]
+            assert not made[name].flags.writeable
+            assert not np.shares_memory(getattr(copied, name), given[name])
+            assert given[name].flags.writeable
+
+    def test_owned_counts_and_selections_are_adopted(self):
+        # the drop layers hand their fresh selections and the plan's frozen
+        # counts over in Owned; bare arrays from a caller are copied
+        b_v, b_a, kept = np.array([2, 1]), np.array([0, 3]), np.arange(6)
+        layout = WindowLayout(Owned(b_v), Owned(b_a))
+        selection = LayerSelection(layer=17, kept=Owned(kept),
+                                   dropped_v=Owned(b_v), dropped_a=b_a)
+        assert layout.n_v is b_v and layout.n_a is b_a
+        assert selection.kept is kept and selection.dropped_v is b_v
+        assert not kept.flags.writeable
+        assert not np.shares_memory(selection.dropped_a, b_a)
+        mine = np.array([2, 1])
+        assert not np.shares_memory(WindowLayout(mine, mine).n_v, mine)
+        assert not np.shares_memory(
+            LayerSelection(layer=17, kept=mine, dropped_v=[0],
+                           dropped_a=[0]).kept, mine)
+
     @pytest.mark.parametrize("field", ["embeddings", "modality",
                                        "window_id", "position", "all"])
+    @pytest.mark.memory
     def test_rows_past_ceiling_rejected(self, field):
         # MAX_ROWS + 1 rows of zero stride, so nothing is allocated: the
         # ceiling is checked on the shapes, before any field is copied

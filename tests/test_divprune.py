@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from omniprefill.core import (
 )
 from omniprefill import divprune
 from omniprefill.divprune import (
+    _arena_size,
     _distances,
     _maxmin,
+    _prune_chunk,
     _unit_rows,
     greedy_maxmin,
     keep_count,
@@ -125,6 +128,7 @@ class TestGreedyMaxmin:
             warnings.simplefilter("error")
             greedy_maxmin(emb, weights, 2)
 
+    @pytest.mark.memory
     def test_all_kept_at_ceiling(self):
         # k = n returns every index without a distance block, which would
         # take 64 MiB at this size
@@ -643,3 +647,173 @@ class TestWinDivPrune:
         got = win_div_prune(stream, lay, None, spec)
         assert got.kept_v.tolist() == [1, MAX_GROUP]
         assert got.rows.tolist() == list(range(stream.n))
+
+
+def two_step_unit_rows(emb, rows):
+    """Unit rows as stage 1 made them before its arena: float64 squares by
+    a casting ufunc into a fresh array, and float64 quotients rounded into
+    a fresh float32 array. The reference for the arena path."""
+    norms = np.sqrt(np.add.reduce(np.square(emb, dtype=np.float64), axis=1))
+    if not np.isfinite(norms).all():
+        i = np.flatnonzero(~np.isfinite(norms))[0]
+        raise StreamError(f"embedding of row {np.ravel(rows)[i]} is not finite")
+    zero = norms == 0.0
+    unit = np.empty(emb.shape, dtype=np.float32)
+    np.divide(emb, np.where(zero, 1.0, norms)[:, None], out=unit,
+              dtype=np.float64, casting="same_kind")
+    return unit, zero
+
+
+def two_step_picks(unit, weights, k):
+    """(G, n) pick mask of G groups of unit rows (G, n, d) in a fresh
+    distance block."""
+    G, n, _ = unit.shape
+    dist = np.empty((G, n, n), dtype=np.float32)
+    _distances(unit, dist)
+    return _maxmin(dist, weights, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=st.integers(1, 6), n=st.one_of(st.integers(1, 40), st.just(50)),
+       d=st.one_of(st.just(1), st.integers(1, 70)),
+       seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 3),
+       scale=st.sampled_from([1e-30, 1.0, 1e30]),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       spare=st.integers(0, 9))
+def test_arena_chunk_matches_two_step_path(G, n, d, seed, zero, scale, bad,
+                                           spare):
+    # _prune_chunk gathers a chunk's rows into the arena, normalises them
+    # in place and reuses the scratch region for the distance block. Its
+    # unit rows, distances and picks must equal the two-step path's bit for
+    # bit, with G*n*d odd (region B padded to 8 bytes), d = 1, n = 1 and
+    # zero-norm rows, in an arena larger than needed whose stale contents
+    # are NaN; a non-finite row is refused by its stream row, as before
+    rng = np.random.default_rng(seed)
+    m = G * n
+    emb = (rng.standard_normal((m + 7, d)) * scale).astype(np.float32)
+    group_rows = rng.permutation(m + 7)[:m].reshape(G, n).astype(np.int32)
+    for _ in range(zero):
+        emb[group_rows.flat[rng.integers(m)]] = 0.0
+    if bad is not None:
+        emb[group_rows.flat[rng.integers(m)], rng.integers(d)] = bad
+    arena = np.full(_arena_size(G, n, d) + spare, np.nan, dtype=np.float32)
+    k = int(rng.integers(1, n)) if n > 1 else 1
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=(G, n))
+    if bad is not None:
+        with pytest.raises(StreamError) as want:
+            two_step_unit_rows(emb[group_rows.ravel()], group_rows)
+        with pytest.raises(StreamError, match=f"^{want.value}$"):
+            _prune_chunk(arena, emb, group_rows, weights, k)
+        return
+    unit, want_zero = two_step_unit_rows(emb[group_rows.ravel()], group_rows)
+    got_zero, picks = _prune_chunk(arena, emb, group_rows, np.ones((G, n)), k)
+    assert arena[: m * d].tobytes() == unit.tobytes()
+    assert got_zero.tolist() == want_zero.reshape(G, n).tolist()
+    if n == 1:
+        assert picks is None  # k == n: kept whole, no distance block
+        return
+    # unit weights leave the distances as they are, bar the diagonal the
+    # greedy steps park at -inf
+    b = m * d + (m * d) % 2
+    got = arena[b : b + m * n].reshape(G, n, n).copy()
+    want = np.empty((G, n, n), dtype=np.float32)
+    _distances(unit.reshape(G, n, d), want)
+    diagonal = np.eye(n, dtype=bool)
+    assert (got[:, diagonal] == -np.inf).all()
+    got[:, diagonal] = want[:, diagonal]
+    assert got.tobytes() == want.tobytes()
+    _, picks = _prune_chunk(arena, emb, group_rows, weights, k)
+    assert picks.tolist() == two_step_picks(
+        unit.reshape(G, n, d), weights, k).tolist()
+
+
+def ragged_stream(counts_v, counts_a, n_q, d, rng):
+    """A stream of windows holding counts_v[t] visual then counts_a[t]
+    audio rows, with n_q text rows at the end, a few rows zero."""
+    mods, wins = [], []
+    for t, (nv, na) in enumerate(zip(counts_v, counts_a)):
+        mods += [VISUAL] * nv + [AUDIO] * na
+        wins += [t] * (nv + na)
+    mods += [TEXT] * n_q
+    wins += [-1] * n_q
+    emb = rng.standard_normal((len(mods), d)).astype(np.float32)
+    emb[rng.random(len(mods)) < 0.05] = 0.0
+    return TokenStream(embeddings=emb, modality=np.array(mods),
+                       window_id=np.array(wins),
+                       position=np.arange(len(mods)))
+
+
+def two_step_prune(stream, layout, weights, spec):
+    """Stage-1 rows and notes, one group at a time on the two-step path."""
+    keep = stream.modality == TEXT
+    notes = []
+    for m, counts, r, w in ((VISUAL, layout.n_v, spec.r_v, weights[0]),
+                            (AUDIO, layout.n_a, spec.r_a, weights[1])):
+        rows = stream.rows_of(m)
+        start = 0
+        for t, n in enumerate(counts.tolist()):
+            group = rows[start : start + n]
+            wg = np.ones(n) if w is None else w[start : start + n]
+            start += n
+            k = keep_count(min(1.0, spec.lambda_ * r), n)
+            if k == 0:
+                continue
+            unit, zero = two_step_unit_rows(stream.embeddings[group], group)
+            if zero.any():
+                notes.append(f"{int(zero.sum())} zero-norm embeddings in "
+                             f"window {t} {('visual', 'audio')[m]}; treated "
+                             f"as distance 1 to everything")
+            keep[group] = (True if k == n else
+                           two_step_picks(unit[None], wg[None], k)[0])
+    return np.flatnonzero(keep), notes
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 9),
+       d=st.sampled_from([1, 3, 8, 17]),
+       sizes=st.lists(st.sampled_from([0, 1, 2, 5, 9, 16, 33, 70]),
+                      min_size=2, max_size=2),
+       weighted=st.booleans())
+def test_arena_pass_matches_two_step_path(seed, T, d, sizes, weighted):
+    # ragged windows give several size classes per modality, ascending, so
+    # the arena grows mid-pass; the picks and zero-norm notes must equal
+    # the two-step path's, run one group at a time
+    rng = np.random.default_rng(seed)
+    counts_v = rng.choice([sizes[0], sizes[1], 4], size=T)
+    counts_a = rng.choice([sizes[1], 3, 0], size=T)
+    stream = ragged_stream(counts_v, counts_a, 3, d, rng)
+    layout = WindowLayout.from_stream(stream, T)
+    weights = ((rng.random(int(counts_v.sum())),
+                rng.random(int(counts_a.sum()))) if weighted else
+               (None, None))
+    spec = RetentionSpec(r_v=0.3, r_a=0.65, lambda_=1.4, tau=0.1)
+    res = win_div_prune(stream, layout, weights, spec)
+    rows, notes = two_step_prune(stream, layout, weights, spec)
+    assert res.rows.tolist() == rows.tolist()
+    assert list(res.notes) == notes
+
+
+def test_arena_grows_and_is_freed_between_passes(monkeypatch):
+    # the arena grows as the size classes need more room, and each arena
+    # is gone before the next one is used: a grown one releases the smaller
+    # at once, and the visual pass's goes before the audio pass gathers
+    calls = []
+
+    def spy(arena, embeddings, group_rows, weights, k):
+        for _, ref in calls:
+            assert ref() is None or ref() is arena
+        calls.append((arena.size, weakref.ref(arena)))
+        return chunk(arena, embeddings, group_rows, weights, k)
+
+    chunk = divprune._prune_chunk
+    monkeypatch.setattr(divprune, "_prune_chunk", spy)
+    stream = ragged_stream([4, 40, 4, 90], [6, 6, 30, 0], 2, 8,
+                           np.random.default_rng(3))
+    spec = RetentionSpec(r_v=0.3, r_a=0.65, lambda_=1.4, tau=0.1)
+    res = win_div_prune(stream, WindowLayout.from_stream(stream), None, spec)
+    # one chunk per size class: visual 4, 40 and 90, then audio 6 and 30
+    sizes = [size for size, _ in calls]
+    assert len(sizes) == 5
+    assert sizes[0] < sizes[1] < sizes[2] and sizes[3] < sizes[4]
+    assert res.rows.tolist() == two_step_prune(
+        stream, WindowLayout.from_stream(stream), (None, None), spec)[0].tolist()

@@ -127,6 +127,29 @@ def request_phase_peaks(monkeypatch, T: int, n_v: int, n_a: int) -> list:
 
 
 class TestSynthGenerate:
+    @pytest.mark.memory
+    def test_stream_adopts_the_draws(self):
+        # the stream keeps the arrays synth_generate draws and builds, not
+        # copies of them, so generation peaks near the stream's own size:
+        # 95.46 MiB for this long-clip stream of 46.23 MiB when the stream
+        # copied them, 49.23 MiB now
+        spec = SynthSpec(seed=7, T=512, d=64, n_v=288, n_a=50, n_q=64)
+        (stream, _), peak = traced_peak(lambda: synth_generate(spec))
+        held = stream.embeddings.nbytes + 3 * 8 * stream.n
+        assert peak < 1.1 * held
+        for name in ("embeddings", "modality", "window_id", "position"):
+            assert not getattr(stream, name).flags.writeable
+
+    @pytest.mark.memory
+    def test_synth_long_clip_run_peak_memory(self):
+        # run --synth on the bench's long-clip shape: the stream, stage 1
+        # and the drop layers. The bound sits between the peaks measured
+        # when the stream copied the draws, 94.75 MiB, and when it adopts
+        # them, 51.09 MiB
+        spec = SynthSpec(seed=7, T=512, d=64, n_v=288, n_a=50, n_q=64)
+        _, peak = traced_peak(lambda: run_pipeline(spec, QWEN25, DEFAULTS))
+        assert peak < 60 * 2**20
+
     def test_same_seed_same_stream(self):
         spec = SynthSpec(seed=5, T=3, d=16, n_v=10, n_a=4, n_q=6)
         a, _ = synth_generate(spec)
@@ -417,6 +440,7 @@ class TestRunPipeline:
             with pytest.raises(StreamError, match="window id 1 lies outside"):
                 run_pipeline(stream, QWEN25, DEFAULTS, T=bad)
 
+    @pytest.mark.memory
     def test_huge_positions_stay_small(self):
         # survivors travel as indices into each modality's rows, so a
         # position of 2**40 costs nothing extra; a table indexed by position
@@ -471,6 +495,7 @@ class TestRunPipeline:
             assert stage1.kept is not stage1.rows
             assert np.array_equal(stage1.kept, position[stage1.rows])
 
+    @pytest.mark.memory
     def test_container_stream_peak_memory(self):
         # a container read by read_ots hands the engine zero-copy views, as
         # the benchmark does, so the peak is the engine's own arrays: the
@@ -481,6 +506,7 @@ class TestRunPipeline:
         # 1.32 MiB after; it sits between the two
         assert container_request_peak(T=64, n_v=288, n_a=50) < 1.45 * 2**20
 
+    @pytest.mark.memory
     def test_long_clip_container_peak_memory(self):
         # the bench's long-clip shape, whose peak falls in stage 1's chunk
         # loop or layer 19. The bound was set from the peak measured on this
@@ -489,6 +515,7 @@ class TestRunPipeline:
         # one pick mask and one array; it sits between the two
         assert container_request_peak(T=512, n_v=288, n_a=50) < 4.7 * 2**20
 
+    @pytest.mark.memory
     def test_long_clip_narrow_survivors_peak_memory(self):
         # the same shape. The bound was set from the peak measured on this
         # stream, 4.40 MiB when stage 1 held an int64 row index and its
@@ -498,6 +525,7 @@ class TestRunPipeline:
         # it sits between the two
         assert container_request_peak(T=512, n_v=288, n_a=50) < 4.0 * 2**20
 
+    @pytest.mark.memory
     def test_bench_many_windows_container_peak_memory(self):
         # the bench's many-windows shape, 2,048 windows of 16 visual and 4
         # audio tokens. The bound was set from the peak measured on this
@@ -506,25 +534,38 @@ class TestRunPipeline:
         # array carried; it sits between the two
         assert container_request_peak(T=2048, n_v=16, n_a=4) < 1.84 * 2**20
 
+    @pytest.mark.memory
     def test_long_clip_phase_peak_memory(self, monkeypatch):
         # each phase of the long-clip request bounded on its own, so that a
-        # regression names its phase. The bounds sit between the peaks
-        # measured before and after stage 1 held an int32 row index and a
-        # distance block per modality, and the drop layers carried int32
-        # ordinals beside the previous kept array: stage 1 4.40 -> 3.76 MiB,
-        # the survivor carry 3.51 -> 1.68, layers 17, 19 and 21
-        # 4.07/4.34/4.14 -> 3.19/3.51/3.48
+        # regression names its phase. Stage 1 and the drop layers went 4.40
+        # -> 3.76 MiB and 4.07/4.34/4.14 -> 3.19/3.51/3.48 when stage 1 held
+        # an int32 row index and the drop layers carried int32 ordinals,
+        # and the survivor carry 3.51 -> 1.68. Stage 1's arena then took it
+        # to 3.22 MiB, below layer 21, and in-place softmax, int32 gather
+        # indices, ranking without a negated copy and adopted selections
+        # took layers 17, 19 and 21 to 2.92/3.16/3.30. Each bound sits
+        # between the two latest peaks of its phase
         peaks = request_phase_peaks(monkeypatch, T=512, n_v=288, n_a=50)
         assert [name for name, _ in peaks] == \
             ["win_div_prune", "_survivors"] + 3 * ["_drop_layer"]
         (_, stage1), (_, carry), *layers = peaks
-        assert stage1 < 3.85 * 2**20
+        assert stage1 < 3.45 * 2**20
         assert carry < 2.6 * 2**20
         for _, peak in layers:
-            assert peak < 3.8 * 2**20
-            # the request's peak is stage 1's
-            assert peak < stage1
+            assert peak < 3.4 * 2**20
 
+    @pytest.mark.memory
+    def test_short_clip_stage1_phase_peak_memory(self, monkeypatch):
+        # the bench's short-clip shape, whose request peak is stage 1's. The
+        # bound sits between the peaks measured when each chunk allocated
+        # its gathered rows, float64 squares, unit rows and distance block,
+        # with numpy's casting buffers for the float64 quotient, 0.689 MiB,
+        # and with one arena per modality pass, 0.493 MiB
+        peaks = request_phase_peaks(monkeypatch, T=4, n_v=288, n_a=50)
+        assert peaks[0][0] == "win_div_prune"
+        assert peaks[0][1] < 0.55 * 2**20
+
+    @pytest.mark.memory
     def test_many_windows_phase_peak_memory(self, monkeypatch):
         # the bench's many-windows shape, whose request peak falls in layer
         # 21, bounded per drop layer. The bound sits between layer 21's
@@ -538,6 +579,7 @@ class TestRunPipeline:
         for _, peak in peaks[2:]:
             assert peak < 1.80 * 2**20
 
+    @pytest.mark.memory
     def test_many_windows_container_peak_memory(self):
         # a table of 1,030 sections: the peak counts the read, so it counts
         # what the request keeps of the table. The bound was set from the
@@ -546,6 +588,7 @@ class TestRunPipeline:
         # when the sections became a mapping over one view; it sits between
         assert container_request_peak(T=512, n_v=16, n_a=4) < 0.76 * 2**20
 
+    @pytest.mark.memory
     def test_many_windows_read_peak_memory(self):
         # read_ots alone on the bench's many-windows shape, a table of 4,102
         # sections. The bound was set from the peak measured on this

@@ -70,6 +70,15 @@ class TestSoftmax:
         for i in range(4):
             assert np.array_equal(got[i], softmax(rows[i]))
 
+    def test_in_place_equals_a_fresh_result(self):
+        # out=x overwrites x with the same bits a fresh result holds, and
+        # allocates no temporary of x's size
+        rows = np.random.default_rng(6).normal(size=(3, 7)) * 40
+        want = softmax(rows)
+        x = rows.copy()
+        assert softmax(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
     def test_large_logits_stay_finite(self):
         s = softmax(np.array([1000.0, 999.0, -1000.0]))
         assert np.all(np.isfinite(s))

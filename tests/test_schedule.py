@@ -71,6 +71,30 @@ class TestSolveDelta:
         with pytest.raises(InfeasibleScheduleError):
             solve_delta(QWEN25, 0.3, edge - 1e-6)
 
+    def test_rounding_edge_is_delta_zero(self):
+        # lambda = L/(L_l - 1) puts delta at 0 in exact arithmetic, and so
+        # does r = (L_l - 1)/L once the shallow ratio clips at 1; the float
+        # inputs sit a few ulps off, which left a delta of about -1e-17 and
+        # refused feasible schedules. 1.2 lies just below 12/10: delta was
+        # -1.55e-17 here
+        cfg = ModelConfig(layers=12, d_model=64, d_ff=64, n_heads=1,
+                          boundaries=(4, 6, 9, 11))
+        assert solve_delta(cfg, 0.8, 1.2)[0] == 0.0
+        for layers in range(5, 40):
+            for ll in range(5, layers + 1):
+                cfg = ModelConfig(layers=layers, d_model=1, d_ff=1, n_heads=1,
+                                  boundaries=(1, 2, 3, ll))
+                lam = layers / (ll - 1)
+                edges = [((ll - 1) / layers, lam)] + [
+                    (r, lam) for r in (0.1, 0.3, 0.5) if lam * r < 1.0]
+                for r, lam in edges:
+                    delta, _ = solve_delta(cfg, r, lam)
+                    assert 0.0 <= delta <= 1e-12, (layers, ll, r, lam)
+                    assert delta_oracle(cfg, r, lam) == pytest.approx(
+                        delta, abs=1e-9)
+                    trr = build_schedule(cfg, r, lam).per_layer_trr
+                    assert trr.mean() == pytest.approx(r, abs=1e-9)
+
     def test_deep_subblock_floor(self):
         # large lambda pushes r_m3 below zero: hard error, never clamped
         with pytest.raises(InfeasibleScheduleError):

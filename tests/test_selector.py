@@ -149,6 +149,31 @@ class TestApplyBudget:
                        and stream.window_id[p] == t}
                 assert got == want, (t, mod)
 
+    def test_ranking_keeps_earlier_token_among_ties(self):
+        # scores of few distinct values, signed zeros among them, over
+        # ragged windows: each window keeps its budget's best, ties to the
+        # earlier token, exactly as select_topk picks them
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            T = int(rng.integers(1, 7))
+            n_v = rng.integers(0, 9, size=T)
+            n_a = rng.integers(0, 5, size=T)
+            lay = WindowLayout(n_v, n_a)
+            plan = BudgetPlan(b_v=rng.integers(0, n_v + 1),
+                              b_a=rng.integers(0, n_a + 1))
+            values = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
+            sv = rng.choice(values, size=int(n_v.sum()))
+            sa = rng.choice(values, size=int(n_a.sum()))
+            for flags, scores, counts, budget in zip(
+                    keep_flags(plan, sv, sa, lay), (sv, sa), (n_v, n_a),
+                    (plan.b_v, plan.b_a)):
+                start = 0
+                for n, b in zip(counts.tolist(), budget.tolist()):
+                    want = np.zeros(n, dtype=bool)
+                    want[select_topk(scores[start : start + n], b)] = True
+                    assert flags[start : start + n].tolist() == want.tolist()
+                    start += n
+
     def test_scores_length_must_match(self):
         # blocks of 5 visual scores against a layout of 6 visual tokens
         stream = make_stream(T=2, n_v=3, n_a=2, n_q=1)
