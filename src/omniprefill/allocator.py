@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .core import (EngineError, InfeasibleBudgetError, StreamError,
-                   WindowLayout, freeze_fields)
+                   WindowLayout, freeze_fields, outside_array)
 from .relevance import real_weights, window_weights
 
 
@@ -76,10 +76,11 @@ def allocate(
     checked = [real_weights(w, T) for w in (s_v, s_a)]
     for name, w, weights in zip(("s_v", "s_a"), (s_v, s_a), checked):
         if weights is None:
+            shape = outside_array(w).shape
             raise StreamError(
                 f"{name} weights must be finite and non-negative"
-                if np.shape(w) == (T,) else f"{name} weights have shape "
-                f"{np.shape(w)}, the layout holds {T} windows")
+                if shape == (T,) else f"{name} weights have shape {shape}, "
+                f"the layout holds {T} windows")
     s_v, s_a = checked
     n_v0, n_a0 = totals if totals is not None else (
         layout.total_visual, layout.total_audio

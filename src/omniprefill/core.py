@@ -47,6 +47,16 @@ class StreamError(EngineError, ValueError):
     """
 
 
+def outside_array(value) -> np.ndarray:
+    """np.asarray(value) for a vector from outside the engine, or, for a
+    value numpy finds no one shape for (a ragged list), a 0-d object array,
+    which each caller's check of kind and shape refuses as its own error."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.array(None)
+
+
 class Owned:
     """An array handed to a constructor by the engine code that made it,
     which holds no other writable reference to it: freeze_fields keeps it,
@@ -286,7 +296,8 @@ def window_blocks(scores: np.ndarray,
         block = scores[starts.astype(np.int32)[:, None]
                        + np.arange(n, dtype=np.int32)]
         # block.mean(axis=1), bit for bit, without its Python wrapper
-        means[windows] = np.add.reduce(block, axis=1) / n
+        with np.errstate(over="ignore"):  # window_relevance refuses an inf
+            means[windows] = np.add.reduce(block, axis=1) / n
         blocks.append((windows, starts, block))
     return blocks, means
 

@@ -25,6 +25,7 @@ from .core import (
     TokenStream,
     WindowLayout,
     freeze_fields,
+    outside_array,
     segments,
 )
 from .relevance import real_weights
@@ -68,15 +69,17 @@ def _unit_rows(emb: np.ndarray, rows, out=None,
     place and rounded into out. So every step runs in one dtype, no ufunc
     casts through buffers of its own, and the bits equal a float64 copy's
     norm and quotient rounded to float32. A non-finite norm (a NaN or inf
-    entry: float32 entries cannot overflow squared in float64) is a
-    StreamError naming row i as the flattened rows[i]."""
+    entry, or, as float32 entries cannot overflow squared in float64, a
+    float64 row too long to square) is a StreamError naming row i as the
+    flattened rows[i]."""
     if out is None:
         out = np.empty(emb.shape, dtype=np.float32)
     if scratch is None:
         scratch = np.empty(emb.shape)
     np.copyto(scratch, emb)
-    np.square(scratch, out=scratch)
-    norms = np.add.reduce(scratch, axis=1)
+    with np.errstate(over="ignore"):  # an overflow is an inf norm
+        np.square(scratch, out=scratch)
+        norms = np.add.reduce(scratch, axis=1)
     np.sqrt(norms, out=norms)
     if not np.isfinite(norms).all():
         i = np.flatnonzero(~np.isfinite(norms))[0]
@@ -233,7 +236,7 @@ def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
     """One modality's saliency vector, float32 as given or else float64,
     once it holds one finite, non-negative real weight for each of rows;
     a kind other than real is refused before it converts."""
-    weight = np.asarray(weight)
+    weight = outside_array(weight)
     if weight.dtype.kind not in "biuf":
         raise StreamError(f"{name} saliency must be real numbers, got "
                           f"{weight.dtype}")

@@ -36,6 +36,7 @@ from .core import (
     TokenStream,
     WindowLayout,
     freeze_fields,
+    outside_array,
     window_blocks,
 )
 from .divprune import SelectionResult, win_div_prune
@@ -144,17 +145,20 @@ def _keyed_rng(rng: np.random.Generator, seed: int, purpose: int,
 def _survivor_probs(logits: np.ndarray, layer: int,
                     ordinals: np.ndarray) -> np.ndarray:
     """Softmax of the surviving tokens' query logits. logits covers a
-    modality's original tokens; ordinals index that original order."""
+    modality's original tokens; ordinals, a vector of integers, index that
+    original order, and one outside it is a StreamError naming the layer."""
     ordinals = np.asarray(ordinals)
-    if ordinals.dtype != np.int32:  # the run's own ordinals are int32
-        ordinals = ordinals.astype(np.int64)
+    if ordinals.dtype.kind not in "iu" or ordinals.ndim != 1:
+        raise StreamError(
+            f"query ordinals for layer {layer} must be a vector of integers, "
+            f"got {ordinals.dtype} of shape {ordinals.shape}")
     if ordinals.size == 0:
         return np.zeros(0)
-    if ordinals.max() >= logits.shape[0]:
-        raise StreamError(
-            f"query logits for layer {layer} cover {logits.shape[0]} "
-            f"tokens, ordinal {int(ordinals.max())} requested"
-        )
+    for ordinal in (ordinals.min(), ordinals.max()):
+        if not 0 <= ordinal < logits.shape[0]:
+            raise StreamError(
+                f"query logits for layer {layer} cover {logits.shape[0]} "
+                f"tokens, ordinal {int(ordinal)} requested")
     # a fresh gather either way, so the softmax runs in place on it
     chosen = logits[ordinals].astype(np.float64, copy=False)
     if not np.isfinite(chosen).all():
@@ -377,7 +381,7 @@ def _query_scores(oracle, layer: int, modality: int,
         return np.full(ordinals.size, 1.0 / max(ordinals.size, 1))
     checked = real_weights(probs, ordinals.size)
     if checked is None:
-        probs = np.asarray(probs)
+        probs = outside_array(probs)
         raise StreamError(
             f"layer {layer} {MODALITY_NAMES[modality]} query scores must be "
             f"{ordinals.size} finite, non-negative real numbers, one per "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import StreamError, WindowLayout
+from .core import StreamError, WindowLayout, outside_array
 
 
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -37,7 +37,7 @@ def real_weights(w, n: int) -> np.ndarray | None:
     (bool, integer or float) numbers, else None. The one rule for weights
     and scores from outside: its kind is checked before anything is
     converted, so a bad vector raises no numpy warning."""
-    w = np.asarray(w)
+    w = outside_array(w)
     if w.dtype.kind in "biuf" and w.shape == (n,):
         w = w.astype(np.float64, copy=False)
         if w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf:
@@ -58,7 +58,8 @@ def window_relevance(
     over its current visual / audio tokens, as core.window_blocks takes
     them; softmax(mean/tau) runs over the windows where layout has the
     modality, and the other entries are not read. Each weight vector sums
-    to 1 over those windows and is 0 elsewhere.
+    to 1 over those windows and is 0 elsewhere; an infinite mean/tau is a
+    StreamError.
     """
     if not tau > 0.0:  # a NaN tau fails this too
         raise StreamError(f"tau must be positive, got {tau}")
@@ -70,9 +71,13 @@ def window_relevance(
             raise StreamError(f"{name} means have shape {means.shape}, the "
                               f"layout holds {layout.T} windows")
         present = counts > 0
+        with np.errstate(over="ignore"):
+            logits = means[present] / tau
+        if not np.isfinite(logits).all():
+            raise StreamError(f"{name} window means over tau={tau} overflow")
         w = np.zeros(layout.T, dtype=np.float64)
         if present.any():
-            w[present] = softmax(means[present] / tau)
+            w[present] = softmax(logits)
         weights.append(w)
     return tuple(weights)
 

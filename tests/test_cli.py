@@ -38,7 +38,8 @@ def cli_process(*args):
     src = os.path.dirname(os.path.dirname(omniprefill.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "omniprefill.cli", *args],
+    return subprocess.run([sys.executable, "-W", "error", "-m",
+                           "omniprefill.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 

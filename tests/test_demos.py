@@ -19,6 +19,7 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -227,6 +227,18 @@ class TestGreedyMaxmin:
         with pytest.raises(StreamError, match="row 1"):
             greedy_maxmin(emb, np.ones(3), k)
 
+    @pytest.mark.parametrize("row", [[1e200, 1.0], [1e154, 1e154]],
+                             ids=["square", "sum"])
+    def test_overflowing_float64_row_is_not_finite(self, row):
+        # a float64 row can overflow where it is squared or summed: that is
+        # an infinite norm, never a numpy warning
+        emb = np.array([row, [1.0, 1.0], [0.5, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StreamError,
+                               match="^embedding of row 0 is not finite$"):
+                greedy_maxmin(emb, np.ones(3), 2)
+
 
 def test_batched_kernel_with_zero_weights_matches_single_groups():
     # the kernel scales each distance column by its weight; zero weights
@@ -514,8 +526,11 @@ class TestWinDivPrune:
          "^audio saliency must be real numbers, got <U3$"),
         ((np.array([1.0, 1.0, 1.0, None], dtype=object), None),
          "^visual saliency must be real numbers, got object$"),
+        (([[1.0] * 3, [1.0] * 2], None),
+         "^visual saliency must be real numbers, got object$"),
     ], ids=["short", "negative", "inf", "float32-short", "float32-negative",
-            "float32-inf", "float32-nan", "complex", "string", "object"])
+            "float32-inf", "float32-nan", "complex", "string", "object",
+            "ragged"])
     def test_bad_saliency_rejected(self, saliency, match):
         # refused before numpy warns: a complex vector does not lose its
         # imaginary part, nor is a string vector read as numbers, and a

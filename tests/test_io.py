@@ -366,7 +366,9 @@ class TestWriterRefuses:
         ({"b": np.ones(2, dtype=complex)}, "'b'", "str and complex128"),
         ({"c": np.array(["1.0", "2.0"])}, "'c'", "str and <U3"),
         ({"d": [1.0, None]}, "'d'", "str and object"),
-    ], ids=["int-name", "mixed-names", "complex", "string", "object"])
+        ({"e": [[1.0, 2.0], [3.0]]}, "'e'", "str and object"),
+    ], ids=["int-name", "mixed-names", "complex", "string", "object",
+            "ragged"])
     def test_bad_section_refused_before_writing(self, tmp_path, sections,
                                                 name, got):
         # never bytes read_ots refuses, a TypeError from sorting the names,
@@ -381,6 +383,13 @@ class TestWriterRefuses:
             with pytest.raises(ContainerFormatError, match=message):
                 write_ots_file(str(path), tiny_stream(), sections)
         assert not path.exists()
+
+    def test_values_past_float32_are_written_as_infinities(self):
+        # float32 rounding, without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = write_ots(tiny_stream(), {"s": [1e308, -1e308, 0.5]})
+        assert read_ots(data)[1]["s"].tolist() == [np.inf, -np.inf, 0.5]
 
     def test_text_window_ids_do_not_count_toward_t(self):
         # text rows carry no window id: a stream refuses one, and so does

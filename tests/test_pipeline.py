@@ -206,6 +206,27 @@ class TestSynthGenerate:
         renorm = full[sub_idx] / full[sub_idx].sum()
         assert np.allclose(sub, renorm, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["synthetic", "container"])
+    @pytest.mark.parametrize("ordinals, message", [
+        (np.array([-1, 0]), "cover 12 tokens, ordinal -1 requested"),
+        (np.array([0, 12]), "cover 12 tokens, ordinal 12 requested"),
+        (np.array([0.7, 1.2]), r"integers, got float64 of shape \(2,\)"),
+        (np.array([[0, 1]]), r"integers, got int64 of shape \(1, 2\)"),
+        (np.array([True, False]), r"integers, got bool of shape \(2,\)"),
+    ], ids=["negative", "past-end", "float", "matrix", "bool"])
+    def test_query_ordinals_outside_the_logits_are_refused(self, kind,
+                                                           ordinals, message):
+        # never the last token's logit for -1, nor floats cut to integers
+        spec = SynthSpec(seed=4, T=2, d=8, n_v=6, n_a=3, n_q=4)
+        stream, oracle = synth_generate(spec)
+        if kind == "container":
+            logits = {"query_logits/layer17/visual":
+                      oracle._query_logits(17, VISUAL)}
+            oracle = ContainerOracle(read_ots(write_ots(stream, logits))[1],
+                                     spec.T)
+        with pytest.raises(StreamError, match=rf"layer 17 .*{message}$"):
+            oracle.query_probs(17, VISUAL, ordinals)
+
     def test_planted_window_dominates_relevance(self):
         spec = SynthSpec(seed=1, T=5, d=8, n_v=12, n_a=4, n_q=3,
                          planted_windows=(3,), planted_gain=9.0)
@@ -873,6 +894,7 @@ class TestQueryScores:
         (lambda o: ["0.5"] * o.size, r"<U3 of shape \(6,\)"),
         (lambda o: np.ones(o.size - 1), r"float64 of shape \(5,\)"),
         (lambda o: np.array(o.size * [1j]), r"complex128 of shape \(6,\)"),
+        (lambda o: [[0.5] * (o.size - 1), [0.5]], r"object of shape \(\)"),
         (one_bad(-0.1), r"float64 of shape \(6,\)"),
         (one_bad(math.nan), r"float64 of shape \(6,\)"),
         (one_bad(math.inf), r"float64 of shape \(6,\)"),
@@ -882,8 +904,8 @@ class TestQueryScores:
         (lambda o: (np.arange(o.size) % 2).astype(bool), None),
         (lambda o: np.full(o.size, 0.25, dtype=np.float32), None),
         (lambda o: [0.25] * o.size, None),
-    ], ids=["column", "strings", "short", "complex", "negative", "nan", "inf",
-            "-inf", "zeros", "ints", "bools", "float32", "list"])
+    ], ids=["column", "strings", "short", "complex", "ragged", "negative",
+            "nan", "inf", "-inf", "zeros", "ints", "bools", "float32", "list"])
     def test_scores_are_checked_once_per_layer_and_modality(self, scores_of,
                                                             got):
         # the first drop layer, 17, scores the 6 audio survivors stage 1

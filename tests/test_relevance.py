@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestWindowRelevance:
                              float("nan"))
         assert isinstance(exc.value, StreamError)
 
+    @pytest.mark.parametrize("means, tau", [([0.5, 0.25], 5e-324),
+                                            ([1e308, 0.5], 0.1),
+                                            ([np.inf, 0.5], 0.1)],
+                             ids=["tiny-tau", "huge-mean", "inf-mean"])
+    def test_overflowing_logits_are_refused(self, means, tau):
+        # never an overflow warning, nor NaN weights from softmax
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StreamError, match=r"^visual window means "
+                                                  r"over tau=.* overflow$"):
+                window_relevance(np.array(means), np.array([0.5, 0.5]),
+                                 layout([1, 1], [1, 1]), tau)
+
     def test_rejects_length_mismatch(self):
         lay = layout([2], [1])
         with pytest.raises(ValueError):
@@ -233,9 +247,12 @@ class TestRelevanceScores:
          "^s_v weights must be finite and non-negative$"),
         ([0.5, 0.5], ["0.5", "0.5"], StreamError,
          "^s_a weights must be finite and non-negative$"),
-    ], ids=["unequal", "two-d", "overflow-combined", "complex", "string"])
+        ([[0.5, 0.5], [0.5]], [0.5, 0.5], StreamError,
+         r"^s_v weights have shape \(\), the layout holds 2 windows$"),
+    ], ids=["unequal", "two-d", "overflow-combined", "complex", "string",
+            "ragged"])
     def test_rejects_bad_weights(self, s_v, s_a, error, message):
-        # the allocate CLI tests cover negative and non-finite s_v
+        # the allocate CLI tests cover negative and non-finite s_v; a list
+        # numpy finds no one shape for has none
         with pytest.raises(error, match=message):
-            allocate(np.array(s_v), np.array(s_a), 0.5, 0.5,
-                     layout([2, 2], [1, 1]))
+            allocate(s_v, s_a, 0.5, 0.5, layout([2, 2], [1, 1]))
