@@ -13,6 +13,7 @@ from .core import (
     AUDIO,
     TEXT,
     VISUAL,
+    ConfigError,
     EngineError,
     InfeasibleBudgetError,
     InfeasibleScheduleError,
@@ -25,7 +26,6 @@ from .core import (
 from .cost import CostReport, layer_flops, trace_flops
 from .divprune import SelectionResult, greedy_maxmin, win_div_prune
 from .io import (
-    ConfigError,
     ContainerFormatError,
     load_model_config,
     load_retention_spec,

@@ -24,6 +24,7 @@ from .core import (
     EngineError,
     ModelConfig,
     WindowLayout,
+    integers,
 )
 from .cost import trace_flops
 from .divprune import win_div_prune
@@ -87,14 +88,9 @@ def _emit(text: str, out_path) -> None:
 def _cmd_schedule(args) -> int:
     r_v, r_a = (args.modality_ratios if args.modality_ratios
                 else (args.ratio, args.ratio))
-    try:
-        config = ModelConfig(
-            layers=args.layers, d_model=1, d_ff=1, n_heads=1,
-            boundaries=args.boundaries,
-        )
-        _, c_value = solve_delta(config, args.ratio, args.lambda_)
-    except ValueError as exc:  # unordered boundaries, a bad --lambda
-        raise otsio.ConfigError(str(exc)) from exc
+    config = ModelConfig(layers=args.layers, d_model=1, d_ff=1, n_heads=1,
+                         boundaries=args.boundaries)
+    _, c_value = solve_delta(config, args.ratio, args.lambda_)
     plan_v = build_schedule(config, r_v, args.lambda_)
     plan_a = build_schedule(config, r_a, args.lambda_)
     if args.json:
@@ -157,34 +153,16 @@ def _cmd_prune_pre(args) -> int:
     return 0
 
 
-def _counts(doc: dict, key: str) -> np.ndarray:
-    """A layout's window counts: a list of whole numbers (4.0 counts as 4)
-    summing below 2**63, never a fraction or a boolean, which numpy would
-    silently turn into one."""
-    values = doc[key]
-    if not isinstance(values, list) or not all(
-            type(x) is int or (type(x) is float and x.is_integer())
-            for x in values) or not sum(values) < 2**63:
-        raise otsio.ConfigError(f"layout {key} must be a list of whole "
-                                f"numbers summing below 2**63, got "
-                                f"{values!r:.60}")
-    return np.asarray(values, dtype=np.int64)
-
-
 def _cmd_allocate(args) -> int:
     rel_doc = otsio._load_config(args.relevance, dict, "relevance", {
         "s_v": ("s_v", otsio._numbers, True),
         "s_a": ("s_a", otsio._numbers, True),
     })
     s_v, s_a = np.array(rel_doc["s_v"]), np.array(rel_doc["s_a"])
-    layout_doc = otsio._load_document(
-        args.layout, {"n_v": True, "n_a": True}, "layout"
-    )
-    try:
-        layout = WindowLayout(n_v=_counts(layout_doc, "n_v"),
-                              n_a=_counts(layout_doc, "n_a"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise otsio.ConfigError(f"malformed layout: {exc}") from exc
+    layout = otsio._load_config(args.layout, WindowLayout, "layout", {
+        "n_v": ("n_v", integers, True),
+        "n_a": ("n_a", integers, True),
+    })
     if s_v.shape != (layout.T,) or s_a.shape != (layout.T,):
         raise otsio.ConfigError(
             f"relevance shapes {s_v.shape} and {s_a.shape} must match the "

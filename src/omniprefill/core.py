@@ -26,6 +26,8 @@ MAX_GROUP = 4096
 # indices stage 1 and the drop layers hold; TokenStream refuses a longer
 # field on its shape, before it copies anything.
 MAX_ROWS = 2**31 - 1
+_INT64_MAX = 2**63 - 1
+_TWO_63 = np.float64(2.0**63)  # float64, so no float16 comparison overflows
 
 
 class EngineError(Exception):
@@ -47,6 +49,10 @@ class StreamError(EngineError, ValueError):
     """
 
 
+class ConfigError(EngineError, ValueError):
+    """A malformed config document or config field. Also a ValueError."""
+
+
 def outside_array(value) -> np.ndarray:
     """np.asarray(value) for a vector from outside the engine, or, for a
     value numpy finds no one shape for (a ragged list), a 0-d object array,
@@ -55,6 +61,69 @@ def outside_array(value) -> np.ndarray:
         return np.asarray(value)
     except ValueError:
         return np.array(None)
+
+
+def exact_array(value, dtype, what: str) -> np.ndarray:
+    """A new array of dtype holding value, from outside the engine, exactly,
+    else a StreamError naming what. int64 takes signed integers, unsigned
+    ones to 2**63 - 1 and whole floats inside int64; a float dtype takes
+    bool, integer and float values, float32 overflow going to inf without a
+    warning. Anything else (bools into int64, complex, strings, a ragged
+    list, an int past int64) is refused before numpy truncates or wraps."""
+    a = outside_array(value)
+    if a.dtype == dtype or a.dtype.kind == "i":
+        return np.array(a, dtype)
+    kind, dtype = a.dtype.kind, np.dtype(dtype)
+    if dtype.kind == "i" and (
+            kind == "u" and a.max(initial=0) <= _INT64_MAX
+            or kind == "f" and (not a.size or ((-_TWO_63 <= a) & (a < _TWO_63)
+                                               & (np.trunc(a) == a)).all())):
+        return np.array(a, dtype)
+    if dtype.kind == "f" and kind in "buf":
+        with np.errstate(over="ignore"):
+            return np.array(a, dtype)
+    raise StreamError(f"{what}: {a.dtype} values do not convert exactly to "
+                      f"{dtype}")
+
+
+def field_value(what: str, convert, value, error):
+    """convert(value); a type or value fault is an error naming what."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} is malformed: {value!r:.60} ({exc})") from exc
+
+
+def integer(value) -> int:
+    """value as an int, when it is an integer: not a bool, a string or a
+    float, which int() would read as some other number without a word."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"an integer is needed, not {type(value).__name__}")
+    return int(value)
+
+
+def integers(value) -> tuple[int, ...]:
+    """A list or tuple of integers, as a tuple."""
+    if type(value) not in (list, tuple):
+        raise TypeError("a list of integers is needed")
+    return tuple(map(integer, value))
+
+
+def real(value) -> float:
+    """float(value), when value is a real number that is not a bool (an
+    int past the float range is an OverflowError)."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"a real number is needed, not {type(value).__name__}")
+    return float(value)
+
+
+def config_fields(obj, convert, *names) -> None:
+    """Set each named field of a frozen config to convert(field) (integer,
+    integers or real), or raise a ConfigError naming it."""
+    for name in names:
+        object.__setattr__(obj, name, field_value(
+            name, convert, getattr(obj, name), ConfigError))
 
 
 class Owned:
@@ -74,11 +143,12 @@ class Owned:
         return self.array.shape
 
 
-def _frozen(a, dtype):
+def _frozen(a, dtype, what: str):
     """a as a read-only array of dtype. An Owned array of that dtype is
     frozen in place and kept, and so is an aligned, read-only array of that
     dtype whose memory belongs to a bytes object (a container read by
-    read_ots), which cannot change; anything else is copied."""
+    read_ots), which cannot change; anything else is copied by exact_array,
+    whose StreamError names what."""
     if isinstance(a, Owned):
         a = a.array
         if a.dtype == dtype:
@@ -91,7 +161,7 @@ def _frozen(a, dtype):
             base = base.base
         if isinstance(base, bytes):
             return a
-    arr = np.array(a, dtype=dtype)
+    arr = exact_array(a, dtype, what)
     arr.setflags(write=False)
     return arr
 
@@ -106,7 +176,7 @@ def freeze_fields(obj, dtype, *names) -> None:
     for name in names:
         a = getattr(obj, name)
         if id(a) not in frozen:
-            frozen[id(a)] = a, _frozen(a, dtype)
+            frozen[id(a)] = a, _frozen(a, dtype, name)
         object.__setattr__(obj, name, frozen[id(a)][1])
 
 
@@ -122,7 +192,7 @@ class TokenStream:
 
     A stream that breaks one of these is a StreamError naming the first
     faulty row, so no stage checks them again, and so is a field of more
-    than MAX_ROWS rows.
+    than MAX_ROWS rows or one exact_array refuses.
     """
 
     embeddings: np.ndarray
@@ -132,18 +202,19 @@ class TokenStream:
 
     def __post_init__(self):
         for name in ("embeddings", "modality", "window_id", "position"):
-            shape = np.shape(getattr(self, name))
+            a = getattr(self, name)
+            shape = a.shape if hasattr(a, "shape") else outside_array(a).shape
             if shape and shape[0] > MAX_ROWS:
                 raise StreamError(f"a stream holds at most {MAX_ROWS} rows, "
                                   f"{name} has {shape[0]}")
         freeze_fields(self, np.float32, "embeddings")
         freeze_fields(self, np.int64, "modality", "window_id", "position")
         if self.embeddings.ndim != 2:
-            raise ValueError("embeddings must be a 2-d matrix")
+            raise StreamError("embeddings must be a 2-d matrix")
         n = self.embeddings.shape[0]
         if not (self.modality.shape == self.window_id.shape
                 == self.position.shape == (n,)):
-            raise ValueError("modality/window_id/position must have one entry per row")
+            raise StreamError("modality/window_id/position must have one entry per row")
         # argmax of a fault mask is its first faulty row
         modality, window_id = self.modality, self.window_id
         unknown = modality.view(np.uint64) > TEXT  # negative codes too
@@ -205,8 +276,11 @@ class TokenStream:
         return np.flatnonzero(self.modality == modality)
 
     def take(self, rows) -> "TokenStream":
-        """Row subset. Rows must ascend, as the positions must."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """Row subset. Rows must be integers in [0, n) and ascend, as the
+        positions must."""
+        rows = exact_array(rows, np.int64, "rows")
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.n:
+            raise StreamError(f"rows must lie in [0, {self.n})")
         return TokenStream(
             embeddings=self.embeddings[rows],
             modality=self.modality[rows],
@@ -219,7 +293,8 @@ class TokenStream:
 class WindowLayout:
     """Per-window visual/audio token counts. May be ragged across windows.
     total_visual and total_audio are their sums, taken once: a request
-    reads them at every layer."""
+    reads them at every layer. Counts exact_array refuses as int64, negative
+    ones and ones summing past 2**63 - 1 are a StreamError."""
 
     n_v: np.ndarray
     n_a: np.ndarray
@@ -232,13 +307,20 @@ class WindowLayout:
         freeze_fields(self, np.int64, "n_v", "n_a")
         nv, na = self.n_v, self.n_a
         if nv.ndim != 1 or na.ndim != 1 or nv.shape != na.shape:
-            raise ValueError("n_v and n_a must be 1-d and the same length")
+            raise StreamError("n_v and n_a must be 1-d and the same length")
         if nv.shape[0] < 1:
-            raise ValueError("at least one window is required")
-        if np.any(nv < 0) or np.any(na < 0):
-            raise ValueError("window counts must be non-negative")
-        object.__setattr__(self, "total_visual", int(nv.sum()))
-        object.__setattr__(self, "total_audio", int(na.sum()))
+            raise StreamError("at least one window is required")
+        if min(nv.min(), na.min()) < 0:
+            raise StreamError("window counts must be non-negative")
+        total_v, total_a = int(nv.sum()), int(na.sum())
+        if max(nv.max(), na.max()) > _INT64_MAX // nv.size:
+            # an int64 sum may have wrapped: sum exactly, in Python
+            total_v, total_a = sum(nv.tolist()), sum(na.tolist())
+            if max(total_v, total_a) > _INT64_MAX:
+                raise StreamError(f"{'visual' if total_v > _INT64_MAX else 'audio'}"
+                                  f" window counts sum past 2**63 - 1")
+        object.__setattr__(self, "total_visual", total_v)
+        object.__setattr__(self, "total_audio", total_a)
 
     @property
     def T(self) -> int:
@@ -309,7 +391,8 @@ class ModelConfig:
     boundaries = (L_s, L_m1, L_m2, L_l), 1-based layer indices delimiting the
     shallow block [1, L_s], the middle sub-blocks, and the late block [L_l, L].
     Every schedule and trace holds L entries per layer array, so L is at
-    most 4,096, far past any real backbone's depth.
+    most 4,096, far past any real backbone's depth. A field that is not an
+    integer, or out of range, is a ConfigError.
     """
 
     layers: int
@@ -319,25 +402,30 @@ class ModelConfig:
     boundaries: tuple[int, int, int, int]
 
     def __post_init__(self):
+        config_fields(self, integer, "layers", "d_model", "d_ff", "n_heads")
+        config_fields(self, integers, "boundaries")
         L = self.layers
         if L > 4096:
-            raise ValueError(f"layers must be at most 4096, got {L}")
+            raise ConfigError(f"layers must be at most 4096, got {L}")
+        if len(self.boundaries) != 4:
+            raise ConfigError(f"boundaries must be four layer indices, got "
+                              f"{self.boundaries}")
         ls, lm1, lm2, ll = self.boundaries
         if not (1 <= ls < lm1 <= lm2 < ll <= L):
-            raise ValueError(
+            raise ConfigError(
                 f"boundaries must satisfy 1 <= L_s < L_m1 <= L_m2 < L_l <= L, "
                 f"got ({ls},{lm1},{lm2},{ll}) with L={L}"
             )
         if not all(0 < w < 2**63
                    for w in (self.d_model, self.d_ff, self.n_heads)):
-            raise ValueError("widths and head count must lie in [1, 2**63)")
-        object.__setattr__(self, "boundaries", (int(ls), int(lm1), int(lm2), int(ll)))
+            raise ConfigError("widths and head count must lie in [1, 2**63)")
 
 
 @dataclasses.dataclass(frozen=True)
 class RetentionSpec:
     """Retention targets: per-modality ratios, the pre-LLM scale factor, and
-    the window-relevance softmax temperature."""
+    the window-relevance softmax temperature. A field that is not a real
+    number, or out of range, is a ConfigError."""
 
     r_v: float
     r_a: float
@@ -345,12 +433,13 @@ class RetentionSpec:
     tau: float
 
     def __post_init__(self):
+        config_fields(self, real, "r_v", "r_a", "lambda_", "tau")
         for name, value in (("r_v", self.r_v), ("r_a", self.r_a)):
             if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         # each test is written so that a NaN fails it
         if not 1.0 <= self.lambda_ < math.inf:
-            raise ValueError(f"lambda_ must be finite and >= 1, got "
-                             f"{self.lambda_}")
+            raise ConfigError(f"lambda_ must be finite and >= 1, got "
+                              f"{self.lambda_}")
         if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ConfigError(f"tau must be positive, got {self.tau}")

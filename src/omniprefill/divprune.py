@@ -24,6 +24,7 @@ from .core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    exact_array,
     freeze_fields,
     outside_array,
     segments,
@@ -203,9 +204,12 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     lowest index, which is the earliest original position.
     Returns ascending indices. More than MAX_GROUP tokens is a StreamError,
     raised before any row is normalised or any block allocated, and so are
-    weights that break relevance.real_weights' rule.
+    weights that break relevance.real_weights' rule and embeddings that
+    are not a matrix exact_array holds as float64.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
+    emb = exact_array(embeddings, np.float64, "embeddings")
+    if emb.ndim != 2:
+        raise StreamError("embeddings must be a 2-d matrix")
     n = emb.shape[0]
     if n > MAX_GROUP:
         raise StreamError(f"a group may hold at most {MAX_GROUP} tokens, "

@@ -26,10 +26,13 @@ are no longer read; `omniprefill gen` writes an OTS3 one. An integer in a
 header or a config document is a JSON integer, never a bool, a string or a
 float, and a float is a finite JSON number, never a bool.
 
-Configuration documents are plain JSON with fixed schemas; unknown keys are
-rejected outright because a typo in a boundary would silently corrupt every
-downstream number. Reports emit CSV with a header row and '#' metadata
-comments; JSON mirrors exist for tooling.
+Configuration documents (model, retention, synth, and allocate's relevance
+and layout) are plain JSON with fixed schemas; unknown keys are rejected
+outright because a typo in a boundary would silently corrupt every
+downstream number. A document's faults are ConfigErrors (defined in core,
+re-exported here); a value the built object refuses is that object's own
+error, a StreamError for a layout. Reports emit CSV with a header row and
+'#' metadata comments; JSON mirrors exist for tooling.
 """
 
 from __future__ import annotations
@@ -49,11 +52,15 @@ from .core import (
     MODALITY_NAMES,
     TEXT,
     VISUAL,
+    ConfigError,
     EngineError,
     ModelConfig,
     RetentionSpec,
     StreamError,
     TokenStream,
+    field_value,
+    integer,
+    integers,
     outside_array,
 )
 from .cost import CostReport
@@ -67,10 +74,6 @@ COLUMNS = ("modality", "window_id", "position")
 
 class ContainerFormatError(EngineError):
     """Malformed or truncated OTS bytes."""
-
-
-class ConfigError(EngineError):
-    """Malformed configuration document."""
 
 
 def _canonical_json(obj) -> bytes:
@@ -148,30 +151,6 @@ def write_ots_file(path, stream, sections=None, generator=None, T=None) -> None:
             fh.write(data)
     except OSError as exc:
         raise ContainerFormatError(f"cannot write {path}: {exc}") from exc
-
-
-def _field(what: str, convert, value, error=ContainerFormatError):
-    """convert(value), with any type or value fault an error (a container
-    fault unless told otherwise) naming what was being read."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{what} is malformed: {value!r:.60} ({exc})") from exc
-
-
-def _integer(value) -> int:
-    """value, when it is a JSON integer: not a bool, a string or a float,
-    which int() would read as some other number without a word."""
-    if type(value) is not int:
-        raise TypeError(f"an integer is needed, not {type(value).__name__}")
-    return value
-
-
-def _integers(value) -> tuple[int, ...]:
-    """A JSON list of integers, as a tuple."""
-    if type(value) is not list:
-        raise TypeError("a list of integers is needed")
-    return tuple(map(_integer, value))
 
 
 def _number(value) -> float:
@@ -280,7 +259,7 @@ def _read_sections(data, table, start: int) -> Sections:
             f"section columns differ in length: {len(lengths)} lengths, "
             f"{len(names)} names, {len(shapes)} shapes")
 
-    # _integer's rule comes first, so the passes after it meet only str
+    # integer's rule comes first, so the passes after it meet only str
     # names and integers, and their Python-int sums and products cannot wrap
     if not (set(map(type, names)) <= {str} and set(map(type, lengths)) <= {int}
             and set(map(type, shapes)) <= {list}
@@ -324,8 +303,10 @@ def _section_fault(data, columns: list, start: int):
             raise ContainerFormatError(
                 f"section entry {entry} name is malformed: {name!r:.60} "
                 f"(a section needs a string name)")
-        _field(f"section {name!r} length", _integer, length)
-        shape = _field(f"section {name!r} shape", _integers, shape)
+        field_value(f"section {name!r} length", integer, length,
+                    ContainerFormatError)
+        shape = field_value(f"section {name!r} shape", integers, shape,
+                            ContainerFormatError)
         if first.setdefault(name, entry) != entry:
             raise ContainerFormatError(
                 f"section {name!r} at entry {entry} repeats the name of "
@@ -400,8 +381,8 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     for key in ("n", "d", "t", "counts", "sections"):
         if key not in header:
             raise ContainerFormatError(f"header lacks required key {key!r}")
-    n, d, t = (_field(f"header {key!r}", _integer, header[key])
-               for key in ("n", "d", "t"))
+    n, d, t = (field_value(f"header {key!r}", integer, header[key],
+                           ContainerFormatError) for key in ("n", "d", "t"))
     # every window array is sized by t, so t may not outgrow the tokens
     if n < 0 or d < 1 or not 1 <= t <= max(1, n):
         raise ContainerFormatError(f"invalid dimensions n={n}, d={d}, t={t} "
@@ -462,8 +443,12 @@ def read_ots_file(path) -> tuple[TokenStream, Sections, dict]:
 
 # ---------------------------------------------------------------- configs
 
-def _load_document(source, schema: dict, kind: str) -> dict:
-    """source is a path or a dict; schema maps key -> required flag."""
+def _load_config(source, cls, kind: str, fields: dict):
+    """cls built from a config document, a path or a dict. fields maps each
+    document key to (argument name, conversion, required). An unknown or
+    missing key, or a value its conversion refuses, is a ConfigError naming
+    the key; a value cls refuses is cls's own domain error (a ConfigError,
+    or a StreamError from a WindowLayout)."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -476,43 +461,25 @@ def _load_document(source, schema: dict, kind: str) -> dict:
             raise ConfigError(f"{kind} file {source} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} document must be a JSON object")
-    unknown = sorted(set(doc) - set(schema))
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ConfigError(f"unknown {kind} keys: {', '.join(unknown)}")
-    missing = sorted(k for k, required in schema.items() if required and k not in doc)
+    missing = sorted(k for k, (_, _, required) in fields.items()
+                     if required and k not in doc)
     if missing:
         raise ConfigError(f"missing {kind} keys: {', '.join(missing)}")
-    return doc
-
-
-def _load_config(source, cls, kind: str, fields: dict):
-    """cls built from a config document. fields maps each document key to
-    (argument name, conversion, required). A value its conversion refuses
-    is a ConfigError naming the key, and one cls refuses a ConfigError
-    with cls's message."""
-    doc = _load_document(source, {key: required for key, (_, _, required)
-                                  in fields.items()}, kind)
-    args = {arg: _field(f"{kind} key {key!r}", convert, doc[key], ConfigError)
-            for key, (arg, convert, _) in fields.items() if key in doc}
-    try:
-        return cls(**args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _boundaries(value) -> tuple[int, ...]:
-    if not (isinstance(value, list) and len(value) == 4):
-        raise ValueError("boundaries must be a list of four layer indices")
-    return _integers(value)
+    return cls(**{arg: field_value(f"{kind} key {key!r}", convert, doc[key],
+                                   ConfigError)
+                  for key, (arg, convert, _) in fields.items() if key in doc})
 
 
 def load_model_config(source) -> ModelConfig:
     return _load_config(source, ModelConfig, "model config", {
-        "layers": ("layers", _integer, True),
-        "d_model": ("d_model", _integer, True),
-        "d_ff": ("d_ff", _integer, True),
-        "n_heads": ("n_heads", _integer, True),
-        "boundaries": ("boundaries", _boundaries, True),
+        "layers": ("layers", integer, True),
+        "d_model": ("d_model", integer, True),
+        "d_ff": ("d_ff", integer, True),
+        "n_heads": ("n_heads", integer, True),
+        "boundaries": ("boundaries", integers, True),
     })
 
 
@@ -527,13 +494,13 @@ def load_retention_spec(source) -> RetentionSpec:
 
 def load_synth_spec(source) -> SynthSpec:
     return _load_config(source, SynthSpec, "synth spec", {
-        "seed": ("seed", _integer, True),
-        "windows": ("T", _integer, True),
-        "d": ("d", _integer, True),
-        "visual_per_window": ("n_v", _integer, True),
-        "audio_per_window": ("n_a", _integer, True),
-        "text_tokens": ("n_q", _integer, True),
-        "planted_windows": ("planted_windows", _integers, False),
+        "seed": ("seed", integer, True),
+        "windows": ("T", integer, True),
+        "d": ("d", integer, True),
+        "visual_per_window": ("n_v", integer, True),
+        "audio_per_window": ("n_a", integer, True),
+        "text_tokens": ("n_q", integer, True),
+        "planted_windows": ("planted_windows", integers, False),
         "planted_gain": ("planted_gain", _number, False),
     })
 

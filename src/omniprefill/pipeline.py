@@ -29,14 +29,19 @@ from .core import (
     NO_WINDOW,
     TEXT,
     VISUAL,
+    ConfigError,
     ModelConfig,
     Owned,
     RetentionSpec,
     StreamError,
     TokenStream,
     WindowLayout,
+    config_fields,
     freeze_fields,
+    integer,
+    integers,
     outside_array,
+    real,
     window_blocks,
 )
 from .divprune import SelectionResult, win_div_prune
@@ -66,7 +71,9 @@ class SynthSpec:
     Sizes are bounded before anything is drawn: n_v and n_a at most
     MAX_GROUP, T at most the stream's token count n = T*(n_v+n_a) + n_q
     (a container's rule), and both n*d and the oracle's stage-1 attention
-    draws, T*(n_v^2 + n_a^2), at most MAX_SYNTH_ENTRIES.
+    draws, T*(n_v^2 + n_a^2), at most MAX_SYNTH_ENTRIES. A field of the
+    wrong kind (planted_gain a real number, the others integers) or
+    out of range is a ConfigError.
     """
 
     seed: int
@@ -79,27 +86,30 @@ class SynthSpec:
     planted_gain: float = 0.0
 
     def __post_init__(self):
+        config_fields(self, integer, "seed", "T", "d", "n_v", "n_a", "n_q")
+        config_fields(self, integers, "planted_windows")
+        config_fields(self, real, "planted_gain")
         if min(self.T, self.d, self.n_q) < 1 or min(self.n_v, self.n_a) < 0:
-            raise ValueError("sizes must be positive (n_v, n_a may be zero)")
+            raise ConfigError("sizes must be positive (n_v, n_a may be zero)")
         n = self.T * (self.n_v + self.n_a) + self.n_q
         if (max(self.n_v, self.n_a) > MAX_GROUP or self.T > n
                 or n * self.d > MAX_SYNTH_ENTRIES):
-            raise ValueError(
+            raise ConfigError(
                 f"n_v and n_a must be at most {MAX_GROUP}, T at most the "
                 f"{n} tokens and tokens x d at most {MAX_SYNTH_ENTRIES}; got "
                 f"T={self.T} d={self.d} n_v={self.n_v} n_a={self.n_a} "
                 f"n_q={self.n_q}")
         draws = self.T * (self.n_v**2 + self.n_a**2)
         if draws > MAX_SYNTH_ENTRIES:
-            raise ValueError(
+            raise ConfigError(
                 f"stage-1 attention draws T x (n_v^2 + n_a^2) must be at most "
                 f"{MAX_SYNTH_ENTRIES}; got {draws} for T={self.T} "
                 f"n_v={self.n_v} n_a={self.n_a}")
-        planted = tuple(sorted(int(t) for t in set(self.planted_windows)))
+        planted = tuple(sorted(set(self.planted_windows)))
         if any(t < 0 or t >= self.T for t in planted):
-            raise ValueError(f"planted windows must lie in [0, {self.T})")
+            raise ConfigError(f"planted windows must lie in [0, {self.T})")
         if not self.planted_gain >= 0:  # a NaN fails this too
-            raise ValueError("planted_gain must be non-negative")
+            raise ConfigError("planted_gain must be non-negative")
         object.__setattr__(self, "planted_windows", planted)
 
     def provenance(self) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import StreamError, WindowLayout, outside_array
+from .core import StreamError, WindowLayout, exact_array, outside_array
 
 
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -58,15 +58,15 @@ def window_relevance(
     over its current visual / audio tokens, as core.window_blocks takes
     them; softmax(mean/tau) runs over the windows where layout has the
     modality, and the other entries are not read. Each weight vector sums
-    to 1 over those windows and is 0 elsewhere; an infinite mean/tau is a
-    StreamError.
+    to 1 over those windows and is 0 elsewhere; an infinite mean/tau, and
+    means exact_array cannot hold as float64, are a StreamError.
     """
     if not tau > 0.0:  # a NaN tau fails this too
         raise StreamError(f"tau must be positive, got {tau}")
     weights = []
     for name, means, counts in (("visual", means_v, layout.n_v),
                                 ("audio", means_a, layout.n_a)):
-        means = np.asarray(means, dtype=np.float64)
+        means = exact_array(means, np.float64, f"{name} means")
         if means.shape != counts.shape:
             raise StreamError(f"{name} means have shape {means.shape}, the "
                               f"layout holds {layout.T} windows")

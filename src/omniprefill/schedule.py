@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .core import InfeasibleScheduleError, ModelConfig, freeze_fields
+from .core import (ConfigError, InfeasibleScheduleError, ModelConfig,
+                   freeze_fields)
 
 _E = math.e
 _EPS = float(np.finfo(np.float64).eps)
@@ -108,9 +109,9 @@ def shallow_ratio(r: float, lambda_: float) -> float:
 def _check_inputs(r: float, lambda_: float) -> None:
     # written so that a NaN fails every comparison and is refused
     if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+        raise ConfigError(f"r must lie in [0, 1], got {r}")
     if not 1.0 <= lambda_ < math.inf:
-        raise ValueError(f"lambda must be finite and >= 1, got {lambda_}")
+        raise ConfigError(f"lambda must be finite and >= 1, got {lambda_}")
 
 
 def _edge(numerator: float, scale: float) -> float:

@@ -19,6 +19,7 @@ from .core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    exact_array,
     freeze_fields,
 )
 
@@ -39,13 +40,16 @@ class LayerSelection:
 
 def select_topk(scores: np.ndarray, budget: int) -> np.ndarray:
     """Indices of the budget highest scores, ascending; ties prefer the
-    earlier index."""
-    scores = np.asarray(scores, dtype=np.float64)
+    earlier index. Scores that are not a vector exact_array holds as
+    float64, and a negative budget, are a StreamError."""
+    scores = exact_array(scores, np.float64, "scores")
+    if scores.ndim != 1:
+        raise StreamError(f"scores must be a vector, got shape {scores.shape}")
     n = scores.shape[0]
     if budget > n:
         raise InfeasibleBudgetError(f"budget {budget} exceeds group size {n}")
     if budget < 0:
-        raise ValueError("budget must be non-negative")
+        raise StreamError("budget must be non-negative")
     if budget == n:
         return np.arange(n, dtype=np.int64)
     # stable sort on negated scores keeps the earlier index first among ties
