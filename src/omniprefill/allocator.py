@@ -23,8 +23,9 @@ import sys
 
 import numpy as np
 
-from .core import (EngineError, InfeasibleBudgetError, StreamError,
-                   WindowLayout, freeze_fields, outside_array)
+from .core import (EngineError, InfeasibleBudgetError, Owned, StreamError,
+                   WindowLayout, field_value, freeze_fields, outside_array,
+                   real)
 from .relevance import real_weights, window_weights
 
 
@@ -70,7 +71,10 @@ def allocate(
     when no earlier selection has run. The rounded total must fit the
     current capacity; otherwise InfeasibleBudgetError. Callers whose
     earlier flooring may have shrunk capacity below the nominal budget (see
-    run_pipeline) pass proportionally reduced totals instead.
+    run_pipeline) pass proportionally reduced totals instead. r_v, r_a and
+    the totals must be finite, non-negative real numbers, not bools or
+    strings; else EngineError. Each slot-sized step writes into an array
+    it keeps, so at T = 2,048 the call holds about 0.11 MiB.
     """
     T = layout.T
     checked = [real_weights(w, T) for w in (s_v, s_a)]
@@ -87,8 +91,12 @@ def allocate(
     )
     for name, value in (("r_v", r_v), ("r_a", r_a), ("total N_v", n_v0),
                         ("total N_a", n_a0)):
+        # an int or a float is a real number already; an int past the
+        # float range, which real() cannot convert, fails the range below
+        number = (value if type(value) in (int, float)
+                  else field_value(name, real, value, EngineError))
         # a NaN fails it too, and so does an int too large for a float
-        if not 0.0 <= value <= sys.float_info.max:
+        if not 0.0 <= number <= sys.float_info.max:
             raise EngineError(
                 f"{name} must be finite and non-negative, got {value}")
     total_real = r_v * n_v0 + r_a * n_a0
@@ -102,87 +110,120 @@ def allocate(
         )
 
     # window shares, then the split inside each window into slot i < T
-    # visual, else audio. Weights so large that either overflows are
-    # refused, without numpy's warnings
+    # visual, else audio, each written where it is kept. Weights so large
+    # that either overflows are refused, without numpy's warnings
     cap_v, cap_a = layout.n_v, layout.n_a
-    capacity_t = cap_v + cap_a
     reals = np.empty(2 * T)
+    real_v, b_real = reals[:T], reals[T:]
     with np.errstate(over="ignore", invalid="ignore"):
-        s = window_weights(s_v, s_a, layout)
-        s_sum = s.sum()
-        share = s / s_sum if s_sum > 0.0 else np.full(T, 1.0 / T)
-        b_real = total_real * share
-        num_v = s_v * (r_v * n_v0)
-        num_a = s_a * (r_a * n_a0)
-        den = num_v + num_a
+        share = window_weights(s_v, s_a, layout)
+        s_sum = share.sum()
+        if not s_sum < math.inf:
+            raise EngineError("relevance weights sum past the float range")
+        if s_sum > 0.0:
+            share /= s_sum
+        else:
+            share.fill(1.0 / T)
+        np.multiply(share, total_real, out=b_real)
+        # num_v = s_v * r_v N_v, den = num_v + s_a * r_a N_a, and the
+        # visual slot b_real * num_v / den where den > 0
+        np.multiply(s_v, r_v * n_v0, out=real_v)
+        den = np.multiply(s_a, r_a * n_a0)
+        den += real_v
+        real_v *= b_real
         spread = den > 0.0
-        reals[:T] = np.where(
-            spread,
-            b_real * num_v / np.where(spread, den, 1.0),
-            np.where(capacity_t > 0,
-                     b_real * cap_v / np.maximum(capacity_t, 1), 0.0),
-        )
-    if not s_sum < math.inf:
-        raise EngineError("relevance weights sum past the float range")
-    bad = np.flatnonzero(~(np.isfinite(den) & np.isfinite(reals[:T])))
+        np.divide(real_v, den, out=real_v, where=spread)
+    bad = np.flatnonzero(~(np.isfinite(den) & np.isfinite(real_v)))
     if bad.size:
         t = bad[0]
         raise EngineError(f"window {t}: relevance weights s_v={s_v[t]:.6g}"
                           f", s_a={s_a[t]:.6g} overflow its budget split")
-    del num_v, num_a, den, spread, capacity_t
-    np.subtract(b_real, reals[:T], out=reals[T:])
-    del b_real
+    del den
+    # a window without weight splits by its capacities, if it has any
+    flat = np.flatnonzero(~spread)
+    if flat.size:
+        capacity_t = cap_v[flat] + cap_a[flat]
+        real_v[flat] = np.where(
+            capacity_t > 0,
+            b_real[flat] * cap_v[flat] / np.maximum(capacity_t, 1), 0.0)
+    del spread, flat
+    b_real -= real_v  # the audio slots
 
-    # integerize: floor, cap, then place the shortfall deterministically
-    caps = np.concatenate([cap_v, cap_a])
-    floors = np.floor(reals)
-    base = floors.astype(np.int64)
-    np.minimum(base, caps, out=base)
-    rem = np.subtract(reals, floors, out=reals)
-    del reals, floors
+    # integerize: floor, cap, then place the shortfall deterministically.
+    # The floors go straight into int64; reals - base is reals - floor
+    # exactly, as a float64 floor converts to int64 and back unchanged
+    base = np.empty(2 * T, dtype=np.int64)
+    np.floor(reals, out=base, casting="unsafe")
+    rem = np.subtract(reals, base, out=reals)
+    del reals, real_v, b_real
+    np.minimum(base[:T], cap_v, out=base[:T])
+    np.minimum(base[T:], cap_a, out=base[T:])
     deficit = target - int(base.sum())
     assert deficit >= 0, "floor+cap can never overshoot the rounded total"
 
-    # slots window by window, visual before audio: the last tie-break
-    order = np.arange(2 * T).reshape(2, T).T.ravel()
-    # first pass: one token to each of the `deficit` open slots (below their
-    # cap) of largest remainder, ties by larger share, then that order
+    # slot t < T is window t's visual slot, T + t its audio one; the slots
+    # below their caps are a mask, refreshed in place, not a slot index
+    open_ = np.empty(2 * T, dtype=bool)
+
+    def count_open() -> int:
+        np.less(base[:T], cap_v, out=open_[:T])
+        np.less(base[T:], cap_a, out=open_[T:])
+        return int(np.count_nonzero(open_))
+
+    # first pass: one token to each of the `deficit` open slots of largest
+    # remainder, ties by larger share, then window by window, visual first
     if deficit > 0:
-        open_slots = order[(base < caps)[order]]
-        if open_slots.size > deficit:
-            open_slots = _largest_remainders(open_slots, rem[open_slots],
-                                             share, deficit)
-        base[open_slots] += 1
-        deficit -= open_slots.size
+        n_open = count_open()
+        chosen = (open_ if n_open <= deficit
+                  else _largest_remainders(open_, rem, share, deficit))
+        np.add(base, 1, out=base, where=chosen)
+        deficit -= min(n_open, deficit)
+        del chosen
     del rem
-    # later passes by larger share, then that order: one token to every
-    # open slot, in order, until the total lands
-    if deficit > 0:
-        order = order.reshape(T, 2)[np.argsort(-share, kind="stable")].ravel()
+    # later passes: one token to every open slot until the total lands;
+    # a last pass with fewer tokens than open slots gives them by larger
+    # share, then window by window, visual first
+    by_share = np.argsort(-share, kind="stable") if deficit > 0 else None
     while deficit > 0:
-        open_slots = order[(base < caps)[order]]
-        if open_slots.size == 0:
+        n_open = count_open()
+        if n_open == 0:
             raise InfeasibleBudgetError(
                 "no spare capacity left while budget remains"
             )
-        # q passes at once, while every open slot has room for them all
-        q = max(1, min(deficit // open_slots.size,
-                       int((caps - base)[open_slots].min())))
-        open_slots = open_slots[:deficit]
-        base[open_slots] += q
-        deficit -= q * open_slots.size
+        if n_open > deficit:
+            ranked = open_.reshape(2, T)[:, by_share].T.copy()
+            ranked.ravel()[np.flatnonzero(ranked)[deficit]:] = False
+            open_.reshape(2, T)[:, by_share] = ranked.T
+            np.add(base, 1, out=base, where=open_)
+            break
+        # q passes at once, while every open slot has room for them all;
+        # no q exceeds the deficit, so the room is counted up to it
+        room = min(int(np.min(cap - b, where=o, initial=deficit))
+                   for cap, b, o in ((cap_v, base[:T], open_[:T]),
+                                     (cap_a, base[T:], open_[T:])))
+        q = max(1, min(deficit // n_open, room))
+        np.add(base, q, out=base, where=open_)
+        deficit -= q * n_open
 
-    return BudgetPlan(b_v=base[:T], b_a=base[T:])
+    # the plan adopts base's halves, frozen, rather than copying them
+    base.setflags(write=False)
+    return BudgetPlan(b_v=Owned(base[:T]), b_a=Owned(base[T:]))
 
 
-def _largest_remainders(slots, rem, share, k):
-    """The k of `slots` (window by window, visual before audio) that come
-    first by descending remainder rem, then descending window share, then
-    slot order; rem holds one remainder per slot. One partition finds the
-    k-th remainder; of the slots tied at it, a stable sort by share keeps
-    as many as are still needed."""
+def _largest_remainders(open_, rem, share, k):
+    """The mask of the k open slots (of more than k) that come first by
+    descending remainder, then descending window share, then window by
+    window, visual first. rem, every slot's remainder in [0, 1), is
+    overwritten: closed slots take -1, so one partition of one copy finds
+    the k-th; of the slots tied at it, a stable sort by share keeps as
+    many as are still needed."""
+    T = share.size
+    rem[~open_] = -1.0
     cut = np.partition(rem, rem.size - k)[rem.size - k]
-    above = rem > cut
-    tied = slots[rem == cut]
-    tied = tied[np.argsort(-share[tied % share.size], kind="stable")]
-    return np.concatenate([slots[above], tied[:k - np.count_nonzero(above)]])
+    chosen = rem > cut
+    # j = 2t + m: window t's slot of modality m, in slot order
+    tied = np.flatnonzero((rem == cut).reshape(2, T).T)
+    tied = tied[np.argsort(-share[tied // 2], kind="stable")]
+    tied = tied[:k - np.count_nonzero(chosen)]
+    chosen.reshape(2, T)[tied % 2, tied // 2] = True
+    return chosen

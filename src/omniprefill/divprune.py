@@ -25,9 +25,12 @@ from .core import (
     TokenStream,
     WindowLayout,
     exact_array,
+    field_value,
     freeze_fields,
+    integer,
     outside_array,
     segments,
+    small_buffers,
 )
 from .relevance import real_weights
 from .schedule import shallow_ratio
@@ -204,8 +207,9 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     lowest index, which is the earliest original position.
     Returns ascending indices. More than MAX_GROUP tokens is a StreamError,
     raised before any row is normalised or any block allocated, and so are
-    weights that break relevance.real_weights' rule and embeddings that
-    are not a matrix exact_array holds as float64.
+    weights that break relevance.real_weights' rule, embeddings that are
+    not a matrix exact_array holds as float64 and a k that is not an
+    integer in [1, n].
     """
     emb = exact_array(embeddings, np.float64, "embeddings")
     if emb.ndim != 2:
@@ -218,6 +222,7 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     if w is None:
         raise StreamError(f"saliency weights must be {n} finite, non-negative "
                           f"real numbers, one per token")
+    k = field_value("k", integer, k, StreamError)
     if not (1 <= k <= n):
         raise StreamError(f"k must lie in [1, {n}], got {k}")
     unit, _ = _unit_rows(emb, range(n))  # rejects non-finite rows first
@@ -237,15 +242,16 @@ def keep_count(ratio: float, group_size: int) -> int:
 
 
 def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
-    """One modality's saliency vector, float32 as given or else float64,
-    once it holds one finite, non-negative real weight for each of rows;
-    a kind other than real is refused before it converts."""
+    """One modality's saliency vector, float32 or float64 as given (read
+    in place) or else converted to float64, once it holds one finite,
+    non-negative real weight for each of rows; a kind other than real is
+    refused before it converts."""
     weight = outside_array(weight)
     if weight.dtype.kind not in "biuf":
         raise StreamError(f"{name} saliency must be real numbers, got "
                           f"{weight.dtype}")
     if weight.dtype != np.float32:
-        weight = weight.astype(np.float64)
+        weight = weight.astype(np.float64, copy=False)
     if weight.shape != rows.shape:
         raise StreamError(f"{name} saliency has shape {weight.shape}, the "
                           f"stream holds {rows.size} {name} rows")
@@ -290,6 +296,8 @@ def win_div_prune(
     gathered into it and normalised there with float64 norms and
     quotients, and its float64 scratch then holds the float32 distance
     block. The Gram, the distances and the greedy steps run in float32.
+    Each size class's chunks run in one core.small_buffers scope, so the
+    broadcast divide and weight multiply take small numpy buffers.
     """
     held = WindowLayout.from_stream(stream, layout.T)
     for m, have, counts in ((VISUAL, held.n_v, layout.n_v),
@@ -340,21 +348,26 @@ def win_div_prune(
             # divisor keeps G, and so the greedy steps, as they were
             per_chunk = max(1, budget // (8 * n * n + 28 * n * stream.d))
             offsets = np.arange(n)
-            for lo in range(0, windows.shape[0], per_chunk):
-                group_rows = rows[starts[lo : lo + per_chunk, None] + offsets]
-                G = group_rows.shape[0]
-                size = _arena_size(G, n, stream.d)
-                if arena.size < size:
-                    arena = None  # release before growing
-                    arena = np.empty(size, dtype=np.float32)
-                weights = (None if k == n else np.ones((G, n))
-                           if weight is None else
-                           weight[starts[lo : lo + per_chunk, None] + offsets])
-                zero, picks = _prune_chunk(arena, stream.embeddings,
-                                           group_rows, weights, k)
-                for i in np.flatnonzero(zero.any(axis=1)):
-                    zero_counts[int(windows[lo + i])] = int(zero[i].sum())
-                keep[group_rows] = True if picks is None else picks
+            # one buffer scope per size class keeps numpy's buffers for the
+            # broadcast divide and weight multiply small
+            with small_buffers():
+                for lo in range(0, windows.shape[0], per_chunk):
+                    group_rows = rows[starts[lo : lo + per_chunk, None]
+                                      + offsets]
+                    G = group_rows.shape[0]
+                    size = _arena_size(G, n, stream.d)
+                    if arena.size < size:
+                        arena = None  # release before growing
+                        arena = np.empty(size, dtype=np.float32)
+                    weights = (None if k == n else np.ones((G, n))
+                               if weight is None else
+                               weight[starts[lo : lo + per_chunk, None]
+                                      + offsets])
+                    zero, picks = _prune_chunk(arena, stream.embeddings,
+                                               group_rows, weights, k)
+                    for i in np.flatnonzero(zero.any(axis=1)):
+                        zero_counts[int(windows[lo + i])] = int(zero[i].sum())
+                    keep[group_rows] = True if picks is None else picks
         notes += [
             f"{zero_counts[t]} zero-norm embeddings in window {t} "
             f"{MODALITY_NAMES[m]}; treated as distance 1 to everything"

@@ -280,9 +280,11 @@ def _read_sections(data, table, start: int) -> Sections:
     if len(index) < len(names) or not np.array_equal(stored, 4 * sizes):
         _section_fault(data, columns, start)
     # every other check has passed for every entry, so the first shape
-    # numpy cannot represent is the table's first fault
-    shaped = {entry: tuple(dims) for entry, dims in enumerate(shapes)
-              if len(dims) != 1}
+    # numpy cannot represent is the table's first fault. A table of
+    # vectors alone, as a request's is, skips building the map
+    shaped = {} if set(map(len, shapes)) <= {1} else {
+        entry: tuple(dims) for entry, dims in enumerate(shapes)
+        if len(dims) != 1}
     for entry, shape in shaped.items():
         first = int(firsts[entry])
         _shaped(region[first : first + int(sizes[entry])], shape,

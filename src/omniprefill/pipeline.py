@@ -42,6 +42,7 @@ from .core import (
     integers,
     outside_array,
     real,
+    small_buffers,
     window_blocks,
 )
 from .divprune import SelectionResult, win_div_prune
@@ -407,44 +408,51 @@ def _drop_layer(oracle, layer: int, survivors: _Survivors,
     window-size class, for relevance's window means and apply_budget's
     ranking. survivors is narrowed in place to the layer's selection, so
     each array goes as its successor comes. Returns the selection and the
-    plan; nothing else of the layer outlives the call."""
-    blocks, means = zip(*(
-        window_blocks(_query_scores(oracle, layer, m, ordinals), counts)
-        for m, ordinals, counts in zip((VISUAL, AUDIO), survivors.ordinals,
-                                       (layout.n_v, layout.n_a))))
-    s_v, s_a = window_relevance(*means, layout, tau)
-    # a long stream's peak falls in this layer: free each array once
-    # nothing reads it
-    del means
-    # Per-window keep floors at earlier stages can leave fewer survivors
-    # than this layer's nominal budget (small windows lose a large fraction
-    # to flooring). Scale both totals down together so the target fits; the
-    # common factor keeps every intra-window split ratio unchanged.
-    n_v0, n_a0 = totals
-    capacity = layout.total_visual + layout.total_audio
-    nominal = r_v * n_v0 + r_a * n_a0
-    if round(nominal) > capacity:
-        shrink = capacity / nominal
-        totals = (n_v0 * shrink, n_a0 * shrink)
-    plan = allocate(s_v, s_a, r_v, r_a, layout, totals=totals)
-    del s_v, s_a
-    keep = apply_budget(plan, *blocks, layout)
-    del blocks
-    # each modality's keep flags land on its codes' entries; text entries
-    # (stage 1's) stay unset
-    mask = np.zeros(survivors.kept.size, dtype=bool)
-    ordinals = survivors.ordinals
-    for m, flags in zip((VISUAL, AUDIO), keep):
-        mask[survivors.codes == m] = flags
-        ordinals[m] = ordinals[m][flags]
-    del keep, flags
-    # the selection adopts its fresh arrays rather than copying them
-    selection = LayerSelection(layer=layer, kept=Owned(survivors.kept[mask]),
-                               dropped_v=Owned(layout.n_v - plan.b_v),
-                               dropped_a=Owned(layout.n_a - plan.b_a))
-    survivors.kept = selection.kept
-    survivors.codes = survivors.codes[mask]
-    return selection, plan
+    plan; nothing else of the layer outlives the call. The layer runs in
+    one core.small_buffers scope, so beyond its score blocks, its plan and
+    its keep flags it holds only numpy's small buffers, allocate's
+    slot-sized arrays and one block of ranks at a time."""
+    with small_buffers():
+        blocks, means = zip(*(
+            window_blocks(_query_scores(oracle, layer, m, ordinals), counts)
+            for m, ordinals, counts in zip((VISUAL, AUDIO),
+                                           survivors.ordinals,
+                                           (layout.n_v, layout.n_a))))
+        s_v, s_a = window_relevance(*means, layout, tau)
+        # a long stream's peak falls in this layer: free each array once
+        # nothing reads it
+        del means
+        # Per-window keep floors at earlier stages can leave fewer
+        # survivors than this layer's nominal budget (small windows lose a
+        # large fraction to flooring). Scale both totals down together so
+        # the target fits; the common factor keeps every intra-window split
+        # ratio unchanged.
+        n_v0, n_a0 = totals
+        capacity = layout.total_visual + layout.total_audio
+        nominal = r_v * n_v0 + r_a * n_a0
+        if round(nominal) > capacity:
+            shrink = capacity / nominal
+            totals = (n_v0 * shrink, n_a0 * shrink)
+        plan = allocate(s_v, s_a, r_v, r_a, layout, totals=totals)
+        del s_v, s_a
+        keep = apply_budget(plan, *blocks, layout)
+        del blocks
+        # each modality's keep flags land on its codes' entries; text
+        # entries (stage 1's) stay unset
+        mask = np.zeros(survivors.kept.size, dtype=bool)
+        ordinals = survivors.ordinals
+        for m, flags in zip((VISUAL, AUDIO), keep):
+            mask[survivors.codes == m] = flags
+            ordinals[m] = ordinals[m][flags]
+        del keep, flags
+        # the selection adopts its fresh arrays rather than copying them
+        selection = LayerSelection(
+            layer=layer, kept=Owned(survivors.kept[mask]),
+            dropped_v=Owned(layout.n_v - plan.b_v),
+            dropped_a=Owned(layout.n_a - plan.b_a))
+        survivors.kept = selection.kept
+        survivors.codes = survivors.codes[mask]
+        return selection, plan
 
 
 def run_pipeline(

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import StreamError, WindowLayout, exact_array, outside_array
+from .core import (StreamError, WindowLayout, exact_array, field_value,
+                   outside_array, real)
 
 
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -58,9 +59,11 @@ def window_relevance(
     over its current visual / audio tokens, as core.window_blocks takes
     them; softmax(mean/tau) runs over the windows where layout has the
     modality, and the other entries are not read. Each weight vector sums
-    to 1 over those windows and is 0 elsewhere; an infinite mean/tau, and
-    means exact_array cannot hold as float64, are a StreamError.
+    to 1 over those windows and is 0 elsewhere; an infinite mean/tau, a
+    tau that is not a positive real number and means exact_array cannot
+    hold as float64 are a StreamError.
     """
+    field_value("tau", real, tau, StreamError)
     if not tau > 0.0:  # a NaN tau fails this too
         raise StreamError(f"tau must be positive, got {tau}")
     weights = []
@@ -86,7 +89,12 @@ def window_weights(s_v: np.ndarray, s_a: np.ndarray,
                    layout: WindowLayout) -> np.ndarray:
     """Combined weight of each window: the mean of s_v and s_a where both
     modalities are present, the present one's weight where only one is, and
-    0 in a window with neither."""
+    0 in a window with neither. One fresh float64 vector, built in place,
+    which the caller may overwrite."""
     present_v, present_a = layout.n_v > 0, layout.n_a > 0
-    return np.where(present_v & present_a, 0.5 * (s_v + s_a),
-                    np.where(present_v, s_v, np.where(present_a, s_a, 0.0)))
+    w = np.add(s_v, s_a)
+    w *= 0.5
+    np.copyto(w, s_v, where=~present_a)
+    np.copyto(w, s_a, where=~present_v)
+    w[~(present_v | present_a)] = 0.0
+    return w

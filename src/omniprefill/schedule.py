@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .core import (ConfigError, InfeasibleScheduleError, ModelConfig,
-                   freeze_fields)
+                   field_value, freeze_fields, real)
 
 _E = math.e
 _EPS = float(np.finfo(np.float64).eps)
@@ -107,7 +107,10 @@ def shallow_ratio(r: float, lambda_: float) -> float:
 
 
 def _check_inputs(r: float, lambda_: float) -> None:
-    # written so that a NaN fails every comparison and is refused
+    # real numbers first, so a string or a bool is malformed, not compared;
+    # the ranges are written so that a NaN fails every comparison
+    for name, value in (("r", r), ("lambda", lambda_)):
+        field_value(name, real, value, ConfigError)
     if not 0.0 <= r <= 1.0:
         raise ConfigError(f"r must lie in [0, 1], got {r}")
     if not 1.0 <= lambda_ < math.inf:
@@ -202,7 +205,8 @@ def delta_oracle(config: ModelConfig, r: float, lambda_: float) -> float:
 
 
 def build_schedule(config: ModelConfig, r: float, lambda_: float) -> SchedulePlan:
-    """Full per-layer plan for one retention target."""
+    """Full per-layer plan for one retention target. r and lambda_ must be
+    real numbers, not bools or strings, in range; else ConfigError."""
     delta, _ = solve_delta(config, r, lambda_)
     per_layer = _layer_vector(_block_index(config), shallow_ratio(r, lambda_),
                               delta)

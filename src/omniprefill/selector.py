@@ -20,8 +20,14 @@ from .core import (
     TokenStream,
     WindowLayout,
     exact_array,
+    field_value,
     freeze_fields,
+    integer,
 )
+
+# The most (window, token) entries apply_budget ranks in one sort, 32 KB of
+# int64 ranks: a layer's ranking stays small beside its score blocks
+_RANK_ENTRIES = 2**12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,11 +47,13 @@ class LayerSelection:
 def select_topk(scores: np.ndarray, budget: int) -> np.ndarray:
     """Indices of the budget highest scores, ascending; ties prefer the
     earlier index. Scores that are not a vector exact_array holds as
-    float64, and a negative budget, are a StreamError."""
+    float64, and a budget that is not an integer or is negative, are a
+    StreamError; a budget above the vector's length is infeasible."""
     scores = exact_array(scores, np.float64, "scores")
     if scores.ndim != 1:
         raise StreamError(f"scores must be a vector, got shape {scores.shape}")
     n = scores.shape[0]
+    budget = field_value("budget", integer, budget, StreamError)
     if budget > n:
         raise InfeasibleBudgetError(f"budget {budget} exceeds group size {n}")
     if budget < 0:
@@ -70,7 +78,12 @@ def apply_budget(
     modality, keep flags over those tokens, window-major. A window whose
     budget is its count is kept whole; a size class with any other window
     is ranked by one stable row-wise sort of descending scores, so ties go
-    to the earlier token exactly as select_topk breaks them.
+    to the earlier token exactly as select_topk breaks them, and its flags
+    are set by one scatter over the sort's own result. A class is ranked
+    _RANK_ENTRIES entries at a time, so beyond the flags the call holds
+    one such block's int64 ranks and rank mask; under core.small_buffers,
+    as a drop layer calls it, numpy's buffers for the broadcast steps stay
+    small too.
     """
     if plan.T != layout.T:
         raise StreamError(f"plan covers {plan.T} windows, the layout "
@@ -95,16 +108,22 @@ def apply_budget(
         keep = np.repeat(budget == counts, counts)
         partial = (budget > 0) & (budget < counts)
         for windows, starts, block in blocks:
-            if partial[windows].any():
-                # a stable ascending sort of each row read backwards, taken
-                # backwards, ranks by descending score with ties to the
-                # earlier token, and without a negated copy of the block:
-                # rank j of the reversed order is offset n - 1 - j
-                n = block.shape[1]
-                ranked = np.argsort(block[:, ::-1], axis=1, kind="stable")
-                np.subtract(starts[:, None] + (n - 1), ranked, out=ranked)
-                keep[ranked[:, ::-1][np.arange(n)
-                                     < budget[windows][:, None]]] = True
+            if not partial[windows].any():
+                continue
+            # a stable ascending sort of each row read backwards ranks by
+            # ascending score with ties to the later token, without a
+            # negated copy of the block: rank j of the reversed order is
+            # offset n - 1 - j. So a row's last b ranks are its top b with
+            # ties to the earlier token, and one scatter sets every flag of
+            # the rows, whole and zero budgets too
+            n = block.shape[1]
+            step = max(1, _RANK_ENTRIES // n)
+            for lo in range(0, windows.size, step):
+                rows = slice(lo, lo + step)
+                ranked = np.argsort(block[rows, ::-1], axis=1, kind="stable")
+                np.subtract(starts[rows, None] + (n - 1), ranked, out=ranked)
+                keep[ranked] = (np.arange(n - 1, -1, -1)
+                                < budget[windows[rows], None])
                 del ranked
         kept.append(keep)
     return tuple(kept)

@@ -10,6 +10,7 @@ from omniprefill.allocator import BudgetPlan
 from omniprefill.core import (
     AUDIO,
     MAX_ROWS,
+    MODALITY_NAMES,
     TEXT,
     VISUAL,
     ModelConfig,
@@ -406,6 +407,37 @@ class TestValidateStream:
                                               r"audio rows at row 4$"):
             make_stream([(AUDIO, 0), (VISUAL, 0), (AUDIO, 2), (VISUAL, 1),
                          (AUDIO, 1)])
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_window_order_checked_across_row_blocks(self, monkeypatch, block):
+        # the order check runs in blocks of rows, each carrying a modality's
+        # last window id, also across blocks without that modality's rows;
+        # the named row is the plain walk's first fault, visual rows first
+        monkeypatch.setattr(core, "_CHECK_ROWS", block)
+        rng = np.random.default_rng(block)
+        for _ in range(200):
+            n = int(rng.integers(1, 16))
+            mods = rng.choice([VISUAL, AUDIO, TEXT], size=n)
+            wins = np.where(mods == TEXT, -1,
+                            np.sort(rng.integers(0, 4, size=n)))
+            for r in rng.integers(0, n, size=int(rng.integers(0, 3))):
+                if mods[r] != TEXT:
+                    wins[r] = rng.integers(0, 4)
+            want = None
+            for m in (VISUAL, AUDIO):
+                ids = [(r, w) for r, (c, w) in enumerate(zip(mods, wins))
+                       if c == m]
+                back = [r for (_, a), (r, b) in zip(ids, ids[1:]) if b < a]
+                if back and want is None:
+                    want = (MODALITY_NAMES[m], back[0])
+            fields = dict(embeddings=np.zeros((n, 1), dtype=np.float32),
+                          modality=mods, window_id=wins, position=np.arange(n))
+            if want is None:
+                TokenStream(**fields)
+                continue
+            with pytest.raises(StreamError, match=rf"^window_id decreases "
+                               rf"along {want[0]} rows at row {want[1]}$"):
+                TokenStream(**fields)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_text_embedding(self, value):

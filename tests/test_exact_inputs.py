@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 import omniprefill
-from omniprefill import ConfigError, StreamError
+from omniprefill import ConfigError, EngineError, StreamError
+from omniprefill.allocator import allocate
 from omniprefill.cli import main
 from omniprefill.core import (TEXT, ModelConfig, RetentionSpec, TokenStream,
                               WindowLayout)
 from omniprefill.divprune import greedy_maxmin
 from omniprefill.pipeline import SynthSpec
 from omniprefill.relevance import window_relevance
+from omniprefill.schedule import build_schedule
 from omniprefill.selector import select_topk
 
 EMB = np.zeros((2, 2), dtype=np.float32)
@@ -204,6 +206,50 @@ class TestConfigFields:
     def test_one_config_error_class(self):
         assert omniprefill.core.ConfigError is omniprefill.io.ConfigError
         assert issubclass(ConfigError, ValueError)
+
+
+class TestScalarArguments:
+    """Scalar arguments of the library functions follow the config fields'
+    rule, core.real or core.integer, and a wrong kind is the error class
+    the function raises for that argument's range. Each escaped as a
+    plain TypeError, from a comparison or a range(), before."""
+
+    HALVES = np.array([0.5, 0.5])
+    LAYOUT = WindowLayout(n_v=[4, 4], n_a=[2, 2])
+
+    @pytest.mark.parametrize("args, kwargs, name", [
+        (("0.3", 0.5), {}, "r_v"),
+        ((0.3, 0.5), {"totals": ("8", 4)}, "total N_v"),
+        ((0.3, True), {}, "r_a"),
+    ], ids=["string-ratio", "string-total", "bool-ratio"])
+    def test_allocate(self, args, kwargs, name):
+        with pytest.raises(EngineError, match=f"^{name} is malformed: "):
+            allocate(self.HALVES, self.HALVES, *args, self.LAYOUT, **kwargs)
+
+    @pytest.mark.parametrize("r, lambda_, name", [
+        ("0.3", 1.4, "r"), (0.3, None, "lambda")], ids=["string", "none"])
+    def test_build_schedule(self, r, lambda_, name):
+        with pytest.raises(ConfigError, match=f"^{name} is malformed: "):
+            build_schedule(ModelConfig(**MODEL), r, lambda_)
+
+    def test_window_relevance(self):
+        with pytest.raises(StreamError, match="^tau is malformed: '0.1'"):
+            window_relevance(self.HALVES, self.HALVES, self.LAYOUT, "0.1")
+
+    def test_greedy_maxmin(self):
+        with pytest.raises(StreamError, match="^k is malformed: 1.5"):
+            greedy_maxmin(np.eye(4), np.ones(4), 1.5)
+
+    def test_select_topk(self):
+        with pytest.raises(StreamError, match="^budget is malformed: 1.5"):
+            select_topk(np.array([3.0, 1.0, 2.0]), 1.5)
+
+    def test_numpy_scalars_accepted(self):
+        plan = allocate(self.HALVES, self.HALVES, np.float32(0.5),
+                        np.int64(1), self.LAYOUT, totals=(np.int64(8), 4.0))
+        assert plan.totals[2] == 8
+        assert select_topk(np.array([3.0, 1.0, 2.0]),
+                           np.int32(2)).tolist() == [0, 2]
 
 
 class TestLayoutDocument:

@@ -6,19 +6,24 @@ import warnings
 import numpy as np
 import pytest
 
+from omniprefill.allocator import BudgetPlan, allocate
 from omniprefill.core import (
     AUDIO,
     MAX_GROUP,
     TEXT,
+    UFUNC_BUFSIZE,
     VISUAL,
+    InfeasibleBudgetError,
     InfeasibleScheduleError,
     ModelConfig,
     RetentionSpec,
     StreamError,
     TokenStream,
     WindowLayout,
+    small_buffers,
+    window_blocks,
 )
-from omniprefill import pipeline
+from omniprefill import divprune, pipeline
 from omniprefill.divprune import win_div_prune
 from omniprefill.io import read_ots, write_ots
 from omniprefill.pipeline import (
@@ -33,6 +38,7 @@ from omniprefill.pipeline import (
     synth_generate,
 )
 from omniprefill.relevance import window_relevance
+from omniprefill.selector import apply_budget
 
 QWEN25 = ModelConfig(layers=28, d_model=3584, d_ff=18944, n_heads=28,
                      boundaries=(16, 19, 21, 24))
@@ -132,11 +138,15 @@ class TestSynthGenerate:
         # the stream keeps the arrays synth_generate draws and builds, not
         # copies of them, so generation peaks near the stream's own size:
         # 95.46 MiB for this long-clip stream of 46.23 MiB when the stream
-        # copied them, 49.23 MiB now
+        # copied them, 48.52 MiB (1.050 x) when its window-order check
+        # gathered a modality's ids and 46.57 MiB (1.007 x) when it checks
+        # in row blocks; the bound sits between the last two, and above
+        # 1.023 x, the peak when this test runs alone and the draw imports
+        # numpy.random
         spec = SynthSpec(seed=7, T=512, d=64, n_v=288, n_a=50, n_q=64)
         (stream, _), peak = traced_peak(lambda: synth_generate(spec))
         held = stream.embeddings.nbytes + 3 * 8 * stream.n
-        assert peak < 1.1 * held
+        assert peak < 1.03 * held
         for name in ("embeddings", "modality", "window_id", "position"):
             assert not getattr(stream, name).flags.writeable
 
@@ -144,11 +154,14 @@ class TestSynthGenerate:
     def test_synth_long_clip_run_peak_memory(self):
         # run --synth on the bench's long-clip shape: the stream, stage 1
         # and the drop layers. The bound sits between the peaks measured
-        # when the stream copied the draws, 94.75 MiB, and when it adopts
-        # them, 51.09 MiB
+        # when stage 1 copied float64 saliency and the stream's order check
+        # gathered a modality's window ids, 52.09 MiB, and with neither,
+        # 49.92 MiB, or 50.65 MiB when this test runs alone and the run
+        # imports numpy.random (0.73 MiB); 94.75 MiB when the stream copied
+        # the draws
         spec = SynthSpec(seed=7, T=512, d=64, n_v=288, n_a=50, n_q=64)
         _, peak = traced_peak(lambda: run_pipeline(spec, QWEN25, DEFAULTS))
-        assert peak < 60 * 2**20
+        assert peak < 51 * 2**20
 
     def test_same_seed_same_stream(self):
         spec = SynthSpec(seed=5, T=3, d=16, n_v=10, n_a=4, n_q=6)
@@ -564,41 +577,74 @@ class TestRunPipeline:
         # and the survivor carry 3.51 -> 1.68. Stage 1's arena then took it
         # to 3.22 MiB, below layer 21, and in-place softmax, int32 gather
         # indices, ranking without a negated copy and adopted selections
-        # took layers 17, 19 and 21 to 2.92/3.16/3.30. Each bound sits
-        # between the two latest peaks of its phase
+        # took layers 17, 19 and 21 to 2.92/3.16/3.30. numpy's small
+        # buffers then took stage 1 3.21 -> 3.16 MiB, and in-place
+        # allocation and ranking in row blocks took layers 17, 19 and 21 to
+        # 2.47/2.94/3.17. Each bound sits between the two latest peaks of
+        # its phase
         peaks = request_phase_peaks(monkeypatch, T=512, n_v=288, n_a=50)
         assert [name for name, _ in peaks] == \
             ["win_div_prune", "_survivors"] + 3 * ["_drop_layer"]
         (_, stage1), (_, carry), *layers = peaks
-        assert stage1 < 3.45 * 2**20
+        assert stage1 < 3.18 * 2**20
         assert carry < 2.6 * 2**20
         for _, peak in layers:
-            assert peak < 3.4 * 2**20
+            assert peak < 3.23 * 2**20
 
     @pytest.mark.memory
     def test_short_clip_stage1_phase_peak_memory(self, monkeypatch):
         # the bench's short-clip shape, whose request peak is stage 1's. The
-        # bound sits between the peaks measured when each chunk allocated
-        # its gathered rows, float64 squares, unit rows and distance block,
-        # with numpy's casting buffers for the float64 quotient, 0.689 MiB,
-        # and with one arena per modality pass, 0.493 MiB
+        # bound sits between the peaks measured with one arena per modality
+        # pass, 0.483 MiB, and with numpy's buffers lowered to 1,024
+        # elements around each size class's chunks, 0.429 MiB; 0.689 MiB
+        # when each chunk allocated its gathered rows, float64 squares,
+        # unit rows and distance block
         peaks = request_phase_peaks(monkeypatch, T=4, n_v=288, n_a=50)
         assert peaks[0][0] == "win_div_prune"
-        assert peaks[0][1] < 0.55 * 2**20
+        assert peaks[0][1] < 0.455 * 2**20
 
     @pytest.mark.memory
     def test_many_windows_phase_peak_memory(self, monkeypatch):
         # the bench's many-windows shape, whose request peak falls in layer
-        # 21, bounded per drop layer. The bound sits between layer 21's
-        # peaks measured when each drop layer held the two flat score
-        # vectors across allocate, 1.76 MiB, and when it held int64
-        # within-window ranks of both modalities beside the gathered score
-        # blocks, 1.86 MiB; with the blocks alone it is 1.74 MiB
+        # 21, bounded per drop layer. Layer 21 peaked at 1.76 MiB when each
+        # drop layer held the two flat score vectors across allocate, 1.86
+        # MiB with int64 within-window ranks of both modalities beside the
+        # gathered score blocks and 1.70 MiB with the blocks alone; numpy's
+        # small buffers and in-place allocation and ranking took it to 1.58
+        # MiB. The bound sits between the last two
         peaks = request_phase_peaks(monkeypatch, T=2048, n_v=16, n_a=4)
         assert [name for name, _ in peaks] == \
             ["win_div_prune", "_survivors"] + 3 * ["_drop_layer"]
         for _, peak in peaks[2:]:
-            assert peak < 1.80 * 2**20
+            assert peak < 1.64 * 2**20
+
+    @pytest.mark.memory
+    def test_many_windows_apply_budget_peak_memory(self, monkeypatch):
+        # apply_budget alone on what layer 21 of the bench's many-windows
+        # request hands it, 2,048 windows of about five visual and two
+        # audio survivors, in the buffer scope the layer runs it in. It
+        # held 0.135 MiB beyond its arguments when one stable sort ranked
+        # each size class and a boolean gather through the reversed ranks
+        # marked the keeps, and holds 0.082 MiB with one scatter per block
+        # of at most 4,096 ranks; the bound sits between the two
+        data = request_container(T=2048, n_v=16, n_a=4)
+        calls = []
+        real = pipeline.apply_budget
+        monkeypatch.setattr(pipeline, "apply_budget",
+                            lambda *args: calls.append(args) or real(*args))
+        stream, sections, header = read_ots(data)
+        _, trace = run_pipeline(stream, QWEN25, DEFAULTS,
+                                oracle=ContainerOracle(sections, header["t"]))
+        assert trace.plans[-1][0] == 21 and len(calls) == 3
+        want = real(*calls[-1])
+
+        def layer21():
+            with small_buffers():
+                return real(*calls[-1])
+        got, peak = traced_peak(layer21)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert peak < 0.1 * 2**20
 
     @pytest.mark.memory
     def test_many_windows_container_peak_memory(self):
@@ -632,6 +678,91 @@ class TestRunPipeline:
                         modality=stream.modality,
                         window_id=np.array([1, 1, 1, 0, 0, 0, -1]),
                         position=stream.position)
+
+
+class ScopeOracle:
+    """Uniform stage-1 saliency; at each drop layer, records numpy's buffer
+    size and answers with query scores of the wrong length once bad is
+    set."""
+
+    def __init__(self, bad=False):
+        self.bad = bad
+        self.sizes = []
+
+    def modality_saliency(self, modality, counts):
+        return None
+
+    def query_probs(self, layer, modality, ordinals):
+        self.sizes.append(np.getbufsize())
+        return np.ones(ordinals.size + self.bad) / max(ordinals.size, 1)
+
+
+class TestBufferScope:
+    """Stage 1's size classes and each drop layer run with numpy's ufunc
+    buffer lowered by core.small_buffers; the caller's size comes back when
+    an engine call returns and when it raises a domain error."""
+
+    CALLER = 3008  # neither numpy's default nor the scope's, a multiple of 16
+
+    def keeps_caller_size(self, call, error=None):
+        with np.errstate():  # the test's own size goes with this scope
+            np.setbufsize(self.CALLER)
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            assert np.getbufsize() == self.CALLER
+
+    def test_drop_layers_run_in_the_scope(self):
+        stream, _ = synth_generate(SynthSpec(seed=3, T=3, d=8, n_v=12,
+                                             n_a=5, n_q=4))
+        oracle = ScopeOracle()
+        self.keeps_caller_size(
+            lambda: run_pipeline(stream, QWEN25, DEFAULTS, oracle=oracle))
+        assert oracle.sizes == [UFUNC_BUFSIZE] * 6
+        self.keeps_caller_size(
+            lambda: run_pipeline(stream, QWEN25, DEFAULTS,
+                                 oracle=ScopeOracle(bad=True)), StreamError)
+
+    def test_stage1_size_classes_run_in_the_scope(self, monkeypatch):
+        stream, _ = synth_generate(SynthSpec(seed=3, T=3, d=8, n_v=12,
+                                             n_a=5, n_q=4))
+        layout = WindowLayout.from_stream(stream)
+        sizes = []
+        chunk = divprune._prune_chunk
+
+        def recorded(*args):
+            sizes.append(np.getbufsize())
+            return chunk(*args)
+        monkeypatch.setattr(divprune, "_prune_chunk", recorded)
+        self.keeps_caller_size(
+            lambda: win_div_prune(stream, layout, None, DEFAULTS))
+        assert sizes and set(sizes) == {UFUNC_BUFSIZE}
+        # a visual row's NaN is found by the norms, inside the scope
+        emb = stream.embeddings.copy()
+        emb[0, 0] = np.nan
+        nan_stream = TokenStream(emb, stream.modality, stream.window_id,
+                                 stream.position)
+        self.keeps_caller_size(
+            lambda: win_div_prune(nan_stream, layout, None, DEFAULTS),
+            StreamError)
+
+    def test_allocate_and_apply_budget_keep_the_callers_size(self):
+        lay = WindowLayout(n_v=[4, 4], n_a=[2, 2])
+        half = np.array([0.5, 0.5])
+        self.keeps_caller_size(lambda: allocate(half, half, 0.5, 0.5, lay))
+        self.keeps_caller_size(lambda: allocate(half, half, 2.0, 2.0, lay),
+                               InfeasibleBudgetError)
+        blocks_v = window_blocks(np.arange(8.0), lay.n_v)[0]
+        blocks_a = window_blocks(np.arange(4.0), lay.n_a)[0]
+        plan = BudgetPlan(b_v=[2, 1], b_a=[1, 0])
+        self.keeps_caller_size(
+            lambda: apply_budget(plan, blocks_v, blocks_a, lay))
+        self.keeps_caller_size(
+            lambda: apply_budget(BudgetPlan(b_v=[5, 1], b_a=[1, 0]),
+                                 blocks_v, blocks_a, lay),
+            InfeasibleBudgetError)
 
 
 class TestContainerOracle:

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,41 @@ def test_batched_stage1_matches_plain_loop(data):
     assert got.kept.tolist() == stream.position[sorted(want)].tolist()
 
 
+@pytest.mark.parametrize("d", [2049, 3584])
+def test_stage1_matches_plain_loop_wider_than_the_buffer(d):
+    # rows wider than core.small_buffers' numpy buffer, so each norm's sum
+    # spans several buffers' worth of entries if numpy buffered it; the
+    # picks must still equal the plain loop's, duplicate and zero rows too
+    rng = np.random.default_rng(d)
+    n_v, n_a = [12, 12, 5], [4, 0, 4]
+    mods, wins = [], []
+    for t in range(3):
+        mods += [VISUAL] * n_v[t] + [AUDIO] * n_a[t]
+        wins += [t] * (n_v[t] + n_a[t])
+    mods, wins = mods + [TEXT] * 2, wins + [-1] * 2
+    emb = rng.standard_normal((len(mods), d)).astype(np.float32)
+    emb[3] = emb[1]
+    emb[5] = 0.0
+    stream = TokenStream(embeddings=emb, modality=np.array(mods),
+                         window_id=np.array(wins),
+                         position=np.arange(len(mods)))
+    layout = WindowLayout(n_v=np.array(n_v), n_a=np.array(n_a))
+    saliency = tuple(rng.random(sum(c)) for c in (n_v, n_a))
+    spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.0, tau=0.1)
+    got = win_div_prune(stream, layout, saliency, spec)
+    want = list(stream.rows_of(TEXT))
+    for m, ratio, vec in zip((VISUAL, AUDIO), (spec.r_v, spec.r_a), saliency):
+        weights = np.ones(stream.n)
+        weights[stream.rows_of(m)] = vec
+        for t in range(3):
+            rows = rows_of(stream, m, t)
+            k = keep_count(ratio, rows.size)
+            if k:
+                want += [rows[i] for i in plain_maxmin(
+                    stream.embeddings[rows], weights[rows], k)]
+    assert got.rows.tolist() == sorted(want)
+
+
 @SETTINGS
 @given(data=st.data())
 def test_zero_norm_notes_name_every_group(data):
@@ -296,6 +332,54 @@ def test_vectorised_budget_matches_topk_per_window(data):
         assert keep.dtype == bool and keep.shape == (int(counts.sum()),)
         got += stream.rows_of(m)[keep].tolist()
     assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("n, T", [(3, 7), (3, 6000), (40, 500)])
+def test_budget_matches_topk_per_window_in_mixed_classes(n, T):
+    # every window of a modality in one size class, its budgets mixing
+    # whole, zero and partial ones, over scores drawn from three values so
+    # that ties fill every row; 6,000 windows of 3 and 500 of 40 hold more
+    # entries than one sort ranks, so their class is ranked in row blocks
+    rng = np.random.default_rng(n * T)
+    counts = np.full(T, n)
+    scores = rng.choice([0.1, 0.25, 0.5], size=n * T)
+    budget = rng.integers(0, n + 1, size=T)
+    budget[:3] = (0, n, n // 2)
+    lay = WindowLayout(n_v=counts, n_a=np.zeros(T, dtype=np.int64))
+    plan = BudgetPlan(b_v=budget, b_a=np.zeros(T, dtype=np.int64))
+    keep_v, keep_a = apply_budget(plan, window_blocks(scores, counts)[0],
+                                  [], lay)
+    want = np.zeros(n * T, dtype=bool)
+    for t in range(T):
+        want[t * n + select_topk(scores[t * n:(t + 1) * n],
+                                 int(budget[t]))] = True
+    assert keep_a.size == 0
+    assert keep_v.tolist() == want.tolist()
+
+
+def test_segments_match_a_plain_grouping():
+    # zero counts, one window, and counts near 2**62, whose classes take
+    # no allocation proportional to the count itself
+    for counts in ([0, 3, 0, 3, 1], [0, 0], [5], [2**62, 0, 2**62 - 1, 7]):
+        counts = np.array(counts, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = [(n, windows.tolist(), starts.tolist())
+                   for n, windows, starts in segments(counts)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        want = {}
+        start = 0
+        for t, c in enumerate(counts.tolist()):
+            if c:
+                want.setdefault(c, ([], []))
+                want[c][0].append(t)
+                want[c][1].append(start)
+            start += c
+        assert got == [(c, *want[c]) for c in sorted(want)]
+        assert all(type(n) is int for n, _, _ in got)
 
 
 @SETTINGS
