@@ -103,24 +103,19 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = otsio.load_synth_spec(args.synth)
+    layers = otsio.load_model_config(args.config).layers if args.config else 0
     stream, oracle = synth_generate(spec)
     sections = {}
     for m, name, count in ((VISUAL, "visual", spec.n_v),
                            (AUDIO, "audio", spec.n_a)):
+        if count == 0:
+            continue
         for t in range(spec.T):
-            if count == 0:
-                continue
             sections[f"saliency/w{t}/{name}"] = oracle.saliency(t, m, count)
-    if args.config:
-        config = otsio.load_model_config(args.config)
-        for m, name in ((VISUAL, "visual"), (AUDIO, "audio")):
-            total = spec.T * (spec.n_v if m == VISUAL else spec.n_a)
-            if total == 0:
-                continue
-            for layer in range(1, config.layers + 1):
-                sections[f"query_logits/layer{layer}/{name}"] = (
-                    oracle._query_logits(layer, m)
-                )
+        # full-length logits of every layer, with --config
+        for layer in range(1, layers + 1):
+            sections[f"query_logits/layer{layer}/{name}"] = (
+                oracle._query_logits(layer, m))
     otsio.write_ots_file(args.out, stream, sections,
                          generator=spec.provenance(), T=spec.T)
     print(f"wrote {args.out}: n={stream.n} d={stream.d} windows={spec.T} "

@@ -22,6 +22,7 @@ NO_WINDOW = -1
 # n x n float32 distance block per group, 64 MiB at this size, and refuses
 # a larger group before it allocates one; the bench's groups hold 288.
 MAX_GROUP = 4096
+MAX_LAYERS = 4096  # the most layers a ModelConfig may hold
 # The most rows a stream may hold, so that every row number fits the int32
 # indices stage 1 and the drop layers hold; TokenStream refuses a longer
 # field on its shape, before it copies anything.
@@ -125,6 +126,16 @@ def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"an integer is needed, not {type(value).__name__}")
     return int(value)
+
+
+def bounded_integer(what: str, value, lo: int, hi: int, error) -> int:
+    """value as an int in [lo, hi], else an error naming what. A Python
+    int skips integer's call, as callers in loops pass one."""
+    if type(value) is not int:
+        value = field_value(what, integer, value, error)
+    if not lo <= value <= hi:
+        raise error(f"{what} {value} outside [{lo}, {hi}]")
+    return value
 
 
 def integers(value) -> tuple[int, ...]:
@@ -457,8 +468,8 @@ class ModelConfig:
         config_fields(self, integer, "layers", "d_model", "d_ff", "n_heads")
         config_fields(self, integers, "boundaries")
         L = self.layers
-        if L > 4096:
-            raise ConfigError(f"layers must be at most 4096, got {L}")
+        if L > MAX_LAYERS:
+            raise ConfigError(f"layers must be at most {MAX_LAYERS}, got {L}")
         if len(self.boundaries) != 4:
             raise ConfigError(f"boundaries must be four layer indices, got "
                               f"{self.boundaries}")

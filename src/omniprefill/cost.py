@@ -20,7 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import ModelConfig, StreamError, freeze_fields
+from .core import (ConfigError, ModelConfig, StreamError, bounded_integer,
+                   freeze_fields)
 from .pipeline import PrefillTrace
 
 
@@ -47,9 +48,9 @@ class CostReport:
 
 
 def layer_flops(n: int, config: ModelConfig) -> float:
-    """Flops one layer spends on a length-n input."""
-    if n < 0:
-        raise ValueError("sequence length must be non-negative")
+    """Flops one layer spends on a length-n input; n must be an integer in
+    [0, 2**63 - 1], else ConfigError."""
+    n = bounded_integer("sequence length", n, 0, 2**63 - 1, ConfigError)
     d = float(config.d_model)
     return 8.0 * n * d * d + 4.0 * float(n) * n * d + 6.0 * n * d * config.d_ff
 

@@ -24,10 +24,9 @@ from .core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    bounded_integer,
     exact_array,
-    field_value,
     freeze_fields,
-    integer,
     outside_array,
     segments,
     small_buffers,
@@ -59,7 +58,8 @@ class SelectionResult:
         freeze_fields(self, np.int64, "kept", "rows", "kept_v", "kept_a")
 
 
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# half of float32's largest: a weight times a distance of at most 2 is finite
+MAX_WEIGHT = float(np.finfo(np.float32).max) / 2
 
 
 def _unit_rows(emb: np.ndarray, rows, out=None,
@@ -121,12 +121,12 @@ def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """Greedy max-min in G groups at once; returns the (G, n) pick mask.
 
     dist is a contiguous float32 (G, n, n) block filled by _distances,
-    which this overwrites; weights is (G, n), finite and non-negative, and is
-    clamped to the largest finite float32 and rounded to float32, so a
-    weight too small for float32, such as 5e-324, acts as 0. Scaling column j
-    by weights[j] is exact under min (rounding a product by a finite
-    non-negative weight is monotone), so row i then holds every candidate's
-    value against pick i.
+    which this overwrites; weights is (G, n), in [0, MAX_WEIGHT], and is
+    rounded to float32, so a weight too small for float32, such as 5e-324,
+    acts as 0. Every product of a weight and a distance is finite, and
+    scaling column j by weights[j] is exact under min (rounding a product by
+    a finite non-negative weight is monotone), so row i then holds every
+    candidate's value against pick i.
     With the diagonal parked at +inf the column minima are the seed values
     w*nearest; parked at -inf it marks the picks, as a pick's own row drives
     its value to -inf. A step is one row gather, one minimum and one
@@ -135,12 +135,7 @@ def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     and the picked row as a view, which halves the cost of a step.
     """
     G, n, _ = dist.shape
-    # the clamp keeps every weight finite, so a zero distance scales to 0
-    # and never to inf * 0 = NaN; a large weight times a positive distance
-    # may still overflow to inf, which orders the candidates as intended
-    weights = np.minimum(weights, _FLOAT32_MAX).astype(np.float32)
-    with np.errstate(over="ignore"):
-        dist *= weights[:, None, :]
+    dist *= weights.astype(np.float32)[:, None, :]
     diagonal = dist.reshape(G, n * n)[:, :: n + 1]
     diagonal[...] = np.inf
     seed = dist.min(axis=1)
@@ -207,9 +202,9 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     lowest index, which is the earliest original position.
     Returns ascending indices. More than MAX_GROUP tokens is a StreamError,
     raised before any row is normalised or any block allocated, and so are
-    weights that break relevance.real_weights' rule, embeddings that are
-    not a matrix exact_array holds as float64 and a k that is not an
-    integer in [1, n].
+    weights that break relevance.real_weights' rule or exceed MAX_WEIGHT,
+    embeddings that are not a matrix exact_array holds as float64 and a k
+    that is not an integer in [1, n].
     """
     emb = exact_array(embeddings, np.float64, "embeddings")
     if emb.ndim != 2:
@@ -222,9 +217,10 @@ def greedy_maxmin(embeddings: np.ndarray, weights: np.ndarray, k: int) -> np.nda
     if w is None:
         raise StreamError(f"saliency weights must be {n} finite, non-negative "
                           f"real numbers, one per token")
-    k = field_value("k", integer, k, StreamError)
-    if not (1 <= k <= n):
-        raise StreamError(f"k must lie in [1, {n}], got {k}")
+    if w.max(initial=0.0) > MAX_WEIGHT:
+        raise StreamError(f"saliency weight {w.max()} exceeds the largest "
+                          f"stage 1 takes, {MAX_WEIGHT:.8g}")
+    k = bounded_integer("k", k, 1, n, StreamError)
     unit, _ = _unit_rows(emb, range(n))  # rejects non-finite rows first
     if k == n:
         return np.arange(n, dtype=np.int64)
@@ -243,9 +239,9 @@ def keep_count(ratio: float, group_size: int) -> int:
 
 def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
     """One modality's saliency vector, float32 or float64 as given (read
-    in place) or else converted to float64, once it holds one finite,
-    non-negative real weight for each of rows; a kind other than real is
-    refused before it converts."""
+    in place) or else converted to float64, once it holds one real weight
+    in [0, MAX_WEIGHT] for each of rows; a kind other than real is refused
+    before it converts."""
     weight = outside_array(weight)
     if weight.dtype.kind not in "biuf":
         raise StreamError(f"{name} saliency must be real numbers, got "
@@ -255,11 +251,12 @@ def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
     if weight.shape != rows.shape:
         raise StreamError(f"{name} saliency has shape {weight.shape}, the "
                           f"stream holds {rows.size} {name} rows")
-    bad = np.flatnonzero(~(np.isfinite(weight) & (weight >= 0)))
+    # a NaN fails both comparisons
+    bad = np.flatnonzero(~((weight >= 0) & (weight <= MAX_WEIGHT)))
     if bad.size:
         raise StreamError(f"saliency weight of row {rows[bad[0]]} is "
-                          f"{float(weight[bad[0]])}; weights must be finite "
-                          f"and non-negative")
+                          f"{float(weight[bad[0]])}; weights must be finite, "
+                          f"non-negative and at most {MAX_WEIGHT:.8g}")
     return weight
 
 
@@ -282,10 +279,11 @@ def win_div_prune(
     rows (refused before any block is allocated), a vector of the wrong
     length or a bad weight, named by its stream row.
 
-    A float32 vector is checked in place; any other converts to float64
-    first. Weights reach the kernel clamped and rounded to float32 either
-    way, so float32 and float64 vectors of the same values pick the same
-    tokens.
+    Weights must lie in [0, MAX_WEIGHT], half of float32's largest value,
+    so that no weighted distance overflows. A float32 vector is checked in
+    place; any other converts to float64 first. Weights reach the kernel
+    rounded to float32 either way, so float32 and float64 vectors of the
+    same values pick the same tokens.
 
     Groups of equal size run through greedy max-min together, in chunks
     whose working set, counted as if it were float64, stays within

@@ -1,8 +1,8 @@
 """Bit-exact serialization.
 
-OTS container ("omni token stream"), version 3:
+OTS container ("omni token stream"), version 4:
 
-    bytes 0..3    magic b"OTS3"
+    bytes 0..3    magic b"OTS4"
     bytes 4..11   header length H, unsigned 64-bit little-endian
     bytes 12..    UTF-8 JSON header, exactly H bytes, canonical form
                   (lexicographically sorted keys, no whitespace) padded
@@ -15,16 +15,17 @@ OTS container ("omni token stream"), version 3:
                   float32 little-endian data
 
 The header declares n, d, t, per-modality counts, generator provenance and
-the section table: {"length": [...], "name": [...], "shape": [[...], ...]},
-three equal-length columns with one entry per name, in name order. It holds
-no per-token data. Sections carry saliency vectors, attention matrices, or
-query logits keyed by name. Canonical form means identical inputs produce
-identical bytes. Readers validate every declared size before touching the
-data, so truncation is caught without materializing anything, and return
-read-only views of input bytes rather than copies. OTS1 and OTS2 containers
-are no longer read; `omniprefill gen` writes an OTS3 one. An integer in a
-header or a config document is a JSON integer, never a bool, a string or a
-float, and a float is a finite JSON number, never a bool.
+the section table: {"length": [...], "name": [...]}, two equal-length
+columns with one entry per section, in name order; it holds no per-token
+data. Every section is a float32 vector keyed by name (saliency or query
+logits), so its byte length is its one size, which its block's prefix
+repeats. Canonical form means identical inputs produce identical bytes.
+Readers validate every declared size before touching the data, so
+truncation is caught without materializing anything, and return read-only
+views of input bytes rather than copies. `omniprefill gen` writes an OTS4
+container; OTS1 to OTS3 ones are refused. An integer in a header or a
+config document is a JSON integer, never a bool, a string or a float, and a
+float is a finite JSON number, never a bool.
 
 Configuration documents (model, retention, synth, and allocate's relevance
 and layout) are plain JSON with fixed schemas; unknown keys are rejected
@@ -65,10 +66,10 @@ from .core import (
 )
 from .cost import CostReport
 from .pipeline import PrefillTrace, SynthSpec
-from .schedule import SchedulePlan, block_of
+from .schedule import SchedulePlan, block_labels
 
-MAGIC = b"OTS3"
-OTS_VERSION = 3
+MAGIC = b"OTS4"
+OTS_VERSION = 4
 COLUMNS = ("modality", "window_id", "position")
 
 
@@ -90,9 +91,10 @@ def write_ots(
 
     T defaults to one past the largest window id (text rows carry
     NO_WINDOW, as every TokenStream's do). Bytes read_ots would refuse are
-    a ContainerFormatError instead: a T outside [1, max(1, n)], a visual
-    or audio window id at or past T, a section name that is not a str, or
-    section data that is not of real numbers.
+    a ContainerFormatError, raised before anything is written: a T outside
+    [1, max(1, n)], a visual or audio window id at or past T, a section
+    name that is not a str, or section data that is not a 1-d vector of
+    real numbers.
     """
     sections = sections or {}
     if T is None:
@@ -109,17 +111,20 @@ def write_ots(
             f"{row} with window id {int(stream.window_id[row])}, outside "
             f"[0, {T})")
     for name, data in sections.items():
-        dtype = outside_array(data).dtype
-        if not isinstance(name, str) or dtype.kind not in "biuf":
+        array = outside_array(data)
+        if not isinstance(name, str) or array.dtype.kind not in "biuf":
             raise ContainerFormatError(
                 f"section {name!r:.60} must have a str name and real data; "
-                f"got {type(name).__name__} and {dtype}")
+                f"got {type(name).__name__} and {array.dtype}")
+        if array.ndim != 1:
+            raise ContainerFormatError(
+                f"section {name!r:.60} must be a 1-d vector; got shape "
+                f"{array.shape}")
     names = sorted(sections)
     with np.errstate(over="ignore"):  # float32 rounds past its range to inf
         arrays = [np.ascontiguousarray(sections[name], dtype="<f4")
                   for name in names]
-    table = {"length": [arr.nbytes for arr in arrays], "name": names,
-             "shape": [list(arr.shape) for arr in arrays]}
+    table = {"length": [arr.nbytes for arr in arrays], "name": names}
     blobs = [x for arr in arrays for x in (struct.pack("<Q", arr.nbytes), arr)]
     header = {
         "counts": {
@@ -168,9 +173,8 @@ def _numbers(value) -> tuple[float, ...]:
 
 
 def _shaped(flat: np.ndarray, shape: tuple, what: str):
-    """flat, a float32 view already checked to hold math.prod(shape)
-    entries, in that shape. An empty view can still declare a dimension
-    numpy cannot represent."""
+    """flat, a float32 view of math.prod(shape) entries, in that shape; an
+    empty view may declare a dimension numpy cannot represent."""
     try:
         return flat.reshape(shape)
     except ValueError as exc:
@@ -178,31 +182,28 @@ def _shaped(flat: np.ndarray, shape: tuple, what: str):
                                    f"representable ({exc})") from exc
 
 
-SECTION_COLUMNS = ("length", "name", "shape")
+SECTION_COLUMNS = ("length", "name")
 
 
 class Sections(Mapping):
     """A container's sections, read-only, in section-table order: name ->
-    float32 view of the container bytes. One view of the section region
-    backs every section; a section's own view is made only when it is asked
-    for, so a table of thousands of entries costs a name index and two
-    int64 columns, not an array object per entry."""
+    float32 vector, a view of the container bytes. One view of the section
+    region backs every section; a section's own view is made only when it
+    is asked for, so a table of thousands of entries costs a name index and
+    two int64 columns, not an array object per entry."""
 
     def __init__(self, region: np.ndarray, index: dict[str, int],
-                 firsts: np.ndarray, sizes: np.ndarray, shapes: dict):
+                 firsts: np.ndarray, sizes: np.ndarray):
         self._region = region
         self._index = index
         # one trailing -1 in each column answers the -1 of an absent name
         self._first = np.append(firsts, -1)
         self._size = np.append(sizes, -1)
-        self._shapes = shapes  # entry -> shape, for entries not vectors
 
     def __getitem__(self, name: str) -> np.ndarray:
         entry = self._index[name]
         first = int(self._first[entry])
-        flat = self._region[first : first + int(self._size[entry])]
-        shape = self._shapes.get(entry)
-        return flat if shape is None else flat.reshape(shape)
+        return self._region[first : first + int(self._size[entry])]
 
     def __iter__(self):
         return iter(self._index)
@@ -247,79 +248,62 @@ def _read_sections(data, table, start: int) -> Sections:
             f"header 'sections' must be an object, got {table!r:.60}")
     if sorted(table) != list(SECTION_COLUMNS):
         raise ContainerFormatError(
-            f"header 'sections' must hold the columns length, name and "
-            f"shape, got {sorted(table)!r:.60}")
-    lengths, names, shapes = columns = [table[k] for k in SECTION_COLUMNS]
+            f"header 'sections' must hold the columns length and name, got "
+            f"{sorted(table)!r:.60}")
+    lengths, names = columns = [table[k] for k in SECTION_COLUMNS]
     for key, column in zip(SECTION_COLUMNS, columns):
         if type(column) is not list:
             raise ContainerFormatError(
                 f"section column {key!r} must be a list, got {column!r:.60}")
-    if not len(lengths) == len(names) == len(shapes):
+    if len(lengths) != len(names):
         raise ContainerFormatError(
             f"section columns differ in length: {len(lengths)} lengths, "
-            f"{len(names)} names, {len(shapes)} shapes")
+            f"{len(names)} names")
 
     # integer's rule comes first, so the passes after it meet only str
-    # names and integers, and their Python-int sums and products cannot wrap
+    # names and integers, and their Python-int sum cannot wrap. Blocks that
+    # fill the data fit int64 lengths; whole float32 entries put every
+    # block, a u64 prefix and its data, a multiple of 4 bytes past start, so
+    # each section is a slice of one view and each prefix two of its words
     if not (set(map(type, names)) <= {str} and set(map(type, lengths)) <= {int}
-            and set(map(type, shapes)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(shapes))) <= {int}
-            and min(itertools.chain.from_iterable(shapes), default=0) >= 0
-            and lengths == [4 * math.prod(shape) for shape in shapes]
+            and min(lengths, default=0) >= 0
             and 8 * len(lengths) + sum(lengths) == len(data) - start):
         _section_fault(data, columns, start)
-    # the blocks fill the data, so every one, a u64 length prefix and its
-    # data, starts a multiple of 4 bytes past start: each section is a
-    # slice of this single view and each prefix two of its words
+    sizes, partial = np.divmod(np.array(lengths, dtype=np.int64), 4)
+    if partial.any():
+        _section_fault(data, columns, start)
     region = np.frombuffer(data, dtype="<f4", count=(len(data) - start) // 4,
                            offset=start)
-    sizes = np.array(lengths, dtype=np.int64) // 4
     firsts = np.cumsum(sizes + 2) - sizes
     stored = region.view("<i4")[firsts[:, None] - [2, 1]].view("<i8")[:, 0]
     index = dict(zip(names, itertools.count()))
     if len(index) < len(names) or not np.array_equal(stored, 4 * sizes):
         _section_fault(data, columns, start)
-    # every other check has passed for every entry, so the first shape
-    # numpy cannot represent is the table's first fault. A table of
-    # vectors alone, as a request's is, skips building the map
-    shaped = {} if set(map(len, shapes)) <= {1} else {
-        entry: tuple(dims) for entry, dims in enumerate(shapes)
-        if len(dims) != 1}
-    for entry, shape in shaped.items():
-        first = int(firsts[entry])
-        _shaped(region[first : first + int(sizes[entry])], shape,
-                f"section {names[entry]!r}")
-    return Sections(region, index, firsts, sizes, shaped)
+    return Sections(region, index, firsts, sizes)
 
 
 def _section_fault(data, columns: list, start: int):
     """Raise the first fault of a section table the column passes refused:
-    entry by entry, the first check the entry fails of a malformed field, a
-    name an earlier entry uses, negative dimensions, a length not 4 bytes
-    per entry, a truncated length prefix, a prefix that disagrees,
-    truncated data and a shape numpy cannot represent; past the last entry,
-    trailing bytes. The sums stay Python ints, so none can wrap."""
+    entry by entry, the first check it fails of a malformed name or length,
+    a name an earlier entry uses, a length negative or not 4 bytes per
+    entry, a truncated or disagreeing length prefix and truncated data;
+    past the last entry, trailing bytes. Python-int sums cannot wrap."""
     at, first = start, {}
-    for entry, (length, name, shape) in enumerate(zip(*columns)):
+    for entry, (length, name) in enumerate(zip(*columns)):
         if type(name) is not str:
             raise ContainerFormatError(
                 f"section entry {entry} name is malformed: {name!r:.60} "
                 f"(a section needs a string name)")
         field_value(f"section {name!r} length", integer, length,
                     ContainerFormatError)
-        shape = field_value(f"section {name!r} shape", integers, shape,
-                            ContainerFormatError)
         if first.setdefault(name, entry) != entry:
             raise ContainerFormatError(
                 f"section {name!r} at entry {entry} repeats the name of "
                 f"entry {first[name]}")
-        if min(shape, default=0) < 0:
+        if length < 0 or length % 4:
             raise ContainerFormatError(
-                f"section {name!r} declares negative dimensions {shape}")
-        if length != 4 * math.prod(shape):
-            raise ContainerFormatError(
-                f"section {name!r} declares {length} bytes but shape {shape} "
-                f"needs {4 * math.prod(shape)}")
+                f"section {name!r} declares {length} bytes, not a whole "
+                f"number of 4-byte float32 entries")
         if at + 8 > len(data):
             raise ContainerFormatError(
                 f"truncated section prefix for {name!r} at byte {at}")
@@ -333,8 +317,6 @@ def _section_fault(data, columns: list, start: int):
             raise ContainerFormatError(
                 f"truncated section {name!r} at byte {at}: need {length} "
                 f"bytes, found {len(data) - at}")
-        _shaped(np.frombuffer(data, dtype="<f4", count=length // 4,
-                              offset=at), shape, f"section {name!r}")
         at += length
     raise ContainerFormatError(
         f"{len(data) - at} unexpected trailing bytes at byte {at}")
@@ -346,17 +328,15 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
     Strict inverse of write_ots on valid input; every size is checked against
     what the header declares before any array is built, and a stream that
     TokenStream refuses is a ContainerFormatError with the same message.
-    sections is a read-only Sections mapping that makes each section's view
-    when it is asked for; the header comes back without its "sections"
-    table, which the mapping replaces. When data is a bytes object, the
-    stream's arrays and the sections are read-only views of it, not copies.
+    sections, a read-only Sections mapping of float32 vectors, replaces the
+    header's "sections" table. When data is a bytes object, the stream's
+    arrays and the sections are read-only views of it, not copies.
     """
     if len(data) < 12:
         raise ContainerFormatError(
             f"truncated at byte {len(data)}: magic and header length need 12 bytes")
     if data[:4] != MAGIC:
-        # "OTS" followed by an unexpected digit is a later/earlier container
-        # revision, not garbage; report it as a version problem.
+        # "OTS" and another digit is another container revision, not garbage
         if data[:3] == MAGIC[:3]:
             raise ContainerFormatError(
                 f"unsupported container version {data[:4]!r}, this reader "
@@ -509,6 +489,12 @@ def load_synth_spec(source) -> SynthSpec:
 
 # ---------------------------------------------------------------- reports
 
+def _schedule_rows(plan_v, plan_a, config: ModelConfig):
+    """(layer, block label, trr_v, trr_a) of every layer, 1 first."""
+    return zip(range(1, config.layers + 1), block_labels(config),
+               plan_v.per_layer_trr.tolist(), plan_a.per_layer_trr.tolist())
+
+
 def schedule_csv(
     plan_v: SchedulePlan,
     plan_a: SchedulePlan,
@@ -524,11 +510,8 @@ def schedule_csv(
         lines.append(f"# delta_v={plan_v.delta:.4f}")
         lines.append(f"# delta_a={plan_a.delta:.4f}")
     lines.append("layer,block,trr_v,trr_a")
-    for layer in range(1, config.layers + 1):
-        lines.append(
-            f"{layer},{block_of(layer, config)},"
-            f"{plan_v.trr_at(layer):.6f},{plan_a.trr_at(layer):.6f}"
-        )
+    for layer, block, trr_v, trr_a in _schedule_rows(plan_v, plan_a, config):
+        lines.append(f"{layer},{block},{trr_v:.6f},{trr_a:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -538,13 +521,9 @@ def schedule_json(plan_v, plan_a, config, c_value) -> str:
         "delta_a": plan_a.delta,
         "delta_v": plan_v.delta,
         "layers": [
-            {
-                "block": block_of(layer, config),
-                "layer": layer,
-                "trr_a": plan_a.trr_at(layer),
-                "trr_v": plan_v.trr_at(layer),
-            }
-            for layer in range(1, config.layers + 1)
+            {"block": block, "layer": layer, "trr_a": trr_a, "trr_v": trr_v}
+            for layer, block, trr_v, trr_a in _schedule_rows(plan_v, plan_a,
+                                                             config)
         ],
     }
     return _canonical_json(doc).decode("utf-8")

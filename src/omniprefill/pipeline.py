@@ -25,6 +25,7 @@ from .allocator import BudgetPlan, allocate
 from .core import (
     AUDIO,
     MAX_GROUP,
+    MAX_LAYERS,
     MODALITY_NAMES,
     NO_WINDOW,
     TEXT,
@@ -36,7 +37,9 @@ from .core import (
     StreamError,
     TokenStream,
     WindowLayout,
+    bounded_integer,
     config_fields,
+    exact_array,
     freeze_fields,
     integer,
     integers,
@@ -192,12 +195,20 @@ class SyntheticOracle:
         self.spec = spec
         self._rng = _philox()
 
+    def _per_window(self, modality: int) -> int:
+        """The spec's rows per window of modality, VISUAL or AUDIO."""
+        modality = bounded_integer("modality", modality, VISUAL, AUDIO,
+                                   StreamError)
+        return self.spec.n_v if modality == VISUAL else self.spec.n_a
+
     def stage1_attention(self, window: int, modality: int, n: int) -> np.ndarray:
-        expected = self.spec.n_v if modality == VISUAL else self.spec.n_a
-        if n != expected:
-            raise ValueError(
-                f"stage-1 attention requested for {n} tokens, group has {expected}"
-            )
+        """The row-stochastic attention of one of the spec's groups, whose
+        size n must be; else StreamError."""
+        expected = self._per_window(modality)
+        bounded_integer("window", window, 0, self.spec.T - 1, StreamError)
+        if bounded_integer("n", n, 0, MAX_GROUP, StreamError) != expected:
+            raise StreamError(f"stage-1 attention requested for {n} tokens, "
+                              f"group has {expected}")
         if n == 0:
             return np.zeros((0, 0))
         rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_STAGE1,
@@ -206,7 +217,10 @@ class SyntheticOracle:
         return softmax(draws, out=draws)
 
     def _query_logits(self, layer: int, modality: int) -> np.ndarray:
-        per_window = self.spec.n_v if modality == VISUAL else self.spec.n_a
+        """A modality's query logits at a 1-based layer, an integer in
+        [1, MAX_LAYERS]; else StreamError."""
+        per_window = self._per_window(modality)
+        bounded_integer("layer", layer, 1, MAX_LAYERS, StreamError)
         total = self.spec.T * per_window
         rng = _keyed_rng(self._rng, self.spec.seed, _PURPOSE_QUERY,
                          layer=layer, modality=modality)
@@ -224,13 +238,18 @@ class SyntheticOracle:
 
     def modality_saliency(self, modality: int,
                           counts: np.ndarray) -> np.ndarray:
-        """The saliency of every non-empty window, concatenated
-        window-major."""
+        """The saliency of every non-empty window, window-major, in one
+        float32 vector (stage 1 rounds weights to float32). counts, integers
+        one per window, each 0 or the group's size; else StreamError."""
+        counts = exact_array(counts, np.int64, "counts")
+        if counts.ndim != 1:
+            raise StreamError(f"counts must be a vector, got shape "
+                              f"{counts.shape}")
         windows = np.flatnonzero(counts)
         return np.concatenate([
             self.saliency(t, modality, n)
             for t, n in zip(windows.tolist(), counts[windows].tolist())
-        ])
+        ] or [np.zeros(0)], dtype=np.float32)
 
     def query_probs(self, layer: int, modality: int,
                     ordinals: np.ndarray) -> np.ndarray:
@@ -275,11 +294,9 @@ class ContainerOracle:
 
     def query_probs(self, layer, modality, ordinals):
         logits = self.sections.get(
-            f"query_logits/layer{layer}/{MODALITY_NAMES[modality]}"
-        )
-        if logits is None:
-            return None
-        return _survivor_probs(np.reshape(logits, -1), layer, ordinals)
+            f"query_logits/layer{layer}/{MODALITY_NAMES[modality]}")
+        return (None if logits is None
+                else _survivor_probs(logits, layer, ordinals))
 
 
 def synth_generate(spec: SynthSpec) -> tuple[TokenStream, SyntheticOracle]:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .core import (ConfigError, InfeasibleScheduleError, ModelConfig,
-                   field_value, freeze_fields, real)
+                   bounded_integer, field_value, freeze_fields, real)
 
 _E = math.e
 _EPS = float(np.finfo(np.float64).eps)
@@ -48,11 +48,10 @@ class SchedulePlan:
         return tuple((np.flatnonzero(trr[1:] < trr[:-1]) + 2).tolist())
 
     def trr_at(self, layer: int) -> float:
-        """Retention ratio at a 1-based layer index."""
-        if not 1 <= layer <= self.per_layer_trr.shape[0]:
-            raise ValueError(
-                f"layer {layer} outside [1, {self.per_layer_trr.shape[0]}]"
-            )
+        """Retention ratio at a 1-based layer index, an integer in [1, L];
+        else ConfigError."""
+        layer = bounded_integer("layer", layer, 1, self.per_layer_trr.shape[0],
+                                ConfigError)
         return float(self.per_layer_trr[layer - 1])
 
 
@@ -61,11 +60,9 @@ def block_constant(config: ModelConfig) -> float:
     return ls + 1 + _E * lm1 + _E * _E * lm2 - (1 + _E + _E * _E) * ll
 
 
-def block_of(layer: int, config: ModelConfig) -> str:
-    """Block label of a 1-based layer index."""
-    if not 1 <= layer <= config.layers:
-        raise ValueError(f"layer {layer} outside [1, {config.layers}]")
-    return BLOCK_LABELS[_block_index(config)[layer - 1]]
+def block_labels(config: ModelConfig) -> list[str]:
+    """The block label of every layer, layer 1 first."""
+    return [BLOCK_LABELS[i] for i in _block_index(config).tolist()]
 
 
 def _validate(r_s: float, delta: float, label: str) -> None:

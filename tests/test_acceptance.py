@@ -551,7 +551,8 @@ def test_09_determinism_and_round_trip(tmp_path):
             sections["check/flat"] = rng.normal(
                 size=int(rng.integers(1, 9))).astype(np.float32)
         if rng.random() < 0.2:
-            sections["check/grid"] = rng.normal(size=(2, 3)).astype(np.float32)
+            # every section is a vector; six draws, as a 2 x 3 grid took
+            sections["check/grid"] = rng.normal(size=6).astype(np.float32)
         data = write_ots(stream, sections, generator={"trial": trial}, T=T)
         back, back_sections, header = read_ots(data)
         assert np.array_equal(back.embeddings, stream.embeddings), trial

@@ -19,6 +19,7 @@ from omniprefill.core import (
 )
 from omniprefill import divprune
 from omniprefill.divprune import (
+    MAX_WEIGHT,
     _arena_size,
     _distances,
     _maxmin,
@@ -127,6 +128,20 @@ class TestGreedyMaxmin:
                                    "non-negative real numbers, one per token$"):
             warnings.simplefilter("error")
             greedy_maxmin(emb, weights, 2)
+
+    def test_weight_past_the_bound_refused(self):
+        # a weight above MAX_WEIGHT times a distance near 2 overflows
+        # float32, which changed picks without a word; the bound itself is
+        # taken
+        emb = np.random.default_rng(0).normal(size=(4, 3))
+        w = np.ones(4)
+        w[2] = np.nextafter(MAX_WEIGHT, np.inf)
+        with pytest.raises(StreamError, match=r"^saliency weight 1.7014117\d*e"
+                                              r"\+38 exceeds the largest stage "
+                                              r"1 takes, 1.7014117e\+38$"):
+            greedy_maxmin(emb, w, 2)
+        w[2] = MAX_WEIGHT
+        assert greedy_maxmin(emb, w, 2).size == 2
 
     @pytest.mark.memory
     def test_all_kept_at_ceiling(self):
@@ -246,21 +261,24 @@ def test_batched_kernel_with_zero_weights_matches_single_groups():
     # group and agree with greedy_maxmin group by group. greedy_maxmin runs
     # its one group in one dimension, so this compares the two kernel paths,
     # also at the stage-1 group sizes 50 and 288. The smallest subnormal
-    # weight rounds most values to 0 and the largest finite one overflows
-    # them to inf, so ties abound
+    # weight rounds most values to 0 and the largest weight stage 1 takes
+    # scales a distance of 2 to float32's largest value, so ties abound. A
+    # weight past that, such as the largest float64, is refused
     rng = np.random.default_rng(5)
     for _ in range(200):
         G, n, d = (int(x) for x in rng.integers((2, 2, 1), (6, 12, 5)))
         n = int(rng.choice([n] * 8 + [50, 288]))
         k = int(rng.choice([1, n - 1, rng.integers(1, n)]))
         emb = rng.integers(-1, 2, size=(G * n, d)).astype(np.float64)
-        w = rng.choice([0.0, 0.0, 0.5, 1.0, 5e-324, 1.7976931348623157e308],
-                       size=(G, n))
+        w = rng.choice([0.0, 0.0, 0.5, 1.0, 5e-324, MAX_WEIGHT], size=(G, n))
         mask, _ = _chunk_picks(emb.reshape(G, n, d), w, k)
         assert mask.sum(axis=1).tolist() == [k] * G
         for g in range(G):
             want = greedy_maxmin(emb[g * n : (g + 1) * n], w[g], k)
             assert np.flatnonzero(mask[g]).tolist() == want.tolist()
+        w[0, 0] = 1.7976931348623157e308
+        with pytest.raises(StreamError, match="^saliency weight 1.797"):
+            greedy_maxmin(emb[:n], w[0], k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,20 +343,25 @@ def test_float32_rows_normalise_as_their_float64_copy(seed, n, d, scale):
 
 @pytest.mark.parametrize("G", [1, 3], ids=["one-dimensional", "batched"])
 def test_largest_float64_weight_on_duplicates_picks_k(G):
-    # 1.7976931348623157e308 is finite in float64 but not in float32. The
-    # kernel clamps it to the largest float32, so a duplicate's distance 0
-    # scales to 0 instead of inf * 0 = NaN, and every group still picks
-    # exactly k distinct tokens, one per distinct vector first
+    # 1.7976931348623157e308 is finite in float64 but not in float32, and
+    # greedy_maxmin refuses it. The largest weight it takes, MAX_WEIGHT,
+    # times every distance is finite in float32, so a duplicate's distance
+    # 0 scales to 0 (never inf * 0 = NaN) without an overflow, and every
+    # group still picks exactly k distinct tokens, one per distinct vector
+    # first
     n, d = 12, 4
     label = np.arange(n) % 3  # three distinct vectors, four copies each
     emb = np.tile(np.eye(d)[label], (G, 1, 1))
-    w = np.full((G, n), 1.7976931348623157e308)
+    with pytest.raises(StreamError, match="^saliency weight 1.797"):
+        greedy_maxmin(emb[0], np.full(n, 1.7976931348623157e308), 1)
+    w = np.full((G, n), MAX_WEIGHT)
     for k in range(1, n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mask, dist = _chunk_picks(emb, w, k)
             one = greedy_maxmin(emb[0], w[0], k)
-        assert not np.isnan(dist).any()
+        # the diagonal parks the picks at -inf; every value is finite
+        assert np.isfinite(dist[:, ~np.eye(n, dtype=bool)]).all()
         assert mask.sum(axis=1).tolist() == [k] * G
         for g in range(G):
             picks = np.flatnonzero(mask[g])
@@ -419,13 +442,13 @@ def build_stream(T, n_v, n_a, n_q, d=8, seed=0):
 
 
 def wide_weights(stream, seed):
-    """A float32 (visual, audio) saliency pair whose values span the
-    float32 range, zeros and subnormals included."""
+    """A float32 (visual, audio) saliency pair whose values span the range
+    stage 1 takes, zeros, subnormals and MAX_WEIGHT included."""
     rng = np.random.default_rng(seed)
     weights = np.exp(rng.uniform(-100.0, 88.0, stream.n)).astype(np.float32)
     weights[rng.integers(stream.n, size=6)] = 0.0
     weights[rng.integers(stream.n, size=3)] = np.float32(1e-45)
-    weights[rng.integers(stream.n, size=3)] = np.finfo(np.float32).max
+    weights[rng.integers(stream.n, size=3)] = MAX_WEIGHT
     return weights[stream.rows_of(VISUAL)], weights[stream.rows_of(AUDIO)]
 
 
@@ -564,7 +587,7 @@ class TestWinDivPrune:
     def test_float32_and_float64_saliency_pick_alike(self, seed):
         # weights reach the kernel rounded to float32 either way, so a
         # float32 vector and its float64 copy keep the same rows; the
-        # values span the float32 range, zeros and subnormals included
+        # values span the range stage 1 takes, zeros and subnormals included
         stream = build_stream(T=5, n_v=24, n_a=7, n_q=3, seed=seed)
         lay = WindowLayout.from_stream(stream)
         spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
@@ -607,6 +630,35 @@ class TestWinDivPrune:
         with pytest.raises(StreamError, match=rf"^saliency weight of row "
                                               rf"{row} is "):
             win_div_prune(stream, lay, (visual, audio), spec)
+
+    @pytest.mark.parametrize("weight", [
+        np.nextafter(MAX_WEIGHT, np.inf), np.finfo(np.float32).max, 1e39,
+        1e300], ids=["past-the-bound", "float32-max", "past-float32",
+                     "past-float32-far"])
+    def test_weight_past_the_bound_refused(self, weight):
+        # equal weights of float32's largest value, 1e39 or 1e300 picked
+        # unlike uniform weights, as a weight times a distance overflowed
+        # to inf; visual ordinal 13 is window 1's fourth visual row, 17
+        stream = build_stream(T=2, n_v=10, n_a=4, n_q=3)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
+        visual = np.ones(20)
+        visual[13] = weight
+        with pytest.raises(StreamError, match=r"^saliency weight of row 17 is "
+                                              r".*; weights must be finite, "
+                                              r"non-negative and at most "
+                                              r"1.7014117e\+38$"):
+            win_div_prune(stream, lay, (visual, None), spec)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_weights_at_the_bound_pick_as_uniform(self, dtype):
+        stream = build_stream(T=2, n_v=10, n_a=4, n_q=3)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.3, r_a=0.5, lambda_=1.4, tau=0.1)
+        bound = (np.full(20, MAX_WEIGHT, dtype), np.full(8, MAX_WEIGHT, dtype))
+        got = win_div_prune(stream, lay, bound, spec)
+        assert got.rows.tolist() == \
+            win_div_prune(stream, lay, None, spec).rows.tolist()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_embedding_rejected(self, value):

@@ -16,10 +16,11 @@ import omniprefill
 from omniprefill import ConfigError, EngineError, StreamError
 from omniprefill.allocator import allocate
 from omniprefill.cli import main
-from omniprefill.core import (TEXT, ModelConfig, RetentionSpec, TokenStream,
-                              WindowLayout)
+from omniprefill.core import (AUDIO, TEXT, VISUAL, ModelConfig, RetentionSpec,
+                              TokenStream, WindowLayout)
+from omniprefill.cost import layer_flops
 from omniprefill.divprune import greedy_maxmin
-from omniprefill.pipeline import SynthSpec
+from omniprefill.pipeline import SynthSpec, SyntheticOracle
 from omniprefill.relevance import window_relevance
 from omniprefill.schedule import build_schedule
 from omniprefill.selector import select_topk
@@ -244,12 +245,85 @@ class TestScalarArguments:
         with pytest.raises(StreamError, match="^budget is malformed: 1.5"):
             select_topk(np.array([3.0, 1.0, 2.0]), 1.5)
 
+    @pytest.mark.parametrize("layer, message", [
+        (0, r"layer 0 outside \[1, 28\]"),
+        ("3", r"layer is malformed: '3' \(an integer is needed, not str\)"),
+        (2.5, r"layer is malformed: 2.5 \(an integer is needed, not float\)"),
+    ], ids=["zero", "string", "fraction"])
+    def test_trr_at(self, layer, message):
+        # 0 raised ValueError, '3' TypeError and 2.5 IndexError
+        plan = build_schedule(ModelConfig(**MODEL), 0.3, 1.4)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            plan.trr_at(layer)
+
+    @pytest.mark.parametrize("n, message", [
+        (-1, r"sequence length -1 outside \[0, 9223372036854775807\]"),
+        ("3", r"sequence length is malformed: '3' \(an integer is needed, "
+              r"not str\)"),
+        (2.5, r"sequence length is malformed: 2.5 \(an integer is needed, "
+              r"not float\)"),
+    ], ids=["negative", "string", "fraction"])
+    def test_layer_flops(self, n, message):
+        # -1 raised ValueError, '3' TypeError, and 2.5 was priced
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            layer_flops(n, ModelConfig(**MODEL))
+
     def test_numpy_scalars_accepted(self):
         plan = allocate(self.HALVES, self.HALVES, np.float32(0.5),
                         np.int64(1), self.LAYOUT, totals=(np.int64(8), 4.0))
         assert plan.totals[2] == 8
         assert select_topk(np.array([3.0, 1.0, 2.0]),
                            np.int32(2)).tolist() == [0, 2]
+        config = ModelConfig(**MODEL)
+        assert build_schedule(config, 0.3, 1.4).trr_at(np.int64(1)) == \
+            build_schedule(config, 0.3, 1.4).trr_at(1)
+        assert layer_flops(np.int32(2), config) == layer_flops(2, config)
+
+
+class TestOracleArguments:
+    """SyntheticOracle's window, modality, size and layer arguments are
+    integers in range, else a StreamError: before, a wrong size was a
+    ValueError, a negative window or layer an OverflowError from the
+    Philox key, and modality 5 was answered as audio."""
+
+    ORACLE = SyntheticOracle(SynthSpec(**SYNTH))
+    ORDINALS = np.arange(3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda o: o.stage1_attention(0, VISUAL, 5),
+         "stage-1 attention requested for 5 tokens, group has 10"),
+        (lambda o: o.saliency(0, VISUAL, 5),
+         "stage-1 attention requested for 5 tokens, group has 10"),
+        (lambda o: o.modality_saliency(VISUAL, [11, 10]),
+         "stage-1 attention requested for 11 tokens, group has 10"),
+        (lambda o: o.modality_saliency(VISUAL, [[10, 10]]),
+         r"counts must be a vector, got shape \(1, 2\)"),
+        (lambda o: o.stage1_attention(-1, VISUAL, 10),
+         r"window -1 outside \[0, 1\]"),
+        (lambda o: o.stage1_attention(2, VISUAL, 10),
+         r"window 2 outside \[0, 1\]"),
+        (lambda o: o.stage1_attention(0, VISUAL, 10.0),
+         r"n is malformed: 10.0 \(an integer is needed, not float\)"),
+        (lambda o: o.query_probs(-1, VISUAL, TestOracleArguments.ORDINALS),
+         r"layer -1 outside \[1, 4096\]"),
+        (lambda o: o.query_probs(2.5, VISUAL, TestOracleArguments.ORDINALS),
+         r"layer is malformed: 2.5 \(an integer is needed, not float\)"),
+        (lambda o: o.query_probs(17, 5, TestOracleArguments.ORDINALS),
+         r"modality 5 outside \[0, 1\]"),
+        (lambda o: o.stage1_attention(0, TEXT, 4),
+         r"modality 2 outside \[0, 1\]"),
+    ], ids=["attention-size", "saliency-size", "modality-saliency-size",
+            "modality-saliency-matrix", "negative-window", "window-past-T",
+            "float-size", "negative-layer", "fractional-layer",
+            "unknown-modality", "text-modality"])
+    def test_refused(self, call, message):
+        with pytest.raises(StreamError, match=f"^{message}$"):
+            call(self.ORACLE)
+
+    def test_empty_counts_give_an_empty_vector(self):
+        # concatenate had no array to join
+        vec = self.ORACLE.modality_saliency(AUDIO, np.array([0, 0]))
+        assert vec.dtype == np.float32 and vec.size == 0
 
 
 class TestLayoutDocument:

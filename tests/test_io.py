@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import json
-import math
 import struct
 import warnings
 from collections.abc import Mapping
@@ -137,14 +136,27 @@ class TestRoundTrip:
         assert sections == {}
         assert header["t"] == 3
 
-    def test_multi_section_shapes(self):
-        stream = tiny_stream()
-        sections = {
-            "query_logits/layer17/visual": np.ones((3, 4), dtype=np.float32),
-            "saliency/w1/visual": np.array([2.0, 3.0], dtype=np.float32),
-        }
-        _, back, _ = read_ots(write_ots(stream, sections))
-        assert back["query_logits/layer17/visual"].shape == (3, 4)
+    def test_multi_section_shapes(self, tmp_path):
+        # every section is a 1-d vector: a matrix, an empty matrix or a
+        # scalar is refused before anything is written, and no file is left
+        vector = np.array([2.0, 3.0], dtype=np.float32)
+        path = tmp_path / "out.ots"
+        for data, shape in ((np.ones((3, 4), dtype=np.float32), (3, 4)),
+                            (np.zeros((0, 4), dtype=np.float32), (0, 4)),
+                            (np.float32(2.5), ()), (2.5, ())):
+            sections = {"query_logits/layer17/visual": data,
+                        "saliency/w1/visual": vector}
+            message = (f"section 'query_logits/layer17/visual' must be a 1-d "
+                       f"vector; got shape {shape}")
+            for write in (lambda: write_ots(tiny_stream(), sections),
+                          lambda: write_ots_file(str(path), tiny_stream(),
+                                                 sections)):
+                with pytest.raises(ContainerFormatError) as info:
+                    write()
+                assert str(info.value) == message
+            assert not path.exists()
+        _, back, _ = read_ots(write_ots(tiny_stream(),
+                                        {"saliency/w1/visual": vector}))
         assert back["saliency/w1/visual"].shape == (2,)
 
     def test_minimal_container(self):
@@ -172,7 +184,7 @@ class TestRoundTrip:
     def test_layout(self):
         stream = tiny_stream()
         data = write_ots(stream, {"x": np.ones(3, dtype=np.float32)}, T=2)
-        assert data[:4] == b"OTS3"
+        assert data[:4] == b"OTS4"
         (header_len,) = struct.unpack("<Q", data[4:12])
         assert (12 + header_len) % 8 == 0
         raw = data[12 : 12 + header_len]
@@ -181,9 +193,8 @@ class TestRoundTrip:
             header, sort_keys=True, separators=(",", ":")).encode()
         assert sorted(header) == ["counts", "d", "generator", "n", "sections",
                                   "t", "version"]
-        assert header["version"] == 3
-        assert header["sections"] == {"length": [12], "name": ["x"],
-                                      "shape": [[3]]}
+        assert header["version"] == 4
+        assert header["sections"] == {"length": [12], "name": ["x"]}
         offset = 12 + header_len
         for key in COLUMNS:
             column = np.frombuffer(data, "<i8", count=7, offset=offset)
@@ -196,7 +207,7 @@ class TestRoundTrip:
 
 class TestZeroCopy:
     def test_arrays_are_views_of_the_bytes(self):
-        sections = {"x": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        sections = {"x": np.arange(6, dtype=np.float32)}
         data = write_ots(tiny_stream(), sections, T=2)
         stream, back, _ = read_ots(data)
         anchor = np.frombuffer(data, dtype=np.uint8)
@@ -210,7 +221,7 @@ class TestZeroCopy:
         # many small sections, each a slice of one view of the section bytes
         sections = {f"saliency/w{t}/visual": np.full(t + 1, t, np.float32)
                     for t in range(5)}
-        sections["m"] = np.arange(6, dtype=np.float32).reshape(3, 2)
+        sections["m"] = np.arange(6, dtype=np.float32)
         data = write_ots(tiny_stream(), sections, T=2)
         _, back, _ = read_ots(data)
         anchor = np.frombuffer(data, dtype=np.uint8)
@@ -232,9 +243,9 @@ class TestZeroCopy:
 class TestSectionsMapping:
     SECTIONS = {"b/one": np.array([2.5], dtype=np.float32),
                 "c/empty": np.zeros(0, dtype=np.float32),
-                "a/matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
+                "a/six": np.arange(6, dtype=np.float32),
                 "d/vector": np.array([1.5, -2.0, 3.25], dtype=np.float32),
-                "e/zero-rows": np.zeros((0, 4), dtype=np.float32)}
+                "e/zero": np.zeros(0, dtype=np.float32)}
 
     def read(self):
         data = write_ots(tiny_stream(), self.SECTIONS, T=2)
@@ -274,18 +285,7 @@ class TestSectionsMapping:
             assert not array.flags.owndata
             assert array.flags.aligned
             assert array.size == 0 or np.shares_memory(array, anchor)
-        assert back["e/zero-rows"].shape == (0, 4)
-
-    def test_zero_dimensional_entry(self):
-        # write_ots writes a scalar as one entry of shape [1]; a table may
-        # still declare shape [] for those 4 bytes
-        data, _, _, _ = self.read()
-        scalar = repack(data, entry_edit(1, shape=[]))
-        _, back, _ = read_ots(scalar)
-        assert back["b/one"].shape == () and back["b/one"] == 2.5
-        assert not back["b/one"].flags.writeable
-        assert back["b/one"].tobytes() == \
-            reference_sections(scalar)["b/one"].tobytes()
+        assert back["e/zero"].shape == (0,)
 
     def test_item_assignment_refused(self):
         _, _, back, _ = self.read()
@@ -314,7 +314,7 @@ class TestSectionsMapping:
         assert sizes.tolist() == [3, -1, 1]
         assert vec.dtype == np.float32
         assert vec.tolist() == [1.5, -2.0, 3.25, 1.0, 1.0, 2.5]
-        sizes, vec = back.gather(["b/one", "a/matrix"], np.array([1, 6]))
+        sizes, vec = back.gather(["b/one", "a/six"], np.array([1, 6]))
         assert vec.dtype == np.float32
         assert vec.tolist() == [2.5, 0, 1, 2, 3, 4, 5]
 
@@ -471,9 +471,37 @@ class TestMalformedBytes:
         old = b"OTS2" + repack(data, version2)[4:]
         with pytest.raises(ContainerFormatError,
                            match=r"unsupported container version b'OTS2', "
-                                 r"this reader handles b'OTS3'; omniprefill "
+                                 r"this reader handles b'OTS4'; omniprefill "
                                  r"gen regenerates"):
             read_ots(old)
+
+    def test_ots3_container(self):
+        # a version 3 container, whose table also holds a shape column, is
+        # refused by its magic before its header is read
+        data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
+
+        def version3(header):
+            header["version"] = 3
+            header["sections"]["shape"] = [[4]]
+
+        old = b"OTS3" + repack(data, version3)[4:]
+        with pytest.raises(ContainerFormatError,
+                           match=r"^unsupported container version b'OTS3', "
+                                 r"this reader handles b'OTS4'; omniprefill "
+                                 r"gen regenerates a container from its "
+                                 r"synth spec$"):
+            read_ots(old)
+
+    def test_ots3_table_is_an_extra_column(self):
+        # an OTS3 table under the OTS4 magic: its shape column is one
+        # column too many
+        data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
+        bad = repack(data, lambda h: h["sections"].update(shape=[[4]]))
+        with pytest.raises(ContainerFormatError,
+                           match=r"^header 'sections' must hold the columns "
+                                 r"length and name, got \['length', 'name', "
+                                 r"'shape'\]$"):
+            read_ots(bad)
 
     def test_too_short_for_prologue(self):
         with pytest.raises(ContainerFormatError, match="truncated at byte"):
@@ -610,31 +638,39 @@ class TestMalformedBytes:
         with pytest.raises(ContainerFormatError, match="prefix at byte"):
             read_ots(bad)
 
-    def test_section_shape_length_disagree(self):
-        sections = {"x": np.ones(4, dtype=np.float32)}
-        data = write_ots(tiny_stream(), sections)
-        bad = repack(data, entry_edit(0, shape=[5]))
-        with pytest.raises(ContainerFormatError, match="shape"):
+    @pytest.mark.parametrize("length, cut", [(13, 3), (15, 1), (-4, 20)],
+                             ids=["one-past", "three-past", "negative"])
+    def test_section_length_not_whole_entries(self, length, cut):
+        # a length that is not 4 bytes per entry is refused before any
+        # prefix is read by entry; the data is cut to fill the blocks
+        # exactly, so only the length is at fault
+        data = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32)})
+        bad = repack(data, entry_edit(0, length=length))[:-cut]
+        with pytest.raises(ContainerFormatError,
+                           match=rf"^section 'x' declares {length} bytes, not "
+                                 rf"a whole number of 4-byte float32 "
+                                 rf"entries$"):
             read_ots(bad)
 
-    def test_unrepresentable_empty_shapes(self):
-        data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
-        bad = repack(data, entry_edit(0, shape=[0, 2**62]))
-        with pytest.raises(ContainerFormatError, match="not representable"):
-            read_ots(bad)
+    def test_partial_lengths_with_word_aligned_prefixes(self):
+        # lengths of 13 and 3 bytes fill the data, and the u64 words where
+        # whole-entry blocks would keep their prefixes say 12 and 0 bytes:
+        # read by length // 4 entries, the table would pass as a 3-entry
+        # and an empty section. The lengths are refused first
+        blocks = (struct.pack("<Q", 12) + np.ones(3, "<f4").tobytes()
+                  + bytes(12))
+        table = {"length": [13, 3], "name": ["a", "b"]}
+        data = repack(TABLE_BASE, lambda h: h.update(sections=table)) + blocks
+        message = ("section 'a' declares 13 bytes, not a whole number of "
+                   "4-byte float32 entries")
+        for read in (lambda d: read_ots(d)[1], reference_sections):
+            assert sections_or_error(read, data) == message
+
+    def test_unrepresentable_empty_embeddings(self):
         empty = TokenStream(embeddings=np.zeros((0, 1), dtype=np.float32),
                             modality=[], window_id=[], position=[])
         bad = repack(write_ots(empty), lambda h: h.update(d=2**62))
         with pytest.raises(ContainerFormatError, match="not representable"):
-            read_ots(bad)
-
-    @pytest.mark.parametrize("shape", [[2**32, 2**32], [-1, 0], [0, -3], []])
-    def test_section_shape_overflow_or_negative(self, shape):
-        # each product wraps or comes to 0 in int64, which the zero-length
-        # section below would match; an empty shape is a scalar of 4 bytes
-        data = write_ots(tiny_stream(), {"x": np.zeros(0, dtype=np.float32)})
-        bad = repack(data, entry_edit(0, shape=shape))
-        with pytest.raises(ContainerFormatError, match="section 'x'"):
             read_ots(bad)
 
     @pytest.mark.parametrize("edit, field", [
@@ -645,11 +681,14 @@ class TestMalformedBytes:
         # the file ends inside the window-id column
         (lambda data: data[: column_offset(data, "window_id", 3) + 3],
          "truncated payload"),
-        # a number where entry 0's shape list belongs
-        (header_edit(entry_edit(0, shape=5)),
-         r"section 'x' shape is malformed: 5 \(a list of integers is "
-         r"needed\)"),
-        (header_edit(entry_edit(0, shape=["x"])), "section 'x' shape"),
+        # a number where entry 0's name belongs
+        (header_edit(entry_edit(0, name=5)),
+         r"section entry 0 name is malformed: 5 \(a section needs a string "
+         r"name\)"),
+        # an OTS3 shape column, of strings or not, is a column too many
+        (header_edit(lambda h: h["sections"].update(shape=[["x"]])),
+         r"must hold the columns length and name, got \['length', 'name', "
+         r"'shape'\]"),
         (header_edit(entry_edit(0, length="x")), "section 'x' length"),
         (header_edit(lambda h: h.update(sections=5)),
          "header 'sections' must be an object"),
@@ -657,15 +696,15 @@ class TestMalformedBytes:
          "section entry 0 name is malformed"),
         # a declared length past 2**64 - 1 is compared as a number, never
         # squeezed into a 64-bit integer
-        (header_edit(entry_edit(0, shape=[2**62], length=2**64)),
-         "section 'x' prefix at byte 472 says 16 bytes, header says "
+        (header_edit(entry_edit(0, length=2**64)),
+         "section 'x' prefix at byte 440 says 16 bytes, header says "
          "18446744073709551616"),
         # the earliest faulty entry is reported, even when a later one is
         # malformed: entry 0's prefix says 12 bytes, entry 1's length is "x"
         (lambda data: repack(
             data[:-24] + struct.pack("<Q", 12) + data[-16:],
-            lambda h: add_entry(h, length="x", name="y", shape=[1])),
-         "section 'x' prefix at byte 448 says 12 bytes, header says 16"),
+            lambda h: add_entry(h, length="x", name="y")),
+         "section 'x' prefix at byte 432 says 12 bytes, header says 16"),
     ], ids=["n-string", "modality-number", "counts-number",
             "window-id-strings", "section-entry-number", "shape-strings",
             "length-string", "sections-number", "section-name-list",
@@ -690,36 +729,39 @@ class TestMalformedBytes:
         (entry_edit(2, length="x"),
          "section 'a' at entry 1 repeats the name of entry 0"),
         # and after a malformed field of its own entry or an earlier one
-        (entry_edit(1, shape=["x"]), "section 'a' shape is malformed"),
+        (entry_edit(1, length="x"), "section 'a' length is malformed"),
         (entry_edit(0, length="x"), "section 'a' length is malformed"),
-        # but before negative dimensions or a wrong length of its entry
-        (entry_edit(1, shape=[-1], length=-4),
+        # but before a negative length or one not 4 bytes per entry
+        (entry_edit(1, length=-4),
          "section 'a' at entry 1 repeats the name of entry 0"),
-        (entry_edit(1, length=12),
+        (entry_edit(1, length=13),
          "section 'a' at entry 1 repeats the name of entry 0"),
         # an earlier entry's fault comes first
-        (entry_edit(0, shape=[-1], length=-4),
-         r"section 'a' declares negative dimensions \(-1,\)"),
+        (entry_edit(0, length=-4),
+         "section 'a' declares -4 bytes, not a whole number of 4-byte "
+         "float32 entries"),
         # a fault of the table's structure comes before any entry's
         (lambda h: h.update(sections=[
             dict(zip(h["sections"], entry))
             for entry in zip(*h["sections"].values())]),
          r"header 'sections' must be an object, got \[\{"),
-        (lambda h: h["sections"].pop("shape"),
-         r"must hold the columns length, name and shape, got \['length', "
-         r"'name'\]"),
+        (lambda h: h["sections"].pop("length"),
+         r"must hold the columns length and name, got \['name'\]"),
         (lambda h: h["sections"].update(offset=[0, 24, 48]),
-         "must hold the columns length, name and shape"),
+         "must hold the columns length and name"),
+        (lambda h: h["sections"].update(shape=[[4], [4], [4]]),
+         r"must hold the columns length and name, got \['length', 'name', "
+         r"'shape'\]"),
         (lambda h: h["sections"].update(length=dict.fromkeys("abc", 16)),
          "section column 'length' must be a list"),
-        (lambda h: h["sections"]["shape"].pop(),
-         "section columns differ in length: 3 lengths, 3 names, 2 shapes"),
+        (lambda h: h["sections"]["name"].pop(),
+         "section columns differ in length: 3 lengths, 2 names"),
     ], ids=["before-later-malformed", "after-own-malformed",
             "after-earlier-malformed", "before-own-negative",
             "before-own-length", "after-earlier-negative",
             "after-table-not-object", "after-missing-column",
-            "after-extra-column", "after-column-not-list",
-            "after-unequal-columns"])
+            "after-extra-column", "after-shape-column",
+            "after-column-not-list", "after-unequal-columns"])
     def test_duplicate_name_fault_order(self, edit, message):
         data = write_ots(tiny_stream(), {
             name: np.ones(4, dtype=np.float32) for name in "abc"})
@@ -737,7 +779,7 @@ class TestMalformedBytes:
             read_ots(data + b"\x00\x00")
 
 
-FUZZ_SEED = write_ots(tiny_stream(), {"x": np.ones((2, 2), dtype=np.float32),
+FUZZ_SEED = write_ots(tiny_stream(), {"x": np.ones(4, dtype=np.float32),
                                       "y": np.zeros(0, dtype=np.float32)},
                       generator={"kind": "fuzz"}, T=2)
 
@@ -778,66 +820,45 @@ def reference_sections(data: bytes) -> dict[str, np.ndarray]:
     (header_len,) = struct.unpack("<Q", data[4:12])
     header = json.loads(data[12 : 12 + header_len])
     offset = 12 + header_len + 24 * header["n"] + 4 * header["n"] * header["d"]
-    region_start = offset
-    region = np.frombuffer(data, dtype="<f4",
-                           count=(len(data) - offset) // 4, offset=offset)
     table = header["sections"]
     if not isinstance(table, dict):
         raise ContainerFormatError(
             f"header 'sections' must be an object, got {table!r:.60}")
-    if set(table) != {"length", "name", "shape"}:
+    if set(table) != {"length", "name"}:
         raise ContainerFormatError(
-            f"header 'sections' must hold the columns length, name and "
-            f"shape, got {sorted(table)!r:.60}")
-    for key in ("length", "name", "shape"):
+            f"header 'sections' must hold the columns length and name, got "
+            f"{sorted(table)!r:.60}")
+    for key in ("length", "name"):
         if not isinstance(table[key], list):
             raise ContainerFormatError(f"section column {key!r} must be a "
                                        f"list, got {table[key]!r:.60}")
     count = len(table["name"])
-    if len(table["length"]) != count or len(table["shape"]) != count:
+    if len(table["length"]) != count:
         raise ContainerFormatError(
             f"section columns differ in length: {len(table['length'])} "
-            f"lengths, {count} names, {len(table['shape'])} shapes")
-
-    def integer(value):
-        return isinstance(value, int) and not isinstance(value, bool)
+            f"lengths, {count} names")
 
     sections, entry_of = {}, {}
     for index in range(count):
         name = table["name"][index]
         length = table["length"][index]
-        shape = table["shape"][index]
         if not isinstance(name, str):
             raise ContainerFormatError(
                 f"section entry {index} name is malformed: {name!r:.60} "
                 f"(a section needs a string name)")
-        if not integer(length):
+        if not isinstance(length, int) or isinstance(length, bool):
             raise ContainerFormatError(
                 f"section {name!r} length is malformed: {length!r:.60} (an "
                 f"integer is needed, not {type(length).__name__})")
-        if not isinstance(shape, list):
-            raise ContainerFormatError(
-                f"section {name!r} shape is malformed: {shape!r:.60} (a list "
-                f"of integers is needed)")
-        for dim in shape:
-            if not integer(dim):
-                raise ContainerFormatError(
-                    f"section {name!r} shape is malformed: {shape!r:.60} (an "
-                    f"integer is needed, not {type(dim).__name__})")
-        shape = tuple(shape)
         if name in entry_of:
             raise ContainerFormatError(
                 f"section {name!r} at entry {index} repeats the name of entry "
                 f"{entry_of[name]}")
         entry_of[name] = index
-        if any(x < 0 for x in shape):
+        if length < 0 or length % 4 != 0:
             raise ContainerFormatError(
-                f"section {name!r} declares negative dimensions {shape}")
-        expected = math.prod(shape) * 4
-        if length != expected:
-            raise ContainerFormatError(
-                f"section {name!r} declares {length} bytes but shape {shape} "
-                f"needs {expected}")
+                f"section {name!r} declares {length} bytes, not a whole "
+                f"number of 4-byte float32 entries")
         if offset + 8 > len(data):
             raise ContainerFormatError(
                 f"truncated section prefix for {name!r} at byte {offset}")
@@ -851,13 +872,8 @@ def reference_sections(data: bytes) -> dict[str, np.ndarray]:
             raise ContainerFormatError(
                 f"truncated section {name!r} at byte {offset}: need {length} "
                 f"bytes, found {len(data) - offset}")
-        lo = (offset - region_start) // 4
-        try:
-            sections[name] = region[lo : lo + length // 4].reshape(shape)
-        except ValueError as exc:
-            raise ContainerFormatError(
-                f"section {name!r} shape {shape} is not representable "
-                f"({exc})") from exc
+        sections[name] = np.frombuffer(data, dtype="<f4", count=length // 4,
+                                       offset=offset)
         offset += length
     if offset != len(data):
         raise ContainerFormatError(
@@ -866,7 +882,7 @@ def reference_sections(data: bytes) -> dict[str, np.ndarray]:
 
 
 TABLE_BASE = write_ots(tiny_stream(), T=2)
-# values of the wrong kind for a field, a dimension or a whole column
+# values of the wrong kind for a field or a whole column
 MISTYPED = ["x", "12", "", 1.5, -2.5, 4.0, None, True, False, [1], [], {},
             {"3": 1}, float("nan"), float("inf")]
 
@@ -874,24 +890,19 @@ MISTYPED = ["x", "12", "", 1.5, -2.5, 4.0, None, True, False, [1], [], {},
 @st.composite
 def section_tables(draw):
     """TABLE_BASE with a hand-made columnar section table of distinct
-    names, of vectors only or of any shapes (empty, scalar, zero-size,
-    ragged, multi-dimensional), then a few random faults: entry edits, a
-    repeated name (which write_ots cannot write) among them, faults of the
-    table's structure and byte faults."""
+    names, of vectors of 0 to 5 entries, then a few random faults: entry
+    edits, a repeated name (which write_ots cannot write) among them,
+    faults of the table's structure and byte faults."""
     entries, blocks = [], []
-    vectors = draw(st.booleans())  # a table of vectors only, or any shapes
     for index in range(draw(st.integers(0, 5))):
-        shape = draw(st.lists(st.integers(0, 3), min_size=vectors,
-                              max_size=1 if vectors else 3))
-        values = np.arange(math.prod(shape), dtype="<f4") + 10 * index
-        entries.append({"length": values.nbytes, "shape": shape,
-                        "name": f"w/{index}"})
+        values = np.arange(draw(st.integers(0, 5)), dtype="<f4") + 10 * index
+        entries.append({"length": values.nbytes, "name": f"w/{index}"})
         blocks.append(struct.pack("<Q", values.nbytes) + values.tobytes())
     faults = draw(st.lists(st.sampled_from(
-        ["length", "shape", "huge", "negative", "mistype", "duplicate",
+        ["length", "partial", "huge", "negative", "mistype", "duplicate",
          "prefix", "truncate", "trailing", "structure"]), max_size=3))
     for fault in faults:
-        if not entries or fault not in ("length", "shape", "huge",
+        if not entries or fault not in ("length", "partial", "huge",
                                         "negative", "mistype", "duplicate"):
             continue
         entry = draw(st.integers(0, len(entries) - 1))
@@ -904,34 +915,24 @@ def section_tables(draw):
             entries[entry]["length"] = draw(st.one_of(
                 st.integers(-8, 48), st.sampled_from([2**64, -(2**64)]),
                 st.integers(-(2**70), 2**70)))
+        elif fault == "partial":
+            # a length that is not 4 bytes per entry: 1 to 3 bytes past or
+            # short of the block, or 4 bytes short, which the prefix refuses
+            entries[entry]["length"] += draw(st.sampled_from(
+                [-4, -3, -2, -1, 1, 2, 3]))
         elif fault == "huge":
-            # length and shape agree on more bytes than any file holds,
-            # some past what a 64-bit integer holds
-            bits = draw(st.sampled_from([29, 61, 62, 70]))
-            entries[entry].update(length=2 ** (bits + 2), shape=[2**bits])
+            # more bytes than any file holds, some past what a 64-bit
+            # integer holds
+            bits = draw(st.sampled_from([31, 63, 64, 72]))
+            entries[entry]["length"] = 2**bits
         elif fault == "negative":
-            # length and shape agree on a negative byte count
-            dim = draw(st.integers(-3, -1))
-            shape = draw(st.sampled_from(
-                [[dim]] if vectors else [[dim], [2, dim], [dim, -1]]))
-            entries[entry].update(length=4 * math.prod(shape), shape=shape)
-        elif fault == "shape":
-            entries[entry]["shape"] = draw(st.one_of(
-                st.lists(st.integers(-2, 4), min_size=vectors,
-                         max_size=1 if vectors else 3),
-                st.sampled_from([[2**62], [0, 2**62], [2**32, 2**32],
-                                 [0, 2**64], [1] * 70])))
+            entries[entry]["length"] = draw(st.sampled_from([-4, -8, -12,
+                                                             -(2**63)]))
         else:
-            field = draw(st.sampled_from(["name", "length", "shape", "dim"]))
-            value = draw(st.sampled_from(MISTYPED))
-            shape = entries[entry]["shape"]
-            if field == "dim" and isinstance(shape, list):
-                # one dimension of the wrong kind, after well-formed ones
-                entries[entry]["shape"] = shape + [value]
-            elif field != "dim":
-                entries[entry][field] = value
+            field = draw(st.sampled_from(["name", "length"]))
+            entries[entry][field] = draw(st.sampled_from(MISTYPED))
     table = {key: [entry[key] for entry in entries]
-             for key in ("length", "name", "shape")}
+             for key in ("length", "name")}
     for fault in faults:
         if fault != "structure":
             continue
@@ -942,10 +943,10 @@ def section_tables(draw):
         elif not isinstance(table, dict):
             continue
         elif fault == "columns":
-            # a column missing, or one too many
+            # a column missing, or one too many, such as OTS3's shape column
             key = draw(st.sampled_from(["length", "name", "shape", "offset"]))
             if table.pop(key, None) is None:
-                table[key] = [0] * len(entries)
+                table[key] = [[0]] * len(entries)
         elif fault == "column" and table:
             table[draw(st.sampled_from(sorted(table)))] = draw(
                 st.sampled_from([value for value in MISTYPED
@@ -1020,9 +1021,8 @@ def test_gather_matches_the_reference_walk(data):
     sections = {}
     for i, name in enumerate(data.draw(st.lists(st.sampled_from(pool),
                                                 unique=True))):
-        shape = data.draw(st.sampled_from([(0,), (1,), (3,), (5,), (2, 2)]))
-        sections[name] = (10.0 * i + np.arange(math.prod(shape)) - 0.5
-                          ).astype(np.float32).reshape(shape)
+        size = data.draw(st.sampled_from([0, 1, 3, 4, 5]))
+        sections[name] = (10.0 * i + np.arange(size) - 0.5).astype(np.float32)
     names = data.draw(st.lists(st.sampled_from(pool), max_size=8))
     counts = data.draw(st.lists(st.integers(0, 4), min_size=len(names),
                                 max_size=len(names)))

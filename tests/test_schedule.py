@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from omniprefill.core import InfeasibleScheduleError, ModelConfig, RetentionSpec
+from omniprefill.core import (ConfigError, InfeasibleScheduleError, ModelConfig,
+                             RetentionSpec)
 from omniprefill.pipeline import SynthSpec, run_pipeline
 from omniprefill.schedule import (
     block_constant,
-    block_of,
+    block_labels,
     build_schedule,
     delta_oracle,
     shallow_ratio,
@@ -209,9 +210,9 @@ class TestBuildSchedule:
         assert plan.trr_at(1) == plan.per_layer_trr[0]
         assert plan.trr_at(17) == plan.per_layer_trr[16]
         assert plan.trr_at(24) == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^layer 0 outside \[1, 28\]$"):
             plan.trr_at(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^layer 29 outside \[1, 28\]$"):
             plan.trr_at(29)
 
     def test_zero_budget_plan(self):
@@ -262,22 +263,26 @@ class TestBuildSchedule:
         assert plan.per_layer_trr.mean() == pytest.approx(0.3, abs=1e-9)
 
 
-class TestBlockOf:
+class TestBlockLabels:
     def test_labels(self):
-        assert block_of(1, QWEN25) == "shallow"
-        assert block_of(16, QWEN25) == "shallow"
-        assert block_of(17, QWEN25) == "middle1"
-        assert block_of(19, QWEN25) == "middle2"
-        assert block_of(21, QWEN25) == "middle3"
-        assert block_of(23, QWEN25) == "middle3"
-        assert block_of(24, QWEN25) == "late"
-        assert block_of(28, QWEN25) == "late"
+        labels = block_labels(QWEN25)
+        assert len(labels) == 28
+        assert labels[1 - 1] == "shallow"
+        assert labels[16 - 1] == "shallow"
+        assert labels[17 - 1] == "middle1"
+        assert labels[19 - 1] == "middle2"
+        assert labels[21 - 1] == "middle3"
+        assert labels[23 - 1] == "middle3"
+        assert labels[24 - 1] == "late"
+        assert labels[28 - 1] == "late"
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            block_of(0, QWEN25)
-        with pytest.raises(ValueError):
-            block_of(29, QWEN25)
+    def test_one_label_per_layer(self):
+        cfg = ModelConfig(layers=4096, d_model=1, d_ff=1, n_heads=1,
+                          boundaries=(1000, 2000, 3000, 4000))
+        labels = block_labels(cfg)
+        assert len(labels) == 4096
+        assert labels.count("shallow") == 1000
+        assert labels.count("late") == 97
 
 
 class TestShallowRatio:

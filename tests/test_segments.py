@@ -36,7 +36,7 @@ from omniprefill.core import (
     segments,
     window_blocks,
 )
-from omniprefill.divprune import keep_count, win_div_prune
+from omniprefill.divprune import MAX_WEIGHT, keep_count, win_div_prune
 from omniprefill.io import ContainerFormatError, read_ots, write_ots
 from omniprefill import pipeline
 from omniprefill.pipeline import (
@@ -106,9 +106,9 @@ def plain_maxmin(emb, w, k):
     to the nearest pick, and ties go to the lowest index. Values follow the
     engine's precision: rows normalised in float64 and rounded to float32,
     then 1 - cosine in float32, clipped to [0, 2], zero-norm rows at 1 from
-    everything, each times its candidate's weight clamped to the largest
-    float32 and rounded to float32. Rounding a product is monotone, so
-    w * min equals the min of the rounded products."""
+    everything, each times its candidate's weight rounded to float32.
+    Rounding a product is monotone, so w * min equals the min of the
+    rounded products."""
     n = emb.shape[0]
     if k == n:
         return list(range(n))
@@ -119,9 +119,8 @@ def plain_maxmin(emb, w, k):
     dist = np.clip(np.float32(1.0) - unit @ unit.T, 0.0, 2.0)
     dist[zero, :] = 1.0
     dist[:, zero] = 1.0
-    w32 = np.minimum(w, np.finfo(np.float32).max).astype(np.float32)
-    with np.errstate(over="ignore"):
-        d = (dist * w32[:, None]).tolist()  # d[c][s]: c's value against s
+    w32 = np.asarray(w).astype(np.float32)
+    d = (dist * w32[:, None]).tolist()  # d[c][s]: c's value against s
 
     def best(values):
         top = None
@@ -155,7 +154,7 @@ def test_batched_stage1_matches_plain_loop(data):
             if vec is not None and counts[t] and data.draw(st.booleans()):
                 vec[start : start + counts[t]] = data.draw(st.lists(
                     st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324,
-                                     1.7976931348623157e308]),
+                                     MAX_WEIGHT]),
                     min_size=int(counts[t]), max_size=int(counts[t])))
         saliency.append(vec)
 
