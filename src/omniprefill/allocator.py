@@ -43,7 +43,8 @@ class BudgetPlan:
         freeze_fields(self, np.int64, "b_v", "b_a")
         b = self.b_v + self.b_a
         b.setflags(write=False)
-        total_v, total_a = int(self.b_v.sum()), int(self.b_a.sum())
+        total_v = int(np.add.reduce(self.b_v))
+        total_a = int(np.add.reduce(self.b_a))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "totals", (total_v, total_a, total_v + total_a))
 
@@ -133,14 +134,15 @@ def allocate(
         real_v *= b_real
         spread = den > 0.0
         np.divide(real_v, den, out=real_v, where=spread)
-    bad = np.flatnonzero(~(np.isfinite(den) & np.isfinite(real_v)))
-    if bad.size:
-        t = bad[0]
+    finite = np.isfinite(den)
+    finite &= np.isfinite(real_v)
+    if not finite.all():
+        t = finite.argmin()  # the first window at fault
         raise EngineError(f"window {t}: relevance weights s_v={s_v[t]:.6g}"
                           f", s_a={s_a[t]:.6g} overflow its budget split")
-    del den
+    del den, finite
     # a window without weight splits by its capacities, if it has any
-    flat = np.flatnonzero(~spread)
+    flat = (~spread).nonzero()[0]
     if flat.size:
         capacity_t = cap_v[flat] + cap_a[flat]
         real_v[flat] = np.where(
@@ -183,7 +185,7 @@ def allocate(
     # later passes: one token to every open slot until the total lands;
     # a last pass with fewer tokens than open slots gives them by larger
     # share, then window by window, visual first
-    by_share = np.argsort(-share, kind="stable") if deficit > 0 else None
+    by_share = (-share).argsort(kind="stable") if deficit > 0 else None
     while deficit > 0:
         n_open = count_open()
         if n_open == 0:
@@ -192,7 +194,8 @@ def allocate(
             )
         if n_open > deficit:
             ranked = open_.reshape(2, T)[:, by_share].T.copy()
-            ranked.ravel()[np.flatnonzero(ranked)[deficit]:] = False
+            flags = ranked.ravel()
+            flags[flags.nonzero()[0][deficit]:] = False
             open_.reshape(2, T)[:, by_share] = ranked.T
             np.add(base, 1, out=base, where=open_)
             break
@@ -219,11 +222,17 @@ def _largest_remainders(open_, rem, share, k):
     many as are still needed."""
     T = share.size
     rem[~open_] = -1.0
-    cut = np.partition(rem, rem.size - k)[rem.size - k]
+    kth = rem.size - k
+    cut = rem.copy()
+    cut.partition(kth)
+    cut = cut[kth]
+    chosen = rem >= cut
+    if np.count_nonzero(chosen) == k:  # every slot at the cut is kept
+        return chosen
     chosen = rem > cut
     # j = 2t + m: window t's slot of modality m, in slot order
-    tied = np.flatnonzero((rem == cut).reshape(2, T).T)
-    tied = tied[np.argsort(-share[tied // 2], kind="stable")]
+    tied = (rem == cut).reshape(2, T).T.ravel().nonzero()[0]
+    tied = tied[(-share[tied // 2]).argsort(kind="stable")]
     tied = tied[:k - np.count_nonzero(chosen)]
     chosen.reshape(2, T)[tied % 2, tied // 2] = True
     return chosen

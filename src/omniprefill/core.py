@@ -275,7 +275,7 @@ class TokenStream:
                 f"{MODALITY_NAMES[int(modality[r])]} row {r} has window id "
                 f"{window_id[r]}; it must be "
                 f"{NO_WINDOW if is_text[r] else '>= 0'}")
-        text_rows = np.flatnonzero(is_text)
+        text_rows = is_text.nonzero()[0]
         del wrong, is_text
         step = self.position[1:] <= self.position[:-1]
         if step.any():
@@ -300,10 +300,10 @@ class TokenStream:
                             f"rows at row {row}")
                     last = ids[-1]
                 del ids  # before the next block gathers its own
-        finite = np.isfinite(self.embeddings[text_rows]).all(axis=1)
+        finite = np.isfinite(self.embeddings[text_rows])
         if not finite.all():
-            raise StreamError(f"text row {text_rows[np.argmin(finite)]} has "
-                              f"a non-finite embedding")
+            row = text_rows[finite.all(axis=1).argmin()]
+            raise StreamError(f"text row {row} has a non-finite embedding")
 
     @property
     def n(self) -> int:
@@ -330,7 +330,7 @@ class TokenStream:
 
     def rows_of(self, modality: int) -> np.ndarray:
         """Row indices (storage order) of one modality."""
-        return np.flatnonzero(self.modality == modality)
+        return (self.modality == modality).nonzero()[0]
 
     def take(self, rows) -> "TokenStream":
         """Row subset. Rows must be integers in [0, n) and ascend, as the
@@ -338,11 +338,12 @@ class TokenStream:
         rows = exact_array(rows, np.int64, "rows")
         if rows.size and not 0 <= rows.min() <= rows.max() < self.n:
             raise StreamError(f"rows must lie in [0, {self.n})")
+        # each gather is a fresh array, which the new stream adopts
         return TokenStream(
-            embeddings=self.embeddings[rows],
-            modality=self.modality[rows],
-            window_id=self.window_id[rows],
-            position=self.position[rows],
+            embeddings=Owned(self.embeddings[rows]),
+            modality=Owned(self.modality[rows]),
+            window_id=Owned(self.window_id[rows]),
+            position=Owned(self.position[rows]),
         )
 
 
@@ -367,10 +368,16 @@ class WindowLayout:
             raise StreamError("n_v and n_a must be 1-d and the same length")
         if nv.shape[0] < 1:
             raise StreamError("at least one window is required")
-        if min(nv.min(), na.min()) < 0:
+        # one screen: as uint64 a negative count is huge, so the largest
+        # exceeds this bound when a count is negative or an int64 sum might
+        # wrap, and only then are the counts looked at again
+        bound = _INT64_MAX // nv.size
+        if max(np.maximum.reduce(nv.view(np.uint64)),
+               np.maximum.reduce(na.view(np.uint64))) <= bound:
+            total_v, total_a = int(np.add.reduce(nv)), int(np.add.reduce(na))
+        elif min(nv.min(), na.min()) < 0:
             raise StreamError("window counts must be non-negative")
-        total_v, total_a = int(nv.sum()), int(na.sum())
-        if max(nv.max(), na.max()) > _INT64_MAX // nv.size:
+        else:
             # an int64 sum may have wrapped: sum exactly, in Python
             total_v, total_a = sum(nv.tolist()), sum(na.tolist())
             if max(total_v, total_a) > _INT64_MAX:
@@ -418,12 +425,14 @@ def segments(counts: np.ndarray):
     is held while the classes are handed out.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    sizes = np.sort(counts[counts > 0])
+    starts = counts.cumsum()
+    starts -= counts
+    sizes = counts[counts > 0]
+    sizes.sort()
     # the first of each run of equal lengths
     sizes = sizes[:1].tolist() + sizes[1:][sizes[1:] != sizes[:-1]].tolist()
     for n in sizes:
-        windows = np.flatnonzero(counts == n)
+        windows = (counts == n).nonzero()[0]
         yield n, windows, starts[windows]
 
 
@@ -435,15 +444,15 @@ def window_blocks(scores: np.ndarray,
     empty): what apply_budget ranks and what window_relevance weighs."""
     means = np.zeros(len(counts))
     blocks = []
-    for n, windows, starts in segments(counts):
-        # an int32 index, half the bytes of an int64 one: a modality holds
-        # at most MAX_ROWS scores
-        block = scores[starts.astype(np.int32)[:, None]
-                       + np.arange(n, dtype=np.int32)]
-        # block.mean(axis=1), bit for bit, without its Python wrapper
-        with np.errstate(over="ignore"):  # window_relevance refuses an inf
+    with np.errstate(over="ignore"):  # window_relevance refuses an inf
+        for n, windows, starts in segments(counts):
+            # an int32 index, half the bytes of an int64 one: a modality
+            # holds at most MAX_ROWS scores
+            block = scores[starts.astype(np.int32)[:, None]
+                           + np.arange(n, dtype=np.int32)]
+            # block.mean(axis=1), bit for bit, without its Python wrapper
             means[windows] = np.add.reduce(block, axis=1) / n
-        blocks.append((windows, starts, block))
+            blocks.append((windows, starts, block))
     return blocks, means
 
 

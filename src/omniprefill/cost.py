@@ -65,9 +65,11 @@ def trace_flops(trace: PrefillTrace, config: ModelConfig) -> CostReport:
         raise StreamError(
             f"trace covers {trace.layers} layers, config has {config.layers}"
         )
-    per_layer = np.array(
-        [layer_flops(int(n), config) for n in trace.seq_len], dtype=np.float64
-    )
+    # a trace holds few distinct lengths: each is priced once, in layer
+    # order, so a refused length is the first layer's to hold one
+    lengths = trace.seq_len.tolist()
+    flops = {n: layer_flops(n, config) for n in dict.fromkeys(lengths)}
+    per_layer = np.array([flops[n] for n in lengths], dtype=np.float64)
     total = float(per_layer.sum())
     n_full = int(sum(trace.n_original))
     full_total = config.layers * layer_flops(n_full, config)

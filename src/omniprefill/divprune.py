@@ -20,6 +20,7 @@ from .core import (
     MODALITY_NAMES,
     TEXT,
     VISUAL,
+    Owned,
     RetentionSpec,
     StreamError,
     TokenStream,
@@ -85,8 +86,9 @@ def _unit_rows(emb: np.ndarray, rows, out=None,
         np.square(scratch, out=scratch)
         norms = np.add.reduce(scratch, axis=1)
     np.sqrt(norms, out=norms)
-    if not np.isfinite(norms).all():
-        i = np.flatnonzero(~np.isfinite(norms))[0]
+    finite = np.isfinite(norms)
+    if not finite.all():
+        i = finite.argmin()  # the first row at fault
         raise StreamError(f"embedding of row {np.ravel(rows)[i]} is not finite")
     zero = norms == 0.0
     norms[zero] = 1.0
@@ -114,7 +116,7 @@ def _distances(unit: np.ndarray, out: np.ndarray) -> None:
     """
     np.matmul(unit, unit.transpose(0, 2, 1), out=out)
     np.subtract(1.0, out, out=out)
-    np.clip(out, 0.0, 2.0, out=out)
+    out.clip(0.0, 2.0, out=out)
 
 
 def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -138,7 +140,7 @@ def _maxmin(dist: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     dist *= weights.astype(np.float32)[:, None, :]
     diagonal = dist.reshape(G, n * n)[:, :: n + 1]
     diagonal[...] = np.inf
-    seed = dist.min(axis=1)
+    seed = np.minimum.reduce(dist, axis=1)
     diagonal[...] = -np.inf
     if G == 1:
         rows = dist[0]
@@ -183,7 +185,7 @@ def _prune_chunk(arena: np.ndarray, embeddings: np.ndarray,
     b = m * d + (m * d) % 2
     unit = arena[: m * d].reshape(m, d)
     # mode="clip" writes straight into out; "raise" would buffer it
-    np.take(embeddings, group_rows.ravel(), axis=0, out=unit, mode="clip")
+    embeddings.take(group_rows.ravel(), axis=0, out=unit, mode="clip")
     _, zero = _unit_rows(unit, group_rows, unit,
                          arena[b : b + 2 * m * d].view(np.float64).reshape(m, d))
     if k == n:
@@ -251,11 +253,14 @@ def _checked_weights(weight, rows: np.ndarray, name: str) -> np.ndarray:
     if weight.shape != rows.shape:
         raise StreamError(f"{name} saliency has shape {weight.shape}, the "
                           f"stream holds {rows.size} {name} rows")
-    # a NaN fails both comparisons
-    bad = np.flatnonzero(~((weight >= 0) & (weight <= MAX_WEIGHT)))
-    if bad.size:
-        raise StreamError(f"saliency weight of row {rows[bad[0]]} is "
-                          f"{float(weight[bad[0]])}; weights must be finite, "
+    # one screen by the least and the largest weight, which a NaN fails
+    # too, as minimum and maximum pass it on; the first fault is located
+    # only when it fails
+    if not (np.minimum.reduce(weight, initial=0.0) >= 0
+            and np.maximum.reduce(weight, initial=0.0) <= MAX_WEIGHT):
+        i = (~((weight >= 0) & (weight <= MAX_WEIGHT))).argmax()
+        raise StreamError(f"saliency weight of row {rows[i]} is "
+                          f"{float(weight[i])}; weights must be finite, "
                           f"non-negative and at most {MAX_WEIGHT:.8g}")
     return weight
 
@@ -298,20 +303,23 @@ def win_div_prune(
     broadcast divide and weight multiply take small numpy buffers.
     """
     held = WindowLayout.from_stream(stream, layout.T)
+    n_max = 0  # the largest group
     for m, have, counts in ((VISUAL, held.n_v, layout.n_v),
                             (AUDIO, held.n_a, layout.n_a)):
-        if not np.array_equal(have, counts):
+        # both hold layout.T counts
+        if not (have == counts).all():
             t = np.argmax(have != counts)
             raise StreamError(f"window {t} holds {have[t]} {MODALITY_NAMES[m]}"
                               f" rows, layout declares {counts[t]}")
-        if counts.max() > MAX_GROUP:
+        largest = int(np.maximum.reduce(counts))
+        if largest > MAX_GROUP:
             t = np.argmax(counts > MAX_GROUP)
             raise StreamError(f"window {t} holds {counts[t]} "
                               f"{MODALITY_NAMES[m]} rows; a group may hold "
                               f"at most {MAX_GROUP}")
+        n_max = max(n_max, largest)
     r_pre = {VISUAL: shallow_ratio(spec.r_v, spec.lambda_),
              AUDIO: shallow_ratio(spec.r_a, spec.lambda_)}
-    n_max = int(max(layout.n_v.max(), layout.n_a.max()))
     budget = max(25 * n_max**2, stream.embeddings.nbytes // 8)
 
     # one flag per stream row; each group's rows are set once, to its picks
@@ -363,8 +371,10 @@ def win_div_prune(
                                       + offsets])
                     zero, picks = _prune_chunk(arena, stream.embeddings,
                                                group_rows, weights, k)
-                    for i in np.flatnonzero(zero.any(axis=1)):
-                        zero_counts[int(windows[lo + i])] = int(zero[i].sum())
+                    if zero.any():
+                        for i in zero.any(axis=1).nonzero()[0]:
+                            zero_counts[int(windows[lo + i])] = int(
+                                zero[i].sum())
                     keep[group_rows] = True if picks is None else picks
         notes += [
             f"{zero_counts[t]} zero-norm embeddings in window {t} "
@@ -375,16 +385,18 @@ def win_div_prune(
     # the arena, the row index and the flags go before the result is
     # built, so its copies are the only stage-1 arrays left at its peak
     del arena, rows
-    rows = np.flatnonzero(keep)
+    rows = keep.nonzero()[0]
     del keep
     # positions strictly increase, so these two ends make them row numbers
     # and the survivors' positions their rows
     position, last = stream.position, stream.n - 1
     row_numbers = last >= 0 and position[0] == 0 and position[last] == last
+    # the result adopts these fresh arrays rather than copying them
+    owned = Owned(rows)
     return SelectionResult(
-        kept=rows if row_numbers else position[rows],
-        rows=rows,
-        kept_v=kept_counts[VISUAL],
-        kept_a=kept_counts[AUDIO],
+        kept=owned if row_numbers else Owned(position[rows]),
+        rows=owned,
+        kept_v=Owned(kept_counts[VISUAL]),
+        kept_a=Owned(kept_counts[AUDIO]),
         notes=tuple(notes),
     )

@@ -197,8 +197,8 @@ class Sections(Mapping):
         self._region = region
         self._index = index
         # one trailing -1 in each column answers the -1 of an absent name
-        self._first = np.append(firsts, -1)
-        self._size = np.append(sizes, -1)
+        self._first = np.concatenate((firsts, [-1]))
+        self._size = np.concatenate((sizes, [-1]))
 
     def __getitem__(self, name: str) -> np.ndarray:
         entry = self._index[name]
@@ -226,12 +226,12 @@ class Sections(Mapping):
             return sizes, None
         # entry j of name i sits at _first[entries[i]] + j of the region
         lengths = np.where(held, sizes, counts)
-        ends = np.cumsum(lengths)
-        at = (np.repeat(self._first[entries] - (ends - lengths), lengths)
+        ends = lengths.cumsum()
+        at = ((self._first[entries] - (ends - lengths)).repeat(lengths)
               + np.arange(ends[-1]))
         if held.all():
             return sizes, self._region[at]
-        held = np.repeat(held, lengths)
+        held = held.repeat(lengths)
         vec = np.ones(at.size, dtype=np.float32)
         vec[held] = self._region[at[held]]
         return sizes, vec
@@ -274,10 +274,11 @@ def _read_sections(data, table, start: int) -> Sections:
         _section_fault(data, columns, start)
     region = np.frombuffer(data, dtype="<f4", count=(len(data) - start) // 4,
                            offset=start)
-    firsts = np.cumsum(sizes + 2) - sizes
+    firsts = (sizes + 2).cumsum()
+    firsts -= sizes
     stored = region.view("<i4")[firsts[:, None] - [2, 1]].view("<i8")[:, 0]
     index = dict(zip(names, itertools.count()))
-    if len(index) < len(names) or not np.array_equal(stored, 4 * sizes):
+    if len(index) < len(names) or not (stored == 4 * sizes).all():
         _section_fault(data, columns, start)
     return Sections(region, index, firsts, sizes)
 
@@ -396,13 +397,14 @@ def read_ots(data: bytes) -> tuple[TokenStream, Sections, dict]:
                 f"tokens, codes tally {actual}")
     # a negative value turns into a huge one as uint64, so one compare
     # picks the visual and audio codes and one covers both ends of [0, t)
-    outside = np.flatnonzero((modality.view("<u8") < TEXT)
-                             & (window_id.view("<u8") >= t))
-    if outside.size:
-        row = int(outside[0])
+    outside = ((modality.view("<u8") < TEXT)
+               & (window_id.view("<u8") >= t))
+    if outside.any():
+        row = int(outside.argmax())
         raise ContainerFormatError(
             f"{MODALITY_NAMES[int(modality[row])]} row {row} has window id "
             f"{int(window_id[row])}, outside [0, {t})")
+    del outside  # a flag per row, not held while the stream is built
     # the stream's own invariants are TokenStream's to check
     try:
         stream = TokenStream(embeddings=embeddings, modality=modality,
@@ -565,11 +567,11 @@ def trace_csv(trace: PrefillTrace) -> str:
         f"# tau={trace.retention.tau:.6f}",
         "layer,seq_len,kept_visual,kept_audio,kept_text",
     ]
-    for i in range(trace.layers):
-        lines.append(
-            f"{i + 1},{int(trace.seq_len[i])},{int(trace.kept_v[i])},"
-            f"{int(trace.kept_a[i])},{int(trace.kept_text[i])}"
-        )
+    # each column read once, as Python ints
+    columns = (trace.seq_len.tolist(), trace.kept_v.tolist(),
+               trace.kept_a.tolist(), trace.kept_text.tolist())
+    lines += [f"{i},{n},{v},{a},{q}"
+              for i, (n, v, a, q) in enumerate(zip(*columns), start=1)]
     return "\n".join(lines) + "\n"
 
 

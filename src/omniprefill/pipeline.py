@@ -168,7 +168,8 @@ def _survivor_probs(logits: np.ndarray, layer: int,
             f"got {ordinals.dtype} of shape {ordinals.shape}")
     if ordinals.size == 0:
         return np.zeros(0)
-    for ordinal in (ordinals.min(), ordinals.max()):
+    for ordinal in (np.minimum.reduce(ordinals),
+                    np.maximum.reduce(ordinals)):
         if not 0 <= ordinal < logits.shape[0]:
             raise StreamError(
                 f"query logits for layer {layer} cover {logits.shape[0]} "
@@ -233,8 +234,10 @@ class SyntheticOracle:
 
     def saliency(self, window: int, modality: int, n: int) -> np.ndarray:
         """Mean received attention inside one original group: the column
-        means of its row-stochastic attention."""
-        return self.stage1_attention(window, modality, n).mean(axis=0)
+        means of its row-stochastic attention; an empty group's is empty."""
+        attention = self.stage1_attention(window, modality, n)
+        # numpy warns on the mean of no rows
+        return attention.mean(axis=0) if attention.size else np.zeros(0)
 
     def modality_saliency(self, modality: int,
                           counts: np.ndarray) -> np.ndarray:
@@ -276,16 +279,18 @@ class ContainerOracle:
         the sections of its non-empty windows; rows of a window without a
         section weigh 1, and None means no window has one. The first
         window, in ascending order, whose section length differs from its
-        count is a StreamError."""
+        count is a StreamError, and so is a modality other than VISUAL or
+        AUDIO."""
+        name = MODALITY_NAMES[bounded_integer("modality", modality, VISUAL,
+                                              AUDIO, StreamError)]
         windows = np.flatnonzero(counts)
-        name = MODALITY_NAMES[modality]
         names = [f"saliency/w{t}/{name}" for t in windows.tolist()]
         n = counts[windows]
         sizes, vec = self.sections.gather(names, n)
-        present = sizes >= 0
-        bad = np.flatnonzero(present & (sizes != n))
-        if bad.size:
-            i = bad[0]
+        # an absent section's size, -1, is no fault
+        wrong = (sizes >= 0) & (sizes != n)
+        if wrong.any():
+            i = wrong.argmax()  # the first window at fault
             raise StreamError(
                 f"saliency section for window {windows[i]} has {sizes[i]} "
                 f"entries, group holds {n[i]}"
@@ -293,8 +298,12 @@ class ContainerOracle:
         return vec
 
     def query_probs(self, layer, modality, ordinals):
-        logits = self.sections.get(
-            f"query_logits/layer{layer}/{MODALITY_NAMES[modality]}")
+        """The softmax of the survivors' logits at a layer, or None when
+        the container holds none; a modality other than VISUAL or AUDIO is
+        a StreamError."""
+        name = MODALITY_NAMES[bounded_integer("modality", modality, VISUAL,
+                                              AUDIO, StreamError)]
+        logits = self.sections.get(f"query_logits/layer{layer}/{name}")
         return (None if logits is None
                 else _survivor_probs(logits, layer, ordinals))
 
@@ -390,7 +399,7 @@ def _survivors(stream: TokenStream, stage1: SelectionResult) -> _Survivors:
     """The stage-1 survivors of stream, ready for the first drop layer."""
     survived = np.zeros(stream.n, dtype=bool)
     survived[stage1.rows] = True
-    ordinals = [np.flatnonzero(survived[stream.modality == m]).astype(np.int32)
+    ordinals = [survived[stream.modality == m].nonzero()[0].astype(np.int32)
                 for m in (VISUAL, AUDIO)]
     del survived
     codes = stream.modality.astype(np.int8)[stage1.rows]

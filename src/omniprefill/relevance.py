@@ -26,10 +26,12 @@ def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     temporary, so a large attention matrix costs a single allocation; out,
     of x's shape and float dtype (x itself, to overwrite a fresh array),
     takes that temporary's place, so there is none."""
-    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out,
-                    dtype=np.result_type(x, 1.0))
+    # the ufuncs' own reductions, which x.max and z.sum call through a
+    # Python wrapper
+    z = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True),
+                    out=out, dtype=np.result_type(x, 1.0))
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -41,7 +43,8 @@ def real_weights(w, n: int) -> np.ndarray | None:
     w = outside_array(w)
     if w.dtype.kind in "biuf" and w.shape == (n,):
         w = w.astype(np.float64, copy=False)
-        if w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf:
+        if (np.minimum.reduce(w, initial=0.0) >= 0.0
+                and np.maximum.reduce(w, initial=0.0) < np.inf):
             return w
     return None
 
@@ -67,21 +70,22 @@ def window_relevance(
     if not tau > 0.0:  # a NaN tau fails this too
         raise StreamError(f"tau must be positive, got {tau}")
     weights = []
-    for name, means, counts in (("visual", means_v, layout.n_v),
-                                ("audio", means_a, layout.n_a)):
-        means = exact_array(means, np.float64, f"{name} means")
-        if means.shape != counts.shape:
-            raise StreamError(f"{name} means have shape {means.shape}, the "
-                              f"layout holds {layout.T} windows")
-        present = counts > 0
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is refused by name
+        for name, means, counts in (("visual", means_v, layout.n_v),
+                                    ("audio", means_a, layout.n_a)):
+            means = exact_array(means, np.float64, f"{name} means")
+            if means.shape != counts.shape:
+                raise StreamError(f"{name} means have shape {means.shape}, "
+                                  f"the layout holds {layout.T} windows")
+            present = counts > 0
             logits = means[present] / tau
-        if not np.isfinite(logits).all():
-            raise StreamError(f"{name} window means over tau={tau} overflow")
-        w = np.zeros(layout.T, dtype=np.float64)
-        if present.any():
-            w[present] = softmax(logits)
-        weights.append(w)
+            if not np.isfinite(logits).all():
+                raise StreamError(f"{name} window means over tau={tau} "
+                                  f"overflow")
+            w = np.zeros(layout.T, dtype=np.float64)
+            if logits.size:
+                w[present] = softmax(logits, out=logits)
+            weights.append(w)
     return tuple(weights)
 
 
@@ -91,10 +95,10 @@ def window_weights(s_v: np.ndarray, s_a: np.ndarray,
     modalities are present, the present one's weight where only one is, and
     0 in a window with neither. One fresh float64 vector, built in place,
     which the caller may overwrite."""
-    present_v, present_a = layout.n_v > 0, layout.n_a > 0
+    absent_v, absent_a = layout.n_v == 0, layout.n_a == 0
     w = np.add(s_v, s_a)
     w *= 0.5
-    np.copyto(w, s_v, where=~present_a)
-    np.copyto(w, s_a, where=~present_v)
-    w[~(present_v | present_a)] = 0.0
+    np.copyto(w, s_v, where=absent_a)
+    np.copyto(w, s_a, where=absent_v)
+    w[absent_v & absent_a] = 0.0
     return w

@@ -45,7 +45,7 @@ class SchedulePlan:
     def drop_layers(self) -> tuple[int, ...]:
         """1-based layers where the ratio strictly falls."""
         trr = self.per_layer_trr
-        return tuple((np.flatnonzero(trr[1:] < trr[:-1]) + 2).tolist())
+        return tuple(((trr[1:] < trr[:-1]).nonzero()[0] + 2).tolist())
 
     def trr_at(self, layer: int) -> float:
         """Retention ratio at a 1-based layer index, an integer in [1, L];

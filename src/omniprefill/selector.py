@@ -96,17 +96,23 @@ def apply_budget(
         if held != total:
             raise StreamError(f"score blocks hold {held} tokens, the layout "
                               f"{total}")
-        over = np.flatnonzero(budget > counts)
-        if over.size:
-            t = int(over[0])
-            raise InfeasibleBudgetError(
-                f"plan asks for {int(budget[t])} of {int(counts[t])} tokens "
-                f"in window {t}"
-            )
-        if np.any(budget < 0):
+        # one screen of both bounds: as uint64 a negative budget is huge,
+        # and no count is negative, so every budget lies in [0, count]
+        # exactly when none exceeds its count so viewed. Only a failure
+        # looks again, the first window over its count first
+        if not (budget.view(np.uint64) <= counts.view(np.uint64)).all():
+            over = budget > counts
+            if over.any():
+                t = int(over.argmax())
+                raise InfeasibleBudgetError(
+                    f"plan asks for {int(budget[t])} of {int(counts[t])} "
+                    f"tokens in window {t}"
+                )
             raise StreamError("budget must be non-negative")
-        keep = np.repeat(budget == counts, counts)
-        partial = (budget > 0) & (budget < counts)
+        whole = budget == counts
+        keep = whole.repeat(counts)
+        partial = budget > 0
+        partial &= ~whole  # 0 < budget < count, as none exceeds it
         for windows, starts, block in blocks:
             if not partial[windows].any():
                 continue
@@ -120,7 +126,7 @@ def apply_budget(
             step = max(1, _RANK_ENTRIES // n)
             for lo in range(0, windows.size, step):
                 rows = slice(lo, lo + step)
-                ranked = np.argsort(block[rows, ::-1], axis=1, kind="stable")
+                ranked = block[rows, ::-1].argsort(axis=1, kind="stable")
                 np.subtract(starts[rows, None] + (n - 1), ranked, out=ranked)
                 keep[ranked] = (np.arange(n - 1, -1, -1)
                                 < budget[windows[rows], None])

@@ -171,6 +171,15 @@ class TestInputDomain:
                                               f"budget split$"):
             allocate(s_v, s_a, 0.3, 0.5, layout([4, 4], [2, 2]))
 
+    def test_first_overflowing_split_is_named(self):
+        # windows 2 and 3 overflow their split; the first is named, with
+        # its weights
+        with pytest.raises(EngineError, match=r"^window 2: relevance weights "
+                                              r"s_v=1e\+308, s_a=0.5 overflow "
+                                              r"its budget split$"):
+            allocate([0.5, 0.5, 1e308, 1e308], [0.5] * 4, 0.3, 0.5,
+                     layout([4] * 4, [2] * 4))
+
     def test_weights_summing_past_float_range_are_refused(self):
         # not shares of 0 everywhere, with the budget placed by slot order
         with pytest.raises(EngineError, match="sum past the float range"):

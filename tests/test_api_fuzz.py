@@ -9,30 +9,44 @@ None, complex, of objects or strings, or holds a negative, non-finite or
 huge entry. A second one builds the value types (`TokenStream`,
 `WindowLayout`, `ModelConfig`, `RetentionSpec`, `SynthSpec`) and calls
 `TokenStream.take`, `select_topk`, `window_relevance` and `greedy_maxmin`
-with one drawn field, array or scalar of an inexact kind or value.
+with one drawn field, array or scalar of an inexact kind or value. A third
+asks a container's oracle with a drawn modality, which only VISUAL and
+AUDIO name.
 """
 
 import math
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from omniprefill.allocator import allocate
-from omniprefill.core import (EngineError, ModelConfig, RetentionSpec,
+from omniprefill.core import (AUDIO, TEXT, VISUAL, EngineError,
+                              ModelConfig, RetentionSpec, StreamError,
                               TokenStream, WindowLayout)
 from omniprefill.divprune import greedy_maxmin, win_div_prune
-from omniprefill.io import write_ots
-from omniprefill.pipeline import SynthSpec, run_pipeline, synth_generate
+from omniprefill.io import read_ots, write_ots
+from omniprefill.pipeline import (ContainerOracle, SynthSpec, run_pipeline,
+                                  synth_generate)
 from omniprefill.relevance import window_relevance
 from omniprefill.selector import select_topk
 
 CONFIG = ModelConfig(layers=28, d_model=64, d_ff=128, n_heads=4,
                      boundaries=(16, 19, 21, 24))
 RETENTION = RetentionSpec(r_v=0.3, r_a=0.65, lambda_=1.4, tau=0.1)
-STREAM, _ = synth_generate(SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4, n_q=3))
+STREAM, SYNTH = synth_generate(SynthSpec(seed=5, T=2, d=8, n_v=10, n_a=4,
+                                         n_q=3))
 LAYOUT = WindowLayout.from_stream(STREAM)
+# a container oracle with every saliency and layer-17 logits section
+CONTAINER = ContainerOracle(read_ots(write_ots(STREAM, {
+    **{f"saliency/w{t}/{name}": SYNTH.saliency(t, m, n)
+       for t in range(2) for m, name, n in ((VISUAL, "visual", 10),
+                                            (AUDIO, "audio", 4))},
+    **{f"query_logits/layer17/{name}": SYNTH._query_logits(17, m)
+       for m, name in ((VISUAL, "visual"), (AUDIO, "audio"))},
+}, T=2))[1], T=2)
 ENTRIES = [0.0, 0.5, 1.0, -0.5, math.nan, math.inf, -math.inf, 1e308, 5e-324]
 
 
@@ -185,3 +199,26 @@ def test_value_types_and_vectors_end_with_a_result_or_an_engine_error(
             inexact(rows), st.just(np.array(rows) * 1e200),
             inexact(rows[0])))
         ends_cleanly(lambda: greedy_maxmin(embeddings, np.ones(4), 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(call=st.sampled_from(["query_probs", "modality_saliency"]),
+       modality=st.one_of(st.integers(-3, 8), st.sampled_from(
+           [True, 1.0, 0.5, None, "visual", np.int64(1), np.uint8(5)])))
+@example(call="query_probs", modality=5)
+@example(call="query_probs", modality=TEXT)
+@example(call="modality_saliency", modality=7)
+def test_container_oracle_modality_is_visual_or_audio(call, modality):
+    # modality 5 and 7 escaped as a KeyError, and text was answered None,
+    # uniform scores, without a word
+    def ask():
+        if call == "query_probs":
+            return CONTAINER.query_probs(17, modality, np.arange(3))
+        counts = LAYOUT.n_v if modality == VISUAL else LAYOUT.n_a
+        return CONTAINER.modality_saliency(modality, counts)
+
+    if type(modality) in (int, np.int64) and modality in (VISUAL, AUDIO):
+        assert ask() is not None
+    else:
+        with pytest.raises(StreamError, match="^modality "):
+            ask()

@@ -631,6 +631,21 @@ class TestWinDivPrune:
                                               rf"{row} is "):
             win_div_prune(stream, lay, (visual, audio), spec)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_bad_weight_message(self, dtype):
+        # visual ordinal 5, stream row 7, is NaN and ordinal 9 negative:
+        # the first is named, with its value
+        stream = build_stream(T=3, n_v=4, n_a=2, n_q=2)
+        lay = WindowLayout.from_stream(stream)
+        spec = RetentionSpec(r_v=0.5, r_a=0.5, lambda_=1.0, tau=0.1)
+        visual = np.ones(12, dtype=dtype)
+        visual[5], visual[9] = np.nan, -1.0
+        with pytest.raises(StreamError) as info:
+            win_div_prune(stream, lay, (visual, None), spec)
+        assert str(info.value) == (
+            "saliency weight of row 7 is nan; weights must be finite, "
+            "non-negative and at most 1.7014117e+38")
+
     @pytest.mark.parametrize("weight", [
         np.nextafter(MAX_WEIGHT, np.inf), np.finfo(np.float32).max, 1e39,
         1e300], ids=["past-the-bound", "float32-max", "past-float32",

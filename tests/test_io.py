@@ -917,9 +917,12 @@ def section_tables(draw):
                 st.integers(-(2**70), 2**70)))
         elif fault == "partial":
             # a length that is not 4 bytes per entry: 1 to 3 bytes past or
-            # short of the block, or 4 bytes short, which the prefix refuses
-            entries[entry]["length"] += draw(st.sampled_from(
-                [-4, -3, -2, -1, 1, 2, 3]))
+            # short of the block, or 4 bytes short, which the prefix refuses.
+            # Only an integer length moves: an earlier mistype fault may
+            # have made it a string, a bool or a float, which stays mistyped
+            if type(entries[entry]["length"]) is int:
+                entries[entry]["length"] += draw(st.sampled_from(
+                    [-4, -3, -2, -1, 1, 2, 3]))
         elif fault == "huge":
             # more bytes than any file holds, some past what a 64-bit
             # integer holds

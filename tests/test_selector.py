@@ -201,10 +201,25 @@ class TestApplyBudget:
             keep_flags(wide, np.full(4, 0.25), np.full(2, 0.5), lay)
 
     def test_negative_budget_rejected(self):
-        lay = WindowLayout(n_v=np.array([2, 2]), n_a=np.array([1, 1]))
-        plan = BudgetPlan(b_v=np.array([-1, 2]), b_a=np.array([1, 1]))
-        with pytest.raises(StreamError, match="non-negative"):
-            keep_flags(plan, np.full(4, 0.25), np.full(2, 0.5), lay)
+        # a negative budget in the first window, in the third, or in the
+        # last audio slot at int64's least value
+        lay = WindowLayout(n_v=np.full(4, 2), n_a=np.full(4, 1))
+        for b_v, b_a in (([-1, 2, 2, 2], [1, 1, 1, 1]),
+                         ([2, 2, -1, 2], [1, 1, 1, 1]),
+                         ([2, 2, 2, 2], [1, 1, 1, -2**63])):
+            plan = BudgetPlan(b_v=np.array(b_v), b_a=np.array(b_a))
+            with pytest.raises(StreamError,
+                               match="^budget must be non-negative$"):
+                keep_flags(plan, np.full(8, 0.25), np.full(4, 0.5), lay)
+
+    def test_first_window_over_its_count_is_named(self):
+        # windows 2 and 3 of 4 ask for more than they hold and window 1
+        # for a negative count: the first window over its count is named
+        lay = WindowLayout(n_v=np.full(4, 3), n_a=np.full(4, 1))
+        plan = BudgetPlan(b_v=np.array([1, -1, 4, 5]), b_a=np.ones(4, int))
+        with pytest.raises(InfeasibleBudgetError,
+                           match="^plan asks for 4 of 3 tokens in window 2$"):
+            keep_flags(plan, np.full(12, 0.25), np.full(4, 0.5), lay)
 
     def test_monotone_shrinkage(self):
         stream = make_stream(T=2, n_v=6, n_a=4, n_q=3, seed=6)
