@@ -10,13 +10,14 @@ the relevance-weighted share
 Only the combined total is conserved; per-modality totals float with the
 relevance signal, which is what lets budget shift across modalities toward
 whichever one the query cares about. Integerization floors every slot, caps
-it at the window's current capacity, then hands out the shortfall one token
-at a time: first by largest remainder, then by relevance, always deferring
-to caps, until the total lands exactly.
+it at the window's current capacity, raises the slots below their caps to
+one common fill level and hands out the few tokens left by largest
+remainder, then by relevance, so the total lands exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import sys
@@ -74,8 +75,7 @@ def allocate(
     earlier flooring may have shrunk capacity below the nominal budget (see
     run_pipeline) pass proportionally reduced totals instead. r_v, r_a and
     the totals must be finite, non-negative real numbers, not bools or
-    strings; else EngineError. Each slot-sized step writes into an array
-    it keeps, so at T = 2,048 the call holds about 0.11 MiB.
+    strings; else EngineError. At T = 2,048 the call holds 0.12 MiB.
     """
     T = layout.T
     checked = [real_weights(w, T) for w in (s_v, s_a)]
@@ -87,9 +87,11 @@ def allocate(
                 if shape == (T,) else f"{name} weights have shape {shape}, "
                 f"the layout holds {T} windows")
     s_v, s_a = checked
-    n_v0, n_a0 = totals if totals is not None else (
-        layout.total_visual, layout.total_audio
-    )
+    if totals is None:
+        totals = layout.total_visual, layout.total_audio
+    elif not isinstance(totals, (tuple, list)) or len(totals) != 2:
+        raise EngineError(f"totals must be (N_v, N_a), got {totals!r:.60}")
+    n_v0, n_a0 = totals
     for name, value in (("r_v", r_v), ("r_a", r_a), ("total N_v", n_v0),
                         ("total N_a", n_a0)):
         # an int or a float is a real number already; an int past the
@@ -127,28 +129,23 @@ def allocate(
             share.fill(1.0 / T)
         np.multiply(share, total_real, out=b_real)
         # num_v = s_v * r_v N_v, den = num_v + s_a * r_a N_a, and the
-        # visual slot b_real * num_v / den where den > 0
+        # visual slot b_real * num_v / den; a window without weight splits
+        # by its capacities, num_v = its visual count, den = its count or 1
         np.multiply(s_v, r_v * n_v0, out=real_v)
         den = np.multiply(s_a, r_a * n_a0)
         den += real_v
+        flat = den == 0.0
+        np.copyto(real_v, cap_v, where=flat)
+        np.copyto(den, np.maximum(cap_v + cap_a, 1), where=flat)
         real_v *= b_real
-        spread = den > 0.0
-        np.divide(real_v, den, out=real_v, where=spread)
+        real_v /= den
     finite = np.isfinite(den)
     finite &= np.isfinite(real_v)
     if not finite.all():
         t = finite.argmin()  # the first window at fault
         raise EngineError(f"window {t}: relevance weights s_v={s_v[t]:.6g}"
                           f", s_a={s_a[t]:.6g} overflow its budget split")
-    del den, finite
-    # a window without weight splits by its capacities, if it has any
-    flat = (~spread).nonzero()[0]
-    if flat.size:
-        capacity_t = cap_v[flat] + cap_a[flat]
-        real_v[flat] = np.where(
-            capacity_t > 0,
-            b_real[flat] * cap_v[flat] / np.maximum(capacity_t, 1), 0.0)
-    del spread, flat
+    del den, finite, flat
     b_real -= real_v  # the audio slots
 
     # integerize: floor, cap, then place the shortfall deterministically.
@@ -163,50 +160,34 @@ def allocate(
     deficit = target - int(base.sum())
     assert deficit >= 0, "floor+cap can never overshoot the rounded total"
 
-    # slot t < T is window t's visual slot, T + t its audio one; the slots
-    # below their caps are a mask, refreshed in place, not a slot index
+    # slot t < T is window t's visual slot, T + t its audio one; open
+    # slots, those below their caps, are a mask, not a slot index
     open_ = np.empty(2 * T, dtype=bool)
-
-    def count_open() -> int:
-        np.less(base[:T], cap_v, out=open_[:T])
-        np.less(base[T:], cap_a, out=open_[T:])
-        return int(np.count_nonzero(open_))
-
-    # first pass: one token to each of the `deficit` open slots of largest
-    # remainder, ties by larger share, then window by window, visual first
-    if deficit > 0:
-        n_open = count_open()
-        chosen = (open_ if n_open <= deficit
-                  else _largest_remainders(open_, rem, share, deficit))
-        np.add(base, 1, out=base, where=chosen)
-        deficit -= min(n_open, deficit)
-        del chosen
-    del rem
-    # later passes: one token to every open slot until the total lands;
-    # a last pass with fewer tokens than open slots gives them by larger
-    # share, then window by window, visual first
-    by_share = (-share).argsort(kind="stable") if deficit > 0 else None
-    while deficit > 0:
-        n_open = count_open()
-        if n_open == 0:
-            raise InfeasibleBudgetError(
-                "no spare capacity left while budget remains"
-            )
-        if n_open > deficit:
-            ranked = open_.reshape(2, T)[:, by_share].T.copy()
-            flags = ranked.ravel()
-            flags[flags.nonzero()[0][deficit]:] = False
-            open_.reshape(2, T)[:, by_share] = ranked.T
-            np.add(base, 1, out=base, where=open_)
-            break
-        # q passes at once, while every open slot has room for them all;
-        # no q exceeds the deficit, so the room is counted up to it
-        room = min(int(np.min(cap - b, where=o, initial=deficit))
-                   for cap, b, o in ((cap_v, base[:T], open_[:T]),
-                                     (cap_a, base[T:], open_[T:])))
-        q = max(1, min(deficit // n_open, room))
-        np.add(base, q, out=base, where=open_)
-        deficit -= q * n_open
+    np.less(base[:T], cap_v, out=open_[:T])
+    np.less(base[T:], cap_a, out=open_[T:])
+    n_open = int(np.count_nonzero(open_))
+    if 0 < n_open <= deficit:
+        # every open slot gains a token, so remainders rank nothing: each
+        # rises to the highest level q >= deficit // n_open the deficit
+        # covers, capped at its room. The rooms, summed as uint64 (exact
+        # past 2**63 - 1), take the remainders' buffer, then zero it
+        room = rem.view(np.int64)
+        np.subtract(cap_v, base[:T], out=room[:T])
+        np.subtract(cap_a, base[T:], out=room[T:])
+        q = deficit // n_open
+        q += bisect.bisect_right(
+            range(q + 1, int(room.max()) + 1), deficit, key=lambda level:
+            int(np.minimum(room, level).view(np.uint64).sum()))
+        np.greater(room, q, out=open_)  # still below their caps
+        n_open = int(np.count_nonzero(open_))
+        np.minimum(room, q, out=room)
+        base += room
+        deficit -= int(room.view(np.uint64).sum())
+        room.fill(0)
+    if deficit > 0:  # the tokens left, one each
+        assert deficit < n_open, "the target fits the capacity"
+        np.add(base, 1, out=base,
+               where=_largest_remainders(open_, rem, share, deficit))
 
     # the plan adopts base's halves, frozen, rather than copying them
     base.setflags(write=False)
@@ -218,21 +199,20 @@ def _largest_remainders(open_, rem, share, k):
     descending remainder, then descending window share, then window by
     window, visual first. rem, every slot's remainder in [0, 1), is
     overwritten: closed slots take -1, so one partition of one copy finds
-    the k-th; of the slots tied at it, a stable sort by share keeps as
-    many as are still needed."""
+    the k-th; then its buffer ranks the slots tied at it by share."""
     T = share.size
     rem[~open_] = -1.0
-    kth = rem.size - k
-    cut = rem.copy()
-    cut.partition(kth)
-    cut = cut[kth]
+    cut = np.partition(rem, -k)[-k]
     chosen = rem >= cut
     if np.count_nonzero(chosen) == k:  # every slot at the cut is kept
         return chosen
     chosen = rem > cut
-    # j = 2t + m: window t's slot of modality m, in slot order
-    tied = (rem == cut).reshape(2, T).T.ravel().nonzero()[0]
-    tied = tied[(-share[tied // 2]).argsort(kind="stable")]
-    tied = tied[:k - np.count_nonzero(chosen)]
-    chosen.reshape(2, T)[tied % 2, tied // 2] = True
+    tied = rem == cut
+    by_share = np.negative(share, out=rem[:T]).argsort(kind="stable")
+    ranked = tied.reshape(2, T).T[by_share]
+    flags = ranked.ravel()  # the first n hold the ties still needed
+    n = bisect.bisect_left(range(flags.size + 1), k - np.count_nonzero(chosen),
+                           key=lambda end: np.count_nonzero(flags[:end]))
+    flags[n:] = False
+    chosen.reshape(2, T).T[by_share] |= ranked
     return chosen

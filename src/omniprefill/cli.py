@@ -35,7 +35,7 @@ from .pipeline import (
     stage1_saliency,
     synth_generate,
 )
-from .schedule import build_schedule, solve_delta
+from .schedule import block_constant, build_schedule
 
 
 def _ratio(text: str) -> float:
@@ -90,9 +90,9 @@ def _cmd_schedule(args) -> int:
                 else (args.ratio, args.ratio))
     config = ModelConfig(layers=args.layers, d_model=1, d_ff=1, n_heads=1,
                          boundaries=args.boundaries)
-    _, c_value = solve_delta(config, args.ratio, args.lambda_)
     plan_v = build_schedule(config, r_v, args.lambda_)
     plan_a = build_schedule(config, r_a, args.lambda_)
+    c_value = block_constant(config)
     if args.json:
         text = otsio.schedule_json(plan_v, plan_a, config, c_value) + "\n"
     else:

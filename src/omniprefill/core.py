@@ -395,11 +395,15 @@ class WindowLayout:
         """Current per-window counts of a stream.
 
         T defaults to max(window_id)+1; pass it explicitly when trailing
-        windows may have been emptied by selection. A visual or audio row
-        outside [0, T) is a StreamError.
+        windows may have been emptied by selection. A T that is not an
+        integer in [0, MAX_ROWS], or that leaves a visual or audio row
+        outside [0, T), is a StreamError; T may exceed the stream's rows,
+        as windows may be empty.
         """
         if T is None:
             T = int(stream.window_id.max(initial=0)) + 1
+        else:
+            T = bounded_integer("T", T, 0, MAX_ROWS, StreamError)
         visual, audio = stream.modality == VISUAL, stream.modality == AUDIO
         n_v = np.bincount(stream.window_id[visual], minlength=T)
         n_a = np.bincount(stream.window_id[audio], minlength=T)

@@ -91,7 +91,8 @@ def write_ots(
 
     T defaults to one past the largest window id (text rows carry
     NO_WINDOW, as every TokenStream's do). Bytes read_ots would refuse are
-    a ContainerFormatError, raised before anything is written: a T outside
+    a ContainerFormatError, raised before anything is written: a T that is
+    not an integer (a bool, a float or a string) or lies outside
     [1, max(1, n)], a visual or audio window id at or past T, a section
     name that is not a str, or section data that is not a 1-d vector of
     real numbers.
@@ -99,7 +100,7 @@ def write_ots(
     sections = sections or {}
     if T is None:
         T = int(stream.window_id.max(initial=0)) + 1
-    T = int(T)
+    T = field_value("T", integer, T, ContainerFormatError)
     if not 1 <= T <= max(1, stream.n):
         raise ContainerFormatError(f"cannot write t={T} for n={stream.n} "
                                    f"tokens (t must lie in [1, max(1, n)])")

@@ -496,14 +496,18 @@ def run_pipeline(
     brings its own oracle). T is a stream's window count, trailing empty
     windows included, as a container's header `t` declares it; None takes
     one past the stream's largest window id, and a SynthSpec brings its
-    own T. A T that leaves some window id outside [0, T) is a
-    StreamError. Returns the final text-only stream and the full trace.
+    own T. A T that is not an integer in [0, max(1, n)], the range a
+    container's `t` keeps to, or that leaves some window id outside
+    [0, T), is a StreamError. Returns the final text-only stream and the
+    full trace.
     """
     if isinstance(source, SynthSpec):
         stream, oracle = synth_generate(source)
         T = source.T
     else:
         stream = source
+        if T is not None:
+            T = bounded_integer("T", T, 0, max(1, stream.n), StreamError)
 
     layout = WindowLayout.from_stream(stream, T)
     T = layout.T

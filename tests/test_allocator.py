@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from omniprefill.allocator import allocate
@@ -144,6 +144,8 @@ class TestInputDomain:
         ((-5, 4), "-5"), ((8, -1.5), "-1.5"), ((math.nan, 1), "nan"),
         ((8, math.inf), "inf"), ((-math.inf, 4), "-inf"),
         ((10**400, 4), str(10**400)),
+        # not a pair: a TypeError and a ValueError escaped the unpacking
+        (5, "5"), ((1, 2, 3), r"\(1, 2, 3\)"), ("ab", "'ab'"),
     ])
     def test_negative_or_non_finite_total_is_refused(self, totals, shown):
         with pytest.raises(EngineError, match=f"got {shown}$"):
@@ -336,6 +338,59 @@ def test_later_passes_scale_with_slots_not_tokens():
                     layout([4, 2**40], [0, 0]))
     assert plan.b_v.tolist() == [4, 2**39 - 2]
     assert plan.b_a.tolist() == [0, 0]
+
+
+def test_fill_level_near_int64_range():
+    # window 0 takes all the relevance but holds one token; the other
+    # slots, with caps near 2**61 that sum to 2**63 - 2, rise to one level
+    # of about 3 * 2**60, where three caps bind first. The level times the
+    # four open slots lies past 2**63 - 1; passes one token at a time
+    # would not end
+    lay = layout([1, 2**61, 2**61, 3 * 2**60 - 2], [0, 2**60, 0, 0])
+    assert lay.total_visual + lay.total_audio == 2**63 - 1
+    plan = allocate([1.0, 0.0, 0.0, 0.0], [0.0] * 4, 1.0, 0.0, lay,
+                    totals=(2**63 - 2048, 0))
+    assert plan.b_v.tolist() == [1, 2**61, 2**61, 3 * 2**60 - 2049]
+    assert plan.b_a.tolist() == [0, 2**60, 0, 0]
+    assert plan.totals[2] == 2**63 - 2048
+
+
+def test_shortfall_past_int64_range():
+    # each window's split gives visual all of its budget, b * num / num,
+    # which rounds above b: the audio reals are -128 and -1024 and floor
+    # there, so the shortfall is 2**63 + 126 and the two audio rooms sum
+    # past 2**63 - 1. An int64 sum of them wraps; the float budget of
+    # 2**63 - 1024 still lands exactly
+    lay = layout([1, 1], [2**62 - 1, 2**62 - 2])
+    plan = allocate([0.08969322221638654, 0.9125459074536547], [0.0, 0.0],
+                    1.0, 0.0, lay, totals=(2**63 - 1024, 0))
+    assert plan.b_v.tolist() == [1, 1]
+    assert plan.b_a.tolist() == [2**62 - 65, 2**62 - 961]
+    assert plan.totals[2] == 2**63 - 1024
+
+
+@st.composite
+def shrunk_inputs(draw):
+    """allocate_inputs whose totals run_pipeline's drop layer shrinks:
+    the nominal budget of an original stream exceeds the capacity left,
+    so both totals scale down until the budget is exactly that capacity."""
+    s_v, s_a, r_v, r_a, lay, _ = draw(allocate_inputs())
+    scale = draw(st.sampled_from([2, 3, 7]))
+    n_v0, n_a0 = scale * lay.total_visual, scale * lay.total_audio
+    capacity = lay.total_visual + lay.total_audio
+    nominal = r_v * n_v0 + r_a * n_a0
+    assume(round(nominal) > capacity)
+    shrink = capacity / nominal
+    return s_v, s_a, r_v, r_a, lay, (n_v0 * shrink, n_a0 * shrink)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=shrunk_inputs())
+def test_budget_shrunk_to_capacity_fills_every_slot(inputs):
+    lay = inputs[4]
+    plan = allocate(*inputs[:5], totals=inputs[5])
+    assert plan.b_v.tolist() == lay.n_v.tolist()
+    assert plan.b_a.tolist() == lay.n_a.tolist()
 
 
 @pytest.mark.parametrize("passes", [2, 3])

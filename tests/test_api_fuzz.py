@@ -10,6 +10,8 @@ huge entry. A second one builds the value types (`TokenStream`,
 `WindowLayout`, `ModelConfig`, `RetentionSpec`, `SynthSpec`) and calls
 `TokenStream.take`, `select_topk`, `window_relevance` and `greedy_maxmin`
 with one drawn field, array or scalar of an inexact kind or value. A third
+hands a drawn scalar to `WindowLayout.from_stream`, `run_pipeline` and
+`write_ots` as the window count T and to `allocate` as its totals. A fourth
 asks a container's oracle with a drawn modality, which only VISUAL and
 AUDIO name.
 """
@@ -199,6 +201,31 @@ def test_value_types_and_vectors_end_with_a_result_or_an_engine_error(
             inexact(rows), st.just(np.array(rows) * 1e200),
             inexact(rows[0])))
         ends_cleanly(lambda: greedy_maxmin(embeddings, np.ones(4), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(["from_stream", "run_pipeline", "write_ots",
+                               "allocate"]), value=SCALARS)
+@example(target="from_stream", value="2")
+@example(target="from_stream", value=-1)
+@example(target="run_pipeline", value=2.5)
+@example(target="run_pipeline", value=10**20)
+@example(target="write_ots", value="2")
+@example(target="allocate", value=5)
+@example(target="allocate", value=(16, 19, 21, 24))
+def test_window_count_and_totals_end_with_a_result_or_an_engine_error(
+        target, value):
+    # from_stream, run_pipeline and allocate let a TypeError, numpy's
+    # ValueError or an OverflowError escape; write_ots read "2" as 2
+    if target == "from_stream":
+        ends_cleanly(lambda: WindowLayout.from_stream(STREAM, value))
+    elif target == "run_pipeline":
+        ends_cleanly(lambda: run_pipeline(STREAM, CONFIG, RETENTION, T=value))
+    elif target == "write_ots":
+        ends_cleanly(lambda: write_ots(STREAM, {}, T=value))
+    else:
+        ends_cleanly(lambda: allocate(*[[0.5, 0.5]] * 2, 0.3, 0.65, LAYOUT,
+                                      totals=value))
 
 
 @settings(max_examples=100, deadline=None)

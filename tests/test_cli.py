@@ -112,6 +112,16 @@ class TestSchedule:
         assert lines[1].startswith("# delta_v=")
         assert lines[2].startswith("# delta_a=")
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_split_ratios_ignore_the_overall_ratio(self, capsys, fmt):
+        # --ratio 0.9 has no schedule of its own; with both modality ratios
+        # given it is never printed, and C depends on the boundaries only
+        split = ["--modality-ratios", "0.3,0.65"] + fmt
+        assert main(SCHED + ["--ratio", "0.3"] + split) == 0
+        want = capsys.readouterr().out
+        assert main(SCHED + ["--ratio", "0.9"] + split) == 0
+        assert capsys.readouterr().out == want
+
     def test_json_to_file(self, tmp_path, capsys):
         out = tmp_path / "sched.json"
         assert main(SCHED + ["--ratio", "0.3", "--json", "--out",

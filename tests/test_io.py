@@ -344,6 +344,12 @@ class TestWriterRefuses:
                            match=rf"t={T} for n=7 .*\[1, max\(1, n\)\]"):
             write_ots(tiny_stream(), T=T)
 
+    @pytest.mark.parametrize("T", ["2", 2.7, 2.0, True])
+    def test_window_count_not_an_integer(self, T):
+        # int() read "2" as 2 and 2.7 as 2 without a word
+        with pytest.raises(ContainerFormatError, match="^T is malformed"):
+            write_ots(tiny_stream(), T=T)
+
     def test_window_count_at_token_count(self):
         data = write_ots(tiny_stream(), T=7)
         assert read_ots(data)[2]["t"] == 7
